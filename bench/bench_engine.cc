@@ -124,14 +124,13 @@ BENCHMARK(BM_NetworkBroadcast)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 // delivery event. BM_EasyCommitRoundUncoalesced keeps the per-message
 // delivery path measured as an ablation baseline.
 void BM_CommitRound(benchmark::State& state, CommitProtocol protocol,
-                    bool coalesce = true,
-                    SchedulerBackend backend = SchedulerBackend::kHeap) {
+                    bool coalesce = true) {
   const uint32_t n = static_cast<uint32_t>(state.range(0));
   NetworkConfig net;
   net.base_latency_us = 1;
   net.jitter_us = 0;
   CommitEngineConfig commit;
-  ProtocolTestbed bed(protocol, n, net, commit, /*seed=*/7, backend);
+  ProtocolTestbed bed(protocol, n, net, commit, /*seed=*/7);
   if (coalesce) bed.network().EnableCoalescing(true);
   const uint64_t msgs_before = bed.network().stats().messages_sent;
   for (auto _ : state) {
@@ -174,14 +173,6 @@ void BM_E3pcRound(benchmark::State& state) {
 void BM_PaxosCommitRound(benchmark::State& state) {
   BM_CommitRound(state, CommitProtocol::kPaxosCommit);
 }
-// Timer-wheel ablation: identical rounds over the wheel backend. The wheel
-// trades the heap's O(log n) pop for O(1) bucket ops — at large n the
-// event queue holds tens of thousands of pending deliveries and the
-// backend choice shows up directly in rounds/s.
-void BM_EasyCommitRoundWheel(benchmark::State& state) {
-  BM_CommitRound(state, CommitProtocol::kEasyCommit, /*coalesce=*/true,
-                 SchedulerBackend::kTimerWheel);
-}
 BENCHMARK(BM_TwoPhaseRound)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 BENCHMARK(BM_ThreePhaseRound)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 // The scale axis: 256/1024/4096 stress the O(active)-link network state
@@ -193,9 +184,6 @@ BENCHMARK(BM_EasyCommitRound)
 BENCHMARK(BM_EasyCommitRoundUncoalesced)->Arg(32);
 BENCHMARK(BM_E3pcRound)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 BENCHMARK(BM_PaxosCommitRound)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
-BENCHMARK(BM_EasyCommitRoundWheel)
-    ->Arg(32)->Arg(256)->Arg(1024)->Arg(4096)
-    ->Unit(benchmark::kMicrosecond);
 
 // Many concurrent commit rounds with coordinators spread round-robin over
 // the cluster — the shape where coalescing actually packs frames: each

@@ -43,10 +43,10 @@ int main() {
       ClusterConfig cluster = DefaultCluster(8, protocol);
       cluster.network.base_latency_us = wan.latency_us;
       cluster.network.jitter_us = wan.latency_us / 4;
-      // Timeouts must stay above the round trips at every latency.
+      // Timeouts must stay above the round trips at every latency (the
+      // execution watchdog follows at five protocol timeouts).
       cluster.commit.timeout_us = wan.latency_us * 20 + 10'000;
       cluster.commit.termination_window_us = wan.latency_us * 8 + 5'000;
-      cluster.exec_timeout_us = wan.latency_us * 40 + 50'000;
       cluster.backoff_base_us = 500 + wan.latency_us / 4;
       YcsbConfig ycsb = DefaultYcsb(8);
       ycsb.theta = 0.5;

@@ -10,6 +10,12 @@ namespace ecdb {
 AcquireResult LockTable::Acquire(TxnId txn, uint64_t ts, TableId table,
                                  Key key, LockMode mode,
                                  GrantCallback on_grant) {
+  if (entries_.capacity() == 0) {
+    // Sized on first use rather than at construction: protocol-level test
+    // clusters build thousands of nodes that never take a lock.
+    entries_.Reserve(256);
+    held_by_txn_.Reserve(64);
+  }
   const LockId id{table, key};
   Entry& entry = entries_[id];
 

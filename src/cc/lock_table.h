@@ -54,10 +54,7 @@ class LockTable {
   /// heap-allocate the way std::function did.
   using GrantCallback = TaskFn;
 
-  explicit LockTable(CcPolicy policy) : policy_(policy) {
-    entries_.Reserve(256);
-    held_by_txn_.Reserve(64);
-  }
+  explicit LockTable(CcPolicy policy) : policy_(policy) {}
 
   CcPolicy policy() const { return policy_; }
 

@@ -27,7 +27,6 @@ ClusterConfig MakeClusterConfig(const ChaosCaseConfig& cfg, uint64_t seed,
   cluster.commit.keep_decision_ledger = true;
   cluster.commit.term_fruitless_retries = cfg.term_fruitless_retries;
   cluster.coalesce_transport = cfg.coalesce_transport;
-  cluster.scheduler_backend = cfg.scheduler_backend;
   cluster.telemetry = cfg.telemetry;
   return cluster;
 }

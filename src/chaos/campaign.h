@@ -49,11 +49,6 @@ struct ChaosCaseConfig {
   /// violating atomicity or durability.
   bool coalesce_transport = false;
 
-  /// Event-queue backend. The timer wheel must survive the same fault
-  /// interleavings as the reference heap; campaigns under kTimerWheel are
-  /// the safety net for the wheel's ordering guarantees.
-  SchedulerBackend scheduler_backend = SchedulerBackend::kHeap;
-
   /// Time-series telemetry for each case's cluster. When `metrics_path` is
   /// non-empty (and telemetry.enabled), every case appends a labeled JSONL
   /// section ("<protocol>_seed<N>") to that file after its audit.

@@ -60,9 +60,8 @@ void ChaosDriver::Apply(const FaultEvent& ev) {
       }
       break;
     case FaultType::kRecover:
-      if (ev.a < cluster_->num_nodes() && cluster_->node(ev.a).crashed()) {
-        cluster_->RecoverNode(ev.a);
-      }
+      // Recovering a node that is up is rejected by the node itself.
+      if (ev.a < cluster_->num_nodes()) cluster_->RecoverNode(ev.a);
       break;
     case FaultType::kLinkCut:
       net.SetLinkDown(ev.a, ev.b, true);
@@ -146,7 +145,7 @@ void ChaosDriver::ClearFaults() {
   }
   delayed_links_.clear();
   for (NodeId id = 0; id < cluster_->num_nodes(); ++id) {
-    if (cluster_->node(id).crashed()) cluster_->RecoverNode(id);
+    cluster_->RecoverNode(id);
   }
 }
 
@@ -182,9 +181,6 @@ void ApplyPlanToThreadCluster(const FaultPlan& plan, ThreadCluster* cluster,
 
   const size_t n = cluster->num_nodes();
   std::vector<std::pair<NodeId, NodeId>> partition_cuts;
-  // ThreadNode::Recover on a node that never crashed would replay WAL
-  // analysis over live transactions; track down-state here to guard it.
-  std::vector<bool> down(n, false);
   const auto start = std::chrono::steady_clock::now();
   for (const TimedAction& action : timeline) {
     const auto due = start + std::chrono::microseconds(static_cast<uint64_t>(
@@ -194,16 +190,10 @@ void ApplyPlanToThreadCluster(const FaultPlan& plan, ThreadCluster* cluster,
     const FaultEvent& ev = action.ev;
     switch (ev.type) {
       case FaultType::kCrash:
-        if (ev.a < n && !down[ev.a]) {
-          cluster->node(ev.a).Crash();
-          down[ev.a] = true;
-        }
+        if (ev.a < n && !net.IsCrashed(ev.a)) cluster->node(ev.a).Crash();
         break;
       case FaultType::kRecover:
-        if (ev.a < n && down[ev.a]) {
-          cluster->node(ev.a).Recover();
-          down[ev.a] = false;
-        }
+        if (ev.a < n) cluster->node(ev.a).Recover();
         break;
       case FaultType::kLinkCut:
         net.SetLinkDown(ev.a, ev.b, true);
@@ -256,9 +246,7 @@ void ApplyPlanToThreadCluster(const FaultPlan& plan, ThreadCluster* cluster,
 
   // End of plan: fault-free network, everyone back up.
   net.ClearFaults();
-  for (NodeId id = 0; id < n; ++id) {
-    if (down[id]) cluster->node(id).Recover();
-  }
+  for (NodeId id = 0; id < n; ++id) cluster->node(id).Recover();
 }
 
 }  // namespace ecdb

@@ -51,7 +51,7 @@ class ChaosDriver {
 /// plans assume microsecond-level latencies the threaded runtime does not
 /// have). Blocks until the last event has fired, then restores a
 /// fault-free network and recovers every crashed node. Partition events
-/// are expanded to link cuts; WAL replay runs in ThreadNode::Recover.
+/// are expanded to link cuts; WAL replay runs in the node core on recovery.
 void ApplyPlanToThreadCluster(const FaultPlan& plan, ThreadCluster* cluster,
                               double time_scale = 1.0);
 

@@ -8,7 +8,6 @@
 #include "common/types.h"
 #include "net/network.h"
 #include "obs/metrics_registry.h"
-#include "sim/scheduler.h"
 #include "workload/open_loop.h"
 
 namespace ecdb {
@@ -26,10 +25,10 @@ struct ServiceCosts {
   Micros overhead_us = 10;           // txn-table fetch/cleanup on completion
 };
 
-/// Full configuration of a simulated cluster run.
-struct ClusterConfig {
+/// Configuration every host's NodeCore reads, declared once. The defaults
+/// are the simulator's; ThreadClusterConfig overrides its own.
+struct NodeConfig {
   uint32_t num_nodes = 16;
-  uint32_t workers_per_node = 4;
 
   /// Open client connections per server node (closed loop: each client
   /// keeps exactly one transaction in flight). The paper applies a heavy
@@ -40,18 +39,15 @@ struct ClusterConfig {
   CommitProtocol protocol = CommitProtocol::kEasyCommit;
   CcPolicy cc_policy = CcPolicy::kNoWait;
 
-  NetworkConfig network;
+  /// Protocol timeouts. The execution watchdog — abort an attempt whose
+  /// remote fragments have not all answered — is derived from them:
+  /// ExecWatchdogUs() below.
   CommitEngineConfig commit;
-  ServiceCosts costs;
 
   /// Aborted transactions restart after a randomized exponential backoff:
   /// U[0,1) * base * 2^min(attempts, max_shift).
   Micros backoff_base_us = 500;
   uint32_t backoff_max_shift = 6;
-
-  /// Abort an attempt whose remote fragments have not all answered within
-  /// this bound (covers execution-phase node failures).
-  Micros exec_timeout_us = 50'000;
 
   /// Ablation knob (A3): release record locks when the decision is applied
   /// instead of at cleanup time. The paper's EC implementation frees
@@ -61,32 +57,40 @@ struct ClusterConfig {
   /// that wait so its cost can be measured. Affects all protocols.
   bool release_locks_at_decision = false;
 
-  /// Transport-level message coalescing (SimNetwork::EnableCoalescing):
-  /// every message a scheduler step emits toward the same destination
-  /// travels as one frame, and same-arrival frames share one delivery
-  /// event. Off by default — delivery *order* across destinations changes
-  /// (per-link FIFO is preserved), so runs with the knob on are
-  /// deterministic among themselves but not bit-identical to runs with it
-  /// off. Benchmarks and the coalescing chaos variant opt in.
+  /// Transport-level message coalescing. Simulator: every message a
+  /// scheduler step emits toward the same destination travels as one
+  /// frame, and same-arrival frames share one delivery event; delivery
+  /// *order* across destinations changes (per-link FIFO is preserved), so
+  /// runs with the knob on are deterministic among themselves but not
+  /// bit-identical to runs with it off. Threaded hosts: each event-loop
+  /// iteration ships one batch per destination and group-commits the WAL.
+  /// Off by default; benchmarks opt in.
   bool coalesce_transport = false;
 
-  /// Event-queue backend for the simulation scheduler. The heap default is
-  /// fastest at small scale; kTimerWheel keeps dispatch O(1) amortized when
-  /// a 10^3..10^4-node cluster holds millions of pending events. Event
-  /// order is bit-identical under either (pinned by the determinism
-  /// goldens).
-  SchedulerBackend scheduler_backend = SchedulerBackend::kHeap;
-
   /// Open-loop load generation (off by default: clients run the classic
-  /// closed loop, one transaction in flight each).
+  /// closed loop, one transaction in flight each). Under the open loop the
+  /// admission window replaces clients_per_node as the slot population.
   OpenLoopConfig open_loop;
 
-  /// Time-series telemetry (off by default). When enabled the cluster
-  /// drives a TelemetrySampler from a scheduler event chain in virtual
-  /// time, so two identically-seeded runs export byte-identical series.
+  /// Time-series telemetry (off by default). The simulator samples in
+  /// virtual time (byte-identical across identically seeded runs); the
+  /// threaded runtime samples on wall time from a dedicated thread.
   TelemetryConfig telemetry;
 
   uint64_t seed = 42;
+
+  /// Execution watchdog: abort an attempt whose remote fragments have not
+  /// all answered within this bound (covers execution-phase node
+  /// failures). Five protocol timeouts — 50 ms at the simulator default.
+  Micros ExecWatchdogUs() const { return commit.timeout_us * 5; }
+};
+
+/// Full configuration of a simulated cluster run.
+struct ClusterConfig : NodeConfig {
+  uint32_t workers_per_node = 4;
+
+  NetworkConfig network;
+  ServiceCosts costs;
 };
 
 }  // namespace ecdb

@@ -9,7 +9,6 @@ namespace ecdb {
 SimCluster::SimCluster(const ClusterConfig& config,
                        std::unique_ptr<Workload> workload)
     : config_(config), workload_(std::move(workload)) {
-  scheduler_.SetBackend(config_.scheduler_backend);
   Rng root(config_.seed);
   network_ = std::make_unique<SimNetwork>(&scheduler_, config_.network,
                                           root.Next());
@@ -131,7 +130,7 @@ ClusterStats SimCluster::CollectStats(double duration_seconds) const {
 
 void SimCluster::CrashNode(NodeId id) { nodes_[id]->Crash(); }
 
-void SimCluster::RecoverNode(NodeId id) { nodes_[id]->Recover(); }
+bool SimCluster::RecoverNode(NodeId id) { return nodes_[id]->Recover(); }
 
 void SimCluster::EnableTracing(size_t capacity) {
   for (auto& node : nodes_) node->EnableTracing(capacity);

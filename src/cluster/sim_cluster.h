@@ -60,9 +60,10 @@ class SimCluster {
 
   /// Crashes / recovers a node (network + node state).
   void CrashNode(NodeId id);
-  void RecoverNode(NodeId id);
+  /// Returns false, doing nothing, when the node is up.
+  bool RecoverNode(NodeId id);
 
-  /// Quiesces every node's closed loop (see SimNode::Quiesce); a
+  /// Quiesces every node's closed loop (see NodeCore::Quiesce); a
   /// subsequent RunToQuiescence drains all in-flight work. Also stops the
   /// telemetry sampling chain — a perpetual self-rescheduling event would
   /// otherwise keep the scheduler from ever draining.

@@ -1,114 +1,73 @@
 #include "cluster/sim_node.h"
 
-#include <algorithm>
+#include <memory>
 #include <utility>
-
-#include "commit/quorum.h"
-#include "commit/recovery.h"
-#include "common/logging.h"
 
 namespace ecdb {
 
 SimNode::SimNode(NodeId id, const ClusterConfig& config, Scheduler* scheduler,
                  SimNetwork* network, Workload* workload,
                  SafetyMonitor* monitor, uint64_t seed)
-    : id_(id),
+    : NodeCore(id, config, std::make_unique<MemoryWal>(), workload, monitor,
+               seed),
       config_(config),
       scheduler_(scheduler),
-      network_(network),
-      workload_(workload),
-      monitor_(monitor),
-      rng_(seed),
-      store_(id),
-      partitioner_(config.num_nodes),
-      locks_(config.cc_policy),
-      // The arrival stream's seed is derived from (not equal to) the node
-      // seed so it does not correlate with the workload rng_.
-      arrivals_(config.open_loop, seed ^ 0x9e3779b97f4a7c15ULL),
-      txn_ids_(id) {
-  trace_.set_node(id_);
-  engine_ = std::make_unique<CommitEngine>(config_.protocol, this,
-                                           config_.commit);
-  engine_->set_trace(&trace_);
-  // Under the open loop the slots are the admission-control window, not a
-  // fixed population of closed-loop clients.
-  clients_.resize(config_.open_loop.enabled
-                      ? config_.open_loop.max_in_flight_per_node
-                      : config_.clients_per_node);
-}
+      network_(network) {}
 
 SimNode::~SimNode() = default;
 
 void SimNode::Bootstrap() {
-  workload_->LoadPartition(&store_, partitioner_);
-  network_->RegisterNode(id_, [this](const Message& msg) {
-    if (!crashed_) OnNetMessage(msg);
-  });
+  NodeCore::Bootstrap();
+  network_->RegisterNode(self(),
+                         [this](const Message& msg) { OnMessage(msg); });
 }
 
-void SimNode::StartClients() {
-  if (config_.open_loop.enabled) {
-    free_client_slots_.reserve(clients_.size());
-    for (uint32_t slot = 0; slot < clients_.size(); ++slot) {
-      free_client_slots_.push_back(slot);
-    }
-    ScheduleNextArrival();
-    return;
-  }
-  for (uint32_t slot = 0; slot < clients_.size(); ++slot) {
-    StartNewClientTxn(slot);
-  }
-}
-
-// --------------------------------------------------------------------------
-// Open-loop load generation
-// --------------------------------------------------------------------------
-
-void SimNode::ScheduleNextArrival() {
-  const uint64_t epoch = epoch_;
-  scheduler_->ScheduleAfter(arrivals_.NextGapUs(), [this, epoch]() {
-    // Quiesce ends the arrival stream (the event chain simply stops), so
-    // in-flight work drains and the scheduler reaches quiescence.
-    if (crashed_ || epoch != epoch_ || quiesced_) return;
-    OnArrival();
-    ScheduleNextArrival();
-  });
-}
-
-void SimNode::OnArrival() {
-  stats_.open_loop_offered++;
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->open_loop_offered);
-  }
-  if (free_client_slots_.empty()) {
-    // Admission control: shed the arrival (counted, never queued) so an
-    // overloaded node's backlog stays bounded.
-    stats_.open_loop_rejected++;
-    if (metrics_.on()) {
-      metrics_.registry->Add(metrics_.shard,
-                             metrics_.ids->open_loop_rejected);
-    }
-    return;
-  }
-  const uint32_t slot = free_client_slots_.back();
-  free_client_slots_.pop_back();
-  StartNewClientTxn(slot);
+NodeCore::TimerId SimNode::ScheduleTimer(Micros at, const NodeTimer& timer) {
+  return scheduler_->ScheduleAt(at, [this, timer]() { FireTimer(timer); });
 }
 
 // --------------------------------------------------------------------------
 // Worker pool model
 // --------------------------------------------------------------------------
 
-void SimNode::EnqueueJob(CostVector cost, Job fn) {
-  if (crashed_) return;
+SimNode::CostVector SimNode::CostOf(Work work) const {
+  const ServiceCosts& c = config_.costs;
+  CostVector v{};
+  auto at = [&v](TimeCategory category) -> Micros& {
+    return v[static_cast<size_t>(category)];
+  };
+  switch (work.kind) {
+    case WorkKind::kExecute:
+      at(TimeCategory::kUsefulWork) = c.useful_work_per_op_us * work.ops;
+      at(TimeCategory::kIndex) = c.index_per_op_us * work.ops;
+      at(TimeCategory::kTxnManager) = c.txn_manager_us;
+      break;
+    case WorkKind::kRemoteReply:
+      at(TimeCategory::kTxnManager) = c.remote_reply_us;
+      break;
+    case WorkKind::kAbort:
+      at(TimeCategory::kAbort) = c.abort_cleanup_us;
+      break;
+    case WorkKind::kCommitMessage:
+      at(TimeCategory::kCommit) = c.commit_msg_us;
+      break;
+    case WorkKind::kOverhead:
+      at(TimeCategory::kOverhead) = c.overhead_us;
+      break;
+  }
+  return v;
+}
+
+void SimNode::Run(Work work, TaskFn fn) {
+  if (crashed()) return;
   if (busy_workers_ < config_.workers_per_node) {
-    StartJob(cost, std::move(fn));
+    StartJob(CostOf(work), std::move(fn));
   } else {
-    job_queue_.emplace_back(cost, std::move(fn));
+    job_queue_.emplace_back(CostOf(work), std::move(fn));
   }
 }
 
-void SimNode::StartJob(CostVector cost, Job fn) {
+void SimNode::StartJob(CostVector cost, TaskFn fn) {
   busy_workers_++;
   Micros total = 0;
   for (Micros c : cost) total += c;
@@ -123,7 +82,7 @@ void SimNode::StartJob(CostVector cost, Job fn) {
   RunningJob& job = running_jobs_[idx];
   job.cost = cost;
   job.fn = std::move(fn);
-  job.epoch = epoch_;
+  job.epoch = epoch();
   scheduler_->ScheduleAfter(total, [this, idx]() { FinishJobSlot(idx); });
 }
 
@@ -132,18 +91,14 @@ void SimNode::FinishJobSlot(uint32_t idx) {
   // growing (and reallocating) the pool under us.
   RunningJob job = std::move(running_jobs_[idx]);
   free_job_slots_.push_back(idx);
-  if (crashed_ || job.epoch != epoch_) return;
-  FinishJob(job.cost, job.fn);
-}
-
-void SimNode::FinishJob(const CostVector& cost, Job& fn) {
+  if (crashed() || job.epoch != epoch()) return;
   Micros total = 0;
   for (size_t i = 0; i < kNumTimeCategories; ++i) {
-    stats_.time_us[i] += cost[i];
-    total += cost[i];
+    stats().time_us[i] += job.cost[i];
+    total += job.cost[i];
   }
   total_busy_us_ += total;
-  fn();
+  job.fn();
   busy_workers_--;
   if (!job_queue_.empty() && busy_workers_ < config_.workers_per_node) {
     auto [next_cost, next_fn] = std::move(job_queue_.front());
@@ -152,781 +107,30 @@ void SimNode::FinishJob(const CostVector& cost, Job& fn) {
   }
 }
 
-SimNode::CostVector SimNode::ExecCost(size_t num_ops) const {
-  CostVector v{};
-  v[static_cast<size_t>(TimeCategory::kUsefulWork)] =
-      config_.costs.useful_work_per_op_us * num_ops;
-  v[static_cast<size_t>(TimeCategory::kIndex)] =
-      config_.costs.index_per_op_us * num_ops;
-  return v;
-}
-
-// --------------------------------------------------------------------------
-// CommitEnv
-// --------------------------------------------------------------------------
-
-void SimNode::Send(Message msg) {
-  msg.src = id_;
-  if (trace_.enabled()) {
-    msg.trace_seq = trace_.NextSeq();
-    trace_.Record(TraceEventType::kMsgSend, scheduler_->Now(), msg.txn,
-                  msg.trace_seq, msg.dst, static_cast<uint8_t>(msg.type));
-  }
-  network_->Send(std::move(msg));
-}
-
-void SimNode::Log(TxnId txn, LogRecordType type) {
-  if (trace_.enabled()) {
-    trace_.Record(TraceEventType::kWalWrite, scheduler_->Now(), txn, 0,
-                  kInvalidNode, static_cast<uint8_t>(type));
-  }
-  LogRecord record;
-  record.txn = txn;
-  record.type = type;
-  if (type == LogRecordType::kBeginCommit || type == LogRecordType::kReady) {
-    if (auto it = attempts_.find(txn); it != attempts_.end()) {
-      record.participants = it->second.participants;
-    } else if (auto fit = fragments_.find(txn); fit != fragments_.end()) {
-      record.participants = fit->second.participants;
-    }
-  }
-  wal_.Append(std::move(record));
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->wal_appends);
-  }
-}
-
-void SimNode::LogPayload(TxnId txn, LogRecordType type,
-                         const CowVector<NodeId>& payload) {
-  if (trace_.enabled()) {
-    trace_.Record(TraceEventType::kWalWrite, scheduler_->Now(), txn, 0,
-                  kInvalidNode, static_cast<uint8_t>(type));
-  }
-  // Quorum snapshot records ride their packed epoch/ballot payload in the
-  // participants field (the WAL's one variable-length channel).
-  wal_.Append({0, txn, type, payload});
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->wal_appends);
-  }
-}
-
-void SimNode::ArmTimer(TxnId txn, Micros delay_us) {
-  CancelTimer(txn);
-  if (trace_.enabled()) {
-    trace_.Record(TraceEventType::kTimerArm, scheduler_->Now(), txn,
-                  delay_us);
-  }
-  const uint64_t epoch = epoch_;
-  timers_[txn] = scheduler_->ScheduleAfter(delay_us, [this, txn, epoch]() {
-    if (crashed_ || epoch != epoch_) return;
-    timers_.erase(txn);
-    if (trace_.enabled()) {
-      trace_.Record(TraceEventType::kTimerFire, scheduler_->Now(), txn);
-    }
-    engine_->OnTimeout(txn);
-  });
-}
-
-void SimNode::CancelTimer(TxnId txn) {
-  auto it = timers_.find(txn);
-  if (it == timers_.end()) return;
-  if (trace_.enabled()) {
-    trace_.Record(TraceEventType::kTimerCancel, scheduler_->Now(), txn);
-  }
-  scheduler_->Cancel(it->second);
-  timers_.erase(it);
-}
-
-Decision SimNode::VoteFor(TxnId txn) {
-  if (vote_override_) return vote_override_(txn);
-  return fragments_.count(txn) > 0 ? Decision::kCommit : Decision::kAbort;
-}
-
-void SimNode::ApplyDecision(TxnId txn, Decision decision) {
-  if (monitor_ != nullptr) monitor_->RecordApplied(txn, id_, decision);
-
-  auto ait = attempts_.find(txn);
-  if (ait != attempts_.end()) {
-    // Coordinator side: this node's fragment plus client accounting.
-    AttemptState& attempt = ait->second;
-    if (decision == Decision::kAbort) {
-      UndoWrites(attempt.local_undo);
-      attempt.local_undo.clear();
-      stats_.txns_aborted++;
-      if (metrics_.on()) {
-        metrics_.registry->Add(metrics_.shard, metrics_.ids->txns_aborted);
-      }
-      ScheduleRetry(attempt.slot);
-    } else {
-      FinishCommitted(txn);
-    }
-    if (config_.release_locks_at_decision) locks_.ReleaseAll(txn);
-    return;
-  }
-
-  auto fit = fragments_.find(txn);
-  if (fit != fragments_.end() && decision == Decision::kAbort) {
-    UndoWrites(fit->second.undo);
-    fit->second.undo.clear();
-  }
-  // Locks are normally released at cleanup time (Section 5.3:
-  // transactional resources are freed only once no further messages can
-  // arrive); the A3 ablation releases them here instead.
-  if (config_.release_locks_at_decision) locks_.ReleaseAll(txn);
-}
-
-void SimNode::OnBlocked(TxnId txn) {
-  (void)txn;
-  stats_.txns_blocked++;
-  if (monitor_ != nullptr) monitor_->RecordBlocked(txn, id_);
-}
-
-void SimNode::OnPhaseSample(TxnId txn, CommitPhase phase, Micros elapsed_us) {
-  (void)txn;
-  switch (phase) {
-    case CommitPhase::kVoteCollection:
-      stats_.phase_vote.Record(elapsed_us);
-      break;
-    case CommitPhase::kDecisionTransmit:
-      stats_.phase_transmit.Record(elapsed_us);
-      break;
-    case CommitPhase::kDecisionApply:
-      stats_.phase_apply.Record(elapsed_us);
-      break;
-  }
-}
-
-void SimNode::OnCleanup(TxnId txn) {
-  EnqueueJob(Cost(TimeCategory::kOverhead, config_.costs.overhead_us),
-             [this, txn]() {
-               locks_.ReleaseAll(txn);
-               attempts_.erase(txn);
-               fragments_.erase(txn);
-             });
-}
-
-// --------------------------------------------------------------------------
-// Message handling
-// --------------------------------------------------------------------------
-
-void SimNode::OnNetMessage(const Message& msg) {
-  if (trace_.enabled()) {
-    trace_.Record(TraceEventType::kMsgRecv, scheduler_->Now(), msg.txn,
-                  msg.trace_seq, msg.src, static_cast<uint8_t>(msg.type));
-  }
-  switch (msg.type) {
-    case MsgType::kRemoteExec: {
-      CostVector cost = ExecCost(msg.ops.size());
-      cost[static_cast<size_t>(TimeCategory::kTxnManager)] +=
-          config_.costs.txn_manager_us;
-      EnqueueJob(cost, [this, msg]() { HandleRemoteExec(msg); });
-      return;
-    }
-    case MsgType::kRemoteExecOk:
-    case MsgType::kRemoteExecFail: {
-      const bool ok = msg.type == MsgType::kRemoteExecOk;
-      EnqueueJob(Cost(TimeCategory::kTxnManager, config_.costs.remote_reply_us),
-                 [this, msg, ok]() { HandleRemoteExecReply(msg, ok); });
-      return;
-    }
-    case MsgType::kRemoteRollback:
-      EnqueueJob(Cost(TimeCategory::kAbort, config_.costs.abort_cleanup_us),
-                 [this, msg]() { HandleRemoteRollback(msg); });
-      return;
-    default:
-      // Commit-protocol and termination messages.
-      EnqueueJob(Cost(TimeCategory::kCommit, config_.costs.commit_msg_us),
-                 [this, msg]() { engine_->OnMessage(msg); });
-      return;
-  }
-}
-
-void SimNode::HandleRemoteExec(const Message& msg) {
-  if (pending_rollbacks_.erase(msg.txn) > 0) {
-    return;  // the coordinator already aborted this attempt
-  }
-  auto ctx = std::make_shared<ExecContext>();
-  ctx->txn = msg.txn;
-  ctx->priority_ts = msg.priority_ts;
-  ctx->ops = msg.ops;
-  ctx->epoch = epoch_;
-  ctx->done = [this, msg](bool ok, std::vector<UndoRecord> undo) {
-    Message reply;
-    reply.txn = msg.txn;
-    reply.dst = msg.src;
-    if (ok) {
-      FragmentState frag;
-      frag.txn = msg.txn;
-      frag.coordinator = msg.src;
-      frag.participants = msg.participants;
-      frag.ops = msg.ops;
-      frag.undo = std::move(undo);
-      fragments_[msg.txn] = std::move(frag);
-      if (msg.txn_has_writes) {
-        engine_->ExpectPrepare(msg.txn, msg.src, msg.participants);
-      }
-      reply.type = MsgType::kRemoteExecOk;
-    } else {
-      reply.type = MsgType::kRemoteExecFail;
-    }
-    Send(std::move(reply));
-  };
-  ExecLoop(std::move(ctx));
-}
-
-void SimNode::HandleRemoteExecReply(const Message& msg, bool ok) {
-  auto it = attempts_.find(msg.txn);
-  if (it == attempts_.end() || it->second.aborting) {
-    // The attempt was aborted while this reply was in flight; the remote
-    // fragment (if it succeeded) must be rolled back.
-    if (ok) {
-      Message rollback;
-      rollback.type = MsgType::kRemoteRollback;
-      rollback.txn = msg.txn;
-      rollback.dst = msg.src;
-      Send(std::move(rollback));
-    }
-    return;
-  }
-  AttemptState& attempt = it->second;
-  attempt.pending_remote.erase(msg.src);
-  if (ok) {
-    attempt.ok_remote.insert(msg.src);
-    if (attempt.next_remote < attempt.remote_order.size()) {
-      SendNextFragment(msg.txn);  // sequential dispatch: next partition
-    } else if (attempt.pending_remote.empty()) {
-      AllFragmentsReady(msg.txn);
-    }
-  } else {
-    AbortAttempt(msg.txn, /*send_rollbacks=*/true);
-  }
-}
-
-void SimNode::HandleRemoteRollback(const Message& msg) {
-  auto it = fragments_.find(msg.txn);
-  if (it == fragments_.end()) {
-    // Rollback overtook the fragment execution (network reordering).
-    pending_rollbacks_.insert(msg.txn);
-    return;
-  }
-  UndoWrites(it->second.undo);
-  locks_.ReleaseAll(msg.txn);
-  fragments_.erase(it);
-  engine_->Forget(msg.txn);
-}
-
-// --------------------------------------------------------------------------
-// Coordinator paths
-// --------------------------------------------------------------------------
-
-void SimNode::StartNewClientTxn(uint32_t slot) {
-  if (quiesced_) return;
-  ClientSlot& client = clients_[slot];
-  client.request = workload_->NextTxn(id_, rng_);
-  client.first_start_us = scheduler_->Now();
-  client.attempts = 0;
-  client.in_flight = true;
-  StartAttempt(slot);
-}
-
-void SimNode::StartAttempt(uint32_t slot) {
-  ClientSlot& client = clients_[slot];
-  client.attempts++;
-  const TxnId txn = txn_ids_.Next();
-
-  AttemptState attempt;
-  attempt.slot = slot;
-  attempt.has_writes = client.request.HasWrites();
-  for (const Operation& op : client.request.ops) {
-    const PartitionId part = partitioner_.PartitionOf(op.key);
-    if (part == id_) {
-      attempt.local_ops.push_back(op);
-    } else {
-      attempt.remote_ops[part].push_back(op);
-    }
-  }
-  {
-    std::vector<NodeId>& parts = attempt.participants.Mutable();
-    parts.push_back(id_);
-    for (const auto& [node, ops] : attempt.remote_ops) {
-      parts.push_back(node);
-    }
-    std::sort(parts.begin() + 1, parts.end());
-  }
-
-  const size_t local_count = attempt.local_ops.size();
-  attempts_[txn] = std::move(attempt);
-
-  CostVector cost = ExecCost(local_count);
-  cost[static_cast<size_t>(TimeCategory::kTxnManager)] +=
-      config_.costs.txn_manager_us;
-  EnqueueJob(cost, [this, txn, slot]() {
-    auto it = attempts_.find(txn);
-    if (it == attempts_.end()) return;
-    auto ctx = std::make_shared<ExecContext>();
-    ctx->txn = txn;
-    ctx->priority_ts = next_priority_ts_++;
-    ctx->ops = it->second.local_ops;
-    ctx->epoch = epoch_;
-    ctx->done = [this, txn](bool ok, std::vector<UndoRecord> undo) {
-      LocalExecDone(txn, ok, std::move(undo));
-    };
-    (void)slot;
-    ExecLoop(std::move(ctx));
-  });
-}
-
-void SimNode::LocalExecDone(TxnId txn, bool ok,
-                            std::vector<UndoRecord> undo) {
-  auto it = attempts_.find(txn);
-  if (it == attempts_.end()) return;
-  AttemptState& attempt = it->second;
-  attempt.local_undo = std::move(undo);
-  if (!ok) {
-    AbortAttempt(txn, /*send_rollbacks=*/false);
-    return;
-  }
-  attempt.local_ok = true;
-  if (attempt.remote_ops.empty()) {
-    // Single-partition transactions skip the commit protocol entirely
-    // (Section 5.2).
-    CompleteWithoutProtocol(txn);
-    return;
-  }
-  for (const auto& [node, ops] : attempt.remote_ops) {
-    attempt.remote_order.push_back(node);
-  }
-  std::sort(attempt.remote_order.begin(), attempt.remote_order.end());
-  next_priority_ts_++;
-  ArmExecTimer(txn);
-  SendNextFragment(txn);
-}
-
-void SimNode::SendNextFragment(TxnId txn) {
-  auto it = attempts_.find(txn);
-  if (it == attempts_.end()) return;
-  AttemptState& attempt = it->second;
-  const NodeId node = attempt.remote_order[attempt.next_remote++];
-  Message msg;
-  msg.type = MsgType::kRemoteExec;
-  msg.txn = txn;
-  msg.dst = node;
-  msg.ops = attempt.remote_ops[node];
-  msg.participants = attempt.participants;
-  msg.txn_has_writes = attempt.has_writes;
-  msg.priority_ts = next_priority_ts_ - 1;
-  Send(std::move(msg));
-  attempt.pending_remote.insert(node);
-}
-
-void SimNode::AllFragmentsReady(TxnId txn) {
-  auto it = attempts_.find(txn);
-  if (it == attempts_.end()) return;
-  AttemptState& attempt = it->second;
-  CancelExecTimer(attempt);
-  if (!attempt.has_writes) {
-    // Multi-partition read-only: no commit protocol (Section 5.2); tell
-    // remotes to release their read locks.
-    CompleteWithoutProtocol(txn);
-    return;
-  }
-  attempt.protocol_started = true;
-  stats_.commit_protocol_runs++;
-  engine_->StartCommit(txn, attempt.participants, Decision::kCommit);
-}
-
-void SimNode::CompleteWithoutProtocol(TxnId txn) {
-  auto it = attempts_.find(txn);
-  if (it == attempts_.end()) return;
-  AttemptState& attempt = it->second;
-  locks_.ReleaseAll(txn);
-  for (NodeId node : attempt.ok_remote) {
-    Message msg;
-    msg.type = MsgType::kRemoteRollback;  // release-only: no undo recorded
-    msg.txn = txn;
-    msg.dst = node;
-    Send(std::move(msg));
-  }
-  FinishCommitted(txn);
-  EnqueueJob(Cost(TimeCategory::kOverhead, config_.costs.overhead_us),
-             [this, txn]() { attempts_.erase(txn); });
-}
-
-void SimNode::FinishCommitted(TxnId txn) {
-  auto it = attempts_.find(txn);
-  if (it == attempts_.end()) return;
-  ClientSlot& client = clients_[it->second.slot];
-  stats_.txns_committed++;
-  const Micros latency_us = scheduler_->Now() - client.first_start_us;
-  stats_.latency.Record(latency_us);
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->txns_committed);
-    metrics_.registry->Observe(metrics_.shard, metrics_.ids->latency_us,
-                               latency_us);
-  }
-  client.in_flight = false;
-  if (track_acked_ && it->second.protocol_started) {
-    acked_commits_.push_back(txn);
-  }
-  const uint32_t slot = it->second.slot;
-  if (config_.open_loop.enabled) {
-    // Open loop: the slot returns to the admission window; the next
-    // transaction arrives when the arrival process says so.
-    free_client_slots_.push_back(slot);
-    return;
-  }
-  // Closed loop: the client immediately submits its next transaction.
-  StartNewClientTxn(slot);
-}
-
-void SimNode::AbortAttempt(TxnId txn, bool send_rollbacks) {
-  auto it = attempts_.find(txn);
-  if (it == attempts_.end()) return;
-  AttemptState& attempt = it->second;
-  if (attempt.aborting || attempt.protocol_started) return;
-  attempt.aborting = true;
-  CancelExecTimer(attempt);
-  UndoWrites(attempt.local_undo);
-  locks_.ReleaseAll(txn);
-  if (send_rollbacks) {
-    std::unordered_set<NodeId> targets = attempt.ok_remote;
-    for (NodeId n : attempt.pending_remote) targets.insert(n);
-    for (NodeId node : targets) {
-      Message msg;
-      msg.type = MsgType::kRemoteRollback;
-      msg.txn = txn;
-      msg.dst = node;
-      Send(std::move(msg));
-    }
-  }
-  stats_.txns_aborted++;
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->txns_aborted);
-  }
-  const uint32_t slot = attempt.slot;
-  EnqueueJob(Cost(TimeCategory::kAbort, config_.costs.abort_cleanup_us),
-             [this, txn, slot]() {
-               attempts_.erase(txn);
-               ScheduleRetry(slot);
-             });
-}
-
-void SimNode::ScheduleRetry(uint32_t slot) {
-  if (config_.open_loop.enabled &&
-      (quiesced_ ||
-       clients_[slot].attempts >= config_.open_loop.max_attempts)) {
-    // Terminal abort: the retry budget ran out (or quiesce is draining
-    // the node). Bounded retries keep the conservation law exact.
-    stats_.open_loop_aborted++;
-    if (metrics_.on()) {
-      metrics_.registry->Add(metrics_.shard, metrics_.ids->open_loop_aborted);
-    }
-    clients_[slot].in_flight = false;
-    free_client_slots_.push_back(slot);
-    return;
-  }
-  if (quiesced_) {
-    clients_[slot].in_flight = false;
-    return;
-  }
-  const ClientSlot& client = clients_[slot];
-  const uint32_t shift =
-      std::min(client.attempts, config_.backoff_max_shift);
-  const Micros backoff = static_cast<Micros>(
-      rng_.NextDouble() * static_cast<double>(config_.backoff_base_us) *
-      static_cast<double>(1ULL << shift));
-  const uint64_t epoch = epoch_;
-  scheduler_->ScheduleAfter(backoff + 1, [this, slot, epoch]() {
-    if (crashed_ || epoch != epoch_) return;
-    StartAttempt(slot);
-  });
-}
-
-void SimNode::ArmExecTimer(TxnId txn) {
-  auto it = attempts_.find(txn);
-  if (it == attempts_.end()) return;
-  const uint64_t epoch = epoch_;
-  it->second.exec_timer = scheduler_->ScheduleAfter(
-      config_.exec_timeout_us, [this, txn, epoch]() {
-        if (crashed_ || epoch != epoch_) return;
-        auto ait = attempts_.find(txn);
-        if (ait == attempts_.end()) return;
-        AttemptState& attempt = ait->second;
-        attempt.exec_timer = 0;
-        if (!attempt.protocol_started && !attempt.pending_remote.empty()) {
-          AbortAttempt(txn, /*send_rollbacks=*/true);
-        }
-      });
-}
-
-void SimNode::CancelExecTimer(AttemptState& attempt) {
-  if (attempt.exec_timer != 0) {
-    scheduler_->Cancel(attempt.exec_timer);
-    attempt.exec_timer = 0;
-  }
-}
-
-// --------------------------------------------------------------------------
-// Execution engine
-// --------------------------------------------------------------------------
-
-void SimNode::ExecLoop(std::shared_ptr<ExecContext> ctx) {
-  while (ctx->idx < ctx->ops.size()) {
-    const Operation& op = ctx->ops[ctx->idx];
-    const LockMode mode =
-        op.is_write() ? LockMode::kExclusive : LockMode::kShared;
-    const AcquireResult result = locks_.Acquire(
-        ctx->txn, ctx->priority_ts, op.table, op.key, mode, [this, ctx]() {
-          // WAIT_DIE grant fired from another transaction's ReleaseAll.
-          if (crashed_ || ctx->epoch != epoch_) return;
-          ApplyOpAndContinue(ctx);
-        });
-    if (result == AcquireResult::kWaiting) return;  // resumed on grant
-    if (result == AcquireResult::kAbort) {
-      UndoWrites(ctx->undo);
-      locks_.ReleaseAll(ctx->txn);
-      ctx->done(false, {});
-      return;
-    }
-    if (!ApplyOp(op, &ctx->undo)) {
-      UndoWrites(ctx->undo);
-      locks_.ReleaseAll(ctx->txn);
-      ctx->done(false, {});
-      return;
-    }
-    ctx->idx++;
-  }
-  ctx->done(true, std::move(ctx->undo));
-}
-
-void SimNode::ApplyOpAndContinue(std::shared_ptr<ExecContext> ctx) {
-  if (!ApplyOp(ctx->ops[ctx->idx], &ctx->undo)) {
-    UndoWrites(ctx->undo);
-    locks_.ReleaseAll(ctx->txn);
-    ctx->done(false, {});
-    return;
-  }
-  ctx->idx++;
-  ExecLoop(std::move(ctx));
-}
-
-bool SimNode::ApplyOp(const Operation& op, std::vector<UndoRecord>* undo) {
-  Table* table = store_.GetTable(op.table);
-  if (table == nullptr) return false;
-  auto row = table->GetMutable(op.key);
-  if (!row.ok()) return false;
-  if (op.is_write()) {
-    UndoRecord rec;
-    rec.table = op.table;
-    rec.key = op.key;
-    rec.old_columns = row.value()->columns;
-    rec.old_version = row.value()->version;
-    undo->push_back(std::move(rec));
-    row.value()->columns[0]++;
-    row.value()->version++;
-  }
-  return true;
-}
-
-void SimNode::UndoWrites(const std::vector<UndoRecord>& undo) {
-  // Reverse order so repeated writes to a row restore the oldest image.
-  for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-    Table* table = store_.GetTable(it->table);
-    if (table == nullptr) continue;
-    auto row = table->GetMutable(it->key);
-    if (!row.ok()) continue;
-    row.value()->columns = it->old_columns;
-    row.value()->version = it->old_version;
-  }
-}
-
 // --------------------------------------------------------------------------
 // Fault injection and stats
 // --------------------------------------------------------------------------
 
 void SimNode::Crash() {
-  crashed_ = true;
-  epoch_++;  // invalidates every scheduled continuation of this node
-  network_->CrashNode(id_);
-  // Volatile state is lost; the WAL (stable storage) survives.
-  locks_ = LockTable(config_.cc_policy);
-  attempts_.clear();
-  fragments_.clear();
-  pending_rollbacks_.clear();
-  for (auto& [txn, task] : timers_) scheduler_->Cancel(task);
-  timers_.clear();
+  network_->CrashNode(self());
   job_queue_.clear();
   busy_workers_ = 0;
-  engine_ = std::make_unique<CommitEngine>(config_.protocol, this,
-                                           config_.commit);
-  engine_->set_trace(&trace_);
-  if (config_.open_loop.enabled) {
-    // Admitted in-flight transactions die with the volatile state; count
-    // them as terminal aborts so the conservation law survives crashes.
-    free_client_slots_.clear();
-    for (uint32_t slot = 0; slot < clients_.size(); ++slot) {
-      if (clients_[slot].in_flight) {
-        stats_.open_loop_aborted++;
-        if (metrics_.on()) {
-          metrics_.registry->Add(metrics_.shard,
-                                 metrics_.ids->open_loop_aborted);
-        }
-      }
-      clients_[slot].in_flight = false;
-      free_client_slots_.push_back(slot);
-    }
-    return;
-  }
-  for (ClientSlot& client : clients_) client.in_flight = false;
+  CrashCore();  // the epoch bump orphans every running job
 }
 
-void SimNode::Recover() {
-  ECDB_CHECK(crashed_);
-  crashed_ = false;
-  network_->RecoverNode(id_);
-
-  // Section 4.2 independent recovery over the WAL.
-  for (TxnId txn : RecoveryManager::InFlightTxns(wal_)) {
-    // Quorum snapshot records (kQuorumState/kPaxosState) interleave with
-    // the milestones; the fate analysis keys on the last *milestone*, and
-    // the epoch/ballot state is reseeded separately below.
-    const auto last = RecoveryManager::LastMilestone(wal_, txn);
-    if (!last.has_value()) {
-      // Snapshot-only WAL: Paxos acceptor duties for a transaction this
-      // node never carried as an RM. Its promises/accepts must survive the
-      // crash (acceptor amnesia lets two ballots choose differently), but
-      // there is no RM state machine to resume.
-      SeedQuorumSnapshots(txn);
-      continue;
-    }
-    switch (RecoveryManager::AnalyzeRecord(last)) {
-      case RecoveryAction::kAbort:
-        wal_.Append({0, txn, LogRecordType::kTransactionAbort, {}});
-        if (monitor_ != nullptr) {
-          monitor_->RecordApplied(txn, id_, Decision::kAbort);
-        }
-        break;
-      case RecoveryAction::kCommit:
-        wal_.Append({0, txn, LogRecordType::kTransactionCommit, {}});
-        if (monitor_ != nullptr) {
-          monitor_->RecordApplied(txn, id_, Decision::kCommit);
-        }
-        break;
-      case RecoveryAction::kConsultPeers: {
-        // Re-enter the commit protocol in the logged state; the armed
-        // timeout triggers the termination protocol, which consults the
-        // participants recorded in the WAL.
-        CohortState state = CohortState::kReady;
-        if (last->type == LogRecordType::kPreCommit) {
-          state = CohortState::kPreCommit;
-        } else if (last->type == LogRecordType::kPreAbort) {
-          state = CohortState::kPreAbort;
-        }
-        CowVector<NodeId> participants = last->participants;
-        if (participants.empty()) {
-          for (const LogRecord& r : wal_.Scan()) {
-            // Snapshot records reuse `participants` as a packed payload
-            // channel; only begin-commit/ready carry a membership list.
-            if (r.txn == txn && !r.participants.empty() &&
-                (r.type == LogRecordType::kBeginCommit ||
-                 r.type == LogRecordType::kReady)) {
-              participants = r.participants;
-              break;
-            }
-          }
-        }
-        engine_->ResumeAfterRecovery(txn, TxnCoordinator(txn),
-                                     std::move(participants), state);
-        SeedQuorumSnapshots(txn);
-        break;
-      }
-    }
-  }
-
-  // Seed the fresh engine's decision ledger with every decision the WAL
-  // witnessed (including the terminal records the loop above just wrote).
-  // The pre-crash engine — and with it the in-memory ledger — died in
-  // Crash(), but peers running the termination protocol must still get an
-  // answer from this node for transactions it decided before going down;
-  // without this, two recovered nodes consulting each other about an
-  // already-decided transaction would defer forever.
-  for (const LogRecord& r : wal_.Scan()) {
-    switch (r.type) {
-      case LogRecordType::kCommitDecision:
-      case LogRecordType::kCommitReceived:
-      case LogRecordType::kTransactionCommit:
-        engine_->SeedDecision(r.txn, Decision::kCommit);
-        break;
-      case LogRecordType::kAbortDecision:
-      case LogRecordType::kAbortReceived:
-      case LogRecordType::kTransactionAbort:
-        engine_->SeedDecision(r.txn, Decision::kAbort);
-        break;
-      default:
-        break;
-    }
-  }
-
-  // The node is back in service. Open loop: the crash's epoch bump killed
-  // the pending arrival event, so restart the stream; closed loop: clients
-  // reconnect and resume (their pre-crash transactions died with the
-  // volatile state).
-  if (!quiesced_) {
-    if (config_.open_loop.enabled) {
-      ScheduleNextArrival();
-    } else {
-      for (uint32_t slot = 0; slot < clients_.size(); ++slot) {
-        if (!clients_[slot].in_flight) StartNewClientTxn(slot);
-      }
-    }
-  }
-}
-
-void SimNode::SeedQuorumSnapshots(TxnId txn) {
-  // Last snapshot wins: each snapshot record supersedes the ones before it
-  // (promises and accepts only move forward). Scan() returns by value, so
-  // the records must outlive the loop for the pointers to stay valid.
-  const std::vector<LogRecord> records = wal_.Scan();
-  const LogRecord* quorum = nullptr;
-  const LogRecord* paxos = nullptr;
-  for (const LogRecord& r : records) {
-    if (r.txn != txn) continue;
-    if (r.type == LogRecordType::kQuorumState) quorum = &r;
-    if (r.type == LogRecordType::kPaxosState) paxos = &r;
-  }
-  if (quorum != nullptr) {
-    QuorumEpoch last_elected = 0;
-    QuorumEpoch last_attempt = 0;
-    bool pre_abort = false;
-    if (UnpackQuorumState(quorum->participants, &last_elected, &last_attempt,
-                          &pre_abort)) {
-      engine_->SeedQuorumState(txn, last_elected, last_attempt, pre_abort);
-    }
-  }
-  if (paxos != nullptr) {
-    QuorumEpoch promised = 0;
-    std::vector<PaxosAccepted> accepted;
-    if (UnpackPaxosState(paxos->participants, &promised, &accepted)) {
-      engine_->SeedPaxosAcceptor(txn, promised, std::move(accepted));
-    }
-  }
+bool SimNode::Recover() {
+  if (!crashed()) return false;
+  network_->RecoverNode(self());
+  return RecoverCore();
 }
 
 void SimNode::BeginMeasurement() {
-  stats_.Clear();
+  stats().Clear();
   busy_at_window_start_ = total_busy_us_;
-  term_rounds_at_window_start_ = engine_->termination_rounds();
-  acceptor_rounds_at_window_start_ = engine_->acceptor_rounds();
-  ballots_promoted_at_window_start_ = engine_->ballots_promoted();
-  quorum_lost_at_window_start_ = engine_->quorum_lost_rounds();
-}
-
-size_t SimNode::IdleClientCount() const {
-  size_t idle = 0;
-  for (const ClientSlot& client : clients_) {
-    if (!client.in_flight) idle++;
-  }
-  return idle;
+  term_rounds_at_window_start_ = engine().termination_rounds();
+  acceptor_rounds_at_window_start_ = engine().acceptor_rounds();
+  ballots_promoted_at_window_start_ = engine().ballots_promoted();
+  quorum_lost_at_window_start_ = engine().quorum_lost_rounds();
 }
 
 }  // namespace ecdb

@@ -3,333 +3,116 @@
 
 #include <array>
 #include <deque>
-#include <functional>
-#include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
-#include "cc/lock_table.h"
 #include "cluster/config.h"
-#include "commit/commit_engine.h"
-#include "commit/commit_env.h"
-#include "commit/invariants.h"
-#include "common/rng.h"
+#include "cluster/node_core.h"
 #include "net/network.h"
 #include "sim/scheduler.h"
-#include "stats/metrics.h"
-#include "storage/table.h"
-#include "trace/trace_recorder.h"
-#include "txn/transaction.h"
-#include "wal/wal.h"
-#include "workload/open_loop.h"
-#include "workload/workload.h"
 
 namespace ecdb {
 
-/// One simulated server process: partition storage, lock table, WAL,
-/// commit-protocol engine, a pool of worker threads (modeled as capacity
-/// on the shared discrete-event scheduler), and the closed-loop clients
-/// attached to it.
-///
-/// The node is the CommitEnv for its CommitEngine: protocol messages flow
-/// through the simulated network, timers through the scheduler, log writes
-/// into the node's WAL, and decisions into the execution engine (release
-/// locks / undo writes / notify the client).
-class SimNode : public CommitEnv {
+/// One simulated server process: a NodeCore hosted on the shared
+/// discrete-event scheduler. Messages flow through the simulated network,
+/// timers through the scheduler, and every unit of node work occupies one
+/// of `workers_per_node` modeled worker threads for its service time under
+/// the Figure-12 cost model (ServiceCosts), accumulated per category into
+/// the node's time breakdown.
+class SimNode : public NodeCore {
  public:
   SimNode(NodeId id, const ClusterConfig& config, Scheduler* scheduler,
           SimNetwork* network, Workload* workload, SafetyMonitor* monitor,
           uint64_t seed);
   ~SimNode() override;
 
-  SimNode(const SimNode&) = delete;
-  SimNode& operator=(const SimNode&) = delete;
-
   /// Loads this node's partition and registers with the network.
   void Bootstrap();
 
-  /// Spawns the configured client connections (each immediately submits a
-  /// transaction).
-  void StartClients();
-
-  // --- CommitEnv ---
-  NodeId self() const override { return id_; }
-  void Send(Message msg) override;
-  void Log(TxnId txn, LogRecordType type) override;
-  void LogPayload(TxnId txn, LogRecordType type,
-                  const CowVector<NodeId>& payload) override;
-  void ArmTimer(TxnId txn, Micros delay_us) override;
-  void CancelTimer(TxnId txn) override;
-  Decision VoteFor(TxnId txn) override;
-  void ApplyDecision(TxnId txn, Decision decision) override;
-  void OnBlocked(TxnId txn) override;
-  void OnCleanup(TxnId txn) override;
-  Micros NowUs() const override { return scheduler_->Now(); }
-  void OnPhaseSample(TxnId txn, CommitPhase phase,
-                     Micros elapsed_us) override;
-
-  // --- Fault injection ---
-
-  /// Fail-stop crash: volatile state (locks, fragments, in-flight jobs)
-  /// is lost; the WAL survives (stable storage).
+  /// Fail-stop crash: the network drops the node and its queued and
+  /// running jobs die with the core's volatile state; the WAL survives.
   void Crash();
 
-  /// Restart after a crash: re-registers with the network and runs the
-  /// Section 4.2 independent-recovery analysis over the WAL; transactions
-  /// it cannot resolve locally are handed to the termination protocol.
-  void Recover();
+  /// Restart after a crash: the network readmits the node and the core runs
+  /// its WAL recovery pass. Returns false, doing nothing, when the node is
+  /// up.
+  bool Recover();
 
-  bool crashed() const { return crashed_; }
-
-  /// Stops the closed loop: no new client transactions are issued and
-  /// aborted attempts are no longer retried, so in-flight work drains and
-  /// the scheduler reaches quiescence. Sticky across crash/recover (the
-  /// consistency audit quiesces, then restarts every node). Irreversible
-  /// for the node's lifetime.
-  void Quiesce() { quiesced_ = true; }
-  bool quiesced() const { return quiesced_; }
-
-  /// When enabled, records the TxnId of every transaction whose commit ran
-  /// the commit protocol and was acked back to a client — the durability
-  /// set of the consistency audit. (Single-partition and read-only commits
-  /// skip the protocol and write no log records; decision-level durability
-  /// is undefined for them, so they are excluded.) Survives Crash(): an
-  /// ack the client saw cannot be un-sent by the server crashing.
-  void TrackAckedCommits(bool on) { track_acked_ = on; }
-  const std::vector<TxnId>& acked_commits() const { return acked_commits_; }
-
-  /// Overrides participant votes (fault-injection tests force aborts).
-  using VoteOverride = std::function<Decision(TxnId)>;
-  void set_vote_override(VoteOverride fn) { vote_override_ = std::move(fn); }
-
-  /// Binds the cluster's telemetry registry; the node records the
-  /// CoreMetrics counters/histograms alongside its NodeStats (the sim is
-  /// single-threaded, so every node shares shard 0).
-  void BindMetrics(const MetricsHandle& metrics) { metrics_ = metrics; }
-
-  // --- Introspection ---
-  NodeStats& stats() { return stats_; }
-  const NodeStats& stats() const { return stats_; }
+  Micros NowUs() const override { return scheduler_->Now(); }
 
   /// Starts a fresh measurement window (clears the stats counters and
-  /// remembers the busy-time baseline used to derive idle time).
+  /// remembers the busy-time and engine-counter baselines).
   void BeginMeasurement();
 
   /// Worker-busy microseconds accumulated since construction.
   uint64_t total_busy_us() const { return total_busy_us_; }
   uint64_t busy_us_at_window_start() const { return busy_at_window_start_; }
 
-  /// Turns on protocol tracing for this node (inert under ECDB_TRACE=OFF).
-  void EnableTracing(size_t capacity = TraceRecorder::kDefaultCapacity) {
-    trace_.Enable(capacity);
-  }
-  TraceRecorder& trace() { return trace_; }
-  const TraceRecorder& trace() const { return trace_; }
-
-  /// Termination-protocol rounds initiated since BeginMeasurement(). The
-  /// engine's counter resets when a crash recreates the engine, so the
-  /// difference is clamped at zero.
+  /// Engine counters since BeginMeasurement(). A crash recreates the
+  /// engine and resets its counters, so each difference is clamped at zero.
   uint64_t TerminationRoundsThisWindow() const {
-    const uint64_t now = engine_->termination_rounds();
-    return now > term_rounds_at_window_start_
-               ? now - term_rounds_at_window_start_
-               : 0;
+    return Since(engine().termination_rounds(), term_rounds_at_window_start_);
   }
-
-  /// Quorum-protocol counters since BeginMeasurement(), with the same
-  /// crash-reset clamping as TerminationRoundsThisWindow().
   uint64_t AcceptorRoundsThisWindow() const {
-    const uint64_t now = engine_->acceptor_rounds();
-    return now > acceptor_rounds_at_window_start_
-               ? now - acceptor_rounds_at_window_start_
-               : 0;
+    return Since(engine().acceptor_rounds(), acceptor_rounds_at_window_start_);
   }
   uint64_t BallotsPromotedThisWindow() const {
-    const uint64_t now = engine_->ballots_promoted();
-    return now > ballots_promoted_at_window_start_
-               ? now - ballots_promoted_at_window_start_
-               : 0;
+    return Since(engine().ballots_promoted(),
+                 ballots_promoted_at_window_start_);
   }
   uint64_t QuorumLostRoundsThisWindow() const {
-    const uint64_t now = engine_->quorum_lost_rounds();
-    return now > quorum_lost_at_window_start_
-               ? now - quorum_lost_at_window_start_
-               : 0;
-  }
-
-  CommitEngine& engine() { return *engine_; }
-  PartitionStore& store() { return store_; }
-  MemoryWal& wal() { return wal_; }
-  LockTable& locks() { return locks_; }
-
-  /// Clients with no in-flight transaction (blocked clients are excluded).
-  size_t IdleClientCount() const;
-
-  /// Client slots currently carrying a transaction. Under the open loop
-  /// this is the admission-control occupancy; at drain it reaches zero,
-  /// closing the conservation law offered == committed + rejected +
-  /// terminal aborts.
-  size_t InFlightClientCount() const {
-    return clients_.size() - IdleClientCount();
+    return Since(engine().quorum_lost_rounds(), quorum_lost_at_window_start_);
   }
 
  private:
-  /// One closed-loop client connection.
-  struct ClientSlot {
-    TxnRequest request;
-    Micros first_start_us = 0;
-    uint32_t attempts = 0;
-    bool in_flight = false;
-  };
-
-  /// Coordinator-side state of one transaction attempt. Remote fragments
-  /// are dispatched *sequentially* (Deneva/ExpoDB execute a transaction
-  /// until it needs remote data, wait for that server's reply, then
-  /// continue), so execution latency grows with the partition count.
-  struct AttemptState {
-    uint32_t slot = 0;
-    std::vector<Operation> local_ops;
-    std::unordered_map<NodeId, std::vector<Operation>> remote_ops;
-    std::vector<NodeId> remote_order;  // dispatch order
-    size_t next_remote = 0;            // index into remote_order
-    std::vector<UndoRecord> local_undo;
-    std::unordered_set<NodeId> pending_remote;
-    std::unordered_set<NodeId> ok_remote;
-    // Copy-on-write: one buffer, shared by every fragment message, the
-    // engine's record, and the begin-commit/ready WAL entries.
-    CowVector<NodeId> participants;
-    bool has_writes = false;
-    bool local_ok = false;
-    bool aborting = false;
-    bool protocol_started = false;
-    Scheduler::TaskId exec_timer = 0;
-  };
-
-  /// Incremental fragment execution (supports WAIT_DIE suspension).
-  struct ExecContext {
-    TxnId txn;
-    uint64_t priority_ts;
-    CowVector<Operation> ops;  // shares the kRemoteExec message's buffer
-    size_t idx = 0;
-    std::vector<UndoRecord> undo;
-    std::function<void(bool ok, std::vector<UndoRecord> undo)> done;
-    uint64_t epoch;  // guards against resuming across a crash
-  };
-
   using CostVector = std::array<Micros, kNumTimeCategories>;
 
-  static CostVector Cost(TimeCategory c, Micros us) {
-    CostVector v{};
-    v[static_cast<size_t>(c)] = us;
-    return v;
+  // --- Host interface ---
+  TimerId ScheduleTimer(Micros at, const NodeTimer& timer) override;
+  void UnscheduleTimer(TimerId id) override { scheduler_->Cancel(id); }
+  void Run(Work work, TaskFn fn) override;
+  void Transmit(Message msg) override { network_->Send(std::move(msg)); }
+  bool Fenced() const override { return network_->IsCrashed(self()); }
+
+  static uint64_t Since(uint64_t now, uint64_t start) {
+    return now > start ? now - start : 0;
   }
 
-  // Worker pool model. Jobs are Scheduler::Task (TaskFn) rather than
-  // std::function: the common capture shapes fit the inline buffer, so
-  // queueing and completing a job does not allocate. A running job parks in
-  // a pooled slot and the scheduler event is a 16-byte trampoline; nesting
-  // the job callable inside the completion lambda would overflow any inline
-  // buffer and force a heap allocation per job (i.e. per message).
-  using Job = Scheduler::Task;
-  void EnqueueJob(CostVector cost, Job fn);
-  void StartJob(CostVector cost, Job fn);
+  /// The Figure-12 cost model: service time of `work` per category.
+  CostVector CostOf(Work work) const;
+
+  // Worker pool model. Jobs are TaskFn rather than std::function: the
+  // common capture shapes fit the inline buffer, so queueing and completing
+  // a job does not allocate. A running job parks in a pooled slot and the
+  // scheduler event is a 16-byte trampoline; nesting the job callable
+  // inside the completion lambda would overflow any inline buffer and force
+  // a heap allocation per job (i.e. per message).
+  void StartJob(CostVector cost, TaskFn fn);
   void FinishJobSlot(uint32_t idx);
-  void FinishJob(const CostVector& cost, Job& fn);
 
-  // Message handling.
-  void OnNetMessage(const Message& msg);
-  void HandleRemoteExec(const Message& msg);
-  void HandleRemoteExecReply(const Message& msg, bool ok);
-  void HandleRemoteRollback(const Message& msg);
-
-  // Open-loop load generation (config_.open_loop.enabled): arrivals are a
-  // self-rescheduling scheduler event stream, independent of completions.
-  void ScheduleNextArrival();
-  void OnArrival();
-
-  // Coordinator paths.
-  void StartNewClientTxn(uint32_t slot);
-  void StartAttempt(uint32_t slot);
-  void LocalExecDone(TxnId txn, bool ok, std::vector<UndoRecord> undo);
-  void AllFragmentsReady(TxnId txn);
-  void SendNextFragment(TxnId txn);
-  void AbortAttempt(TxnId txn, bool send_rollbacks);
-  void CompleteWithoutProtocol(TxnId txn);
-  void FinishCommitted(TxnId txn);
-  void ScheduleRetry(uint32_t slot);
-  void ArmExecTimer(TxnId txn);
-  void CancelExecTimer(AttemptState& attempt);
-
-  // Execution engine.
-  void ExecLoop(std::shared_ptr<ExecContext> ctx);
-  void ApplyOpAndContinue(std::shared_ptr<ExecContext> ctx);
-  bool ApplyOp(const Operation& op, std::vector<UndoRecord>* undo);
-  void UndoWrites(const std::vector<UndoRecord>& undo);
-
-  CostVector ExecCost(size_t num_ops) const;
-
-  /// Recovery: reload `txn`'s quorum epoch pair / Paxos acceptor state
-  /// from the last kQuorumState / kPaxosState snapshot in the WAL.
-  void SeedQuorumSnapshots(TxnId txn);
-
-  NodeId id_;
-  const ClusterConfig& config_;
-  Scheduler* scheduler_;
-  SimNetwork* network_;
-  Workload* workload_;
-  SafetyMonitor* monitor_;
-  Rng rng_;
-
-  PartitionStore store_;
-  KeyPartitioner partitioner_;
-  LockTable locks_;
-  MemoryWal wal_;
-  std::unique_ptr<CommitEngine> engine_;
-
-  std::vector<ClientSlot> clients_;
-  // Open loop only: idle slot indices (clients_ sized to the admission cap)
-  // and the deterministic per-node arrival-gap generator.
-  std::vector<uint32_t> free_client_slots_;
-  ArrivalSchedule arrivals_;
-  std::unordered_map<TxnId, AttemptState> attempts_;
-  std::unordered_map<TxnId, FragmentState> fragments_;
-  std::unordered_set<TxnId> pending_rollbacks_;  // rollback beat the exec
-  std::unordered_map<TxnId, Scheduler::TaskId> timers_;
-  TxnIdAllocator txn_ids_;
-  uint64_t next_priority_ts_ = 1;
-
-  // Worker pool.
   /// One in-flight worker job, parked until its completion event fires.
   /// `epoch` guards against completions that straddle a crash.
   struct RunningJob {
     CostVector cost;
-    Job fn;
+    TaskFn fn;
     uint64_t epoch = 0;
   };
 
+  const ClusterConfig& config_;
+  Scheduler* scheduler_;
+  SimNetwork* network_;
+
   uint32_t busy_workers_ = 0;
-  std::deque<std::pair<CostVector, Job>> job_queue_;
+  std::deque<std::pair<CostVector, TaskFn>> job_queue_;
   std::vector<RunningJob> running_jobs_;
   std::vector<uint32_t> free_job_slots_;
 
-  bool crashed_ = false;
-  uint64_t epoch_ = 0;  // bumped on crash; stale continuations are dropped
-  bool quiesced_ = false;
-  bool track_acked_ = false;
-  std::vector<TxnId> acked_commits_;
-
-  NodeStats stats_;
-  MetricsHandle metrics_;
   uint64_t total_busy_us_ = 0;
   uint64_t busy_at_window_start_ = 0;
   uint64_t term_rounds_at_window_start_ = 0;
   uint64_t acceptor_rounds_at_window_start_ = 0;
   uint64_t ballots_promoted_at_window_start_ = 0;
   uint64_t quorum_lost_at_window_start_ = 0;
-  TraceRecorder trace_;
-
-  VoteOverride vote_override_;
 };
 
 }  // namespace ecdb

@@ -4,51 +4,35 @@
 #include <chrono>
 #include <utility>
 
-#include "commit/quorum.h"
-#include "commit/recovery.h"
 #include "common/logging.h"
 
 namespace ecdb {
 
 using namespace std::chrono_literals;
 
+namespace {
+
+std::unique_ptr<WriteAheadLog> OpenWal(const ThreadClusterConfig& config,
+                                       NodeId id) {
+  if (config.wal_dir.empty()) return std::make_unique<MemoryWal>();
+  auto wal =
+      FileWal::Open(config.wal_dir + "/node" + std::to_string(id) + ".wal");
+  ECDB_CHECK(wal.ok());
+  return std::move(wal).value();
+}
+
+}  // namespace
+
 ThreadNode::ThreadNode(NodeId id, const ThreadClusterConfig& config,
                        ThreadNetwork* network, Workload* workload,
                        SafetyMonitor* monitor, uint64_t seed)
-    : id_(id),
+    : NodeCore(id, config, OpenWal(config, id), workload, monitor, seed),
       config_(config),
-      network_(network),
-      workload_(workload),
-      monitor_(monitor),
-      rng_(seed),
-      store_(id),
-      partitioner_(config.num_nodes),
-      locks_(config.cc_policy),
-      arrivals_(config.open_loop, seed ^ 0x9e3779b97f4a7c15ULL),
-      txn_ids_(id) {
-  if (config_.wal_dir.empty()) {
-    wal_ = std::make_unique<MemoryWal>();
-  } else {
-    auto wal = FileWal::Open(config_.wal_dir + "/node" + std::to_string(id) +
-                             ".wal");
-    ECDB_CHECK(wal.ok());
-    wal_ = std::move(wal).value();
-  }
-  trace_.set_node(id_);
-  engine_ = std::make_unique<CommitEngine>(config_.protocol, this,
-                                           config_.commit);
-  engine_->set_trace(&trace_);
-  // Under the open loop the slots are the admission-control window, not a
-  // fixed population of closed-loop clients.
-  clients_.resize(config_.open_loop.enabled
-                      ? config_.open_loop.max_in_flight_per_node
-                      : config_.clients_per_node);
+      network_(network) {
   if (config_.coalesce_transport) send_buffers_.resize(config_.num_nodes);
 }
 
 ThreadNode::~ThreadNode() = default;
-
-void ThreadNode::Bootstrap() { workload_->LoadPartition(&store_, partitioner_); }
 
 Micros ThreadNode::NowUs() const {
   return static_cast<Micros>(
@@ -59,387 +43,22 @@ Micros ThreadNode::NowUs() const {
 
 void ThreadNode::OnLoopStart(std::chrono::steady_clock::time_point epoch) {
   epoch_start_ = epoch;
-  if (config_.open_loop.enabled) {
-    free_client_slots_.reserve(clients_.size());
-    for (uint32_t slot = 0; slot < clients_.size(); ++slot) {
-      free_client_slots_.push_back(slot);
-    }
-    next_arrival_us_ = NowUs();
-    ScheduleNextArrival();
-  } else {
-    for (uint32_t slot = 0; slot < clients_.size(); ++slot) {
-      StartNewClientTxn(slot);
-    }
-  }
+  StartClients();
 }
 
-void ThreadNode::ProcessControl() {
-  if (crash_requested_.exchange(false)) {
-    // Volatile state is lost (the WAL object survives: stable storage).
-    crashed_.store(true);
-    attempts_.Clear();
-    attempt_pool_.clear();
-    free_attempt_slots_.clear();
-    fragments_.Clear();
-    pending_rollbacks_.clear();
-    // Every timer this node has in the worker's shared heap goes stale in
-    // O(1): the epoch bump orphans them and the worker skips orphans at
-    // pop time, leaving co-hosted nodes' timers alone.
-    ++timer_epoch_;
-    protocol_timers_.Clear();
-    locks_ = LockTable(config_.cc_policy);
-    engine_ = std::make_unique<CommitEngine>(config_.protocol, this,
-                                             config_.commit);
-    engine_->set_trace(&trace_);
-    if (config_.open_loop.enabled) {
-      // Admitted in-flight transactions die with the volatile state;
-      // count them as terminal aborts so the conservation law survives
-      // crashes. (The epoch bump above also killed the arrival chain.)
-      free_client_slots_.clear();
-      for (uint32_t slot = 0; slot < clients_.size(); ++slot) {
-        if (!clients_[slot].idle) {
-          stats_.open_loop_aborted++;
-          if (metrics_.on()) {
-            metrics_.registry->Add(metrics_.shard,
-                                   metrics_.ids->open_loop_aborted);
-          }
-        }
-        clients_[slot].idle = true;
-        free_client_slots_.push_back(slot);
-      }
-    } else {
-      for (ClientSlot& client : clients_) client.idle = true;
-    }
-    // Unflushed frames never made it onto the wire: fail-stop means a
-    // crashed node's buffered sends die with its volatile state.
-    for (NodeId dst : dirty_dsts_) send_buffers_[dst].clear();
-    dirty_dsts_.clear();
-  }
-  if (recover_requested_.exchange(false)) {
-    crashed_.store(false);
-    // Section 4.2 independent recovery; consult-peers cases re-enter
-    // the protocol and resolve via the termination machinery.
-    for (TxnId txn : RecoveryManager::InFlightTxns(*wal_)) {
-      // Fate analysis keys on the last *milestone*; quorum snapshot
-      // records interleave and are reseeded separately.
-      const auto last = RecoveryManager::LastMilestone(*wal_, txn);
-      if (!last.has_value()) {
-        // Snapshot-only WAL: Paxos acceptor-only participation. The
-        // promise/accept state must survive the crash, but there is no RM
-        // state machine to resume.
-        SeedQuorumSnapshots(txn);
-        continue;
-      }
-      switch (RecoveryManager::AnalyzeRecord(last)) {
-        case RecoveryAction::kAbort:
-          wal_->Append({0, txn, LogRecordType::kTransactionAbort, {}});
-          if (monitor_ != nullptr) {
-            monitor_->RecordApplied(txn, id_, Decision::kAbort);
-          }
-          break;
-        case RecoveryAction::kCommit:
-          wal_->Append({0, txn, LogRecordType::kTransactionCommit, {}});
-          if (monitor_ != nullptr) {
-            monitor_->RecordApplied(txn, id_, Decision::kCommit);
-          }
-          break;
-        case RecoveryAction::kConsultPeers: {
-          CohortState state = CohortState::kReady;
-          if (last->type == LogRecordType::kPreCommit) {
-            state = CohortState::kPreCommit;
-          } else if (last->type == LogRecordType::kPreAbort) {
-            state = CohortState::kPreAbort;
-          }
-          CowVector<NodeId> participants = last->participants;
-          if (participants.empty()) {
-            for (const LogRecord& r : wal_->Scan()) {
-              // Snapshot records reuse `participants` as a packed payload
-              // channel; only begin-commit/ready carry a membership list.
-              if (r.txn == txn && !r.participants.empty() &&
-                  (r.type == LogRecordType::kBeginCommit ||
-                   r.type == LogRecordType::kReady)) {
-                participants = r.participants;
-                break;
-              }
-            }
-          }
-          engine_->ResumeAfterRecovery(txn, TxnCoordinator(txn),
-                                       std::move(participants), state);
-          SeedQuorumSnapshots(txn);
-          break;
-        }
-      }
-    }
-    // Seed the fresh engine's decision ledger from the WAL so peers'
-    // termination queries about pre-crash decisions still get answers
-    // (mirrors SimNode::Recover; the pre-crash ledger died with the
-    // engine above).
-    for (const LogRecord& r : wal_->Scan()) {
-      switch (r.type) {
-        case LogRecordType::kCommitDecision:
-        case LogRecordType::kCommitReceived:
-        case LogRecordType::kTransactionCommit:
-          engine_->SeedDecision(r.txn, Decision::kCommit);
-          break;
-        case LogRecordType::kAbortDecision:
-        case LogRecordType::kAbortReceived:
-        case LogRecordType::kTransactionAbort:
-          engine_->SeedDecision(r.txn, Decision::kAbort);
-          break;
-        default:
-          break;
-      }
-    }
-    if (config_.open_loop.enabled) {
-      // The crash wiped the arrival chain; restart it rebased to now so
-      // the downtime doesn't replay as a burst of overdue arrivals.
-      next_arrival_us_ = NowUs();
-      ScheduleNextArrival();
-    } else {
-      for (uint32_t slot = 0; slot < clients_.size(); ++slot) {
-        StartNewClientTxn(slot);
-      }
-    }
-  }
+NodeCore::TimerId ThreadNode::ScheduleTimer(Micros at,
+                                            const NodeTimer& timer) {
+  return host_->ScheduleTimer(at, timer);
 }
 
-void ThreadNode::SeedQuorumSnapshots(TxnId txn) {
-  // Last snapshot wins: each one supersedes the records before it
-  // (promises and accepts only move forward). Scan() returns by value, so
-  // the records must outlive the loop for the pointers to stay valid.
-  const std::vector<LogRecord> records = wal_->Scan();
-  const LogRecord* quorum = nullptr;
-  const LogRecord* paxos = nullptr;
-  for (const LogRecord& r : records) {
-    if (r.txn != txn) continue;
-    if (r.type == LogRecordType::kQuorumState) quorum = &r;
-    if (r.type == LogRecordType::kPaxosState) paxos = &r;
-  }
-  if (quorum != nullptr) {
-    QuorumEpoch last_elected = 0;
-    QuorumEpoch last_attempt = 0;
-    bool pre_abort = false;
-    if (UnpackQuorumState(quorum->participants, &last_elected, &last_attempt,
-                          &pre_abort)) {
-      engine_->SeedQuorumState(txn, last_elected, last_attempt, pre_abort);
-    }
-  }
-  if (paxos != nullptr) {
-    QuorumEpoch promised = 0;
-    std::vector<PaxosAccepted> accepted;
-    if (UnpackPaxosState(paxos->participants, &promised, &accepted)) {
-      engine_->SeedPaxosAcceptor(txn, promised, std::move(accepted));
-    }
-  }
+void ThreadNode::UnscheduleTimer(TimerId id) { host_->CancelTimer(id); }
+
+void ThreadNode::Run(Work work, TaskFn fn) {
+  (void)work;  // no cost model: the work is the real CPU time it takes
+  fn();
 }
 
-bool ThreadNode::LocalFastPathOpen(NodeId dst) const {
-  // The fast path must not change observable semantics: with faults armed
-  // (loss, link cuts, delays) or either endpoint crashed, the message goes
-  // through ThreadNetwork so drops are sampled and counted exactly as for
-  // cross-worker traffic.
-  return !network_->FaultsArmed() &&
-         !crashed_.load(std::memory_order_relaxed) &&
-         !network_->IsCrashed(id_) && !network_->IsCrashed(dst);
-}
-
-void ThreadNode::FlushOutput() {
-  // Write-ahead order: this iteration's WAL group becomes durable before
-  // any message announcing its decisions reaches another node's mailbox.
-  if (metrics_.on()) {
-    // Time the device round trip, but only count flushes that covered
-    // staged records (group_flushes() moves iff the flush did work).
-    const uint64_t flushes_before = wal_->group_flushes();
-    const auto t0 = std::chrono::steady_clock::now();
-    (void)wal_->Flush();
-    if (wal_->group_flushes() > flushes_before) {
-      const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-      metrics_.registry->Add(metrics_.shard, metrics_.ids->wal_flushes);
-      metrics_.registry->Observe(metrics_.shard, metrics_.ids->wal_flush_us,
-                                 static_cast<uint64_t>(us));
-    }
-  } else {
-    (void)wal_->Flush();
-  }
-  for (NodeId dst : dirty_dsts_) {
-    std::vector<Message>& buf = send_buffers_[dst];
-    if (dst != id_ && host_->Hosts(dst) && LocalFastPathOpen(dst)) {
-      host_->EnqueueLocalBatch(&buf);
-    } else {
-      network_->SendBatch(id_, dst, &buf);
-    }
-  }
-  dirty_dsts_.clear();
-}
-
-void ThreadNode::HandleMessage(const Message& msg) {
-  if (trace_.enabled()) {
-    trace_.Record(TraceEventType::kMsgRecv, NowUs(), msg.txn, msg.trace_seq,
-                  msg.src, static_cast<uint8_t>(msg.type));
-  }
-  switch (msg.type) {
-    case MsgType::kRemoteExec:
-      HandleRemoteExec(msg);
-      return;
-    case MsgType::kRemoteExecOk:
-      HandleRemoteExecReply(msg, true);
-      return;
-    case MsgType::kRemoteExecFail:
-      HandleRemoteExecReply(msg, false);
-      return;
-    case MsgType::kRemoteRollback:
-      HandleRemoteRollback(msg);
-      return;
-    default:
-      engine_->OnMessage(msg);
-      return;
-  }
-}
-
-// --------------------------------------------------------------------------
-// Timers
-// --------------------------------------------------------------------------
-
-void ThreadNode::ScheduleTimer(Micros deadline, NodeTimerKind kind, TxnId txn,
-                               uint32_t slot) {
-  const WorkerTimerHeap::Id id = host_->ScheduleTimer(
-      deadline, NodeTimer{kind, txn, slot, id_, timer_epoch_});
-  if (kind == NodeTimerKind::kProtocol) protocol_timers_[txn] = id;
-}
-
-void ThreadNode::FireTimer(const NodeTimer& timer) {
-  switch (timer.kind) {
-    case NodeTimerKind::kProtocol:
-      protocol_timers_.Erase(timer.txn);
-      if (trace_.enabled()) {
-        trace_.Record(TraceEventType::kTimerFire, NowUs(), timer.txn);
-      }
-      engine_->OnTimeout(timer.txn);
-      break;
-    case NodeTimerKind::kExec: {
-      AttemptState* attempt = FindAttempt(timer.txn);
-      if (attempt != nullptr && !attempt->protocol_started &&
-          attempt->pending_remote != kInvalidNode) {
-        AbortAttempt(timer.txn, /*send_rollbacks=*/true);
-      }
-      break;
-    }
-    case NodeTimerKind::kRetry:
-      StartAttempt(timer.slot);
-      break;
-    case NodeTimerKind::kArrival:
-      // Quiesce ends the chain: no further arrivals, in-flight drains.
-      if (quiesce_.load(std::memory_order_relaxed)) break;
-      OnArrival();
-      // Rescheduling inside the worker's PopDue loop lets a slow iteration
-      // catch up: every gap that elapsed while the loop slept fires now, so
-      // the long-run offered rate tracks the configured rate exactly.
-      ScheduleNextArrival();
-      break;
-  }
-}
-
-// --------------------------------------------------------------------------
-// Open-loop load generation
-// --------------------------------------------------------------------------
-
-void ThreadNode::ScheduleNextArrival() {
-  // Paced from the previous deadline, not from "now": if the loop fell
-  // behind, the next deadline lands in the past and fires in the same
-  // FireDueTimers batch, so no arrival is silently dropped.
-  next_arrival_us_ += arrivals_.NextGapUs();
-  ScheduleTimer(next_arrival_us_, NodeTimerKind::kArrival, kInvalidTxn,
-                /*slot=*/0);
-}
-
-void ThreadNode::OnArrival() {
-  stats_.open_loop_offered++;
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->open_loop_offered);
-  }
-  if (free_client_slots_.empty()) {
-    // Admission control: shed the arrival (counted, never queued) so an
-    // overloaded node's backlog stays bounded.
-    stats_.open_loop_rejected++;
-    if (metrics_.on()) {
-      metrics_.registry->Add(metrics_.shard,
-                             metrics_.ids->open_loop_rejected);
-    }
-    return;
-  }
-  const uint32_t slot = free_client_slots_.back();
-  free_client_slots_.pop_back();
-  StartNewClientTxn(slot);
-}
-
-// --------------------------------------------------------------------------
-// Attempt pool
-// --------------------------------------------------------------------------
-
-void ThreadNode::AttemptState::Reset() {
-  slot = 0;
-  local_ops.clear();
-  for (size_t i = 0; i < num_remotes; ++i) {
-    remotes[i].node = kInvalidNode;
-    remotes[i].ops.clear();
-    remotes[i].ok = false;
-  }
-  num_remotes = 0;
-  next_remote = 0;
-  local_undo.clear();
-  pending_remote = kInvalidNode;
-  participants.clear();
-  has_writes = false;
-  protocol_started = false;
-  aborting = false;
-}
-
-ThreadNode::RemoteFragment* ThreadNode::AttemptState::FindRemote(NodeId node) {
-  for (size_t i = 0; i < num_remotes; ++i) {
-    if (remotes[i].node == node) return &remotes[i];
-  }
-  return nullptr;
-}
-
-ThreadNode::AttemptState& ThreadNode::NewAttempt(TxnId txn) {
-  uint32_t idx;
-  if (free_attempt_slots_.empty()) {
-    idx = static_cast<uint32_t>(attempt_pool_.size());
-    attempt_pool_.emplace_back();
-  } else {
-    idx = free_attempt_slots_.back();
-    free_attempt_slots_.pop_back();
-  }
-  attempts_.Emplace(txn, uint32_t(idx));
-  return attempt_pool_[idx];
-}
-
-ThreadNode::AttemptState* ThreadNode::FindAttempt(TxnId txn) {
-  uint32_t* idx = attempts_.Find(txn);
-  return idx == nullptr ? nullptr : &attempt_pool_[*idx];
-}
-
-void ThreadNode::EraseAttempt(TxnId txn) {
-  uint32_t* idx = attempts_.Find(txn);
-  if (idx == nullptr) return;
-  attempt_pool_[*idx].Reset();
-  free_attempt_slots_.push_back(*idx);
-  attempts_.Erase(txn);
-}
-
-// --------------------------------------------------------------------------
-// CommitEnv
-// --------------------------------------------------------------------------
-
-void ThreadNode::Send(Message msg) {
-  msg.src = id_;
-  if (trace_.enabled()) {
-    msg.trace_seq = trace_.NextSeq();
-    trace_.Record(TraceEventType::kMsgSend, NowUs(), msg.txn, msg.trace_seq,
-                  msg.dst, static_cast<uint8_t>(msg.type));
-  }
+void ThreadNode::Transmit(Message msg) {
   if (config_.coalesce_transport) {
     if (msg.dst >= send_buffers_.size()) return;  // network drops these too
     std::vector<Message>& buf = send_buffers_[msg.dst];
@@ -450,7 +69,7 @@ void ThreadNode::Send(Message msg) {
   // Same-worker fast path: a co-hosted destination's message hops onto the
   // worker's local queue — no channel lock, no condvar wake — and is
   // handled this loop iteration.
-  if (msg.dst < config_.num_nodes && msg.dst != id_ && host_ != nullptr &&
+  if (msg.dst < config_.num_nodes && msg.dst != self() && host_ != nullptr &&
       host_->Hosts(msg.dst) && LocalFastPathOpen(msg.dst)) {
     host_->EnqueueLocal(std::move(msg));
     return;
@@ -458,439 +77,44 @@ void ThreadNode::Send(Message msg) {
   network_->Send(std::move(msg));
 }
 
-void ThreadNode::Log(TxnId txn, LogRecordType type) {
-  if (trace_.enabled()) {
-    trace_.Record(TraceEventType::kWalWrite, NowUs(), txn, 0, kInvalidNode,
-                  static_cast<uint8_t>(type));
-  }
-  LogRecord record;
-  record.txn = txn;
-  record.type = type;
-  if (type == LogRecordType::kBeginCommit || type == LogRecordType::kReady) {
-    if (AttemptState* attempt = FindAttempt(txn); attempt != nullptr) {
-      record.participants = attempt->participants;
-    } else if (FragmentState* frag = fragments_.Find(txn); frag != nullptr) {
-      record.participants = frag->participants;
-    }
-  }
-  wal_->Append(std::move(record));
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->wal_appends);
-  }
+bool ThreadNode::LocalFastPathOpen(NodeId dst) const {
+  // The fast path must not change observable semantics: with faults armed
+  // (loss, link cuts, delays) or either endpoint crashed, the message goes
+  // through ThreadNetwork so drops are sampled and counted exactly as for
+  // cross-worker traffic.
+  return !network_->FaultsArmed() && !Down() && !network_->IsCrashed(dst);
 }
 
-void ThreadNode::LogPayload(TxnId txn, LogRecordType type,
-                            const CowVector<NodeId>& payload) {
-  if (trace_.enabled()) {
-    trace_.Record(TraceEventType::kWalWrite, NowUs(), txn, 0, kInvalidNode,
-                  static_cast<uint8_t>(type));
-  }
-  // Quorum snapshot records ride their packed epoch/ballot payload in the
-  // participants field (the WAL's one variable-length channel).
-  wal_->Append({0, txn, type, payload});
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->wal_appends);
-  }
-}
-
-void ThreadNode::ArmTimer(TxnId txn, Micros delay_us) {
-  CancelTimer(txn);
-  const Micros now = NowUs();
-  if (trace_.enabled()) {
-    trace_.Record(TraceEventType::kTimerArm, now, txn, delay_us);
-  }
-  ScheduleTimer(now + delay_us, NodeTimerKind::kProtocol, txn, /*slot=*/0);
-}
-
-void ThreadNode::CancelTimer(TxnId txn) {
-  WorkerTimerHeap::Id* id = protocol_timers_.Find(txn);
-  if (id == nullptr) return;
-  if (trace_.enabled()) {
-    trace_.Record(TraceEventType::kTimerCancel, NowUs(), txn);
-  }
-  host_->CancelTimer(*id);
-  protocol_timers_.Erase(txn);
-}
-
-Decision ThreadNode::VoteFor(TxnId txn) {
-  return fragments_.Contains(txn) ? Decision::kCommit : Decision::kAbort;
-}
-
-void ThreadNode::ApplyDecision(TxnId txn, Decision decision) {
-  // A node whose network was cut mid-event is already (conceptually)
-  // crashed; its local commit/abort never happened.
-  if (network_->IsCrashed(id_)) return;
-  if (monitor_ != nullptr) monitor_->RecordApplied(txn, id_, decision);
-
-  AttemptState* attempt = FindAttempt(txn);
-  if (attempt != nullptr) {
-    if (decision == Decision::kAbort) {
-      UndoWrites(attempt->local_undo);
-      attempt->local_undo.clear();
-      stats_.txns_aborted++;
-      if (metrics_.on()) {
-        metrics_.registry->Add(metrics_.shard, metrics_.ids->txns_aborted);
-      }
-      RetryOrGiveUp(attempt->slot);
-    } else {
-      FinishCommitted(txn);
-    }
-    return;
-  }
-  FragmentState* frag = fragments_.Find(txn);
-  if (frag != nullptr && decision == Decision::kAbort) {
-    UndoWrites(frag->undo);
-    frag->undo.clear();
-  }
-}
-
-void ThreadNode::OnBlocked(TxnId txn) {
-  (void)txn;
-  stats_.txns_blocked++;
-  if (monitor_ != nullptr) monitor_->RecordBlocked(txn, id_);
-}
-
-void ThreadNode::OnCleanup(TxnId txn) {
-  locks_.ReleaseAll(txn);
-  EraseAttempt(txn);
-  fragments_.Erase(txn);
-}
-
-void ThreadNode::OnPhaseSample(TxnId txn, CommitPhase phase,
-                               Micros elapsed_us) {
-  (void)txn;
-  switch (phase) {
-    case CommitPhase::kVoteCollection:
-      stats_.phase_vote.Record(elapsed_us);
-      break;
-    case CommitPhase::kDecisionTransmit:
-      stats_.phase_transmit.Record(elapsed_us);
-      break;
-    case CommitPhase::kDecisionApply:
-      stats_.phase_apply.Record(elapsed_us);
-      break;
-  }
-}
-
-// --------------------------------------------------------------------------
-// Coordinator paths
-// --------------------------------------------------------------------------
-
-void ThreadNode::StartNewClientTxn(uint32_t slot) {
-  ClientSlot& client = clients_[slot];
-  client.request = workload_->NextTxn(id_, rng_);
-  client.first_start_us = NowUs();
-  client.attempts = 0;
-  client.idle = false;
-  StartAttempt(slot);
-}
-
-void ThreadNode::StartAttempt(uint32_t slot) {
-  ClientSlot& client = clients_[slot];
-  client.attempts++;
-  const TxnId txn = txn_ids_.Next();
-
-  AttemptState& attempt = NewAttempt(txn);
-  attempt.slot = slot;
-  attempt.has_writes = client.request.HasWrites();
-  for (const Operation& op : client.request.ops) {
-    const PartitionId part = partitioner_.PartitionOf(op.key);
-    if (part == id_) {
-      attempt.local_ops.push_back(op);
-      continue;
-    }
-    RemoteFragment* frag = attempt.FindRemote(part);
-    if (frag == nullptr) {
-      if (attempt.num_remotes == attempt.remotes.size()) {
-        attempt.remotes.emplace_back();
-      }
-      frag = &attempt.remotes[attempt.num_remotes++];
-      frag->node = part;
-    }
-    frag->ops.push_back(op);
-  }
-  std::sort(attempt.remotes.begin(),
-            attempt.remotes.begin() + attempt.num_remotes,
-            [](const RemoteFragment& a, const RemoteFragment& b) {
-              return a.node < b.node;
-            });
-  {
-    std::vector<NodeId>& parts = attempt.participants.Mutable();
-    parts.push_back(id_);
-    for (size_t i = 0; i < attempt.num_remotes; ++i) {
-      parts.push_back(attempt.remotes[i].node);
-    }
-  }
-
-  const uint64_t ts = next_priority_ts_++;
-  if (!ExecuteOps(txn, ts, attempt.local_ops, &attempt.local_undo)) {
-    AbortAttempt(txn, /*send_rollbacks=*/false);
-    return;
-  }
-  if (attempt.num_remotes == 0) {
-    CompleteWithoutProtocol(txn);
-    return;
-  }
-  ScheduleTimer(NowUs() + config_.commit.timeout_us * 4, NodeTimerKind::kExec,
-                txn, slot);
-  SendNextFragment(txn);
-}
-
-void ThreadNode::SendNextFragment(TxnId txn) {
-  AttemptState* attempt = FindAttempt(txn);
-  if (attempt == nullptr) return;
-  RemoteFragment& frag = attempt->remotes[attempt->next_remote++];
-  attempt->pending_remote = frag.node;
-  Message msg;
-  msg.type = MsgType::kRemoteExec;
-  msg.txn = txn;
-  msg.dst = frag.node;
-  msg.ops = frag.ops;
-  msg.participants = attempt->participants;
-  msg.txn_has_writes = attempt->has_writes;
-  msg.priority_ts = next_priority_ts_;
-  Send(std::move(msg));
-}
-
-void ThreadNode::HandleRemoteExec(const Message& msg) {
-  // A rollback can outrun the exec request it cancels; the stash turns
-  // the late exec into a no-op.
-  auto pending = std::find(pending_rollbacks_.begin(),
-                           pending_rollbacks_.end(), msg.txn);
-  if (pending != pending_rollbacks_.end()) {
-    *pending = pending_rollbacks_.back();
-    pending_rollbacks_.pop_back();
-    return;
-  }
-  std::vector<UndoRecord> undo;
-  Message reply;
-  reply.txn = msg.txn;
-  reply.dst = msg.src;
-  if (ExecuteOps(msg.txn, msg.priority_ts, msg.ops, &undo)) {
-    FragmentState frag;
-    frag.txn = msg.txn;
-    frag.coordinator = msg.src;
-    frag.participants = msg.participants;
-    frag.ops = msg.ops;
-    frag.undo = std::move(undo);
-    fragments_[msg.txn] = std::move(frag);
-    if (msg.txn_has_writes) {
-      engine_->ExpectPrepare(msg.txn, msg.src, msg.participants);
-    }
-    reply.type = MsgType::kRemoteExecOk;
-  } else {
-    reply.type = MsgType::kRemoteExecFail;
-  }
-  Send(std::move(reply));
-}
-
-void ThreadNode::HandleRemoteExecReply(const Message& msg, bool ok) {
-  AttemptState* attempt = FindAttempt(msg.txn);
-  if (attempt == nullptr || attempt->aborting) {
-    if (ok) {
-      Message rollback;
-      rollback.type = MsgType::kRemoteRollback;
-      rollback.txn = msg.txn;
-      rollback.dst = msg.src;
-      Send(std::move(rollback));
-    }
-    return;
-  }
-  if (attempt->pending_remote == msg.src) {
-    attempt->pending_remote = kInvalidNode;
-  }
-  if (ok) {
-    if (RemoteFragment* frag = attempt->FindRemote(msg.src)) frag->ok = true;
-    if (attempt->next_remote < attempt->num_remotes) {
-      SendNextFragment(msg.txn);
-    } else {
-      AllFragmentsReady(msg.txn);
+void ThreadNode::FlushOutput() {
+  // Write-ahead order: this iteration's WAL group becomes durable before
+  // any message announcing its decisions reaches another node's mailbox.
+  if (metrics().on()) {
+    // Time the device round trip, but only count flushes that covered
+    // staged records (group_flushes() moves iff the flush did work).
+    const uint64_t flushes_before = wal().group_flushes();
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)wal().Flush();
+    if (wal().group_flushes() > flushes_before) {
+      const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+      metrics().registry->Add(metrics().shard, metrics().ids->wal_flushes);
+      metrics().registry->Observe(metrics().shard,
+                                  metrics().ids->wal_flush_us,
+                                  static_cast<uint64_t>(us));
     }
   } else {
-    AbortAttempt(msg.txn, /*send_rollbacks=*/true);
+    (void)wal().Flush();
   }
-}
-
-void ThreadNode::HandleRemoteRollback(const Message& msg) {
-  FragmentState* frag = fragments_.Find(msg.txn);
-  if (frag == nullptr) {
-    if (std::find(pending_rollbacks_.begin(), pending_rollbacks_.end(),
-                  msg.txn) == pending_rollbacks_.end()) {
-      pending_rollbacks_.push_back(msg.txn);
-    }
-    return;
-  }
-  UndoWrites(frag->undo);
-  locks_.ReleaseAll(msg.txn);
-  fragments_.Erase(msg.txn);
-  engine_->Forget(msg.txn);
-}
-
-void ThreadNode::AllFragmentsReady(TxnId txn) {
-  AttemptState* attempt = FindAttempt(txn);
-  if (attempt == nullptr) return;
-  if (!attempt->has_writes) {
-    CompleteWithoutProtocol(txn);
-    return;
-  }
-  attempt->protocol_started = true;
-  stats_.commit_protocol_runs++;
-  engine_->StartCommit(txn, attempt->participants, Decision::kCommit);
-}
-
-void ThreadNode::AbortAttempt(TxnId txn, bool send_rollbacks) {
-  AttemptState* attempt = FindAttempt(txn);
-  if (attempt == nullptr) return;
-  if (attempt->aborting || attempt->protocol_started) return;
-  attempt->aborting = true;
-  UndoWrites(attempt->local_undo);
-  locks_.ReleaseAll(txn);
-  if (send_rollbacks) {
-    // Everyone who acknowledged plus the one still in flight; nodes are
-    // unique and pending_remote's ok flag is still false, so no dupes.
-    for (size_t i = 0; i < attempt->num_remotes; ++i) {
-      const RemoteFragment& frag = attempt->remotes[i];
-      if (!frag.ok && frag.node != attempt->pending_remote) continue;
-      Message msg;
-      msg.type = MsgType::kRemoteRollback;
-      msg.txn = txn;
-      msg.dst = frag.node;
-      Send(std::move(msg));
+  for (NodeId dst : dirty_dsts_) {
+    std::vector<Message>& buf = send_buffers_[dst];
+    if (dst != self() && host_->Hosts(dst) && LocalFastPathOpen(dst)) {
+      host_->EnqueueLocalBatch(&buf);
+    } else {
+      network_->SendBatch(self(), dst, &buf);
     }
   }
-  stats_.txns_aborted++;
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->txns_aborted);
-  }
-  const uint32_t slot = attempt->slot;
-  EraseAttempt(txn);
-  RetryOrGiveUp(slot);
-}
-
-void ThreadNode::RetryOrGiveUp(uint32_t slot) {
-  ClientSlot& client = clients_[slot];
-  if (config_.open_loop.enabled &&
-      (quiesce_.load(std::memory_order_relaxed) ||
-       client.attempts >= config_.open_loop.max_attempts)) {
-    // Terminal abort: the retry budget ran out (or quiesce is draining the
-    // node). Bounded retries keep the conservation law exact.
-    stats_.open_loop_aborted++;
-    if (metrics_.on()) {
-      metrics_.registry->Add(metrics_.shard, metrics_.ids->open_loop_aborted);
-    }
-    client.idle = true;
-    free_client_slots_.push_back(slot);
-    return;
-  }
-  if (quiesce_.load(std::memory_order_relaxed)) {
-    client.idle = true;
-    return;
-  }
-  const uint32_t shift = std::min(client.attempts, config_.backoff_max_shift);
-  const Micros backoff = static_cast<Micros>(
-      rng_.NextDouble() * static_cast<double>(config_.backoff_base_us) *
-      static_cast<double>(1ULL << shift));
-  ScheduleTimer(NowUs() + backoff, NodeTimerKind::kRetry, kInvalidTxn, slot);
-}
-
-void ThreadNode::CompleteWithoutProtocol(TxnId txn) {
-  AttemptState* attempt = FindAttempt(txn);
-  if (attempt == nullptr) return;
-  locks_.ReleaseAll(txn);
-  for (size_t i = 0; i < attempt->num_remotes; ++i) {
-    if (!attempt->remotes[i].ok) continue;
-    Message msg;
-    msg.type = MsgType::kRemoteRollback;  // read-lock release
-    msg.txn = txn;
-    msg.dst = attempt->remotes[i].node;
-    Send(std::move(msg));
-  }
-  FinishCommitted(txn);  // may start a new attempt: `attempt` is dead here
-  EraseAttempt(txn);
-}
-
-void ThreadNode::FinishCommitted(TxnId txn) {
-  AttemptState* attempt = FindAttempt(txn);
-  if (attempt == nullptr) return;
-  const uint32_t slot = attempt->slot;
-  ClientSlot& client = clients_[slot];
-  stats_.txns_committed++;
-  committed_.fetch_add(1, std::memory_order_relaxed);
-  if (track_acked_ && attempt->protocol_started) {
-    acked_commits_.push_back(txn);
-  }
-  const Micros latency_us = NowUs() - client.first_start_us;
-  stats_.latency.Record(latency_us);
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->txns_committed);
-    metrics_.registry->Observe(metrics_.shard, metrics_.ids->latency_us,
-                               latency_us);
-  }
-  client.idle = true;
-  if (config_.open_loop.enabled) {
-    // Open loop: the slot returns to the admission window; the next
-    // transaction arrives when the arrival process says so.
-    free_client_slots_.push_back(slot);
-    return;
-  }
-  // StartNewClientTxn allocates from the attempt pool, invalidating
-  // `attempt` — which is why the slot was copied out above.
-  if (!quiesce_.load(std::memory_order_relaxed)) {
-    StartNewClientTxn(slot);
-  }
-}
-
-// --------------------------------------------------------------------------
-// Execution
-// --------------------------------------------------------------------------
-
-bool ThreadNode::ExecuteOps(TxnId txn, uint64_t ts,
-                            const std::vector<Operation>& ops,
-                            std::vector<UndoRecord>* undo) {
-  for (const Operation& op : ops) {
-    const LockMode mode =
-        op.is_write() ? LockMode::kExclusive : LockMode::kShared;
-    const AcquireResult result =
-        locks_.Acquire(txn, ts, op.table, op.key, mode);
-    // This runtime keeps the node loop non-blocking, so a WAIT_DIE wait is
-    // treated as a conflict abort (the retry path re-runs the attempt).
-    if (result != AcquireResult::kGranted || !ApplyOp(op, undo)) {
-      UndoWrites(*undo);
-      undo->clear();
-      locks_.ReleaseAll(txn);
-      return false;
-    }
-  }
-  return true;
-}
-
-bool ThreadNode::ApplyOp(const Operation& op, std::vector<UndoRecord>* undo) {
-  Table* table = store_.GetTable(op.table);
-  if (table == nullptr) return false;
-  auto row = table->GetMutable(op.key);
-  if (!row.ok()) return false;
-  if (op.is_write()) {
-    UndoRecord rec;
-    rec.table = op.table;
-    rec.key = op.key;
-    rec.old_columns = row.value()->columns;
-    rec.old_version = row.value()->version;
-    undo->push_back(std::move(rec));
-    row.value()->columns[0]++;
-    row.value()->version++;
-  }
-  return true;
-}
-
-void ThreadNode::UndoWrites(const std::vector<UndoRecord>& undo) {
-  for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-    Table* table = store_.GetTable(it->table);
-    if (table == nullptr) continue;
-    auto row = table->GetMutable(it->key);
-    if (!row.ok()) continue;
-    row.value()->columns = it->old_columns;
-    row.value()->version = it->old_version;
-  }
+  dirty_dsts_.clear();
 }
 
 // --------------------------------------------------------------------------
@@ -898,23 +122,26 @@ void ThreadNode::UndoWrites(const std::vector<UndoRecord>& undo) {
 // --------------------------------------------------------------------------
 
 void ThreadNode::Crash() {
-  network_->CrashNode(id_);
+  network_->CrashNode(self());
   crash_requested_.store(true);
 }
 
-void ThreadNode::Recover() {
-  network_->RecoverNode(id_);
+bool ThreadNode::Recover() {
+  if (!network_->IsCrashed(self())) return false;
+  network_->RecoverNode(self());
   recover_requested_.store(true);
+  return true;
 }
 
-void ThreadNode::ReseedTxnIdsFromWal() {
-  uint64_t max_seq = 0;
-  for (const LogRecord& r : wal_->Scan()) {
-    if (TxnCoordinator(r.txn) == id_) {
-      max_seq = std::max(max_seq, TxnSequence(r.txn));
-    }
+void ThreadNode::ProcessControl() {
+  if (crash_requested_.exchange(false)) {
+    CrashCore();
+    // Unflushed frames never made it onto the wire: fail-stop means a
+    // crashed node's buffered sends die with its volatile state.
+    for (NodeId dst : dirty_dsts_) send_buffers_[dst].clear();
+    dirty_dsts_.clear();
   }
-  txn_ids_.Reseed(max_seq);
+  if (recover_requested_.exchange(false)) RecoverCore();
 }
 
 // --------------------------------------------------------------------------

@@ -10,40 +10,29 @@
 #include <thread>
 #include <vector>
 
-#include "cc/lock_table.h"
 #include "cluster/config.h"
+#include "cluster/node_core.h"
 #include "cluster/worker.h"
-#include "commit/commit_engine.h"
-#include "commit/commit_env.h"
 #include "commit/invariants.h"
-#include "common/flat_map.h"
-#include "common/rng.h"
 #include "net/channel.h"
 #include "obs/telemetry.h"
 #include "stats/metrics.h"
-#include "storage/table.h"
 #include "trace/trace_recorder.h"
-#include "txn/transaction.h"
-#include "wal/wal.h"
-#include "workload/open_loop.h"
 #include "workload/workload.h"
 
 namespace ecdb {
 
 /// Configuration of the threaded (real OS threads, wall-clock time)
-/// runtime. Protocol timeouts are inherited from CommitEngineConfig but
-/// interpreted as real microseconds.
-struct ThreadClusterConfig {
-  uint32_t num_nodes = 4;
-  uint32_t clients_per_node = 4;
-  CommitProtocol protocol = CommitProtocol::kEasyCommit;
-  CcPolicy cc_policy = CcPolicy::kNoWait;
-  CommitEngineConfig commit{.timeout_us = 50'000,
-                            .termination_window_us = 20'000,
-                            .keep_decision_ledger = true};
-  Micros backoff_base_us = 200;
-  uint32_t backoff_max_shift = 6;
-  uint64_t seed = 42;
+/// runtime. Protocol timeouts are interpreted as real microseconds.
+struct ThreadClusterConfig : NodeConfig {
+  ThreadClusterConfig() {
+    num_nodes = 4;
+    clients_per_node = 4;
+    commit = CommitEngineConfig{.timeout_us = 50'000,
+                                .termination_window_us = 20'000,
+                                .keep_decision_ledger = true};
+    backoff_base_us = 200;
+  }
 
   /// Worker-pool size for the shard-per-core runtime: nodes are hosted
   /// M:N on `worker_threads` event-loop workers (node_id % workers), each
@@ -53,171 +42,46 @@ struct ThreadClusterConfig {
   /// std::thread::hardware_concurrency().
   uint32_t worker_threads = 0;
 
-  /// Transport coalescing + WAL group commit: each event-loop iteration
-  /// buffers outgoing messages per destination and ships each buffer as
-  /// one SendBatch (one mailbox lock, at most one wake, per destination
-  /// per iteration), and the iteration's WAL appends become durable with
-  /// a single Flush issued before the network flush (write-ahead order).
-  /// Off by default: throughput benchmarks opt in.
-  bool coalesce_transport = false;
-
   /// Optional directory for file-backed WALs (one per node). Empty keeps
   /// the logs in memory.
   std::string wal_dir;
-
-  /// Open-loop load generation (off: clients run the classic closed loop).
-  /// Arrivals are wall-clock timer events on the hosting worker; the
-  /// admission window replaces clients_per_node as the slot population.
-  OpenLoopConfig open_loop;
-
-  /// Time-series telemetry (off by default). When enabled the cluster
-  /// runs a wall-clock sampler thread over the per-worker-sharded
-  /// registry; nodes and workers record through relaxed atomics only, so
-  /// the sampler never touches thread-confined state.
-  TelemetryConfig telemetry;
 };
 
-/// One server node of the threaded runtime: all node state (storage, locks,
-/// engine, clients) is thread-confined to the ThreadWorker hosting it
-/// (node_id % workers); cross-worker communication goes through
-/// ThreadNetwork mailboxes, same-worker sends ride the worker's local
-/// queue. The same CommitEngine used by the simulator runs here against
-/// wall-clock timers, demonstrating that the protocol implementation is
-/// runtime-agnostic.
-///
-/// The hosting event loop is batched: each iteration drains the whole
-/// worker mailbox with one lock acquisition (MessageChannel::PopAll),
-/// demuxes per node, fires due timers once per batch, and sleeps no longer
-/// than the earliest timer deadline of any hosted node. Per-txn bookkeeping
-/// lives in flat structures — a pooled AttemptState array and
-/// open-addressing FlatMap indices — so the steady state allocates nothing.
-class ThreadNode : public CommitEnv {
+/// One server node of the threaded runtime: a NodeCore hosted on a
+/// ThreadWorker (node_id % workers), thread-confined to that worker.
+/// Cross-worker communication goes through ThreadNetwork mailboxes;
+/// same-worker sends ride the worker's local queue. Node work runs inline
+/// on the worker thread, timers live in the worker's shared heap, and with
+/// coalesce_transport each loop iteration ships one batch per destination
+/// after group-committing the iteration's WAL appends.
+class ThreadNode : public NodeCore {
  public:
   ThreadNode(NodeId id, const ThreadClusterConfig& config,
              ThreadNetwork* network, Workload* workload,
              SafetyMonitor* monitor, uint64_t seed);
   ~ThreadNode() override;
 
-  ThreadNode(const ThreadNode&) = delete;
-  ThreadNode& operator=(const ThreadNode&) = delete;
-
-  /// Loads the partition (call before the cluster starts).
-  void Bootstrap();
-
-  // --- CommitEnv (called only from the hosting worker thread) ---
-  NodeId self() const override { return id_; }
-  void Send(Message msg) override;
-  void Log(TxnId txn, LogRecordType type) override;
-  void LogPayload(TxnId txn, LogRecordType type,
-                  const CowVector<NodeId>& payload) override;
-  void ArmTimer(TxnId txn, Micros delay_us) override;
-  void CancelTimer(TxnId txn) override;
-  Decision VoteFor(TxnId txn) override;
-  void ApplyDecision(TxnId txn, Decision decision) override;
-  void OnBlocked(TxnId txn) override;
-  void OnCleanup(TxnId txn) override;
-  void OnPhaseSample(TxnId txn, CommitPhase phase,
-                     Micros elapsed_us) override;
-
-  /// Turns on protocol tracing. Call before the cluster starts: the
-  /// recorder is owned by the hosting worker once the loop runs (inert
-  /// under ECDB_TRACE=OFF).
-  void EnableTracing(size_t capacity = TraceRecorder::kDefaultCapacity) {
-    trace_.Enable(capacity);
-  }
-  /// Read the recorder only after the cluster stops — it is
-  /// thread-confined to the hosting worker.
-  const TraceRecorder& trace() const { return trace_; }
-
-  /// Binds the cluster's telemetry registry. Call before Start(): the
-  /// node records through its hosting worker's shard from that worker's
-  /// thread only.
-  void BindMetrics(const MetricsHandle& metrics) { metrics_ = metrics; }
-
-  /// Stops issuing new client transactions; in-flight ones run to
-  /// completion and aborted ones are not retried. After a short drain the
-  /// database is quiescent, which makes exact whole-database audits
-  /// possible (see examples/bank_transfer.cc).
-  void Quiesce() { quiesce_.store(true, std::memory_order_relaxed); }
-
-  /// Crash (fail-stop): the hosting worker keeps running but drops all of
-  /// this node's input and clears its volatile state — co-hosted nodes are
-  /// untouched. Recover() re-enables processing and runs the WAL recovery
-  /// analysis.
+  /// Crash (fail-stop), callable from any thread: the network cuts the
+  /// node at once; the hosting worker then drops its volatile state.
+  /// Co-hosted nodes are untouched.
   void Crash();
-  void Recover();
 
-  /// Bumps the TxnId allocator past the highest self-coordinated sequence
-  /// in the WAL. In-process crash/recover keeps the allocator, but a real
-  /// process restart (socket runtime) builds a fresh node over the old log
-  /// — without the reseed its ids would collide with pre-crash
-  /// transactions still present in peers' decision ledgers. Call before
-  /// the hosting worker starts.
-  void ReseedTxnIdsFromWal();
+  /// Restart, callable from any thread: the network readmits the node and
+  /// the hosting worker runs the core's WAL recovery pass. Returns false,
+  /// doing nothing, when the node is up.
+  bool Recover();
 
-  /// When enabled, records the TxnId of every transaction whose commit ran
-  /// the commit protocol and was acked to a client — the durability set of
-  /// the threaded consistency audit. Call before Start(); read after
-  /// Stop() (the vector is touched only from the hosting worker thread).
-  /// Survives Crash(): an acked commit cannot be un-acked by the server
-  /// going down.
-  void TrackAckedCommits(bool on) { track_acked_ = on; }
-  const std::vector<TxnId>& acked_commits() const { return acked_commits_; }
-
-  // --- Introspection (safe after the cluster stops, or approximate while
-  // running) ---
-  const NodeStats& stats() const { return stats_; }
-  uint64_t committed() const {
-    return committed_.load(std::memory_order_relaxed);
-  }
-  WriteAheadLog& wal() { return *wal_; }
-  PartitionStore& store() { return store_; }
-  CommitEngine& engine() { return *engine_; }
+  Micros NowUs() const override;
 
  private:
   friend class ThreadWorker;
 
-  struct ClientSlot {
-    TxnRequest request;
-    Micros first_start_us = 0;
-    uint32_t attempts = 0;
-    bool idle = true;
-  };
-
-  /// One remote partition's slice of an attempt. Entries are pooled along
-  /// with their AttemptState: Reset() clears the ops but keeps the vector's
-  /// capacity, so a recycled attempt re-fills them without allocating.
-  struct RemoteFragment {
-    NodeId node = kInvalidNode;
-    std::vector<Operation> ops;
-    bool ok = false;  // replied kRemoteExecOk
-  };
-
-  /// Coordinator-side state of one transaction attempt. Instances live in
-  /// a pool (attempt_pool_) indexed by attempts_; they are recycled via
-  /// Reset() rather than destroyed, so their vectors' capacities survive
-  /// across transactions and the steady state performs no allocation.
-  struct AttemptState {
-    uint32_t slot = 0;
-    std::vector<Operation> local_ops;
-    /// Remote slices, sorted by node; only the first num_remotes entries
-    /// are live (the tail keeps recycled capacity).
-    std::vector<RemoteFragment> remotes;
-    size_t num_remotes = 0;
-    size_t next_remote = 0;
-    std::vector<UndoRecord> local_undo;
-    NodeId pending_remote = kInvalidNode;
-    // Copy-on-write: one buffer, shared by every fragment message, the
-    // engine's record, and the begin-commit/ready WAL entries.
-    CowVector<NodeId> participants;
-    bool has_writes = false;
-    bool protocol_started = false;
-    bool aborting = false;
-
-    /// Clears live state but keeps every vector's capacity for reuse.
-    void Reset();
-    RemoteFragment* FindRemote(NodeId node);
-  };
+  // --- Host interface ---
+  TimerId ScheduleTimer(Micros at, const NodeTimer& timer) override;
+  void UnscheduleTimer(TimerId id) override;
+  void Run(Work work, TaskFn fn) override;
+  void Transmit(Message msg) override;
+  bool Fenced() const override { return network_->IsCrashed(self()); }
 
   // --- Hooks for the hosting ThreadWorker (worker thread only) ---
 
@@ -226,27 +90,11 @@ class ThreadNode : public CommitEnv {
 
   /// First thing the worker loop does: adopts the worker's clock base (all
   /// co-hosted nodes share one time axis for the shared timer heap) and
-  /// seeds the initial client transactions / arrival chain.
+  /// starts the clients.
   void OnLoopStart(std::chrono::steady_clock::time_point epoch);
 
   /// Drains pending crash/recover requests (once per loop iteration).
   void ProcessControl();
-
-  /// False while this node is (or is being) fail-stopped: its input is
-  /// dropped and its timers do not fire.
-  bool AcceptingTraffic() const {
-    return !crashed_.load(std::memory_order_relaxed) &&
-           !network_->IsCrashed(id_);
-  }
-
-  /// Timer generation: bumped on crash so every timer armed before the
-  /// crash is stale in the worker's shared heap.
-  uint32_t timer_epoch() const { return timer_epoch_; }
-
-  void HandleMessage(const Message& msg);
-
-  /// Dispatches one due, epoch-live timer (the worker pops the heap).
-  void FireTimer(const NodeTimer& timer);
 
   /// Coalescing flush point (end of every loop iteration): first makes
   /// this iteration's WAL appends durable as one group, then ships each
@@ -255,115 +103,26 @@ class ThreadNode : public CommitEnv {
   /// SendBatch.
   void FlushOutput();
 
-  Micros NowUs() const override;
-  void ScheduleTimer(Micros deadline, NodeTimerKind kind, TxnId txn,
-                     uint32_t slot);
-
   /// True when a message to `dst` may take the same-worker local queue:
   /// faults unarmed and neither endpoint crashed, so the fast path cannot
   /// change loss/link/delay or fail-stop semantics.
   bool LocalFastPathOpen(NodeId dst) const;
 
-  // Attempt pool. Pointers/references into the pool are invalidated by
-  // NewAttempt (growth) — never hold one across a call that may start a
-  // new attempt (StartNewClientTxn / StartAttempt).
-  AttemptState& NewAttempt(TxnId txn);
-  AttemptState* FindAttempt(TxnId txn);
-  void EraseAttempt(TxnId txn);
-
-  /// Recovery: reload `txn`'s quorum epoch pair / Paxos acceptor state
-  /// from the last kQuorumState / kPaxosState snapshot in the WAL.
-  void SeedQuorumSnapshots(TxnId txn);
-
-  // Open-loop load generation (config_.open_loop.enabled): arrivals are a
-  // self-rescheduling kArrival timer chain on the hosting worker.
-  void ScheduleNextArrival();
-  void OnArrival();
-
-  /// Shared tail of the two abort paths: schedules a backoff retry, or —
-  /// open loop only — terminally aborts once the attempt budget is spent
-  /// (or quiesce is draining) and returns the slot to the admission window.
-  void RetryOrGiveUp(uint32_t slot);
-
-  // Coordinator paths (mirrors SimNode, synchronous execution).
-  void StartNewClientTxn(uint32_t slot);
-  void StartAttempt(uint32_t slot);
-  void SendNextFragment(TxnId txn);
-  void HandleRemoteExec(const Message& msg);
-  void HandleRemoteExecReply(const Message& msg, bool ok);
-  void HandleRemoteRollback(const Message& msg);
-  void AllFragmentsReady(TxnId txn);
-  void AbortAttempt(TxnId txn, bool send_rollbacks);
-  void CompleteWithoutProtocol(TxnId txn);
-  void FinishCommitted(TxnId txn);
-
-  // Execution (synchronous; NO_WAIT aborts immediately, WAIT_DIE waits
-  // are treated as aborts in this runtime to keep the loop non-blocking).
-  bool ExecuteOps(TxnId txn, uint64_t ts, const std::vector<Operation>& ops,
-                  std::vector<UndoRecord>* undo);
-  bool ApplyOp(const Operation& op, std::vector<UndoRecord>* undo);
-  void UndoWrites(const std::vector<UndoRecord>& undo);
-
-  NodeId id_;
   const ThreadClusterConfig& config_;
   ThreadNetwork* network_;
-  Workload* workload_;
-  SafetyMonitor* monitor_;
   ThreadWorker* host_ = nullptr;
-  Rng rng_;
 
-  PartitionStore store_;
-  KeyPartitioner partitioner_;
-  LockTable locks_;
-  std::unique_ptr<WriteAheadLog> wal_;
-  std::unique_ptr<CommitEngine> engine_;
-
-  std::vector<ClientSlot> clients_;
-  // Open loop only: idle slot indices (clients_ sized to the admission cap),
-  // the per-node arrival-gap generator, and the running arrival deadline
-  // (paced gap-by-gap so slow loop iterations don't drop arrivals). All
-  // owned by the hosting worker thread.
-  std::vector<uint32_t> free_client_slots_;
-  ArrivalSchedule arrivals_;
-  Micros next_arrival_us_ = 0;
-
-  // Per-txn state: flat indices into a recycled pool (attempts) and flat
-  // value storage (fragments). pending_rollbacks_ is a plain vector — it
-  // holds the rare rollback-before-exec races and stays tiny.
-  FlatMap<TxnId, uint32_t> attempts_;
-  std::vector<AttemptState> attempt_pool_;
-  std::vector<uint32_t> free_attempt_slots_;
-  FlatMap<TxnId, FragmentState> fragments_;
-  std::vector<TxnId> pending_rollbacks_;
-  TxnIdAllocator txn_ids_;
-  uint64_t next_priority_ts_ = 1;
-
-  // Protocol timers live in the hosting worker's shared heap, tagged with
-  // this node's id + epoch; this index maps txn -> heap id for Cancel.
-  uint32_t timer_epoch_ = 1;
-  FlatMap<TxnId, WorkerTimerHeap::Id> protocol_timers_;
-
-  // Coalescing state (coalesce_transport only; owned by the hosting
-  // worker). One open send buffer per destination plus the list of
-  // destinations touched this iteration; buffers are drained by SendBatch
-  // (or the worker's local queue) keeping their capacity, so steady state
-  // allocates nothing.
+  // Coalescing state (coalesce_transport only). One open send buffer per
+  // destination plus the list of destinations touched this iteration;
+  // buffers are drained by SendBatch (or the worker's local queue) keeping
+  // their capacity, so steady state allocates nothing.
   std::vector<std::vector<Message>> send_buffers_;
   std::vector<NodeId> dirty_dsts_;
 
-  std::atomic<bool> crashed_{false};
   std::atomic<bool> crash_requested_{false};
   std::atomic<bool> recover_requested_{false};
-  std::atomic<bool> quiesce_{false};
 
-  bool track_acked_ = false;
-  std::vector<TxnId> acked_commits_;
-
-  NodeStats stats_;
-  MetricsHandle metrics_;
-  std::atomic<uint64_t> committed_{0};
   std::chrono::steady_clock::time_point epoch_start_;
-  TraceRecorder trace_;
 };
 
 /// The threaded deployment: N ThreadNodes hosted M:N on a pool of

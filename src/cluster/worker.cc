@@ -76,14 +76,12 @@ void ThreadWorker::EnqueueLocalBatch(std::vector<Message>* msgs) {
   msgs->clear();
 }
 
-void ThreadWorker::DispatchBatch(const std::vector<Message>& batch) {
-  for (const Message& msg : batch) {
-    ThreadNode* node = NodeFor(msg.dst);
+void ThreadWorker::DispatchBatch(std::vector<Message>& batch) {
+  for (Message& msg : batch) {
     // Fail-stop takes effect the instant a hosted node's network is cut,
-    // even mid-batch — but only for that node: co-hosted nodes keep
-    // draining their share of the same batch.
-    if (!node->AcceptingTraffic()) continue;
-    node->HandleMessage(msg);
+    // even mid-batch (the node drops its input while down) — but only for
+    // that node: co-hosted nodes keep draining their share of the batch.
+    NodeFor(msg.dst)->OnMessage(std::move(msg));
   }
 }
 
@@ -91,16 +89,14 @@ void ThreadWorker::FireDueTimers() {
   const Micros now = NowUs();
   NodeTimer timer;
   while (timers_.PopDue(now, &timer)) {
-    ThreadNode* node = NodeFor(timer.node);
     // A crash bumped the owner's epoch: everything it armed before is
-    // stale. Timers of co-hosted nodes pop normally around the stale ones.
-    if (timer.epoch != node->timer_epoch()) continue;
-    if (!node->AcceptingTraffic()) continue;
+    // stale and the node declines it. Timers of co-hosted nodes pop
+    // normally around the stale ones.
+    if (!NodeFor(timer.node)->FireTimer(timer)) continue;
     stats_.timers_fired++;
     if (metrics_.on()) {
       metrics_.registry->Add(metrics_.shard, metrics_.ids->worker_timers_fired);
     }
-    node->FireTimer(timer);
   }
 }
 

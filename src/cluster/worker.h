@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/node_core.h"
 #include "common/types.h"
 #include "net/message.h"
 #include "obs/metrics_registry.h"
@@ -16,29 +17,13 @@ namespace ecdb {
 class ThreadNode;
 class ThreadNetwork;
 
-/// Kinds of wall-clock timers a hosted node arms: protocol timeouts, the
-/// remote-execution watchdog, client retry backoff, and open-loop arrivals.
-enum class NodeTimerKind : uint8_t { kProtocol, kExec, kRetry, kArrival };
-
-/// Payload of one timer in a worker's shared heap. `node` routes the firing
-/// back to its owner; `epoch` is the owner's timer generation at arm time.
-/// A crash bumps the node's epoch, so every timer it armed before the crash
-/// is lazily discarded at pop time — no heap scan, and co-hosted nodes'
-/// timers are untouched.
-struct NodeTimer {
-  NodeTimerKind kind = NodeTimerKind::kProtocol;
-  TxnId txn = kInvalidTxn;
-  uint32_t slot = 0;
-  NodeId node = kInvalidNode;
-  uint32_t epoch = 0;
-};
-
 /// Wall-clock timer queue shared by every node a worker hosts: the
 /// simulator scheduler's generation-slot 4-ary heap (src/sim/scheduler.h),
 /// specialized for POD NodeTimer payloads. Schedule is a heap push with no
-/// node allocation, Cancel is O(1) lazy (stale entries are skipped at pop
-/// time), and PeekDeadline lets the event loop sleep exactly until the
-/// next due timer across all hosted nodes.
+/// node allocation, Cancel is amortized O(1) (stale entries are skipped at
+/// pop time, or dropped in bulk once they outnumber live ones), and
+/// PeekDeadline lets the event loop sleep exactly until the next due timer
+/// across all hosted nodes.
 class WorkerTimerHeap {
  public:
   using Id = uint64_t;  // (slot << 32) | generation; 0 = unset
@@ -70,6 +55,11 @@ class WorkerTimerHeap {
     }
     Retire(slot);
     --live_;
+    // Cancelled entries stay queued until they reach the top. Nearly every
+    // timer is cancelled long before its deadline (protocol timeouts, the
+    // execution watchdog), so drop them in bulk once they are the
+    // majority: the heap then holds only live timers and stays shallow.
+    if (heap_.size() > 64 && heap_.size() > 2 * live_) Compact();
     return true;
   }
 
@@ -119,6 +109,20 @@ class WorkerTimerHeap {
       PopHeap();  // stale: cancelled (or slot since recycled)
     }
     return nullptr;
+  }
+
+  /// Drops cancelled entries and re-heapifies. (when, seq) is a total
+  /// order, so the pop sequence is unchanged.
+  void Compact() {
+    size_t kept = 0;
+    for (const Entry& e : heap_) {
+      const uint32_t slot = static_cast<uint32_t>(e.id >> 32);
+      if (slots_[slot].gen == static_cast<uint32_t>(e.id)) heap_[kept++] = e;
+    }
+    heap_.resize(kept);
+    for (size_t i = kept / 4 + 1; i-- > 0;) {
+      if (i < kept) SiftDown(i);
+    }
   }
 
   void PopHeap() {
@@ -255,7 +259,7 @@ class ThreadWorker {
  private:
   void Loop();
   ThreadNode* NodeFor(NodeId id) const { return nodes_[id / stride_]; }
-  void DispatchBatch(const std::vector<Message>& batch);
+  void DispatchBatch(std::vector<Message>& batch);
   void FireDueTimers();
   void FlushAll();
   void DrainLocal();

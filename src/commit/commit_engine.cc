@@ -521,7 +521,7 @@ void CommitEngine::MaybeCleanup(TxnId txn, TxnRecord& rec) {
     // Give-up timer: if a peer crashed and its ack/forward never comes,
     // release resources anyway once the decision is durable. Armed once
     // per record: under EC every one of the n-1 forwards lands here, and
-    // re-arming on each would churn the timer wheel and let a steady
+    // re-arming on each would churn the timer queue and let a steady
     // trickle of duplicates push the give-up deadline out indefinitely.
     if (!rec.cleanup_armed) {
       rec.cleanup_armed = true;

@@ -7,8 +7,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "commit/commit_engine.h"
-#include "commit/commit_env.h"
+#include "cluster/sim_node.h"
 #include "commit/invariants.h"
 #include "net/network.h"
 #include "sim/scheduler.h"
@@ -24,130 +23,44 @@ namespace testbed {
 /// exposed as a library so downstream users can script their own failure
 /// scenarios.
 ///
-/// A bare protocol host: one CommitEngine wired to the simulated network,
-/// scheduler-backed timers, an in-memory WAL and a decision recorder. This
-/// is the minimal CommitEnv — no storage, no locks — so protocol unit and
-/// property tests can script exact scenarios.
-class ProtocolHost : public CommitEnv {
+/// A bare protocol host: a simulated node without storage or clients that
+/// runs every unit of work inline (no worker-pool model, so protocol
+/// steps take zero simulated time). It adds only test controls — a fixed
+/// vote, crash right after the local apply, and per-transaction
+/// applied/cleaned records — so protocol unit and property tests can
+/// script exact scenarios. A host is fail-stopped by crashing it in the
+/// network (network().CrashNode).
+class ProtocolHost : public SimNode {
  public:
-  ProtocolHost(NodeId id, CommitProtocol protocol, Scheduler* scheduler,
-               SimNetwork* network, SafetyMonitor* monitor,
-               CommitEngineConfig config = {})
-      : id_(id),
-        trace_(id),
-        scheduler_(scheduler),
-        network_(network),
-        monitor_(monitor) {
-    config.keep_decision_ledger = true;
-    engine_ = std::make_unique<CommitEngine>(protocol, this, config);
-    engine_->set_trace(&trace_);
-    network_->RegisterNode(id_, [this](const Message& msg) {
-      if (network_->IsCrashed(id_)) return;
-      if (trace_.enabled()) {
-        trace_.Record(TraceEventType::kMsgRecv, scheduler_->Now(), msg.txn,
-                      msg.trace_seq, msg.src,
-                      static_cast<uint8_t>(msg.type));
-      }
-      engine_->OnMessage(msg);
-    });
-  }
-
-  // --- CommitEnv ---
-  NodeId self() const override { return id_; }
-
-  Micros NowUs() const override { return scheduler_->Now(); }
-
-  void Send(Message msg) override {
-    msg.src = id_;
-    if (trace_.enabled()) {
-      msg.trace_seq = trace_.NextSeq();
-      trace_.Record(TraceEventType::kMsgSend, scheduler_->Now(), msg.txn,
-                    msg.trace_seq, msg.dst, static_cast<uint8_t>(msg.type));
-    }
-    network_->Send(std::move(msg));
-  }
-
-  void Log(TxnId txn, LogRecordType type) override {
-    if (trace_.enabled()) {
-      trace_.Record(TraceEventType::kWalWrite, scheduler_->Now(), txn, 0,
-                    kInvalidNode, static_cast<uint8_t>(type));
-    }
-    wal_.Append({0, txn, type, {}});
-  }
-
-  void LogPayload(TxnId txn, LogRecordType type,
-                  const CowVector<NodeId>& payload) override {
-    if (trace_.enabled()) {
-      trace_.Record(TraceEventType::kWalWrite, scheduler_->Now(), txn, 0,
-                    kInvalidNode, static_cast<uint8_t>(type));
-    }
-    wal_.Append({0, txn, type, payload});
-  }
-
-  void ArmTimer(TxnId txn, Micros delay_us) override {
-    CancelTimer(txn);
-    if (trace_.enabled()) {
-      trace_.Record(TraceEventType::kTimerArm, scheduler_->Now(), txn,
-                    delay_us);
-    }
-    timers_[txn] = scheduler_->ScheduleAfter(delay_us, [this, txn]() {
-      timers_.erase(txn);
-      if (network_->IsCrashed(id_)) return;
-      if (trace_.enabled()) {
-        trace_.Record(TraceEventType::kTimerFire, scheduler_->Now(), txn);
-      }
-      engine_->OnTimeout(txn);
-    });
-  }
-
-  void CancelTimer(TxnId txn) override {
-    auto it = timers_.find(txn);
-    if (it == timers_.end()) return;
-    if (trace_.enabled()) {
-      trace_.Record(TraceEventType::kTimerCancel, scheduler_->Now(), txn);
-    }
-    scheduler_->Cancel(it->second);
-    timers_.erase(it);
-  }
-
-  Decision VoteFor(TxnId txn) override {
-    (void)txn;
-    return vote_;
+  /// `config` must outlive the host (ProtocolTestbed owns it).
+  ProtocolHost(NodeId id, const ClusterConfig& config, Scheduler* scheduler,
+               SimNetwork* network, SafetyMonitor* monitor)
+      : SimNode(id, config, scheduler, network, /*workload=*/nullptr, monitor,
+                /*seed=*/0),
+        network_(network) {
+    set_vote_override([this](TxnId) { return vote_; });
+    Bootstrap();
   }
 
   void ApplyDecision(TxnId txn, Decision decision) override {
-    // A node whose crash truncated its own decision broadcast (send-filter
-    // fault injection) never reaches the commit/abort step: under EC the
-    // local apply strictly follows a *completed* transmission.
-    if (network_->IsCrashed(id_)) return;
+    NodeCore::ApplyDecision(txn, decision);
+    if (Down()) return;  // the core skipped the apply too
     applied_[txn] = decision;
-    if (monitor_ != nullptr) monitor_->RecordApplied(txn, id_, decision);
     if (crash_after_apply_) {
       // Fail-stop immediately after the local commit/abort step: the
       // narrowest window in which a decided node can disappear.
-      network_->CrashNode(id_);
+      network_->CrashNode(self());
     }
   }
 
-  void OnBlocked(TxnId txn) override {
-    blocked_count_++;
-    if (monitor_ != nullptr) monitor_->RecordBlocked(txn, id_);
+  void OnCleanup(TxnId txn) override {
+    NodeCore::OnCleanup(txn);
+    cleaned_.insert(txn);
   }
-
-  void OnCleanup(TxnId txn) override { cleaned_.insert(txn); }
 
   // --- Test controls ---
   void set_vote(Decision vote) { vote_ = vote; }
   void set_crash_after_apply(bool v) { crash_after_apply_ = v; }
-
-  /// Turns on event tracing for this host (inert under ECDB_TRACE=OFF).
-  void EnableTracing(size_t capacity = TraceRecorder::kDefaultCapacity) {
-    trace_.Enable(capacity);
-  }
-
-  CommitEngine& engine() { return *engine_; }
-  MemoryWal& wal() { return wal_; }
-  TraceRecorder& trace() { return trace_; }
 
   std::optional<Decision> applied(TxnId txn) const {
     auto it = applied_.find(txn);
@@ -155,30 +68,27 @@ class ProtocolHost : public CommitEnv {
     return it->second;
   }
   bool cleaned(TxnId txn) const { return cleaned_.count(txn) > 0; }
-  uint64_t blocked_count() const { return blocked_count_; }
+  uint64_t blocked_count() const { return stats().txns_blocked; }
 
   /// Log entry types for `txn`, in order.
   std::vector<LogRecordType> LogTypes(TxnId txn) const {
     std::vector<LogRecordType> out;
-    for (const LogRecord& r : wal_.Scan()) {
+    for (const LogRecord& r : wal().Scan()) {
       if (r.txn == txn) out.push_back(r.type);
     }
     return out;
   }
 
  private:
-  NodeId id_;
-  TraceRecorder trace_;
-  Scheduler* scheduler_;
+  void Run(Work work, TaskFn fn) override {
+    (void)work;
+    fn();
+  }
+
   SimNetwork* network_;
-  SafetyMonitor* monitor_;
-  std::unique_ptr<CommitEngine> engine_;
-  MemoryWal wal_;
   Decision vote_ = Decision::kCommit;
   std::unordered_map<TxnId, Decision> applied_;
   std::unordered_set<TxnId> cleaned_;
-  std::unordered_map<TxnId, Scheduler::TaskId> timers_;
-  uint64_t blocked_count_ = 0;
   bool crash_after_apply_ = false;
 };
 
@@ -188,13 +98,16 @@ class ProtocolTestbed {
  public:
   ProtocolTestbed(CommitProtocol protocol, uint32_t num_nodes,
                   NetworkConfig net = {}, CommitEngineConfig commit = {},
-                  uint64_t seed = 7,
-                  SchedulerBackend backend = SchedulerBackend::kHeap)
+                  uint64_t seed = 7)
       : network_(&scheduler_, net, seed) {
-    scheduler_.SetBackend(backend);
+    config_.num_nodes = num_nodes;
+    config_.clients_per_node = 0;
+    config_.protocol = protocol;
+    config_.commit = commit;
+    config_.commit.keep_decision_ledger = true;
     for (NodeId id = 0; id < num_nodes; ++id) {
       hosts_.push_back(std::make_unique<ProtocolHost>(
-          id, protocol, &scheduler_, &network_, &monitor_, commit));
+          id, config_, &scheduler_, &network_, &monitor_));
     }
   }
 
@@ -253,6 +166,7 @@ class ProtocolTestbed {
   Scheduler scheduler_;
   SimNetwork network_;
   SafetyMonitor monitor_;
+  ClusterConfig config_;
   std::vector<std::unique_ptr<ProtocolHost>> hosts_;
   uint64_t seq_ = 0;
 };

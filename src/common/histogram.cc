@@ -14,7 +14,11 @@ constexpr int kSubBuckets = 16;
 
 }  // namespace
 
-Histogram::Histogram() : buckets_(kNumBuckets, 0) {}
+Histogram::Histogram() = default;
+
+void Histogram::EnsureBuckets() {
+  if (buckets_.empty()) buckets_.assign(kNumBuckets, 0);
+}
 
 size_t Histogram::BucketFor(uint64_t value) {
   if (value < kLinearBuckets) return static_cast<size_t>(value);
@@ -40,6 +44,7 @@ uint64_t Histogram::BucketUpperBound(size_t bucket) {
 }
 
 void Histogram::Record(uint64_t value) {
+  EnsureBuckets();
   buckets_[BucketFor(value)]++;
   if (count_ == 0 || value < min_) min_ = value;
   if (value > max_) max_ = value;
@@ -48,7 +53,10 @@ void Histogram::Record(uint64_t value) {
 }
 
 void Histogram::Merge(const Histogram& other) {
-  for (size_t i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
+  if (!other.buckets_.empty()) {
+    EnsureBuckets();
+    for (size_t i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
+  }
   if (other.count_ > 0) {
     if (count_ == 0 || other.min_ < min_) min_ = other.min_;
     if (other.max_ > max_) max_ = other.max_;
@@ -79,7 +87,7 @@ uint64_t Histogram::Percentile(double q) const {
   // makes every percentile of a single-sample histogram exact.
   if (rank <= 1) return min_;
   uint64_t seen = 0;
-  for (size_t i = 0; i < kNumBuckets; ++i) {
+  for (size_t i = 0; i < buckets_.size(); ++i) {
     seen += buckets_[i];
     if (seen >= rank && buckets_[i] > 0) {
       return std::min(BucketUpperBound(i), max_);

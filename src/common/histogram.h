@@ -59,7 +59,8 @@ class Histogram {
   /// NonZeroBuckets). Min/max are approximated by the bucket upper bound —
   /// adequate for the percentile queries the aggregators run.
   void AddBucket(size_t bucket, uint64_t count) {
-    if (bucket >= buckets_.size() || count == 0) return;
+    if (bucket >= kNumBuckets || count == 0) return;
+    EnsureBuckets();
     buckets_[bucket] += count;
     const uint64_t v = BucketUpperBound(bucket);
     sum_ += v * count;
@@ -71,6 +72,11 @@ class Histogram {
   static constexpr size_t kNumBuckets = 512;
 
  private:
+  void EnsureBuckets();
+
+  // Allocated on the first sample: a node keeps several histograms, and
+  // protocol-level test clusters build thousands of nodes that never
+  // record into most of them.
   std::vector<uint64_t> buckets_;
   uint64_t count_ = 0;
   uint64_t sum_ = 0;

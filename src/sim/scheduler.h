@@ -1,7 +1,6 @@
 #ifndef ECDB_SIM_SCHEDULER_H_
 #define ECDB_SIM_SCHEDULER_H_
 
-#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -10,22 +9,6 @@
 #include "sim/task.h"
 
 namespace ecdb {
-
-/// Event-queue implementation behind the Scheduler. Both back ends honor
-/// the same contract — events fire in exact (time, insertion-order) order —
-/// so a run is bit-identical under either; they differ only in complexity:
-///
-///  * kHeap: hand-rolled 4-ary heap, O(log n) per event with a very small
-///    constant. Best at the scale the protocol tests and small clusters
-///    run at, and the default.
-///  * kTimerWheel: hierarchical timer wheel (6 levels x 64 slots), O(1)
-///    amortized schedule/dispatch. At 10^4 nodes a single broadcast step
-///    keeps millions of events pending; the heap's log factor (and its
-///    sift traffic) dominates there, the wheel does not.
-enum class SchedulerBackend : uint8_t {
-  kHeap,
-  kTimerWheel,
-};
 
 /// Deterministic discrete-event scheduler: the heart of the simulated
 /// cluster. Events fire in (time, insertion-order) order, so two runs with
@@ -36,11 +19,9 @@ enum class SchedulerBackend : uint8_t {
 /// Implementation notes (this is the hottest structure in the repo — every
 /// simulated message and timer passes through it twice):
 ///
-///  * The default priority queue is a hand-rolled 4-ary heap of 24-byte
-///    POD entries; sift operations are plain copies, and the four children
-///    of a node share at most two cache lines. A hierarchical timer-wheel
-///    backend (see SchedulerBackend) can be selected for very large
-///    simulations; it preserves the exact event order.
+///  * The priority queue is a hand-rolled 4-ary heap of 24-byte POD
+///    entries; sift operations are plain copies, and the four children of
+///    a node share at most two cache lines.
 ///  * Tasks live inline in generation-counted slots (an append-grown array
 ///    recycled through a free list), so scheduling an event performs no
 ///    hashing, no rehash, and — for callables that fit TaskFn's inline
@@ -64,12 +45,6 @@ class Scheduler {
   /// Current simulated time in microseconds.
   Micros Now() const { return now_; }
 
-  /// Selects the event-queue backend. Only legal while no events are
-  /// pending (typically right after construction): the two structures do
-  /// not share entries, so switching mid-run would strand events.
-  void SetBackend(SchedulerBackend backend);
-  SchedulerBackend backend() const { return backend_; }
-
   /// Schedules `task` to run at absolute simulated time `when` (clamped to
   /// now). Returns an id usable with `Cancel`; ids are never zero.
   template <typename F>
@@ -86,13 +61,8 @@ class Scheduler {
     Slot& s = slots_[slot];
     s.task = std::forward<F>(task);  // constructs in place (TaskFn assign)
     const TaskId id = (static_cast<TaskId>(slot) << 32) | s.gen;
-    const Entry e{when, next_seq_++, id};
-    if (backend_ == SchedulerBackend::kHeap) {
-      heap_.push_back(e);
-      SiftUp(heap_.size() - 1);
-    } else {
-      WheelInsert(e);
-    }
+    heap_.push_back(Entry{when, next_seq_++, id});
+    SiftUp(heap_.size() - 1);
     ++live_count_;
     return id;
   }
@@ -173,13 +143,6 @@ class Scheduler {
     Task task;
   };
 
-  // Timer-wheel geometry: 6 levels x 64 slots covers 2^36 us (~19 hours of
-  // simulated time) from the anchor before the overflow list engages.
-  static constexpr size_t kWheelLevels = 6;
-  static constexpr unsigned kSlotBits = 6;
-  static constexpr size_t kSlotsPerLevel = size_t{1} << kSlotBits;
-  static constexpr uint64_t kSlotMask = kSlotsPerLevel - 1;
-
   static bool Earlier(const Entry& a, const Entry& b) {
     if (a.when != b.when) return a.when < b.when;
     return a.seq < b.seq;  // FIFO among same-time events
@@ -196,15 +159,12 @@ class Scheduler {
   /// the next pending event is live (or the queue drains). Every pop path —
   /// RunOne, RunUntil, RunAll — funnels through here.
   const Entry* PeekLive() {
-    if (backend_ == SchedulerBackend::kHeap) {
-      while (!heap_.empty()) {
-        const Entry& head = heap_[0];
-        if (LiveEntry(head)) return &head;
-        PopHeap();  // stale: cancelled (or slot since recycled)
-      }
-      return nullptr;
+    while (!heap_.empty()) {
+      const Entry& head = heap_[0];
+      if (LiveEntry(head)) return &head;
+      PopHeap();  // stale: cancelled (or slot since recycled)
     }
-    return PeekLiveWheel();
+    return nullptr;
   }
 
   /// Pops the (live) head, retires its slot, and runs its task.
@@ -214,13 +174,8 @@ class Scheduler {
   /// cancelling the running task's own id during execution fails, exactly
   /// as with the old erase-then-invoke sequence.
   void RunHead() {
-    Entry head;
-    if (backend_ == SchedulerBackend::kHeap) {
-      head = heap_[0];
-      PopHeap();
-    } else {
-      head = staged_[staged_pos_++];
-    }
+    const Entry head = heap_[0];
+    PopHeap();
     const uint32_t slot = SlotOf(head.id);
     now_ = head.when;
     RetireSlot(slot);
@@ -277,18 +232,9 @@ class Scheduler {
     heap_[i] = e;
   }
 
-  // --- Timer-wheel backend (see scheduler.cc for the ordering argument) ---
-  void WheelInsert(const Entry& e);
-  void WheelRoute(const Entry& e);
-  const Entry* PeekLiveWheel();
-  bool StageNext();
-  bool RebaseOverflow();
-  void RewindTo(Micros t);
-
   void (*post_step_hook_)(void*) = nullptr;
   void* post_step_ctx_ = nullptr;
 
-  SchedulerBackend backend_ = SchedulerBackend::kHeap;
   Micros now_ = 0;
   uint64_t next_seq_ = 0;
   size_t live_count_ = 0;
@@ -296,19 +242,6 @@ class Scheduler {
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
 
-  // Wheel state. `wheel_cur_` is the routing anchor: every entry in level
-  // `l` agrees with it on all bits above the level's window, every entry in
-  // `overflow_` disagrees with it in the top window. `staged_` holds the
-  // earliest level-0 bucket (one distinct timestamp), sorted by seq;
-  // entries are consumed through `staged_pos_`.
-  Micros wheel_cur_ = 0;
-  std::array<uint64_t, kWheelLevels> occupied_{};
-  std::array<std::array<std::vector<Entry>, kSlotsPerLevel>, kWheelLevels>
-      wheel_;
-  std::vector<Entry> overflow_;
-  std::vector<Entry> staged_;
-  size_t staged_pos_ = 0;
-  std::vector<Entry> wheel_scratch_;
 };
 
 }  // namespace ecdb

@@ -56,16 +56,13 @@ struct TraceResult {
 // coalesced golden below for why that makes this scenario's trace coincide
 // with the uncoalesced one).
 TraceResult RunGoldenScenario(bool coalesce = false,
-                              SchedulerBackend backend =
-                                  SchedulerBackend::kHeap,
                               CommitProtocol protocol =
                                   CommitProtocol::kEasyCommit) {
   NetworkConfig net;
   net.base_latency_us = 400;
   net.jitter_us = 100;
   CommitEngineConfig commit;
-  ProtocolTestbed bed(protocol, 5, net, commit, 20180326,
-                      backend);
+  ProtocolTestbed bed(protocol, 5, net, commit, 20180326);
   if (coalesce) bed.network().EnableCoalescing(true);
 
   TraceResult r;
@@ -172,35 +169,6 @@ TEST(DeterminismTest, CoalescedRunsReplayIdentically) {
   EXPECT_EQ(a.stats.messages_coalesced, b.stats.messages_coalesced);
 }
 
-// The same golden scenario under the timer-wheel scheduler backend: the
-// complete delivery sequence, hash and clock must be *bit-identical* to
-// the heap's. This is the acceptance gate for the wheel — selecting it may
-// change no observable event order anywhere.
-TEST(DeterminismTest, TimerWheelBackendMatchesGoldenExactly) {
-  const TraceResult heap = RunGoldenScenario();
-  const TraceResult wheel =
-      RunGoldenScenario(/*coalesce=*/false, SchedulerBackend::kTimerWheel);
-  EXPECT_EQ(wheel.deliveries.size(), 84u);
-  EXPECT_EQ(wheel.hash, 3149154581355681350ULL);
-  EXPECT_EQ(wheel.final_now, 5769u);
-  EXPECT_EQ(heap.deliveries, wheel.deliveries);
-  EXPECT_EQ(heap.hash, wheel.hash);
-  EXPECT_EQ(heap.stats.messages_sent, wheel.stats.messages_sent);
-  EXPECT_EQ(heap.stats.bytes_sent, wheel.stats.bytes_sent);
-}
-
-// Wheel + coalescing transport together (the configuration the large-n
-// benchmarks run): still the golden trace.
-TEST(DeterminismTest, TimerWheelCoalescedMatchesGoldenExactly) {
-  const TraceResult wheel =
-      RunGoldenScenario(/*coalesce=*/true, SchedulerBackend::kTimerWheel);
-  EXPECT_EQ(wheel.deliveries.size(), 84u);
-  EXPECT_EQ(wheel.hash, 3149154581355681350ULL);
-  EXPECT_EQ(wheel.stats.frames_sent, 84u);
-  EXPECT_EQ(wheel.stats.messages_coalesced, 0u);
-  EXPECT_EQ(wheel.final_now, 5769u);
-}
-
 // --------------------------------------------------------------------------
 // Quorum-variant goldens (PR 9). The failure-free scenarios pin the new
 // message types' wire behavior: E3PC must coincide with the 3PC pattern
@@ -214,8 +182,7 @@ TEST(DeterminismTest, TimerWheelCoalescedMatchesGoldenExactly) {
 
 TEST(DeterminismTest, E3pcGoldenTraceHashAndTotals) {
   const TraceResult r = RunGoldenScenario(
-      /*coalesce=*/false, SchedulerBackend::kHeap,
-      CommitProtocol::kThreePhaseE3PC);
+      /*coalesce=*/false, CommitProtocol::kThreePhaseE3PC);
 
   EXPECT_EQ(r.deliveries.size(), 72u);
   EXPECT_EQ(r.hash, 18411026045321679974ULL);
@@ -229,8 +196,7 @@ TEST(DeterminismTest, E3pcGoldenTraceHashAndTotals) {
 
 TEST(DeterminismTest, PaxosGoldenTraceHashAndTotals) {
   const TraceResult r = RunGoldenScenario(
-      /*coalesce=*/false, SchedulerBackend::kHeap,
-      CommitProtocol::kPaxosCommit);
+      /*coalesce=*/false, CommitProtocol::kPaxosCommit);
 
   EXPECT_EQ(r.deliveries.size(), 144u);
   EXPECT_EQ(r.hash, 10911024810468365493ULL);
@@ -247,9 +213,9 @@ TEST(DeterminismTest, QuorumRunsReplayIdentically) {
   for (CommitProtocol protocol : {CommitProtocol::kThreePhaseE3PC,
                                   CommitProtocol::kPaxosCommit}) {
     const TraceResult a = RunGoldenScenario(
-        /*coalesce=*/false, SchedulerBackend::kHeap, protocol);
+        /*coalesce=*/false, protocol);
     const TraceResult b = RunGoldenScenario(
-        /*coalesce=*/false, SchedulerBackend::kHeap, protocol);
+        /*coalesce=*/false, protocol);
     EXPECT_EQ(a.deliveries, b.deliveries) << ToString(protocol);
     EXPECT_EQ(a.hash, b.hash) << ToString(protocol);
     EXPECT_EQ(a.final_now, b.final_now) << ToString(protocol);

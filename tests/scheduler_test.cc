@@ -1,11 +1,5 @@
-// Unit tests for the discrete-event scheduler.
-//
-// Every behavioral test runs under both event-queue backends (4-ary heap
-// and hierarchical timer wheel): the backends must be observationally
-// identical — same (time, insertion-order) execution order, same Cancel
-// semantics — so the whole suite is parameterized. The stress tests at the
-// bottom additionally run the *same* randomized scenario against both
-// backends and require the exact event sequences to match.
+// Unit tests for the discrete-event scheduler: (time, insertion-order)
+// execution order, Cancel semantics, and the run-loop entry points.
 
 #include "sim/scheduler.h"
 
@@ -22,9 +16,13 @@
 namespace ecdb {
 namespace {
 
-class SchedulerBackendTest : public ::testing::TestWithParam<SchedulerBackend> {
+// The suite ran once per event-queue backend until the timer wheel was
+// removed; the 4-ary heap is the only queue now, and its instance keeps
+// the suite's test names.
+enum class QueueBackend : uint8_t { kHeap };
+
+class SchedulerBackendTest : public ::testing::TestWithParam<QueueBackend> {
  protected:
-  SchedulerBackendTest() { s.SetBackend(GetParam()); }
   Scheduler s;
 };
 
@@ -246,8 +244,7 @@ TEST_P(SchedulerBackendTest, RandomizedOrderMatchesReferenceSort) {
 }
 
 TEST_P(SchedulerBackendTest, FarFutureTimesRunInOrder) {
-  // Timestamps beyond the wheel's 2^36us top window (overflow territory)
-  // interleaved with near ones.
+  // Timestamps spanning 40 bits interleaved with near ones.
   std::vector<int> order;
   s.ScheduleAt(Micros{1} << 40, [&] { order.push_back(4); });
   s.ScheduleAt(100, [&] { order.push_back(1); });
@@ -260,9 +257,8 @@ TEST_P(SchedulerBackendTest, FarFutureTimesRunInOrder) {
 }
 
 TEST_P(SchedulerBackendTest, InsertEarlierThanPendingHeadBetweenRuns) {
-  // RunUntil stops the clock short of the earliest pending event (which
-  // the wheel has already staged); a later insert lands *before* it. The
-  // wheel must rewind its anchor; both backends must run 600 before 1000.
+  // RunUntil stops the clock short of the earliest pending event; a later
+  // insert lands *before* it and must run first.
   std::vector<Micros> fired;
   s.ScheduleAt(1000, [&] { fired.push_back(s.Now()); });
   EXPECT_EQ(s.RunUntil(500), 0u);
@@ -272,114 +268,11 @@ TEST_P(SchedulerBackendTest, InsertEarlierThanPendingHeadBetweenRuns) {
   EXPECT_EQ(fired, (std::vector<Micros>{600, 1000}));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, SchedulerBackendTest,
-    ::testing::Values(SchedulerBackend::kHeap, SchedulerBackend::kTimerWheel),
-    [](const ::testing::TestParamInfo<SchedulerBackend>& info) {
-      return info.param == SchedulerBackend::kHeap ? "Heap" : "TimerWheel";
-    });
-
-// ---------------------------------------------------------------------------
-// Heap-vs-wheel identity: the same scripted scenario must produce the exact
-// same (tag, time) execution sequence under both backends. This is the
-// strongest statement of the wheel's correctness — bit-identical order, not
-// just sortedness — and what lets the determinism goldens hold under either.
-// ---------------------------------------------------------------------------
-
-using Firing = std::pair<int, Micros>;
-
-// Static mix: dense ties, multi-level spreads, overflow times, cancels.
-std::vector<Firing> RunStaticMix(SchedulerBackend backend, uint64_t seed) {
-  Scheduler s;
-  s.SetBackend(backend);
-  std::mt19937_64 rng(seed);
-  std::vector<Firing> fired;
-  std::vector<Scheduler::TaskId> ids;
-  for (int i = 0; i < 5000; ++i) {
-    Micros when;
-    switch (rng() % 4) {
-      case 0:
-        when = rng() % 64;  // one wheel window: FIFO ties
-        break;
-      case 1:
-        when = rng() % 200000;  // spans wheel levels 0-2
-        break;
-      case 2:
-        when = rng() % (Micros{1} << 30);  // levels 3-5
-        break;
-      default:
-        when = (Micros{1} << 36) + rng() % (Micros{1} << 37);  // overflow
-        break;
-    }
-    ids.push_back(s.ScheduleAt(when, [&fired, i, &s] {
-      fired.push_back({i, s.Now()});
-    }));
-  }
-  for (size_t i = 0; i < ids.size(); i += 5) s.Cancel(ids[i]);
-  s.RunAll();
-  return fired;
-}
-
-TEST(SchedulerWheelIdentityTest, StaticMixMatchesHeap) {
-  for (uint64_t seed : {1u, 7u, 99u}) {
-    const auto heap = RunStaticMix(SchedulerBackend::kHeap, seed);
-    const auto wheel = RunStaticMix(SchedulerBackend::kTimerWheel, seed);
-    ASSERT_EQ(heap.size(), wheel.size()) << "seed " << seed;
-    for (size_t i = 0; i < heap.size(); ++i) {
-      ASSERT_EQ(heap[i], wheel[i]) << "seed " << seed << " position " << i;
-    }
-  }
-}
-
-// Dynamic mix: events schedule further events (cascade + same-time append
-// paths), interleaved with RunUntil slices and between-slice inserts that
-// can land earlier than the staged head (rewind path).
-std::vector<Firing> RunDynamicMix(SchedulerBackend backend, uint64_t seed) {
-  Scheduler s;
-  s.SetBackend(backend);
-  std::mt19937_64 rng(seed);
-  std::vector<Firing> fired;
-  int next_tag = 0;
-  std::function<void(int, int)> spawn = [&](int tag, int depth) {
-    fired.push_back({tag, s.Now()});
-    if (depth <= 0) return;
-    const int kids = 1 + static_cast<int>(rng() % 2);
-    for (int k = 0; k < kids; ++k) {
-      const Micros gap = rng() % (Micros{1} << (6 + rng() % 15));
-      const int child = next_tag++;
-      s.ScheduleAfter(gap, [&spawn, child, depth] { spawn(child, depth - 1); });
-    }
-  };
-  for (int i = 0; i < 200; ++i) {
-    const int root = next_tag++;
-    s.ScheduleAt(rng() % 100000,
-                 [&spawn, root] { spawn(root, 3); });
-  }
-  // Advance in slices; occasionally insert an event earlier than anything
-  // pending fired so far (relative to the stopped clock).
-  Micros until = 0;
-  while (!s.Empty()) {
-    until += 1 + rng() % 50000;
-    s.RunUntil(until);
-    if (rng() % 3 == 0) {
-      const int tag = next_tag++;
-      const Micros when = s.Now() + rng() % 200;
-      s.ScheduleAt(when, [&fired, tag, &s] { fired.push_back({tag, s.Now()}); });
-    }
-  }
-  return fired;
-}
-
-TEST(SchedulerWheelIdentityTest, DynamicMixMatchesHeap) {
-  for (uint64_t seed : {3u, 2024u}) {
-    const auto heap = RunDynamicMix(SchedulerBackend::kHeap, seed);
-    const auto wheel = RunDynamicMix(SchedulerBackend::kTimerWheel, seed);
-    ASSERT_EQ(heap.size(), wheel.size()) << "seed " << seed;
-    for (size_t i = 0; i < heap.size(); ++i) {
-      ASSERT_EQ(heap[i], wheel[i]) << "seed " << seed << " position " << i;
-    }
-  }
-}
+INSTANTIATE_TEST_SUITE_P(Backends, SchedulerBackendTest,
+                         ::testing::Values(QueueBackend::kHeap),
+                         [](const ::testing::TestParamInfo<QueueBackend>&) {
+                           return "Heap";
+                         });
 
 }  // namespace
 }  // namespace ecdb

@@ -244,5 +244,25 @@ TEST(SimNodeTest, RecoveryFinalizesInFlightTxnsInWal) {
   EXPECT_TRUE(cluster.monitor().Violations().empty());
 }
 
+// Recover() on a node that is up is rejected — false, no WAL pass, no
+// client restart — exactly as on the threaded host
+// (ThreadClusterTest.RecoverOnLiveNodeIsRejected).
+TEST(SimNodeTest, RecoverOnLiveNodeIsRejected) {
+  SimCluster cluster(BaseConfig(), std::make_unique<YcsbWorkload>(BaseYcsb()));
+  cluster.Start();
+  cluster.RunFor(0.1);
+  const size_t wal_size = cluster.node(1).wal().Size();
+  const size_t in_flight = cluster.node(1).InFlightClientCount();
+  EXPECT_FALSE(cluster.RecoverNode(1));
+  EXPECT_EQ(cluster.node(1).wal().Size(), wal_size);
+  EXPECT_EQ(cluster.node(1).InFlightClientCount(), in_flight);
+
+  cluster.CrashNode(1);
+  EXPECT_TRUE(cluster.RecoverNode(1));
+  EXPECT_FALSE(cluster.RecoverNode(1));
+  cluster.RunFor(0.2);
+  EXPECT_TRUE(cluster.monitor().Violations().empty());
+}
+
 }  // namespace
 }  // namespace ecdb

@@ -80,9 +80,9 @@ TEST(SocketClusterTest, CrashDuringDecisionFloodAndRecovery) {
   cfg.seed = 23;
   // Failure-detection timeouts sized to the outage: a client stuck on the
   // dead node must abort, retry and commit a transaction that avoids it
-  // within the survivor-progress window below (exec waits time out at 4x
-  // the protocol timeout).
-  cfg.timeout_us = 150'000;
+  // within the survivor-progress window below (exec waits time out at 5x
+  // the protocol timeout: 600 ms).
+  cfg.timeout_us = 120'000;
   cfg.termination_window_us = 60'000;
 
   SocketCluster cluster(cfg);

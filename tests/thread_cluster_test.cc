@@ -3,10 +3,14 @@
 
 #include "cluster/thread_node.h"
 
+#include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "chaos/consistency_audit.h"
 #include "workload/ycsb.h"
 
 namespace ecdb {
@@ -153,6 +157,103 @@ TEST(ThreadClusterTest, CrashedNodeRecoversConsistently) {
   EXPECT_TRUE(cluster.monitor().Violations().empty());
 }
 
+// The A3 ablation (locks released when the decision is applied, not at
+// cleanup) runs on the threaded host too, and the run stays consistent.
+TEST(ThreadClusterTest, ReleaseLocksAtDecisionPassesAudit) {
+  ThreadClusterConfig cfg = SmallConfig(CommitProtocol::kEasyCommit);
+  cfg.release_locks_at_decision = true;
+  ThreadCluster cluster(cfg, std::make_unique<YcsbWorkload>(SmallYcsb()));
+  for (NodeId id = 0; id < cfg.num_nodes; ++id) {
+    cluster.node(id).TrackAckedCommits(true);
+  }
+  cluster.Start();
+  uint64_t committed = 0;
+  for (int i = 0; i < 40 && committed < 50; ++i) {
+    cluster.RunFor(0.2);
+    committed = cluster.TotalCommitted();
+  }
+  cluster.Quiesce();
+  cluster.Stop();
+  EXPECT_GE(committed, 50u);
+  const AuditResult audit = AuditThreadCluster(&cluster);
+  for (const AuditViolation& v : audit.violations) {
+    ADD_FAILURE() << v.check << " txn=" << v.txn << ": " << v.detail;
+  }
+  EXPECT_GT(audit.acked_commits, 0u);
+}
+
+// Quiesce is sticky across crash/recover: the recovered node's clients
+// stay idle instead of issuing new transactions.
+TEST(ThreadClusterTest, QuiescedNodeStartsNothingAfterRecovery) {
+  ThreadCluster cluster(SmallConfig(CommitProtocol::kEasyCommit),
+                        std::make_unique<YcsbWorkload>(SmallYcsb()));
+  cluster.Start();
+  uint64_t committed = 0;
+  for (int i = 0; i < 40 && committed == 0; ++i) {
+    cluster.RunFor(0.1);
+    committed = cluster.TotalCommitted();
+  }
+  ASSERT_GT(committed, 0u);
+  cluster.Quiesce();
+  const uint64_t drained = cluster.TotalCommitted();
+  cluster.node(1).Crash();
+  cluster.RunFor(0.1);
+  ASSERT_TRUE(cluster.node(1).Recover());
+  cluster.RunFor(0.3);
+  cluster.Stop();
+  EXPECT_EQ(cluster.TotalCommitted(), drained);
+  EXPECT_TRUE(cluster.monitor().Violations().empty());
+}
+
+// Recover() on a node that is up is rejected — false, and the node keeps
+// running untouched — exactly as on the simulator
+// (SimNodeTest.RecoverOnLiveNodeIsRejected).
+TEST(ThreadClusterTest, RecoverOnLiveNodeIsRejected) {
+  ThreadCluster cluster(SmallConfig(CommitProtocol::kEasyCommit),
+                        std::make_unique<YcsbWorkload>(SmallYcsb()));
+  cluster.Start();
+  cluster.RunFor(0.1);
+  EXPECT_FALSE(cluster.node(1).Recover());
+  cluster.node(1).Crash();
+  cluster.RunFor(0.1);
+  EXPECT_TRUE(cluster.node(1).Recover());
+  EXPECT_FALSE(cluster.node(1).Recover());
+  const uint64_t before = cluster.node(1).committed();
+  uint64_t after = before;
+  for (int i = 0; i < 40 && after == before; ++i) {
+    cluster.RunFor(0.1);
+    after = cluster.node(1).committed();
+  }
+  cluster.Stop();
+  EXPECT_GT(after, before);
+  EXPECT_TRUE(cluster.monitor().Violations().empty());
+}
+
+// The execution watchdog (5 protocol timeouts) is cancelled once every
+// fragment answers, so a fault-free run far longer than the watchdog fires
+// only the timers its aborts and protocol timeouts account for, not one
+// per multi-partition transaction.
+TEST(ThreadClusterTest, ExecWatchdogIsCancelledWhenFragmentsAnswer) {
+  ThreadClusterConfig cfg = SmallConfig(CommitProtocol::kEasyCommit);
+  cfg.commit.timeout_us = 20'000;  // watchdog: 100 ms
+  cfg.commit.termination_window_us = 10'000;
+  YcsbConfig ycsb = SmallYcsb();
+  ycsb.rows_per_partition = 65536;
+  ycsb.theta = 0.0;
+  ThreadCluster cluster(cfg, std::make_unique<YcsbWorkload>(ycsb));
+  cluster.Start();
+  cluster.RunFor(1.0);
+  cluster.Stop();
+  const ClusterStats stats = cluster.CollectStats(1.0);
+  uint64_t fired = 0;
+  for (const WorkerStats& w : cluster.CollectWorkerStats()) {
+    fired += w.timers_fired;
+  }
+  ASSERT_GT(stats.total.commit_protocol_runs, 200u);
+  EXPECT_LE(fired, stats.total.txns_aborted + stats.total.termination_rounds +
+                       stats.total.commit_protocol_runs / 10);
+}
+
 TEST(ThreadClusterTest, OpenLoopGeneratesLoadAndConserves) {
   ThreadClusterConfig cfg = SmallConfig(CommitProtocol::kEasyCommit);
   cfg.open_loop.enabled = true;
@@ -186,6 +287,33 @@ TEST(ThreadClusterTest, OpenLoopGeneratesLoadAndConserves) {
                             cfg.open_loop.max_in_flight_per_node,
             offered);
   EXPECT_TRUE(cluster.monitor().Violations().empty());
+}
+
+// Cancelling most timers compacts the heap; the survivors still pop in
+// exact (deadline, arm order) order and none is lost.
+TEST(WorkerTimerHeapTest, CompactionKeepsLiveTimersInOrder) {
+  WorkerTimerHeap heap;
+  std::vector<std::pair<Micros, uint32_t>> expected;  // (deadline, arm index)
+  std::vector<WorkerTimerHeap::Id> ids;
+  for (uint32_t i = 0; i < 2000; ++i) {
+    const Micros when = (i * 7919u) % 500;  // many equal deadlines
+    ids.push_back(heap.Schedule(when, NodeTimer{.slot = i}));
+  }
+  for (uint32_t i = 0; i < 2000; ++i) {
+    if (i % 10 == 3) {
+      expected.emplace_back((i * 7919u) % 500, i);
+    } else {
+      EXPECT_TRUE(heap.Cancel(ids[i]));
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(heap.pending(), expected.size());
+  NodeTimer timer;
+  for (const auto& [when, index] : expected) {
+    ASSERT_TRUE(heap.PopDue(1000, &timer));
+    EXPECT_EQ(timer.slot, index) << "deadline " << when;
+  }
+  EXPECT_FALSE(heap.PopDue(1000, &timer));
 }
 
 // --- Shard-per-core worker pool (worker_threads > 0) ---

@@ -3,7 +3,7 @@
 //   chaos_run [--seeds N] [--first-seed S] [--protocols ec,3pc,2pc]
 //             [--intensity light|default|heavy] [--nodes N]
 //             [--clients N] [--horizon-us N] [--retries N]
-//             [--txn-partitions N] [--coalesce] [--scheduler heap|wheel]
+//             [--txn-partitions N] [--coalesce]
 //             [--dump-dir DIR] [--trace-dir DIR]
 //             [--metrics-out FILE] [--shrink]
 //   chaos_run --plan FILE [--shrink] [--trace-dir DIR] [--protocols ec]
@@ -125,7 +125,6 @@ int Usage(const char* argv0) {
                "          [--intensity light|default|heavy] [--nodes N]\n"
                "          [--clients N] [--horizon-us N] [--retries N]\n"
                "          [--txn-partitions N] [--coalesce]\n"
-               "          [--scheduler heap|wheel]\n"
                "          [--dump-dir DIR] [--trace-dir DIR]\n"
                "          [--metrics-out FILE] [--shrink]\n"
                "       %s --plan FILE [--shrink] [--trace-dir DIR]\n"
@@ -317,17 +316,6 @@ int main(int argc, char** argv) {
           std::strtoul(next("--txn-partitions"), nullptr, 10));
     } else if (arg == "--coalesce") {
       cfg.coalesce_transport = true;
-    } else if (arg == "--scheduler") {
-      const std::string backend = next("--scheduler");
-      if (backend == "heap") {
-        cfg.scheduler_backend = SchedulerBackend::kHeap;
-      } else if (backend == "wheel") {
-        cfg.scheduler_backend = SchedulerBackend::kTimerWheel;
-      } else {
-        std::fprintf(stderr, "unknown scheduler backend '%s'\n",
-                     backend.c_str());
-        return 2;
-      }
     } else if (arg == "--plan") {
       plan_path = next("--plan");
     } else if (arg == "--dump-dir") {

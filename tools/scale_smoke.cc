@@ -1,7 +1,7 @@
 // scale_smoke: budgeted large-cluster commit rounds for CI.
 //
 //   scale_smoke [--nodes N] [--participants K] [--rounds R]
-//               [--protocol ec|3pc|2pc] [--scheduler heap|wheel]
+//               [--protocol ec|3pc|2pc]
 //               [--max-rss-mb MB] [--max-seconds S]
 //               [--open-loop [--rate R] [--sim-seconds S]
 //                            [--parts-per-txn P] [--max-in-flight M]
@@ -73,7 +73,7 @@ double PeakRssMb() {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--nodes N] [--participants K] [--rounds R]\n"
-               "          [--protocol ec|3pc|2pc] [--scheduler heap|wheel]\n"
+               "          [--protocol ec|3pc|2pc]\n"
                "          [--max-rss-mb MB] [--max-seconds S]\n"
                "          [--open-loop [--rate R] [--sim-seconds S]\n"
                "                       [--parts-per-txn P] "
@@ -87,13 +87,12 @@ int Usage(const char* argv0) {
 /// any correctness problem; budget enforcement happens in main (shared
 /// with the testbed mode).
 void RunOpenLoop(uint32_t nodes, CommitProtocol protocol,
-                 SchedulerBackend backend, double rate, double sim_seconds,
+                 double rate, double sim_seconds,
                  uint32_t parts_per_txn, uint32_t max_in_flight,
                  bool* failed) {
   ClusterConfig cfg;
   cfg.num_nodes = nodes;
   cfg.protocol = protocol;
-  cfg.scheduler_backend = backend;
   cfg.coalesce_transport = true;
   cfg.network.base_latency_us = 50;
   cfg.network.jitter_us = 10;
@@ -248,7 +247,6 @@ int main(int argc, char** argv) {
   uint32_t participants = 512;
   uint32_t rounds = 3;
   CommitProtocol protocol = CommitProtocol::kEasyCommit;
-  SchedulerBackend backend = SchedulerBackend::kTimerWheel;
   double max_rss_mb = 0;    // 0 = unenforced
   double max_seconds = 0;   // 0 = unenforced
   bool open_loop = false;
@@ -286,16 +284,6 @@ int main(int argc, char** argv) {
         protocol = CommitProtocol::kTwoPhase;
       } else {
         std::fprintf(stderr, "unknown protocol '%s'\n", name.c_str());
-        return 2;
-      }
-    } else if (arg == "--scheduler") {
-      const std::string name = next("--scheduler");
-      if (name == "heap") {
-        backend = SchedulerBackend::kHeap;
-      } else if (name == "wheel") {
-        backend = SchedulerBackend::kTimerWheel;
-      } else {
-        std::fprintf(stderr, "unknown scheduler backend '%s'\n", name.c_str());
         return 2;
       }
     } else if (arg == "--max-rss-mb") {
@@ -358,7 +346,7 @@ int main(int argc, char** argv) {
       RunThreadedOpenLoop(nodes, workers, protocol, rate, sim_seconds,
                           parts_per_txn, max_in_flight, &failed);
     } else {
-      RunOpenLoop(nodes, protocol, backend, rate, sim_seconds, parts_per_txn,
+      RunOpenLoop(nodes, protocol, rate, sim_seconds, parts_per_txn,
                   max_in_flight, &failed);
     }
     const double seconds =
@@ -386,7 +374,7 @@ int main(int argc, char** argv) {
   net.base_latency_us = 1;
   net.jitter_us = 0;
   CommitEngineConfig commit;
-  ProtocolTestbed bed(protocol, nodes, net, commit, /*seed=*/7, backend);
+  ProtocolTestbed bed(protocol, nodes, net, commit, /*seed=*/7);
   bed.network().EnableCoalescing(true);
 
   // A K-participant EC round is ~K^2 decision messages; give Settle
@@ -435,9 +423,8 @@ int main(int argc, char** argv) {
   const double rss_mb = PeakRssMb();
   std::printf(
       "scale_smoke: nodes=%u participants=%u rounds=%u protocol=%s "
-      "scheduler=%s events=%llu seconds=%.2f maxrss_mb=%.1f\n",
+      "events=%llu seconds=%.2f maxrss_mb=%.1f\n",
       nodes, participants, rounds, ToString(protocol).c_str(),
-      backend == SchedulerBackend::kTimerWheel ? "wheel" : "heap",
       static_cast<unsigned long long>(total_events), seconds, rss_mb);
 
   int rc = 0;
