@@ -6,6 +6,7 @@
 // hardening) resolve every transaction *through* the lossy network, not
 // after it heals.
 
+#include <cstdint>
 #include <memory>
 #include <set>
 
@@ -18,10 +19,20 @@
 namespace ecdb {
 namespace {
 
+// gtest has no printer for this type, so each case's listed name carries
+// the parameter's raw bytes. The padding after `protocol` is therefore a
+// zeroed member: left implicit it held whatever the stack did, and the
+// test names changed from build to build.
 struct SoakCase {
+  SoakCase(CommitProtocol protocol_in, double drop_probability_in)
+      : protocol(protocol_in), drop_probability(drop_probability_in) {}
+
   CommitProtocol protocol;
+  uint8_t zero_padding[7] = {};
   double drop_probability;
 };
+static_assert(sizeof(SoakCase) == sizeof(CommitProtocol) + 7 + sizeof(double),
+              "SoakCase must have no implicit padding");
 
 class LossSoakTest : public ::testing::TestWithParam<SoakCase> {};
 

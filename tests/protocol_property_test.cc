@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -166,11 +167,21 @@ SweepOutcome DualCrashSweep(CommitProtocol protocol, uint32_t n,
 // Safety: Theorem 3.1 (plus the classic results for 2PC/3PC)
 // ---------------------------------------------------------------------------
 
+// gtest has no printer for this type, so each case's listed name carries
+// the parameter's raw bytes. The padding after `protocol` is therefore a
+// zeroed member: left implicit it held whatever the stack did, and the
+// test names changed from build to build.
 struct SweepParam {
+  SweepParam(CommitProtocol protocol_in, uint32_t n_in, CrashOn mode_in)
+      : protocol(protocol_in), n(n_in), mode(mode_in) {}
+
   CommitProtocol protocol;
+  uint8_t zero_padding[3] = {};
   uint32_t n;
   CrashOn mode;
 };
+static_assert(std::has_unique_object_representations_v<SweepParam>,
+              "SweepParam must have no implicit padding");
 
 std::string SweepName(const ::testing::TestParamInfo<SweepParam>& info) {
   std::string name = ToString(info.param.protocol);
