@@ -8,7 +8,7 @@
 // EC/2PC/3PC n=4/n=8 points land next to bench_threaded's in-process
 // numbers in BENCH_engine.json — the gap between the two is the price of
 // real sockets. BM_SocketYcsbECUncoalesced is the batching ablation: the
-// same cluster with message coalescing AND writev gathering off, paying
+// same cluster at a frame cap of one with writev gathering off, paying
 // one syscall per message (the perf gate expects coalescing ON to win by
 // >= 1.3x at n=8).
 //
@@ -45,9 +45,10 @@ void SocketYcsb(benchmark::State& state, CommitProtocol protocol,
   // cores) — a spurious expiry would measure the termination path.
   cfg.timeout_us = 1'000'000;
   cfg.termination_window_us = 200'000;
-  // In-memory WAL: the ablation should isolate the transport batching, not
-  // mix in file-flush asymmetry. FileWal recovery is exercised by
-  // tests/socket_cluster_test.cc and tools/socket_cluster.
+  // In-memory WAL: both arms flush the WAL once per loop iteration, so an
+  // in-memory log keeps the ablation on the transport batching alone.
+  // FileWal recovery is exercised by tests/socket_cluster_test.cc and
+  // tools/socket_cluster.
   cfg.wal_dir.clear();
   cfg.rows_per_partition = 16384;
   cfg.partitions_per_txn = 2;

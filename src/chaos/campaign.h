@@ -78,8 +78,7 @@ struct ChaosCaseResult {
 
 /// Runs one case: generate plan from `seed`, run the workload under it for
 /// the horizon, then run the crash-recovery audit. `trace_path` non-empty
-/// enables protocol tracing and writes a JSONL trace there (no-op build
-/// under ECDB_TRACE=OFF still writes the meta line).
+/// enables protocol tracing and writes a JSONL trace there.
 ChaosCaseResult RunChaosCase(const ChaosCaseConfig& cfg, uint64_t seed,
                              const std::string& trace_path = "");
 

@@ -62,9 +62,10 @@ struct NodeConfig {
   /// frame, and same-arrival frames share one delivery event; delivery
   /// *order* across destinations changes (per-link FIFO is preserved), so
   /// runs with the knob on are deterministic among themselves but not
-  /// bit-identical to runs with it off. Threaded hosts: each event-loop
-  /// iteration ships one batch per destination and group-commits the WAL.
-  /// Off by default; benchmarks opt in.
+  /// bit-identical to runs with it off. Threaded and socket hosts: sends
+  /// always leave after their loop iteration's WAL group flush; the knob
+  /// is the frame cap (one frame per destination when on, one per message
+  /// when off). Off by default; benchmarks opt in.
   bool coalesce_transport = false;
 
   /// Open-loop load generation (off by default: clients run the classic

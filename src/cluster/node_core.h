@@ -127,7 +127,7 @@ class NodeCore : public CommitEnv {
   /// counters/histograms alongside its NodeStats, from its own thread.
   void BindMetrics(const MetricsHandle& metrics) { metrics_ = metrics; }
 
-  /// Turns on protocol tracing (inert under ECDB_TRACE=OFF).
+  /// Turns on protocol tracing.
   void EnableTracing(size_t capacity = TraceRecorder::kDefaultCapacity) {
     trace_.Enable(capacity);
   }

@@ -26,14 +26,7 @@ SimCluster::SimCluster(const ClusterConfig& config,
     sampler_ = std::make_unique<TelemetrySampler>(&metrics_registry_,
                                                   config_.telemetry);
     sampler_->SetPollHook([this] {
-      const NetworkStats& ns = network_->stats();
-      metrics_registry_.Set(core_metrics_.net_messages_sent,
-                            ns.messages_sent);
-      metrics_registry_.Set(core_metrics_.net_messages_delivered,
-                            ns.messages_delivered);
-      metrics_registry_.Set(core_metrics_.net_messages_dropped,
-                            ns.messages_dropped);
-      metrics_registry_.Set(core_metrics_.net_bytes_sent, ns.bytes_sent);
+      SetNetworkGauges(network_->stats(), core_metrics_, &metrics_registry_);
       uint64_t trace_drops = 0, in_flight = 0, flushes = 0;
       for (const auto& node : nodes_) {
         trace_drops += node->trace().dropped();

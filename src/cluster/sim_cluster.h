@@ -80,7 +80,7 @@ class SimCluster {
   /// false.
   TelemetrySampler* telemetry() { return sampler_.get(); }
 
-  /// Turns on protocol tracing on every node (inert under ECDB_TRACE=OFF).
+  /// Turns on protocol tracing on every node.
   void EnableTracing(size_t capacity = TraceRecorder::kDefaultCapacity);
 
   /// Per-node recorders, for CollectEvents + the exporters.

@@ -20,8 +20,10 @@ struct SocketClusterConfig {
   CcPolicy cc_policy = CcPolicy::kNoWait;
   uint32_t clients_per_node = 16;
 
-  /// Transport coalescing + WAL group commit, exactly the threaded
-  /// runtime's knob (the bench's writev-batching ablation toggles this).
+  /// Frame cap, exactly the threaded runtime's coalesce_transport: on, one
+  /// frame per peer per event-loop iteration; off, one frame per message,
+  /// with writev gathering off too (the bench's batching ablation). The
+  /// WAL group flush precedes every send either way.
   bool coalesce = true;
 
   /// Real-wire runs keep the failure-free timeouts generous: protocol

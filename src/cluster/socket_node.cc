@@ -180,8 +180,8 @@ void SocketNetwork::SendBatch(NodeId src, NodeId dst,
 }
 
 void SocketNetwork::StageFrame(NodeId dst, const std::vector<Message>& msgs) {
-  // One frame per send call: under coalescing that is one frame per
-  // destination per event-loop iteration; without it, one per message.
+  // One frame per send call: ThreadNode ships one per destination per
+  // event-loop iteration, or one per message at a frame cap of one.
   frame_scratch_.src = self_;
   frame_scratch_.dst = dst;
   if (&msgs != &frame_scratch_.messages) {
@@ -543,8 +543,8 @@ void SocketNetwork::FlushPeer(NodeId id) {
 
 void SocketNetwork::FlushPeerPerFrame(NodeId id) {
   // Ablation baseline (SetWritevBatching(false)): one write syscall per
-  // staged frame, never a gather. With message coalescing off each frame
-  // is one message, so this is the per-message-send cost the batched path
+  // staged frame, never a gather. At a frame cap of one each frame is one
+  // message, so this is the per-message-send cost the batched path
   // exists to amortize — one packet's worth of TCP/IP work per message on
   // both ends of the loopback.
   Peer& p = *peers_[id];
@@ -684,16 +684,15 @@ SocketNode::SocketNode(SocketNodeConfig config)
     : config_(std::move(config)),
       workload_(config_.ycsb),
       network_(config_.id, config_.cluster.num_nodes) {
-  // One knob drives both halves of the batching story: message coalescing
-  // at the send site and writev gathering on the wire. The bench ablation
+  // One knob drives both halves of the batching story: the frame cap at
+  // the send site and writev gathering on the wire. The bench ablation
   // turns both off together — its baseline is one syscall per message.
   network_.SetWritevBatching(config_.cluster.coalesce_transport);
   node_ = std::make_unique<ThreadNode>(
       config_.id, config_.cluster, &network_, &workload_, &monitor_,
       NodeSeed(config_.cluster.seed, config_.id));
   worker_ = std::make_unique<ThreadWorker>(
-      config_.id, config_.cluster.num_nodes, &network_,
-      config_.cluster.coalesce_transport);
+      config_.id, config_.cluster.num_nodes, &network_);
   worker_->AddNode(node_.get());
   if (config_.cluster.telemetry.enabled) {
     core_metrics_ = RegisterCoreMetrics(&metrics_registry_);
@@ -703,14 +702,7 @@ SocketNode::SocketNode(SocketNodeConfig config)
     sampler_ = std::make_unique<TelemetrySampler>(&metrics_registry_,
                                                   config_.cluster.telemetry);
     sampler_->SetPollHook([this] {
-      const NetworkStats ns = network_.stats();
-      metrics_registry_.Set(core_metrics_.net_messages_sent,
-                            ns.messages_sent);
-      metrics_registry_.Set(core_metrics_.net_messages_delivered,
-                            ns.messages_delivered);
-      metrics_registry_.Set(core_metrics_.net_messages_dropped,
-                            ns.messages_dropped);
-      metrics_registry_.Set(core_metrics_.net_bytes_sent, ns.bytes_sent);
+      SetNetworkGauges(network_.stats(), core_metrics_, &metrics_registry_);
       const SocketIoStats io = network_.io_stats();
       metrics_registry_.Set(core_metrics_.sock_bytes_in, io.bytes_in);
       metrics_registry_.Set(core_metrics_.sock_bytes_out, io.bytes_out);
@@ -743,42 +735,18 @@ void SocketNode::Start() {
     node_->Recover();
   }
   worker_->Start();
-  if (sampler_ != nullptr) {
-    telemetry_epoch_ = std::chrono::steady_clock::now();
-    sampler_->Reset(0);
-    sampler_thread_ = std::thread([this] {
-      const auto interval = std::chrono::microseconds(
-          config_.cluster.telemetry.sample_interval_us);
-      std::unique_lock<std::mutex> lock(sampler_mu_);
-      while (!sampler_stop_) {
-        sampler_cv_.wait_for(lock, interval);
-        if (sampler_stop_) break;
-        sampler_->Sample(static_cast<Micros>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - telemetry_epoch_)
-                .count()));
-      }
-    });
-  }
+  if (sampler_ != nullptr) sampling_.Start(sampler_.get());
 }
 
 void SocketNode::Stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
   worker_->Stop();
-  if (sampler_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(sampler_mu_);
-      sampler_stop_ = true;
-    }
-    sampler_cv_.notify_all();
-    sampler_thread_.join();
-    metrics_registry_.Set(core_metrics_.trace_events_dropped,
-                          node_->trace().dropped());
-    sampler_->Sample(static_cast<Micros>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - telemetry_epoch_)
-            .count()));
+  if (sampler_ != nullptr) {
+    sampling_.Stop([this] {
+      metrics_registry_.Set(core_metrics_.trace_events_dropped,
+                            node_->trace().dropped());
+    });
     if (!config_.telemetry_jsonl.empty()) {
       sampler_->AppendTimeseriesJsonlFile(
           "socket_node" + std::to_string(config_.id),

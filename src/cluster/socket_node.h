@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -56,7 +55,8 @@ struct SocketIoStats {
 /// per node *process*; the base class still provides the local mailbox the
 /// hosting ThreadWorker drains (self-addressed traffic and inbound frames
 /// land there), the crash bookkeeping, and the counters, so ThreadNode and
-/// ThreadWorker run on top of it completely unchanged.
+/// ThreadWorker run on top of it completely unchanged, and every frame
+/// reaches it after the sending node's WAL group flush.
 ///
 /// Send-side shape (the perf-critical path):
 ///  - The worker thread encodes a length-prefixed MessageFrame per
@@ -99,7 +99,7 @@ class SocketNetwork : public ThreadNetwork {
 
   /// Writev gather batching (on by default). Off is the bench's ablation
   /// baseline: the I/O thread issues one write syscall per staged frame —
-  /// with message coalescing also off, that is one syscall per message,
+  /// at a frame cap of one, that is one syscall per message,
   /// the cost the batched path amortizes away. Call before StartIo().
   void SetWritevBatching(bool on) { batch_writes_ = on; }
 
@@ -271,11 +271,7 @@ class SocketNode {
   MetricsRegistry metrics_registry_;
   CoreMetrics core_metrics_;
   std::unique_ptr<TelemetrySampler> sampler_;
-  std::thread sampler_thread_;
-  std::mutex sampler_mu_;
-  std::condition_variable sampler_cv_;
-  bool sampler_stop_ = false;
-  std::chrono::steady_clock::time_point telemetry_epoch_;
+  WallClockSampler sampling_;
 };
 
 }  // namespace ecdb

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 #include <utility>
 
 #include "common/logging.h"
@@ -28,23 +29,14 @@ ThreadNode::ThreadNode(NodeId id, const ThreadClusterConfig& config,
                        SafetyMonitor* monitor, uint64_t seed)
     : NodeCore(id, config, OpenWal(config, id), workload, monitor, seed),
       config_(config),
-      network_(network) {
-  if (config_.coalesce_transport) send_buffers_.resize(config_.num_nodes);
-}
+      network_(network),
+      send_buffers_(config.num_nodes) {}
 
 ThreadNode::~ThreadNode() = default;
 
-Micros ThreadNode::NowUs() const {
-  return static_cast<Micros>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - epoch_start_)
-          .count());
-}
-
-void ThreadNode::OnLoopStart(std::chrono::steady_clock::time_point epoch) {
-  epoch_start_ = epoch;
-  StartClients();
-}
+// Every co-hosted node reads its worker's clock, so all deadlines in the
+// shared timer heap are on one time axis.
+Micros ThreadNode::NowUs() const { return host_->NowUs(); }
 
 NodeCore::TimerId ThreadNode::ScheduleTimer(Micros at,
                                             const NodeTimer& timer) {
@@ -59,89 +51,111 @@ void ThreadNode::Run(Work work, TaskFn fn) {
 }
 
 void ThreadNode::Transmit(Message msg) {
-  if (config_.coalesce_transport) {
-    if (msg.dst >= send_buffers_.size()) return;  // network drops these too
-    std::vector<Message>& buf = send_buffers_[msg.dst];
-    if (buf.empty()) dirty_dsts_.push_back(msg.dst);
-    buf.push_back(std::move(msg));
-    return;
-  }
-  // Same-worker fast path: a co-hosted destination's message hops onto the
-  // worker's local queue — no channel lock, no condvar wake — and is
-  // handled this loop iteration.
-  if (msg.dst < config_.num_nodes && msg.dst != self() && host_ != nullptr &&
-      host_->Hosts(msg.dst) && LocalFastPathOpen(msg.dst)) {
-    host_->EnqueueLocal(std::move(msg));
-    return;
-  }
-  network_->Send(std::move(msg));
+  if (msg.dst >= send_buffers_.size()) return;  // network drops these too
+  std::vector<Message>& buf = send_buffers_[msg.dst];
+  if (buf.empty()) dirty_dsts_.push_back(msg.dst);
+  buf.push_back(std::move(msg));
 }
 
-bool ThreadNode::LocalFastPathOpen(NodeId dst) const {
-  // The fast path must not change observable semantics: with faults armed
-  // (loss, link cuts, delays) or either endpoint crashed, the message goes
-  // through ThreadNetwork so drops are sampled and counted exactly as for
-  // cross-worker traffic.
-  return !network_->FaultsArmed() && !Down() && !network_->IsCrashed(dst);
+Status ThreadNode::FlushWal() {
+  if (!metrics().on()) return wal().Flush();
+  // Time the device round trip, but only count flushes that covered
+  // staged records (group_flushes() moves iff the flush did work).
+  const uint64_t flushes_before = wal().group_flushes();
+  const auto t0 = std::chrono::steady_clock::now();
+  Status status = wal().Flush();
+  if (wal().group_flushes() > flushes_before) {
+    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    metrics().registry->Add(metrics().shard, metrics().ids->wal_flushes);
+    metrics().registry->Observe(metrics().shard, metrics().ids->wal_flush_us,
+                                static_cast<uint64_t>(us));
+  }
+  return status;
 }
 
 void ThreadNode::FlushOutput() {
   // Write-ahead order: this iteration's WAL group becomes durable before
   // any message announcing its decisions reaches another node's mailbox.
-  if (metrics().on()) {
-    // Time the device round trip, but only count flushes that covered
-    // staged records (group_flushes() moves iff the flush did work).
-    const uint64_t flushes_before = wal().group_flushes();
-    const auto t0 = std::chrono::steady_clock::now();
-    (void)wal().Flush();
-    if (wal().group_flushes() > flushes_before) {
-      const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-      metrics().registry->Add(metrics().shard, metrics().ids->wal_flushes);
-      metrics().registry->Observe(metrics().shard,
-                                  metrics().ids->wal_flush_us,
-                                  static_cast<uint64_t>(us));
+  // A group that cannot be made durable must not be acted on: the node
+  // fail-stops instead, dropping the frames that would have announced it.
+  const Status status = FlushWal();
+  if (!status.ok()) {
+    if (!Down()) {
+      ECDB_LOG(kWarn, "node %u fail-stops: %s", self(),
+               status.ToString().c_str());
+      network_->CrashNode(self());
+      CrashCore();
     }
-  } else {
-    (void)wal().Flush();
+    for (NodeId dst : dirty_dsts_) send_buffers_[dst].clear();
+    dirty_dsts_.clear();
+    return;
   }
   for (NodeId dst : dirty_dsts_) {
     std::vector<Message>& buf = send_buffers_[dst];
-    if (dst != self() && host_->Hosts(dst) && LocalFastPathOpen(dst)) {
-      host_->EnqueueLocalBatch(&buf);
-    } else {
-      network_->SendBatch(self(), dst, &buf);
+    if (config_.coalesce_transport) {
+      ShipFrame(dst, &buf);
+      continue;
     }
+    // Frame cap of one (the uncoalesced ablation): every message pays its
+    // own frame, channel hop and wake.
+    for (Message& msg : buf) {
+      single_frame_.push_back(std::move(msg));
+      ShipFrame(dst, &single_frame_);
+    }
+    buf.clear();
   }
   dirty_dsts_.clear();
+}
+
+void ThreadNode::ShipFrame(NodeId dst, std::vector<Message>* frame) {
+  // Same-worker fast path: a co-hosted destination's frame hops onto the
+  // worker's local queue (no channel lock, no wake) and is handled this
+  // loop iteration. It must not change observable semantics: with faults
+  // armed (loss, link cuts, delays) or either endpoint crashed, the frame
+  // goes through ThreadNetwork so drops are sampled and counted exactly as
+  // for cross-worker traffic.
+  if (dst != self() && host_->Hosts(dst) && !network_->FaultsArmed() &&
+      !Down() && !network_->IsCrashed(dst)) {
+    host_->EnqueueLocalBatch(frame);
+  } else {
+    network_->SendBatch(self(), dst, frame);
+  }
 }
 
 // --------------------------------------------------------------------------
 // Fault injection
 // --------------------------------------------------------------------------
 
-void ThreadNode::Crash() {
-  network_->CrashNode(self());
-  crash_requested_.store(true);
-}
+void ThreadNode::Crash() { crash_requested_.store(true); }
 
 bool ThreadNode::Recover() {
-  if (!network_->IsCrashed(self())) return false;
+  if (!crash_requested_.load() && !network_->IsCrashed(self())) return false;
   network_->RecoverNode(self());
   recover_requested_.store(true);
   return true;
 }
 
 void ThreadNode::ProcessControl() {
-  if (crash_requested_.exchange(false)) {
+  // A crash lands between loop iterations, never inside one: the previous
+  // iteration's frames all left after its WAL group flush. Cutting the
+  // node mid-iteration would drop transmits whose decision the node has
+  // already applied — EasyCommit's transmit-before-apply would break.
+  // The cut happens before the request is cleared, so a concurrent
+  // Recover() sees one or the other.
+  if (crash_requested_.load()) {
+    network_->CrashNode(self());
+    crash_requested_.store(false);
     CrashCore();
-    // Unflushed frames never made it onto the wire: fail-stop means a
-    // crashed node's buffered sends die with its volatile state.
+    // Fail-stop: buffered sends die with the volatile state.
     for (NodeId dst : dirty_dsts_) send_buffers_[dst].clear();
     dirty_dsts_.clear();
   }
-  if (recover_requested_.exchange(false)) RecoverCore();
+  if (recover_requested_.exchange(false)) {
+    network_->RecoverNode(self());
+    RecoverCore();
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -161,8 +175,8 @@ ThreadCluster::ThreadCluster(const ThreadClusterConfig& config,
   network_ = std::make_unique<ThreadNetwork>(config_.num_nodes, workers);
   workers_.reserve(workers);
   for (uint32_t w = 0; w < workers; ++w) {
-    workers_.push_back(std::make_unique<ThreadWorker>(
-        w, workers, network_.get(), config_.coalesce_transport));
+    workers_.push_back(
+        std::make_unique<ThreadWorker>(w, workers, network_.get()));
   }
   Rng root(config_.seed);
   for (NodeId id = 0; id < config_.num_nodes; ++id) {
@@ -187,17 +201,7 @@ ThreadCluster::ThreadCluster(const ThreadClusterConfig& config,
     sampler_ = std::make_unique<TelemetrySampler>(&metrics_registry_,
                                                   config_.telemetry);
     sampler_->SetPollHook([this] {
-      // Only lock-free sources here: the sampler thread runs concurrently
-      // with the workers, so thread-confined state (NodeStats, trace
-      // recorders) is off limits — ThreadNetwork's counters are atomics.
-      const NetworkStats ns = network_->stats();
-      metrics_registry_.Set(core_metrics_.net_messages_sent,
-                            ns.messages_sent);
-      metrics_registry_.Set(core_metrics_.net_messages_delivered,
-                            ns.messages_delivered);
-      metrics_registry_.Set(core_metrics_.net_messages_dropped,
-                            ns.messages_dropped);
-      metrics_registry_.Set(core_metrics_.net_bytes_sent, ns.bytes_sent);
+      SetNetworkGauges(network_->stats(), core_metrics_, &metrics_registry_);
     });
   }
 }
@@ -209,27 +213,7 @@ void ThreadCluster::Start() {
   started_ = true;
   for (auto& node : nodes_) node->Bootstrap();
   for (auto& worker : workers_) worker->Start();
-  if (sampler_ != nullptr) {
-    telemetry_epoch_ = std::chrono::steady_clock::now();
-    sampler_->Reset(0);
-    sampler_thread_ = std::thread([this] {
-      const auto interval =
-          std::chrono::microseconds(config_.telemetry.sample_interval_us);
-      std::unique_lock<std::mutex> lock(sampler_mu_);
-      while (!sampler_stop_) {
-        sampler_cv_.wait_for(lock, interval);
-        if (sampler_stop_) break;
-        sampler_->Sample(TelemetryNowUs());
-      }
-    });
-  }
-}
-
-Micros ThreadCluster::TelemetryNowUs() const {
-  return static_cast<Micros>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - telemetry_epoch_)
-          .count());
+  if (sampler_ != nullptr) sampling_.Start(sampler_.get());
 }
 
 void ThreadCluster::RunFor(double seconds) {
@@ -248,20 +232,13 @@ void ThreadCluster::Stop() {
   for (auto& worker : workers_) worker->SignalStop();
   for (auto& worker : workers_) worker->Stop();
   network_->Shutdown();
-  if (sampler_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(sampler_mu_);
-      sampler_stop_ = true;
-    }
-    sampler_cv_.notify_all();
-    sampler_thread_.join();
-    // Workers are joined: one final sample closes the tail interval, and
-    // thread-confined sources (trace rings) are now safe to fold in.
+  // Workers are joined: thread-confined sources (trace rings) are now safe
+  // to fold into the final sample.
+  sampling_.Stop([this] {
     uint64_t trace_drops = 0;
     for (const auto& node : nodes_) trace_drops += node->trace().dropped();
     metrics_registry_.Set(core_metrics_.trace_events_dropped, trace_drops);
-    sampler_->Sample(TelemetryNowUs());
-  }
+  });
   started_ = false;
 }
 

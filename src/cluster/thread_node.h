@@ -2,12 +2,8 @@
 #define ECDB_CLUSTER_THREAD_NODE_H_
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/config.h"
@@ -51,9 +47,11 @@ struct ThreadClusterConfig : NodeConfig {
 /// ThreadWorker (node_id % workers), thread-confined to that worker.
 /// Cross-worker communication goes through ThreadNetwork mailboxes;
 /// same-worker sends ride the worker's local queue. Node work runs inline
-/// on the worker thread, timers live in the worker's shared heap, and with
-/// coalesce_transport each loop iteration ships one batch per destination
-/// after group-committing the iteration's WAL appends.
+/// on the worker thread and timers live in the worker's shared heap. Every
+/// send is buffered per destination and leaves at the end of the loop
+/// iteration, after the iteration's WAL appends are group-committed:
+/// coalesce_transport sets the frame cap (a whole buffer per frame, or one
+/// message per frame).
 class ThreadNode : public NodeCore {
  public:
   ThreadNode(NodeId id, const ThreadClusterConfig& config,
@@ -61,14 +59,14 @@ class ThreadNode : public NodeCore {
              SafetyMonitor* monitor, uint64_t seed);
   ~ThreadNode() override;
 
-  /// Crash (fail-stop), callable from any thread: the network cuts the
-  /// node at once; the hosting worker then drops its volatile state.
-  /// Co-hosted nodes are untouched.
+  /// Crash (fail-stop), callable from any thread: at the start of its next
+  /// loop iteration the hosting worker cuts the node from the network and
+  /// drops its volatile state. Co-hosted nodes are untouched.
   void Crash();
 
   /// Restart, callable from any thread: the network readmits the node and
   /// the hosting worker runs the core's WAL recovery pass. Returns false,
-  /// doing nothing, when the node is up.
+  /// doing nothing, when the node is up and no crash is pending.
   bool Recover();
 
   Micros NowUs() const override;
@@ -88,41 +86,37 @@ class ThreadNode : public NodeCore {
   /// Registers the hosting worker (once, before it starts).
   void BindHost(ThreadWorker* host) { host_ = host; }
 
-  /// First thing the worker loop does: adopts the worker's clock base (all
-  /// co-hosted nodes share one time axis for the shared timer heap) and
-  /// starts the clients.
-  void OnLoopStart(std::chrono::steady_clock::time_point epoch);
-
   /// Drains pending crash/recover requests (once per loop iteration).
   void ProcessControl();
 
-  /// Coalescing flush point (end of every loop iteration): first makes
-  /// this iteration's WAL appends durable as one group, then ships each
-  /// dirty per-destination send buffer as one frame — same-worker buffers
-  /// hop onto the worker's local queue, cross-worker ones go out as one
-  /// SendBatch.
+  /// Flush point (end of every loop iteration): first makes this
+  /// iteration's WAL appends durable as one group, then ships each dirty
+  /// per-destination send buffer — as one frame under coalesce_transport,
+  /// else one frame per message. A failed WAL flush fail-stops the node
+  /// the way Crash() does, and the buffered frames die with it.
   void FlushOutput();
 
-  /// True when a message to `dst` may take the same-worker local queue:
-  /// faults unarmed and neither endpoint crashed, so the fast path cannot
-  /// change loss/link/delay or fail-stop semantics.
-  bool LocalFastPathOpen(NodeId dst) const;
+  /// wal().Flush(), timed into the telemetry registry when it is on.
+  Status FlushWal();
+
+  /// Sends one frame to `dst`, draining `frame` (capacity kept).
+  void ShipFrame(NodeId dst, std::vector<Message>* frame);
 
   const ThreadClusterConfig& config_;
   ThreadNetwork* network_;
   ThreadWorker* host_ = nullptr;
 
-  // Coalescing state (coalesce_transport only). One open send buffer per
-  // destination plus the list of destinations touched this iteration;
-  // buffers are drained by SendBatch (or the worker's local queue) keeping
-  // their capacity, so steady state allocates nothing.
+  // One open send buffer per destination plus the list of destinations
+  // touched this iteration; buffers are drained by SendBatch (or the
+  // worker's local queue) keeping their capacity, so steady state
+  // allocates nothing. single_frame_ carries one message at a time when
+  // the frame cap is one.
   std::vector<std::vector<Message>> send_buffers_;
   std::vector<NodeId> dirty_dsts_;
+  std::vector<Message> single_frame_;
 
   std::atomic<bool> crash_requested_{false};
   std::atomic<bool> recover_requested_{false};
-
-  std::chrono::steady_clock::time_point epoch_start_;
 };
 
 /// The threaded deployment: N ThreadNodes hosted M:N on a pool of
@@ -176,9 +170,6 @@ class ThreadCluster {
   TelemetrySampler* telemetry() { return sampler_.get(); }
 
  private:
-  /// Wall-clock microseconds since the cluster's telemetry epoch.
-  Micros TelemetryNowUs() const;
-
   ThreadClusterConfig config_;
   std::unique_ptr<ThreadNetwork> network_;
   std::unique_ptr<Workload> workload_;
@@ -196,11 +187,7 @@ class ThreadCluster {
   MetricsRegistry metrics_registry_;
   CoreMetrics core_metrics_;
   std::unique_ptr<TelemetrySampler> sampler_;
-  std::thread sampler_thread_;
-  std::mutex sampler_mu_;
-  std::condition_variable sampler_cv_;
-  bool sampler_stop_ = false;  // guarded by sampler_mu_
-  std::chrono::steady_clock::time_point telemetry_epoch_;
+  WallClockSampler sampling_;
 };
 
 }  // namespace ecdb

@@ -20,8 +20,8 @@ uint64_t ElapsedUs(std::chrono::steady_clock::time_point from,
 }  // namespace
 
 ThreadWorker::ThreadWorker(uint32_t index, uint32_t stride,
-                           ThreadNetwork* network, bool coalesce)
-    : index_(index), stride_(stride), network_(network), coalesce_(coalesce) {}
+                           ThreadNetwork* network)
+    : index_(index), stride_(stride), network_(network) {}
 
 ThreadWorker::~ThreadWorker() { Stop(); }
 
@@ -58,14 +58,6 @@ Micros ThreadWorker::NowUs() const {
           .count());
 }
 
-void ThreadWorker::EnqueueLocal(Message msg) {
-  stats_.local_messages++;
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->worker_local_msgs);
-  }
-  local_queue_.push_back(std::move(msg));
-}
-
 void ThreadWorker::EnqueueLocalBatch(std::vector<Message>* msgs) {
   stats_.local_messages += msgs->size();
   if (metrics_.on()) {
@@ -78,9 +70,8 @@ void ThreadWorker::EnqueueLocalBatch(std::vector<Message>* msgs) {
 
 void ThreadWorker::DispatchBatch(std::vector<Message>& batch) {
   for (Message& msg : batch) {
-    // Fail-stop takes effect the instant a hosted node's network is cut,
-    // even mid-batch (the node drops its input while down) — but only for
-    // that node: co-hosted nodes keep draining their share of the batch.
+    // A crashed node drops its input while down — but only that node:
+    // co-hosted nodes keep draining their share of the batch.
     NodeFor(msg.dst)->OnMessage(std::move(msg));
   }
 }
@@ -101,7 +92,6 @@ void ThreadWorker::FireDueTimers() {
 }
 
 void ThreadWorker::FlushAll() {
-  if (!coalesce_) return;
   // Write-ahead order per node: FlushOutput makes the node's WAL group
   // durable before any of its buffered frames leave (local or remote).
   for (ThreadNode* node : nodes_) node->FlushOutput();
@@ -109,11 +99,11 @@ void ThreadWorker::FlushAll() {
 
 void ThreadWorker::DrainLocal() {
   // Same-worker deliveries skip the channel but not the loop discipline:
-  // each pass handles the current backlog, then (coalesced) flushes the
-  // outputs it produced, which may enqueue more local work. Passes are
-  // bounded so a ring of co-hosted nodes feeding each other cannot starve
-  // timers and crash/stop processing; leftovers zero the next iteration's
-  // mailbox wait instead.
+  // each pass handles the current backlog, then flushes the outputs it
+  // produced, which may enqueue more local work. Passes are bounded so a
+  // ring of co-hosted nodes feeding each other cannot starve timers and
+  // crash/stop processing; leftovers zero the next iteration's mailbox
+  // wait instead.
   for (int pass = 0; pass < 8 && !local_queue_.empty(); ++pass) {
     local_processing_.swap(local_queue_);
     DispatchBatch(local_processing_);
@@ -124,9 +114,7 @@ void ThreadWorker::DrainLocal() {
 
 void ThreadWorker::Loop() {
   epoch_start_ = std::chrono::steady_clock::now();
-  // Every hosted node shares this worker's clock base, so all deadlines in
-  // the shared heap are on one time axis.
-  for (ThreadNode* node : nodes_) node->OnLoopStart(epoch_start_);
+  for (ThreadNode* node : nodes_) node->StartClients();
   // The initial client transactions' fragments must leave before the loop
   // first blocks on the mailbox, or every worker starts its run one sleep
   // period late waiting on everyone else's.

@@ -210,8 +210,7 @@ struct WorkerStats {
 /// that node's old per-node mailbox.
 class ThreadWorker {
  public:
-  ThreadWorker(uint32_t index, uint32_t stride, ThreadNetwork* network,
-               bool coalesce);
+  ThreadWorker(uint32_t index, uint32_t stride, ThreadNetwork* network);
   ~ThreadWorker();
 
   ThreadWorker(const ThreadWorker&) = delete;
@@ -241,11 +240,9 @@ class ThreadWorker {
   }
   bool CancelTimer(WorkerTimerHeap::Id id) { return timers_.Cancel(id); }
 
-  /// Same-worker fast path: the message lands in the worker's local queue
-  /// and is handled this iteration, skipping the channel lock + wake.
-  void EnqueueLocal(Message msg);
-  /// Batch variant for the coalescing layer; `msgs` is drained (capacity
-  /// kept) like ThreadNetwork::SendBatch.
+  /// Same-worker fast path: a frame lands in the worker's local queue and
+  /// is handled this iteration, skipping the channel lock + wake. `msgs`
+  /// is drained (capacity kept) like ThreadNetwork::SendBatch.
   void EnqueueLocalBatch(std::vector<Message>* msgs);
 
   /// Read only after Stop().
@@ -267,7 +264,6 @@ class ThreadWorker {
   const uint32_t index_;
   const uint32_t stride_;
   ThreadNetwork* network_;
-  const bool coalesce_;
   std::vector<ThreadNode*> nodes_;
   WorkerTimerHeap timers_;
   std::vector<Message> local_queue_;       // same-worker deliveries

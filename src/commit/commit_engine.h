@@ -395,8 +395,7 @@ class CommitEngine {
   void ReleaseRecord(TxnId txn);
 
   /// Records a protocol trace event if a recorder is attached and enabled
-  /// (two predictable branches on the disabled path; compiled out entirely
-  /// under ECDB_TRACE=OFF).
+  /// (two predictable branches on the disabled path).
   void Trace(TraceEventType type, TxnId txn, uint64_t arg = 0,
              NodeId peer = kInvalidNode, uint8_t a = 0, uint8_t b = 0) {
     if (trace_ != nullptr && trace_->enabled()) {

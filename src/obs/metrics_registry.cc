@@ -5,7 +5,6 @@ namespace ecdb {
 void MetricsRegistry::Activate(uint32_t shards) {
   if (shards == 0) shards = 1;
   num_shards_ = shards;
-#if ECDB_TELEMETRY_ENABLED
   counter_stride_ = counter_names_.size();
   const size_t counter_cells = counter_stride_ * shards;
   shard_counters_ =
@@ -29,7 +28,6 @@ void MetricsRegistry::Activate(uint32_t shards) {
     }
   }
   enabled_ = true;
-#endif
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
@@ -40,7 +38,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
                            std::vector<uint64_t>(Histogram::kNumBuckets, 0));
   snap.hist_counts.assign(hist_names_.size(), 0);
   snap.hist_sums.assign(hist_names_.size(), 0);
-#if ECDB_TELEMETRY_ENABLED
   if (!enabled_) return snap;
   for (uint32_t s = 0; s < num_shards_; ++s) {
     for (size_t c = 0; c < counter_stride_; ++c) {
@@ -60,7 +57,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (size_t g = 0; g < gauge_names_.size(); ++g) {
     snap.gauges[g] = gauges_[g].load(std::memory_order_relaxed);
   }
-#endif
   return snap;
 }
 

@@ -10,14 +10,6 @@
 #include "common/histogram.h"
 #include "common/types.h"
 
-// Compile-time kill switch mirroring ECDB_TRACE: -DECDB_TELEMETRY=OFF at
-// configure time builds the record path down to nothing (Add/Observe/Set
-// are empty inlines, enabled() is a constant false). Registration, the
-// sampler, and the exporters stay live so tools keep building.
-#ifndef ECDB_TELEMETRY_ENABLED
-#define ECDB_TELEMETRY_ENABLED 1
-#endif
-
 namespace ecdb {
 
 /// Runtime knob for the time-series telemetry subsystem. Off by default:
@@ -101,7 +93,6 @@ class MetricsRegistry {
   const std::vector<std::string>& hist_names() const { return hist_names_; }
   uint32_t shards() const { return num_shards_; }
 
-#if ECDB_TELEMETRY_ENABLED
   /// True once Activate ran; the record-path guard the hosts branch on.
   bool enabled() const { return enabled_; }
 
@@ -125,22 +116,12 @@ class MetricsRegistry {
     h.count.fetch_add(1, std::memory_order_relaxed);
     h.sum.fetch_add(value, std::memory_order_relaxed);
   }
-#else
-  // Kill-switch build: the record path compiles to nothing. Activate()
-  // stays callable so host code needs no #ifs, but recording is inert and
-  // Snapshot() reports zeros.
-  bool enabled() const { return false; }
-  void Add(uint32_t, CounterId, uint64_t = 1) {}
-  void Set(GaugeId, uint64_t) {}
-  void Observe(uint32_t, HistId, uint64_t) {}
-#endif
 
   /// Aggregates all shards into one cumulative snapshot. Safe to call
   /// concurrently with recording (relaxed reads).
   MetricsSnapshot Snapshot() const;
 
  private:
-#if ECDB_TELEMETRY_ENABLED
   /// Per-(shard, histogram) storage: geometric buckets in Histogram's
   /// bucket geometry plus running count/sum. ~4 KiB per histogram per
   /// shard; shard count is the worker count, so this stays small.
@@ -149,20 +130,16 @@ class MetricsRegistry {
     std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> sum{0};
   };
-#endif
 
   std::vector<std::string> counter_names_;
   std::vector<std::string> gauge_names_;
   std::vector<std::string> hist_names_;
   uint32_t num_shards_ = 0;
-
-#if ECDB_TELEMETRY_ENABLED
   bool enabled_ = false;
   size_t counter_stride_ = 0;  // == counter_names_.size() at Activate time
   std::unique_ptr<std::atomic<uint64_t>[]> shard_counters_;
   std::unique_ptr<std::atomic<uint64_t>[]> gauges_;
   std::vector<HistShard> hist_shards_;
-#endif
 };
 
 /// The conventional metric set both runtimes expose: registered once by
@@ -218,13 +195,7 @@ struct MetricsHandle {
   const CoreMetrics* ids = nullptr;
   uint32_t shard = 0;
 
-  bool on() const {
-#if ECDB_TELEMETRY_ENABLED
-    return registry != nullptr && registry->enabled();
-#else
-    return false;
-#endif
-  }
+  bool on() const { return registry != nullptr && registry->enabled(); }
 };
 
 }  // namespace ecdb

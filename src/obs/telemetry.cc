@@ -5,6 +5,9 @@
 #include <fstream>
 #include <ostream>
 
+#include "common/logging.h"
+#include "net/network.h"
+
 namespace ecdb {
 
 void TelemetrySampler::Reset(Micros now_us) {
@@ -209,6 +212,50 @@ bool TelemetrySampler::WritePrometheusTextFile(const std::string& path) const {
   if (!f) return false;
   WritePrometheusText(f);
   return static_cast<bool>(f);
+}
+
+void WallClockSampler::Start(TelemetrySampler* sampler) {
+  ECDB_CHECK(!thread_.joinable());
+  sampler_ = sampler;
+  stop_ = false;
+  epoch_ = std::chrono::steady_clock::now();
+  sampler_->Reset(0);
+  thread_ = std::thread([this] {
+    const auto interval =
+        std::chrono::microseconds(sampler_->config().sample_interval_us);
+    std::unique_lock<std::mutex> lock(mu_);
+    while (!stop_) {
+      cv_.wait_for(lock, interval);
+      if (!stop_) sampler_->Sample(NowUs());
+    }
+  });
+}
+
+void WallClockSampler::Stop(const std::function<void()>& at_stop) {
+  if (!thread_.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  cv_.notify_all();
+  thread_.join();
+  if (at_stop) at_stop();
+  sampler_->Sample(NowUs());
+}
+
+Micros WallClockSampler::NowUs() const {
+  return static_cast<Micros>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - epoch_)
+          .count());
+}
+
+void SetNetworkGauges(const NetworkStats& stats, const CoreMetrics& ids,
+                      MetricsRegistry* registry) {
+  registry->Set(ids.net_messages_sent, stats.messages_sent);
+  registry->Set(ids.net_messages_delivered, stats.messages_delivered);
+  registry->Set(ids.net_messages_dropped, stats.messages_dropped);
+  registry->Set(ids.net_bytes_sent, stats.bytes_sent);
 }
 
 }  // namespace ecdb

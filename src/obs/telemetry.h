@@ -1,16 +1,22 @@
 #ifndef ECDB_OBS_TELEMETRY_H_
 #define ECDB_OBS_TELEMETRY_H_
 
+#include <chrono>
+#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <iosfwd>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/types.h"
 #include "obs/metrics_registry.h"
 
 namespace ecdb {
+
+struct NetworkStats;
 
 /// Per-interval summary of one histogram: the delta distribution between
 /// two consecutive cumulative snapshots, reduced to the quantiles the
@@ -43,8 +49,8 @@ struct Timeslice {
 /// Driving model: the sampler itself has no clock and no thread — the host
 /// runtime calls Sample(now) on its own cadence. SimCluster drives it from
 /// a scheduler event chain (virtual time: two identically-seeded runs
-/// produce byte-identical exports), ThreadCluster from a dedicated wall
-/// clock sampler thread. All sampler state is therefore single-writer; the
+/// produce byte-identical exports), ThreadCluster and SocketNode from a
+/// WallClockSampler thread. All sampler state is therefore single-writer; the
 /// only cross-thread traffic is the registry's relaxed atomics and
 /// whatever the poll hook reads (which must itself be atomic or otherwise
 /// safe — ThreadNetwork's counters are).
@@ -110,6 +116,36 @@ class TelemetrySampler {
   std::deque<Timeslice> slices_;
   uint64_t slices_dropped_ = 0;
 };
+
+/// Drives a TelemetrySampler every config().sample_interval_us of wall
+/// time from a dedicated thread (the threaded and socket hosts).
+class WallClockSampler {
+ public:
+  ~WallClockSampler() { Stop(); }
+
+  /// Starts the epoch now and takes the baseline at time 0.
+  void Start(TelemetrySampler* sampler);
+
+  /// Joins the thread, runs `at_stop` (the host's workers are joined by
+  /// then, so it may read thread-confined state) and takes one final
+  /// sample closing the tail interval. No-op unless running.
+  void Stop(const std::function<void()>& at_stop = nullptr);
+
+ private:
+  Micros NowUs() const;
+
+  TelemetrySampler* sampler_ = nullptr;
+  std::thread thread_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool stop_ = false;  // guarded by mu_
+  std::chrono::steady_clock::time_point epoch_;
+};
+
+/// Copies a network's cumulative counters into the net_* gauges: the part
+/// of the poll hook every host shares.
+void SetNetworkGauges(const NetworkStats& stats, const CoreMetrics& ids,
+                      MetricsRegistry* registry);
 
 }  // namespace ecdb
 

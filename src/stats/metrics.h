@@ -97,11 +97,12 @@ struct ClusterStats {
   uint64_t net_messages_from_crashed = 0;
   uint64_t net_messages_to_crashed = 0;
 
-  /// Transport coalescing + group commit accounting (whole run; all zero
-  /// when the coalescing knob is off). `net_frames_sent` counts framed
-  /// batches put on the wire and `net_messages_coalesced` the messages
-  /// that rode behind another in the same frame — their ratio is the
-  /// effective batch factor. `duplicate_decisions_suppressed` counts
+  /// Transport coalescing + group commit accounting (whole run).
+  /// `net_frames_sent` counts framed batches put on the wire (zero on the
+  /// simulator with the coalescing knob off; one per message on the
+  /// threaded host) and `net_messages_coalesced` the messages that rode
+  /// behind another in the same frame — their ratio is the effective
+  /// batch factor. `duplicate_decisions_suppressed` counts
   /// Global-* receipts short-circuited because the transaction was
   /// already decided locally (EC's O(n^2) redundancy; counted regardless
   /// of the knob). `wal_group_flushes` counts WAL flushes that covered

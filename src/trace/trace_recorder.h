@@ -6,14 +6,6 @@
 
 #include "trace/trace_event.h"
 
-// Compile-time kill switch: -DECDB_TRACE=OFF at configure time builds the
-// record path down to nothing (Record() is an empty inline, enabled() is a
-// constant false, every `if (trace_.enabled())` call site folds away).
-// Defaults to on; the CMake option sets it explicitly on the ecdb target.
-#ifndef ECDB_TRACE_ENABLED
-#define ECDB_TRACE_ENABLED 1
-#endif
-
 namespace ecdb {
 
 /// Per-node ring buffer of protocol trace events.
@@ -25,8 +17,7 @@ namespace ecdb {
 /// When the ring wraps, the oldest events are overwritten and counted in
 /// dropped(); exports therefore always see the most recent window.
 ///
-/// Tracing is off unless Enable() is called, and the whole record path can
-/// additionally be compiled out with the ECDB_TRACE=OFF build option.
+/// Tracing is off unless Enable() is called.
 class TraceRecorder {
  public:
   static constexpr size_t kDefaultCapacity = 1 << 16;
@@ -39,7 +30,6 @@ class TraceRecorder {
   void set_node(NodeId node) { node_ = node; }
   NodeId node() const { return node_; }
 
-#if ECDB_TRACE_ENABLED
   /// Allocates the ring (capacity rounded up to a power of two) and turns
   /// recording on. Safe to call again to resize/restart.
   void Enable(size_t capacity = kDefaultCapacity) {
@@ -97,29 +87,14 @@ class TraceRecorder {
 
   /// Total events ever recorded (including dropped).
   uint64_t total() const { return total_; }
-#else
-  // Kill-switch build: the record path compiles to nothing. Enable() is
-  // still callable so host code needs no #ifs, but stays inert.
-  void Enable(size_t = kDefaultCapacity) {}
-  void Disable() {}
-  bool enabled() const { return false; }
-  void Record(TraceEventType, Micros, TxnId, uint64_t = 0,
-              NodeId = kInvalidNode, uint8_t = 0, uint8_t = 0) {}
-  uint64_t NextSeq() { return 0; }
-  std::vector<TraceEvent> Events() const { return {}; }
-  uint64_t dropped() const { return 0; }
-  uint64_t total() const { return 0; }
-#endif
 
  private:
   NodeId node_;
-#if ECDB_TRACE_ENABLED
   bool enabled_ = false;
   uint64_t total_ = 0;
   uint64_t seq_ = 0;
   uint64_t mask_ = 0;
   std::vector<TraceEvent> ring_;
-#endif
 };
 
 }  // namespace ecdb

@@ -235,8 +235,6 @@ TEST(DeterminismTest, RepeatedRunsReplayIdentically) {
   EXPECT_EQ(a.stats.bytes_sent, b.stats.bytes_sent);
 }
 
-#if ECDB_TRACE_ENABLED
-
 // The golden scenario with tracing enabled, exported to JSONL.
 std::string RunGoldenScenarioTraced() {
   NetworkConfig net;
@@ -287,8 +285,6 @@ TEST(DeterminismTest, TracingDoesNotPerturbGoldenTrace) {
   EXPECT_EQ(bed.network().stats().bytes_sent, 3696u);
   EXPECT_EQ(bed.scheduler().Now(), 5769u);
 }
-
-#endif  // ECDB_TRACE_ENABLED
 
 }  // namespace
 }  // namespace ecdb

@@ -39,8 +39,6 @@ TEST(MetricsRegistryTest, InertBeforeActivate) {
   EXPECT_EQ(snap.counters[0], 0u);
 }
 
-#if ECDB_TELEMETRY_ENABLED
-
 TEST(MetricsRegistryTest, ShardsMergeIntoSnapshot) {
   MetricsRegistry reg;
   const CounterId c0 = reg.Counter("alpha");
@@ -266,20 +264,6 @@ TEST(SimTelemetryTest, CommittedCounterSumMatchesClusterStats) {
   EXPECT_GT(committed_in_slices, 0u);
 }
 
-#else  // !ECDB_TELEMETRY_ENABLED
-
-TEST(MetricsRegistryTest, KillSwitchRecordPathIsInert) {
-  MetricsRegistry reg;
-  const CounterId c = reg.Counter("c");
-  reg.Activate(2);
-  EXPECT_FALSE(reg.enabled());
-  reg.Add(0, c, 100);
-  EXPECT_EQ(reg.Snapshot().counters[c], 0u);
-  MetricsHandle handle{&reg, nullptr, 0};
-  EXPECT_FALSE(handle.on());
-}
-
-#endif  // ECDB_TELEMETRY_ENABLED
 
 // --------------------------------------------------------------------------
 // Critical-path analyzer
@@ -365,7 +349,6 @@ TEST(CriticalPathTest, ChainsRecvToSendAcrossNodes) {
 // attribute ≥95% of end-to-end latency, with the EasyCommit TRANSMIT step
 // reported separately from the decision apply.
 TEST(CriticalPathTest, TestbedEcGoldenAttributesNinetyFivePercent) {
-#if ECDB_TRACE_ENABLED
   testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3);
   bed.EnableTracing(1 << 10);
   const TxnId txn = bed.StartAll();
@@ -401,9 +384,6 @@ TEST(CriticalPathTest, TestbedEcGoldenAttributesNinetyFivePercent) {
   const std::string text = FormatCriticalPathReport(report);
   EXPECT_NE(text.find("attributed"), std::string::npos);
   EXPECT_NE(text.find("transmit"), std::string::npos);
-#else
-  GTEST_SKIP() << "tracing compiled out (ECDB_TRACE=OFF)";
-#endif
 }
 
 }  // namespace

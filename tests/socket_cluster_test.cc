@@ -8,9 +8,11 @@
 
 #include <stdlib.h>
 
+#include <filesystem>
 #include <string>
 
 #include "gtest/gtest.h"
+#include "wal/wal.h"
 
 namespace ecdb {
 namespace {
@@ -74,8 +76,7 @@ TEST(SocketClusterTest, CrashDuringDecisionFloodAndRecovery) {
   SocketClusterConfig cfg;
   cfg.num_nodes = 4;
   cfg.clients_per_node = 8;
-  cfg.coalesce = true;  // also the WAL group-commit knob: crash needs a
-                        // durably flushed log to recover from
+  cfg.coalesce = true;
   cfg.wal_dir = wal_dir;
   cfg.seed = 23;
   // Failure-detection timeouts sized to the outage: a client stuck on the
@@ -127,6 +128,53 @@ TEST(SocketClusterTest, CrashDuringDecisionFloodAndRecovery) {
   // TCP kept the byte streams intact through resets: every connection
   // either delivered whole frames or died cleanly — no framing damage.
   EXPECT_EQ(io.corrupt_resets, 0u);
+}
+
+TEST(SocketClusterTest, UncoalescedRestartReplaysPreKillLog) {
+  // At a frame cap of one the WAL group flush still precedes every send,
+  // so a SIGKILLed node leaves its pre-kill history on disk and the
+  // replacement process replays it.
+  const std::string wal_dir = MakeTempDir();
+  ASSERT_FALSE(wal_dir.empty());
+
+  SocketClusterConfig cfg;
+  cfg.num_nodes = 4;
+  cfg.clients_per_node = 8;
+  cfg.coalesce = false;
+  cfg.wal_dir = wal_dir;
+  cfg.seed = 23;
+  cfg.timeout_us = 120'000;
+  cfg.termination_window_us = 60'000;
+
+  SocketCluster cluster(cfg);
+  ASSERT_TRUE(cluster.Start());
+  cluster.RunFor(1.0);
+  const uint64_t committed_before_kill = cluster.TotalCommitted();
+  ASSERT_TRUE(cluster.Kill(2));
+  // Node 2's log exactly as the kill left it: what the restart replays.
+  uint64_t on_disk_at_kill = 0;
+  {
+    auto wal = FileWal::Open(wal_dir + "/node2.wal");
+    ASSERT_TRUE(wal.ok());
+    on_disk_at_kill = wal.value()->Size();
+  }
+  // Node 2 coordinates about a quarter of the committed transactions and
+  // logs several records for each of them.
+  EXPECT_GT(committed_before_kill, 0u);
+  EXPECT_GE(on_disk_at_kill, committed_before_kill / cfg.num_nodes);
+
+  ASSERT_TRUE(cluster.Restart(2));
+  cluster.RunFor(0.5);
+  SocketRunStats run = cluster.Stop();
+  const SocketNodeReport* restarted = nullptr;
+  for (const SocketNodeReport& n : run.nodes) {
+    if (n.id == 2) restarted = &n;
+  }
+  ASSERT_NE(restarted, nullptr);
+  // The replacement's log holds the replayed history plus whatever it
+  // wrote since.
+  EXPECT_GE(restarted->wal_records, on_disk_at_kill);
+  std::filesystem::remove_all(wal_dir);
 }
 
 TEST(SocketClusterTest, UncoalescedPathStillConverges) {

@@ -3,8 +3,13 @@
 
 #include "cluster/thread_node.h"
 
+#include <stdlib.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -29,6 +34,15 @@ ThreadClusterConfig SmallConfig(CommitProtocol protocol) {
   cfg.commit.timeout_us = 250'000;
   cfg.commit.termination_window_us = 80'000;
   return cfg;
+}
+
+// A fresh directory under the test temp dir, so no log from an earlier
+// run is replayed.
+std::string MakeWalDir() {
+  std::string tmpl = ::testing::TempDir() + "/ecdb_thread_wal_XXXXXX";
+  const char* dir = mkdtemp(tmpl.data());
+  EXPECT_NE(dir, nullptr);
+  return dir ? dir : "";
 }
 
 YcsbConfig SmallYcsb() {
@@ -115,6 +129,53 @@ TEST(ThreadClusterTest, FileWalPersistsAcrossRun) {
   std::remove((cfg.wal_dir + "/node2.wal").c_str());
 }
 
+// Every frame leaves after its WAL group flush at any frame cap: mid-run,
+// the logs on disk already hold at least one record per transaction the
+// cluster has committed.
+TEST(ThreadClusterTest, UncoalescedRunKeepsFileWalDurable) {
+  ThreadClusterConfig cfg = SmallConfig(CommitProtocol::kEasyCommit);
+  cfg.coalesce_transport = false;
+  cfg.wal_dir = MakeWalDir();
+  ASSERT_FALSE(cfg.wal_dir.empty());
+  ThreadCluster cluster(cfg, std::make_unique<YcsbWorkload>(SmallYcsb()));
+  cluster.Start();
+  cluster.RunFor(0.5);
+  const uint64_t committed = cluster.TotalCommitted();
+  uint64_t on_disk = 0;
+  for (NodeId id = 0; id < cfg.num_nodes; ++id) {
+    auto wal =
+        FileWal::Open(cfg.wal_dir + "/node" + std::to_string(id) + ".wal");
+    ASSERT_TRUE(wal.ok());
+    on_disk += wal.value()->Size();
+  }
+  cluster.Stop();
+  EXPECT_GT(committed, 0u);
+  EXPECT_GE(on_disk, committed);
+  std::filesystem::remove_all(cfg.wal_dir);
+}
+
+// A WAL group that cannot be made durable must not be acted on: the node
+// whose log sits on a full device fail-stops at its first failed flush
+// instead of shipping the frames that announce the group, so it never
+// commits, and the survivors' decisions stay consistent.
+TEST(ThreadClusterTest, FailedWalFlushFailStopsTheNode) {
+  if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  ThreadClusterConfig cfg = SmallConfig(CommitProtocol::kEasyCommit);
+  cfg.wal_dir = MakeWalDir();
+  ASSERT_FALSE(cfg.wal_dir.empty());
+  ASSERT_EQ(symlink("/dev/full", (cfg.wal_dir + "/node1.wal").c_str()), 0);
+  YcsbConfig ycsb = SmallYcsb();
+  ycsb.write_fraction = 1.0;  // every transaction runs the commit protocol
+  ThreadCluster cluster(cfg, std::make_unique<YcsbWorkload>(ycsb));
+  cluster.Start();
+  cluster.RunFor(0.5);
+  cluster.Stop();
+  EXPECT_TRUE(cluster.network().IsCrashed(1));
+  EXPECT_EQ(cluster.node(1).committed(), 0u);
+  EXPECT_TRUE(cluster.monitor().Violations().empty());
+  std::filesystem::remove_all(cfg.wal_dir);
+}
+
 TEST(ThreadClusterTest, SurvivesNodeCrashWithoutBlocking) {
   ThreadCluster cluster(SmallConfig(CommitProtocol::kEasyCommit),
                         std::make_unique<YcsbWorkload>(SmallYcsb()));
@@ -144,17 +205,23 @@ TEST(ThreadClusterTest, SurvivesNodeCrashWithoutBlocking) {
   EXPECT_EQ(blocked, 0u);
 }
 
+// A crash lands between loop iterations at either frame cap, so a node
+// never applies a decision whose transmits its crash then drops.
 TEST(ThreadClusterTest, CrashedNodeRecoversConsistently) {
-  ThreadCluster cluster(SmallConfig(CommitProtocol::kEasyCommit),
-                        std::make_unique<YcsbWorkload>(SmallYcsb()));
-  cluster.Start();
-  cluster.RunFor(0.3);
-  cluster.node(1).Crash();
-  cluster.RunFor(0.3);
-  cluster.node(1).Recover();
-  cluster.RunFor(1.0);
-  cluster.Stop();
-  EXPECT_TRUE(cluster.monitor().Violations().empty());
+  for (const bool coalesce : {false, true}) {
+    ThreadClusterConfig cfg = SmallConfig(CommitProtocol::kEasyCommit);
+    cfg.coalesce_transport = coalesce;
+    ThreadCluster cluster(cfg, std::make_unique<YcsbWorkload>(SmallYcsb()));
+    cluster.Start();
+    cluster.RunFor(0.3);
+    cluster.node(1).Crash();
+    cluster.RunFor(0.3);
+    cluster.node(1).Recover();
+    cluster.RunFor(1.0);
+    cluster.Stop();
+    EXPECT_TRUE(cluster.monitor().Violations().empty())
+        << "coalesce=" << coalesce;
+  }
 }
 
 // The A3 ablation (locks released when the decision is applied, not at
@@ -378,6 +445,14 @@ TEST(ThreadClusterWorkerPoolTest, SharedWorkersCommitOnBothDeliveryPaths) {
     // rode the local queue. Both must be non-zero at this shape.
     EXPECT_GT(stats.worker_mailbox_messages, 0u) << "coalesce=" << coalesce;
     EXPECT_GT(stats.worker_local_messages, 0u) << "coalesce=" << coalesce;
+    // Cross-worker frames: whole buffers when coalesced, one message per
+    // frame at a frame cap of one.
+    EXPECT_GT(stats.net_frames_sent, 0u) << "coalesce=" << coalesce;
+    if (coalesce) {
+      EXPECT_GT(stats.net_messages_coalesced, 0u);
+    } else {
+      EXPECT_EQ(stats.net_messages_coalesced, 0u);
+    }
   }
 }
 

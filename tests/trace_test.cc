@@ -40,8 +40,6 @@ TEST(TraceRecorderTest, DisabledByDefault) {
   EXPECT_TRUE(rec.Events().empty());
 }
 
-#if ECDB_TRACE_ENABLED
-
 TEST(TraceRecorderTest, RecordsInOrderAndStampsNode) {
   TraceRecorder rec(7);
   rec.Enable(64);
@@ -102,13 +100,10 @@ TEST(TraceRecorderTest, SeqIsMonotonic) {
   EXPECT_EQ(rec.NextSeq(), 1u);
 }
 
-#endif  // ECDB_TRACE_ENABLED
-
 TEST(CollectEventsTest, StableMergeByTimestamp) {
   // Two hand-built recorders would need Enable(); build the merged stream
   // through the exporter contract instead: same-timestamp events keep
   // per-recorder order (recorder 0's events before recorder 1's).
-#if ECDB_TRACE_ENABLED
   TraceRecorder r0(0), r1(1);
   r0.Enable(8);
   r1.Enable(8);
@@ -121,9 +116,6 @@ TEST(CollectEventsTest, StableMergeByTimestamp) {
   EXPECT_EQ(all[0].at, 50u);
   EXPECT_EQ(all[1].type, TraceEventType::kDecisionTransmit);
   EXPECT_EQ(all[2].type, TraceEventType::kDecisionApply);
-#else
-  GTEST_SKIP() << "tracing compiled out (ECDB_TRACE=OFF)";
-#endif
 }
 
 TEST(DescribeEventTest, DecodesPerTypePayloads) {
@@ -249,7 +241,6 @@ TEST(TraceCheckTest, NonEcProtocolIsNotStrict) {
 // End-to-end: trace a scripted EC commit through the protocol testbed and
 // verify the exported trace satisfies the paper's ordering invariant.
 TEST(TraceEndToEndTest, TestbedEcCommitTraceChecksOut) {
-#if ECDB_TRACE_ENABLED
   testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3);
   bed.EnableTracing(1 << 10);
   const TxnId txn = bed.StartAll();
@@ -296,9 +287,6 @@ TEST(TraceEndToEndTest, TestbedEcCommitTraceChecksOut) {
   EXPECT_NE(c.find("\"thread_name\""), std::string::npos);
   EXPECT_NE(c.find("\"ph\":\"b\""), std::string::npos);
   EXPECT_NE(c.find("\"ph\":\"e\""), std::string::npos);
-#else
-  GTEST_SKIP() << "tracing compiled out (ECDB_TRACE=OFF)";
-#endif
 }
 
 }  // namespace
