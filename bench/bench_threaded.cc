@@ -228,10 +228,11 @@ BENCHMARK(BM_ThreadedYcsbECPool)
     ->Arg(8)->Arg(64)->UseManualTime()->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
-// The telemetry overhead gate: the same EC cluster as BM_ThreadedYcsbEC/8
-// with the metrics record path and the 100ms sampler thread live. The
-// committed-per-second delta against the telemetry-off run is the cost of
-// observability; BENCH_engine.json keeps both so regressions show up.
+// The sampler overhead gate: the same EC cluster as BM_ThreadedYcsbEC/8
+// with the 100ms telemetry sampler thread live. The metrics record path is
+// always on, so the committed-per-second delta against BM_ThreadedYcsbEC/8
+// is the cost of the sampler thread alone; BENCH_engine.json keeps both so
+// regressions show up.
 void BM_ThreadedYcsbECTelemetry(benchmark::State& state) {
   ThreadedYcsb(state, CommitProtocol::kEasyCommit, /*workers=*/0,
                /*telemetry=*/true);

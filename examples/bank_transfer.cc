@@ -87,11 +87,9 @@ int main() {
   cluster.Quiesce(0.5);  // drain in-flight transfers so the audit is exact
   cluster.Stop();
 
-  uint64_t committed = 0, aborted = 0;
-  for (NodeId id = 0; id < kBranches; ++id) {
-    committed += cluster.node(id).stats().txns_committed;
-    aborted += cluster.node(id).stats().txns_aborted;
-  }
+  const ClusterStats stats = cluster.CollectStats(2.0);
+  const uint64_t committed = stats.total.txns_committed;
+  const uint64_t aborted = stats.total.txns_aborted;
 
   // Atomicity audit: each committed transfer bumped exactly two account
   // versions; aborted attempts must have been rolled back completely.

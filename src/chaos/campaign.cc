@@ -62,8 +62,8 @@ ChaosCaseResult RunCase(const ChaosCaseConfig& cfg, const FaultPlan& plan,
   // Latency of the horizon window only — the audit's drain below lets
   // stragglers finish in fault-free conditions, which would flatten the
   // tail the faults actually caused.
+  result.latency = cluster.CollectStats(0).total.latency;
   for (NodeId id = 0; id < cluster.num_nodes(); ++id) {
-    result.latency.Merge(cluster.node(id).stats().latency);
     // Quorum counters are harvested here, before the audit's full restart
     // recreates every engine and zeroes them.
     result.acceptor_rounds += cluster.node(id).engine().acceptor_rounds();

@@ -73,9 +73,10 @@ struct NodeConfig {
   /// admission window replaces clients_per_node as the slot population.
   OpenLoopConfig open_loop;
 
-  /// Time-series telemetry (off by default). The simulator samples in
-  /// virtual time (byte-identical across identically seeded runs); the
-  /// threaded runtime samples on wall time from a dedicated thread.
+  /// Time-series sampler (off by default; the metrics registry it samples
+  /// is always on). The simulator samples in virtual time (byte-identical
+  /// across identically seeded runs); the threaded runtime samples on wall
+  /// time from a dedicated thread.
   TelemetryConfig telemetry;
 
   uint64_t seed = 42;

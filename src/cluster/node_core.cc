@@ -12,7 +12,8 @@ namespace ecdb {
 
 NodeCore::NodeCore(NodeId id, const NodeConfig& config,
                    std::unique_ptr<WriteAheadLog> wal, Workload* workload,
-                   SafetyMonitor* monitor, uint64_t seed)
+                   SafetyMonitor* monitor, uint64_t seed,
+                   const MetricsHandle& metrics)
     : id_(id),
       config_(config),
       workload_(workload),
@@ -25,7 +26,8 @@ NodeCore::NodeCore(NodeId id, const NodeConfig& config,
       // The arrival stream's seed is derived from (not equal to) the node
       // seed so it does not correlate with the workload rng_.
       arrivals_(config.open_loop, seed ^ 0x9e3779b97f4a7c15ULL),
-      txn_ids_(id) {
+      txn_ids_(id),
+      metrics_(metrics) {
   trace_.set_node(id_);
   NewEngine();
   // Under the open loop the slots are the admission-control window, not a
@@ -114,18 +116,11 @@ void NodeCore::ScheduleNextArrival() {
 }
 
 void NodeCore::OnArrival() {
-  stats_.open_loop_offered++;
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->open_loop_offered);
-  }
+  metrics_.Add(metrics_.ids->open_loop_offered);
   if (free_client_slots_.empty()) {
     // Admission control: shed the arrival (counted, never queued) so an
     // overloaded node's backlog stays bounded.
-    stats_.open_loop_rejected++;
-    if (metrics_.on()) {
-      metrics_.registry->Add(metrics_.shard,
-                             metrics_.ids->open_loop_rejected);
-    }
+    metrics_.Add(metrics_.ids->open_loop_rejected);
     return;
   }
   const uint32_t slot = free_client_slots_.back();
@@ -210,9 +205,7 @@ void NodeCore::RecordWal(TxnId txn, LogRecordType type) {
     trace_.Record(TraceEventType::kWalWrite, NowUs(), txn, 0, kInvalidNode,
                   static_cast<uint8_t>(type));
   }
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->wal_appends);
-  }
+  metrics_.Add(metrics_.ids->wal_appends);
 }
 
 void NodeCore::Log(TxnId txn, LogRecordType type) {
@@ -275,10 +268,7 @@ void NodeCore::ApplyDecision(TxnId txn, Decision decision) {
     if (decision == Decision::kAbort) {
       UndoWrites(attempt->local_undo);
       attempt->local_undo.clear();
-      stats_.txns_aborted++;
-      if (metrics_.on()) {
-        metrics_.registry->Add(metrics_.shard, metrics_.ids->txns_aborted);
-      }
+      metrics_.Add(metrics_.ids->txns_aborted);
       ScheduleRetry(attempt->slot);
     } else {
       FinishCommitted(txn);
@@ -295,7 +285,7 @@ void NodeCore::ApplyDecision(TxnId txn, Decision decision) {
 }
 
 void NodeCore::OnBlocked(TxnId txn) {
-  stats_.txns_blocked++;
+  metrics_.Add(metrics_.ids->txns_blocked);
   if (monitor_ != nullptr) monitor_->RecordBlocked(txn, id_);
 }
 
@@ -312,13 +302,13 @@ void NodeCore::OnPhaseSample(TxnId txn, CommitPhase phase,
   (void)txn;
   switch (phase) {
     case CommitPhase::kVoteCollection:
-      stats_.phase_vote.Record(elapsed_us);
+      metrics_.Observe(metrics_.ids->phase_vote_us, elapsed_us);
       break;
     case CommitPhase::kDecisionTransmit:
-      stats_.phase_transmit.Record(elapsed_us);
+      metrics_.Observe(metrics_.ids->phase_transmit_us, elapsed_us);
       break;
     case CommitPhase::kDecisionApply:
-      stats_.phase_apply.Record(elapsed_us);
+      metrics_.Observe(metrics_.ids->phase_apply_us, elapsed_us);
       break;
   }
 }
@@ -578,7 +568,7 @@ void NodeCore::AllFragmentsReady(TxnId txn) {
     return;
   }
   attempt->protocol_started = true;
-  stats_.commit_protocol_runs++;
+  metrics_.Add(metrics_.ids->commit_protocol_runs);
   engine_->StartCommit(txn, attempt->participants, Decision::kCommit);
 }
 
@@ -624,15 +614,9 @@ void NodeCore::FinishCommitted(TxnId txn) {
   if (attempt == nullptr) return;
   const uint32_t slot = attempt->slot;
   ClientSlot& client = clients_[slot];
-  stats_.txns_committed++;
   committed_.fetch_add(1, std::memory_order_relaxed);
-  const Micros latency_us = NowUs() - client.first_start_us;
-  stats_.latency.Record(latency_us);
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->txns_committed);
-    metrics_.registry->Observe(metrics_.shard, metrics_.ids->latency_us,
-                               latency_us);
-  }
+  metrics_.Add(metrics_.ids->txns_committed);
+  metrics_.Observe(metrics_.ids->latency_us, NowUs() - client.first_start_us);
   client.in_flight = false;
   if (track_acked_ && attempt->protocol_started) {
     acked_commits_.push_back(txn);
@@ -656,10 +640,7 @@ void NodeCore::AbortAttempt(TxnId txn, bool send_rollbacks) {
   UndoWrites(attempt->local_undo);
   locks_.ReleaseAll(txn);
   if (send_rollbacks) SendRollbacks(txn, *attempt, /*include_pending=*/true);
-  stats_.txns_aborted++;
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->txns_aborted);
-  }
+  metrics_.Add(metrics_.ids->txns_aborted);
   const uint32_t slot = attempt->slot;
   Run({WorkKind::kAbort}, [this, txn, slot]() {
     EraseAttempt(txn);
@@ -673,10 +654,7 @@ void NodeCore::ScheduleRetry(uint32_t slot) {
       (quiesced() || client.attempts >= config_.open_loop.max_attempts)) {
     // Terminal abort: the retry budget ran out (or quiesce is draining the
     // node). Bounded retries keep the conservation law exact.
-    stats_.open_loop_aborted++;
-    if (metrics_.on()) {
-      metrics_.registry->Add(metrics_.shard, metrics_.ids->open_loop_aborted);
-    }
+    metrics_.Add(metrics_.ids->open_loop_aborted);
     client.in_flight = false;
     free_client_slots_.push_back(slot);
     return;
@@ -810,11 +788,7 @@ void NodeCore::CrashCore() {
     free_client_slots_.clear();
     for (uint32_t slot = 0; slot < clients_.size(); ++slot) {
       if (clients_[slot].in_flight) {
-        stats_.open_loop_aborted++;
-        if (metrics_.on()) {
-          metrics_.registry->Add(metrics_.shard,
-                                 metrics_.ids->open_loop_aborted);
-        }
+        metrics_.Add(metrics_.ids->open_loop_aborted);
       }
       clients_[slot].in_flight = false;
       free_client_slots_.push_back(slot);
@@ -951,6 +925,30 @@ void NodeCore::SeedQuorumSnapshots(TxnId txn) {
       engine_->SeedPaxosAcceptor(txn, promised, std::move(accepted));
     }
   }
+}
+
+void NodeCore::BeginMeasurement() {
+  window_termination_ = engine_->termination_rounds();
+  window_acceptor_ = engine_->acceptor_rounds();
+  window_ballots_ = engine_->ballots_promoted();
+  window_quorum_lost_ = engine_->quorum_lost_rounds();
+}
+
+void NodeCore::AddNodeCounters(ClusterStats* out) const {
+  auto since = [](uint64_t now, uint64_t base) {
+    return now > base ? now - base : 0;
+  };
+  NodeStats& t = out->total;
+  t.termination_rounds +=
+      since(engine_->termination_rounds(), window_termination_);
+  t.acceptor_rounds += since(engine_->acceptor_rounds(), window_acceptor_);
+  t.ballots_promoted += since(engine_->ballots_promoted(), window_ballots_);
+  t.quorum_lost_rounds +=
+      since(engine_->quorum_lost_rounds(), window_quorum_lost_);
+  out->duplicate_decisions_suppressed +=
+      engine_->duplicate_decisions_suppressed();
+  out->wal_group_flushes += wal_->group_flushes();
+  out->trace_events_dropped += trace_.dropped();
 }
 
 void NodeCore::ReseedTxnIdsFromWal() {

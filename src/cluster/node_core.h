@@ -16,7 +16,6 @@
 #include "common/rng.h"
 #include "obs/metrics_registry.h"
 #include "sim/task.h"
-#include "stats/metrics.h"
 #include "storage/table.h"
 #include "trace/trace_recorder.h"
 #include "txn/transaction.h"
@@ -61,9 +60,12 @@ struct NodeTimer {
 /// a core without storage or clients for protocol-level tests.
 class NodeCore : public CommitEnv {
  public:
+  /// `metrics` is the host's registry handle; every event the node counts
+  /// is recorded there, once.
   NodeCore(NodeId id, const NodeConfig& config,
            std::unique_ptr<WriteAheadLog> wal, Workload* workload,
-           SafetyMonitor* monitor, uint64_t seed);
+           SafetyMonitor* monitor, uint64_t seed,
+           const MetricsHandle& metrics);
   ~NodeCore() override;
 
   NodeCore(const NodeCore&) = delete;
@@ -123,16 +125,21 @@ class NodeCore : public CommitEnv {
   using VoteOverride = std::function<Decision(TxnId)>;
   void set_vote_override(VoteOverride fn) { vote_override_ = std::move(fn); }
 
-  /// Binds a telemetry registry; the node records the CoreMetrics
-  /// counters/histograms alongside its NodeStats, from its own thread.
-  void BindMetrics(const MetricsHandle& metrics) { metrics_ = metrics; }
-
   /// Turns on protocol tracing.
   void EnableTracing(size_t capacity = TraceRecorder::kDefaultCapacity) {
     trace_.Enable(capacity);
   }
   TraceRecorder& trace() { return trace_; }
   const TraceRecorder& trace() const { return trace_; }
+
+  /// Starts a measurement window for the engine's protocol-round counters.
+  void BeginMeasurement();
+
+  /// Adds what this node's engine, WAL and trace ring count to `out`:
+  /// protocol rounds since BeginMeasurement (clamped at zero: a crash
+  /// recreates the engine), duplicate decisions, group flushes and trace
+  /// drops since construction. Call from the node's thread or after it.
+  void AddNodeCounters(ClusterStats* out) const;
 
   /// Bumps the TxnId allocator past the highest self-coordinated sequence
   /// in the WAL. A process restart builds a fresh node over the old log;
@@ -141,8 +148,11 @@ class NodeCore : public CommitEnv {
   void ReseedTxnIdsFromWal();
 
   // --- Introspection ---
-  NodeStats& stats() { return stats_; }
-  const NodeStats& stats() const { return stats_; }
+  /// What a node reports on its own, from any thread. All else it counts
+  /// is in the host's registry (sharded per worker, not per node): read it
+  /// through the host's CollectStats.
+  struct LiveStats { uint64_t txns_committed = 0; };
+  LiveStats stats() const { return {committed()}; }
   /// Committed transactions; readable from any thread.
   uint64_t committed() const {
     return committed_.load(std::memory_order_relaxed);
@@ -359,9 +369,11 @@ class NodeCore : public CommitEnv {
   bool track_acked_ = false;
   std::vector<TxnId> acked_commits_;
   VoteOverride vote_override_;
+  // Engine protocol-round counters at BeginMeasurement.
+  uint64_t window_termination_ = 0, window_acceptor_ = 0, window_ballots_ = 0,
+           window_quorum_lost_ = 0;
 
-  NodeStats stats_;
-  MetricsHandle metrics_;
+  const MetricsHandle metrics_;
   std::atomic<uint64_t> committed_{0};
   TraceRecorder trace_;
 };

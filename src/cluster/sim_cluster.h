@@ -43,11 +43,13 @@ class SimCluster {
   /// failure tests to reach quiescence.
   size_t RunToQuiescence(size_t max_events = 10'000'000);
 
-  /// Opens a fresh measurement window on every node.
+  /// Opens a fresh measurement window: snapshots the registry as the
+  /// window's baseline and restarts the per-node engine baselines.
   void BeginMeasurement();
 
-  /// Merges per-node stats for a window of `duration_seconds` (idle time
-  /// is derived from worker busy time vs. wall time).
+  /// Stats since BeginMeasurement (else since construction): the registry
+  /// snapshot minus the baseline, the node counters, and idle time derived
+  /// from worker busy time vs. the `duration_seconds` window.
   ClusterStats CollectStats(double duration_seconds) const;
 
   SimNode& node(NodeId id) { return *nodes_[id]; }
@@ -73,7 +75,7 @@ class SimCluster {
   }
 
   /// Takes a final sample and cancels the periodic sampling event. Safe to
-  /// call repeatedly; no-op when telemetry is off.
+  /// call repeatedly; no-op without a sampler.
   void StopTelemetry();
 
   /// The time-series sampler, or nullptr when config.telemetry.enabled is
@@ -94,18 +96,18 @@ class SimCluster {
   std::unique_ptr<SimNetwork> network_;
   std::unique_ptr<Workload> workload_;
   SafetyMonitor monitor_;
-  std::vector<std::unique_ptr<SimNode>> nodes_;
-  Micros measurement_start_us_ = 0;
 
-  // Telemetry (config_.telemetry.enabled): the registry lives on the
-  // cluster, every node records through shard 0 (the sim is
-  // single-threaded), and the sampler is driven by a virtual-time event
-  // chain so exports are byte-deterministic.
+  // The registry lives on the cluster and every node records through
+  // shard 0 (the sim is single-threaded). BeginMeasurement snapshots the
+  // window's baseline. With config_.telemetry.enabled a sampler driven by
+  // a virtual-time event chain turns it into byte-deterministic exports.
   MetricsRegistry metrics_registry_;
   CoreMetrics core_metrics_;
+  MetricsSnapshot window_base_;
+  std::vector<std::unique_ptr<SimNode>> nodes_;
+
   std::unique_ptr<TelemetrySampler> sampler_;
   Scheduler::TaskId sampler_task_ = 0;
-  uint64_t polled_wal_flushes_ = 0;  // last cumulative group-flush poll
 };
 
 }  // namespace ecdb

@@ -7,9 +7,10 @@ namespace ecdb {
 
 SimNode::SimNode(NodeId id, const ClusterConfig& config, Scheduler* scheduler,
                  SimNetwork* network, Workload* workload,
-                 SafetyMonitor* monitor, uint64_t seed)
+                 SafetyMonitor* monitor, uint64_t seed,
+                 const MetricsHandle& metrics)
     : NodeCore(id, config, std::make_unique<MemoryWal>(), workload, monitor,
-               seed),
+               seed, metrics),
       config_(config),
       scheduler_(scheduler),
       network_(network) {}
@@ -92,12 +93,9 @@ void SimNode::FinishJobSlot(uint32_t idx) {
   RunningJob job = std::move(running_jobs_[idx]);
   free_job_slots_.push_back(idx);
   if (crashed() || job.epoch != epoch()) return;
-  Micros total = 0;
   for (size_t i = 0; i < kNumTimeCategories; ++i) {
-    stats().time_us[i] += job.cost[i];
-    total += job.cost[i];
+    if (job.cost[i] != 0) metrics().Add(metrics().ids->time_us[i], job.cost[i]);
   }
-  total_busy_us_ += total;
   job.fn();
   busy_workers_--;
   if (!job_queue_.empty() && busy_workers_ < config_.workers_per_node) {
@@ -122,15 +120,6 @@ bool SimNode::Recover() {
   if (!crashed()) return false;
   network_->RecoverNode(self());
   return RecoverCore();
-}
-
-void SimNode::BeginMeasurement() {
-  stats().Clear();
-  busy_at_window_start_ = total_busy_us_;
-  term_rounds_at_window_start_ = engine().termination_rounds();
-  acceptor_rounds_at_window_start_ = engine().acceptor_rounds();
-  ballots_promoted_at_window_start_ = engine().ballots_promoted();
-  quorum_lost_at_window_start_ = engine().quorum_lost_rounds();
 }
 
 }  // namespace ecdb

@@ -17,13 +17,13 @@ namespace ecdb {
 /// discrete-event scheduler. Messages flow through the simulated network,
 /// timers through the scheduler, and every unit of node work occupies one
 /// of `workers_per_node` modeled worker threads for its service time under
-/// the Figure-12 cost model (ServiceCosts), accumulated per category into
-/// the node's time breakdown.
+/// the Figure-12 cost model (ServiceCosts), recorded per category into the
+/// registry's time counters.
 class SimNode : public NodeCore {
  public:
   SimNode(NodeId id, const ClusterConfig& config, Scheduler* scheduler,
           SimNetwork* network, Workload* workload, SafetyMonitor* monitor,
-          uint64_t seed);
+          uint64_t seed, const MetricsHandle& metrics);
   ~SimNode() override;
 
   /// Loads this node's partition and registers with the network.
@@ -40,30 +40,6 @@ class SimNode : public NodeCore {
 
   Micros NowUs() const override { return scheduler_->Now(); }
 
-  /// Starts a fresh measurement window (clears the stats counters and
-  /// remembers the busy-time and engine-counter baselines).
-  void BeginMeasurement();
-
-  /// Worker-busy microseconds accumulated since construction.
-  uint64_t total_busy_us() const { return total_busy_us_; }
-  uint64_t busy_us_at_window_start() const { return busy_at_window_start_; }
-
-  /// Engine counters since BeginMeasurement(). A crash recreates the
-  /// engine and resets its counters, so each difference is clamped at zero.
-  uint64_t TerminationRoundsThisWindow() const {
-    return Since(engine().termination_rounds(), term_rounds_at_window_start_);
-  }
-  uint64_t AcceptorRoundsThisWindow() const {
-    return Since(engine().acceptor_rounds(), acceptor_rounds_at_window_start_);
-  }
-  uint64_t BallotsPromotedThisWindow() const {
-    return Since(engine().ballots_promoted(),
-                 ballots_promoted_at_window_start_);
-  }
-  uint64_t QuorumLostRoundsThisWindow() const {
-    return Since(engine().quorum_lost_rounds(), quorum_lost_at_window_start_);
-  }
-
  private:
   using CostVector = std::array<Micros, kNumTimeCategories>;
 
@@ -73,10 +49,6 @@ class SimNode : public NodeCore {
   void Run(Work work, TaskFn fn) override;
   void Transmit(Message msg) override { network_->Send(std::move(msg)); }
   bool Fenced() const override { return network_->IsCrashed(self()); }
-
-  static uint64_t Since(uint64_t now, uint64_t start) {
-    return now > start ? now - start : 0;
-  }
 
   /// The Figure-12 cost model: service time of `work` per category.
   CostVector CostOf(Work work) const;
@@ -106,13 +78,6 @@ class SimNode : public NodeCore {
   std::deque<std::pair<CostVector, TaskFn>> job_queue_;
   std::vector<RunningJob> running_jobs_;
   std::vector<uint32_t> free_job_slots_;
-
-  uint64_t total_busy_us_ = 0;
-  uint64_t busy_at_window_start_ = 0;
-  uint64_t term_rounds_at_window_start_ = 0;
-  uint64_t acceptor_rounds_at_window_start_ = 0;
-  uint64_t ballots_promoted_at_window_start_ = 0;
-  uint64_t quorum_lost_at_window_start_ = 0;
 };
 
 }  // namespace ecdb

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -206,6 +207,46 @@ ChildSetup DecodeChildConfig(const std::string& blob) {
   return setup;
 }
 
+/// A node's STATS reply body: its whole registry snapshot as space-led
+/// `name=value` tokens — every counter and gauge, and for each non-empty
+/// histogram `name.sum`, `name.min`, `name.max` and one `name@bucket` per
+/// non-empty bucket.
+std::string FormatSnapshot(const MetricsRegistry& registry) {
+  const MetricsSnapshot snap = registry.Snapshot();
+  std::ostringstream out;
+  for (size_t i = 0; i < snap.counters.size(); ++i) {
+    out << ' ' << registry.counter_names()[i] << '=' << snap.counters[i];
+  }
+  for (size_t i = 0; i < snap.gauges.size(); ++i) {
+    out << ' ' << registry.gauge_names()[i] << '=' << snap.gauges[i];
+  }
+  for (size_t h = 0; h < snap.hist_counts.size(); ++h) {
+    if (snap.hist_counts[h] == 0) continue;
+    const std::string& name = registry.hist_names()[h];
+    out << ' ' << name << ".sum=" << snap.hist_sums[h] << ' ' << name
+        << ".min=" << snap.hist_mins[h] << ' ' << name
+        << ".max=" << snap.hist_maxes[h];
+    for (size_t b = 0; b < snap.hist_buckets[h].size(); ++b) {
+      const uint64_t count = snap.hist_buckets[h][b];
+      if (count != 0) out << ' ' << name << '@' << b << '=' << count;
+    }
+  }
+  return out.str();
+}
+
+/// Inverse of FormatSnapshot's token list.
+std::map<std::string, uint64_t> ParseNamed(const std::string& tokens) {
+  std::map<std::string, uint64_t> out;
+  std::istringstream in(tokens);
+  std::string kv;
+  while (in >> kv) {
+    const size_t eq = kv.find('=');
+    if (eq == std::string::npos) continue;
+    out[kv.substr(0, eq)] = std::strtoull(kv.c_str() + eq + 1, nullptr, 10);
+  }
+  return out;
+}
+
 /// Node-process command loop: connects back to the supervisor, announces
 /// its data port, then serves control commands until STOP.
 void RunSocketNodeChild(const std::string& blob) {
@@ -245,49 +286,13 @@ void RunSocketNodeChild(const std::string& blob) {
       WriteAll(ctl, "READY\n", 6);
     } else if (verb == "QUIESCE") {
       host.Quiesce();
-    } else if (verb == "COUNT") {
-      std::ostringstream out;
-      out << "COUNT " << host.committed() << "\n";
-      const std::string s = out.str();
-      WriteAll(ctl, s.data(), s.size());
     } else if (verb == "HALT") {
       if (!halted) host.Stop();
       halted = true;
       WriteAll(ctl, "HALTED\n", 7);
     } else if (verb == "STATS") {
-      // Thread-confined state: valid only after HALT stopped the worker.
-      const NodeStats& s = host.node().stats();
-      const SocketIoStats io = host.io_stats();
-      std::ostringstream out;
-      out << "STATS id=" << setup.node.id
-          << " committed=" << s.txns_committed
-          << " attempts_aborted=" << s.txns_aborted
-          << " offered=" << s.open_loop_offered
-          << " rejected=" << s.open_loop_rejected
-          << " taborted=" << s.open_loop_aborted
-          << " dup=" << host.node().engine().duplicate_decisions_suppressed()
-          << " term=" << s.termination_rounds
-          << " walf=" << host.node().wal().group_flushes()
-          << " walr=" << host.node().wal().Size()
-          << " bin=" << io.bytes_in << " bout=" << io.bytes_out
-          << " rdc=" << io.read_calls << " wvc=" << io.writev_calls
-          << " pw=" << io.partial_writes << " eag=" << io.eagain_stalls
-          << " epw=" << io.epoll_waits << " efw=" << io.eventfd_wakes
-          << " rec=" << io.reconnects << " fout=" << io.frames_out
-          << " mout=" << io.messages_out << " fin=" << io.frames_in
-          << " min=" << io.messages_in << " odrop=" << io.overflow_drops
-          << " creset=" << io.corrupt_resets << "\n";
-      const std::string str = out.str();
-      WriteAll(ctl, str.data(), str.size());
-    } else if (verb == "LAT") {
-      std::ostringstream out;
-      out << "LAT";
-      for (const auto& [bucket, count] :
-           host.node().stats().latency.NonZeroBuckets()) {
-        out << " " << bucket << ":" << count;
-      }
-      out << "\n";
-      const std::string str = out.str();
+      // Live at any time; the node ledgers are folded in by HALT.
+      const std::string str = "STATS" + FormatSnapshot(host.metrics()) + "\n";
       WriteAll(ctl, str.data(), str.size());
     } else if (verb == "STOP") {
       WriteAll(ctl, "BYE\n", 4);
@@ -298,11 +303,27 @@ void RunSocketNodeChild(const std::string& blob) {
   close(ctl);
 }
 
-uint64_t ParseKeyed(const std::string& line, const char* key) {
-  const std::string pat = std::string(" ") + key + "=";
-  size_t at = line.find(pat);
-  if (at == std::string::npos) return 0;
-  return std::strtoull(line.c_str() + at + pat.size(), nullptr, 10);
+uint64_t Named(const std::map<std::string, uint64_t>& values,
+               const std::string& name) {
+  auto it = values.find(name);
+  return it == values.end() ? 0 : it->second;
+}
+
+/// Rebuilds histogram `name` from FormatSnapshot's tokens.
+Histogram HistFromNamed(const std::map<std::string, uint64_t>& values,
+                        const std::string& name) {
+  std::vector<uint64_t> buckets(Histogram::kNumBuckets, 0);
+  const std::string prefix = name + "@";
+  for (auto it = values.lower_bound(prefix);
+       it != values.end() && it->first.compare(0, prefix.size(), prefix) == 0;
+       ++it) {
+    const size_t b = std::strtoull(it->first.c_str() + prefix.size(),
+                                   nullptr, 10);
+    if (b < buckets.size()) buckets[b] = it->second;
+  }
+  return Histogram::FromBuckets(std::move(buckets), Named(values, name + ".sum"),
+                                Named(values, name + ".min"),
+                                Named(values, name + ".max"));
 }
 
 }  // namespace
@@ -318,49 +339,16 @@ bool MaybeRunSocketNodeChild(int argc, char** argv) {
   return false;
 }
 
-uint64_t SocketRunStats::Committed() const {
+uint64_t SocketRunStats::Sum(uint64_t SocketNodeReport::*field) const {
   uint64_t sum = 0;
-  for (const auto& n : nodes) sum += n.committed;
+  for (const auto& n : nodes) sum += n.*field;
   return sum;
 }
-uint64_t SocketRunStats::Offered() const {
-  uint64_t sum = 0;
-  for (const auto& n : nodes) sum += n.offered;
-  return sum;
-}
-uint64_t SocketRunStats::Rejected() const {
-  uint64_t sum = 0;
-  for (const auto& n : nodes) sum += n.rejected;
-  return sum;
-}
-uint64_t SocketRunStats::TerminalAborted() const {
-  uint64_t sum = 0;
-  for (const auto& n : nodes) sum += n.terminal_aborted;
-  return sum;
-}
-uint64_t SocketRunStats::DuplicateDecisionsSuppressed() const {
-  uint64_t sum = 0;
-  for (const auto& n : nodes) sum += n.duplicate_decisions_suppressed;
-  return sum;
-}
+
 SocketIoStats SocketRunStats::Io() const {
   SocketIoStats sum;
   for (const auto& n : nodes) {
-    sum.bytes_in += n.io.bytes_in;
-    sum.bytes_out += n.io.bytes_out;
-    sum.read_calls += n.io.read_calls;
-    sum.writev_calls += n.io.writev_calls;
-    sum.partial_writes += n.io.partial_writes;
-    sum.eagain_stalls += n.io.eagain_stalls;
-    sum.epoll_waits += n.io.epoll_waits;
-    sum.eventfd_wakes += n.io.eventfd_wakes;
-    sum.reconnects += n.io.reconnects;
-    sum.frames_out += n.io.frames_out;
-    sum.messages_out += n.io.messages_out;
-    sum.frames_in += n.io.frames_in;
-    sum.messages_in += n.io.messages_in;
-    sum.overflow_drops += n.io.overflow_drops;
-    sum.corrupt_resets += n.io.corrupt_resets;
+    for (const SocketIoGauge& g : kSocketIoGauges) sum.*g.field += n.io.*g.field;
   }
   return sum;
 }
@@ -499,14 +487,11 @@ uint64_t SocketCluster::TotalCommitted() {
   uint64_t sum = 0;
   for (NodeId id = 0; id < config_.num_nodes; ++id) {
     if (!children_[id].live) continue;
-    if (!SendLine(id, "COUNT")) continue;
     std::string line;
-    if (!ReadLine(id, &line)) continue;
-    std::istringstream in(line);
-    std::string verb;
-    uint64_t count = 0;
-    in >> verb >> count;
-    if (verb == "COUNT") sum += count;
+    if (SendLine(id, "STATS") && ReadLine(id, &line) &&
+        line.rfind("STATS", 0) == 0) {
+      sum += Named(ParseNamed(line.substr(5)), "txns_committed");
+    }
   }
   return sum;
 }
@@ -557,43 +542,25 @@ SocketRunStats SocketCluster::Stop() {
     SocketNodeReport report;
     report.id = id;
     if (SendLine(id, "STATS") && ReadLine(id, &line) &&
-        line.rfind("STATS ", 0) == 0) {
-      report.committed = ParseKeyed(line, "committed");
-      report.attempts_aborted = ParseKeyed(line, "attempts_aborted");
-      report.offered = ParseKeyed(line, "offered");
-      report.rejected = ParseKeyed(line, "rejected");
-      report.terminal_aborted = ParseKeyed(line, "taborted");
-      report.duplicate_decisions_suppressed = ParseKeyed(line, "dup");
-      report.termination_rounds = ParseKeyed(line, "term");
-      report.wal_group_flushes = ParseKeyed(line, "walf");
-      report.wal_records = ParseKeyed(line, "walr");
-      report.io.bytes_in = ParseKeyed(line, "bin");
-      report.io.bytes_out = ParseKeyed(line, "bout");
-      report.io.read_calls = ParseKeyed(line, "rdc");
-      report.io.writev_calls = ParseKeyed(line, "wvc");
-      report.io.partial_writes = ParseKeyed(line, "pw");
-      report.io.eagain_stalls = ParseKeyed(line, "eag");
-      report.io.epoll_waits = ParseKeyed(line, "epw");
-      report.io.eventfd_wakes = ParseKeyed(line, "efw");
-      report.io.reconnects = ParseKeyed(line, "rec");
-      report.io.frames_out = ParseKeyed(line, "fout");
-      report.io.messages_out = ParseKeyed(line, "mout");
-      report.io.frames_in = ParseKeyed(line, "fin");
-      report.io.messages_in = ParseKeyed(line, "min");
-      report.io.overflow_drops = ParseKeyed(line, "odrop");
-      report.io.corrupt_resets = ParseKeyed(line, "creset");
-    }
-    if (SendLine(id, "LAT") && ReadLine(id, &line) &&
-        line.rfind("LAT", 0) == 0) {
-      std::istringstream in(line.substr(3));
-      std::string pair;
-      while (in >> pair) {
-        size_t colon = pair.find(':');
-        if (colon == std::string::npos) continue;
-        run.latency.AddBucket(std::strtoull(pair.c_str(), nullptr, 10),
-                              std::strtoull(pair.c_str() + colon + 1, nullptr,
-                                            10));
+        line.rfind("STATS", 0) == 0) {
+      report.metrics = ParseNamed(line.substr(5));
+      const auto& m = report.metrics;
+      report.committed = Named(m, "txns_committed");
+      report.attempts_aborted = Named(m, "txns_aborted");
+      report.offered = Named(m, "open_loop_offered");
+      report.rejected = Named(m, "open_loop_rejected");
+      report.terminal_aborted = Named(m, "open_loop_aborted");
+      report.duplicate_decisions_suppressed =
+          Named(m, "duplicate_decisions_suppressed");
+      report.termination_rounds = Named(m, "termination_rounds");
+      // Every group flush goes through the node's FlushWal, which counts
+      // exactly the flushes that covered records.
+      report.wal_group_flushes = Named(m, "wal_flushes");
+      report.wal_records = Named(m, "wal_records");
+      for (const SocketIoGauge& g : kSocketIoGauges) {
+        report.io.*g.field = Named(m, g.name);
       }
+      run.latency.Merge(HistFromNamed(m, "latency_us"));
     }
     if (SendLine(id, "STOP")) {
       ReadLine(id, &line);  // BYE (best effort)

@@ -2,6 +2,7 @@
 #define ECDB_CLUSTER_SOCKET_CLUSTER_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -56,7 +57,9 @@ struct SocketClusterConfig {
   bool track_acked = false;
 };
 
-/// One node process's end-of-run report, parsed from its STATS line.
+/// One node process's end-of-run report: its registry snapshot, shipped
+/// as its STATS line, with the fields the supervisor aggregates picked out
+/// by name.
 struct SocketNodeReport {
   NodeId id = 0;
   uint64_t committed = 0;
@@ -69,6 +72,9 @@ struct SocketNodeReport {
   uint64_t wal_group_flushes = 0;
   uint64_t wal_records = 0;
   SocketIoStats io;
+  /// Every counter and gauge by name, plus each non-empty histogram's
+  /// `name.sum`/`.min`/`.max` and `name@bucket` counts.
+  std::map<std::string, uint64_t> metrics;
 };
 
 /// Aggregated result of a socket cluster run. Latency percentiles come
@@ -78,12 +84,17 @@ struct SocketRunStats {
   std::vector<SocketNodeReport> nodes;  // live processes at Stop() time
   Histogram latency;
 
-  uint64_t Committed() const;
-  uint64_t Offered() const;
-  uint64_t Rejected() const;
-  uint64_t TerminalAborted() const;
-  uint64_t DuplicateDecisionsSuppressed() const;
+  uint64_t Committed() const { return Sum(&SocketNodeReport::committed); }
+  uint64_t Offered() const { return Sum(&SocketNodeReport::offered); }
+  uint64_t Rejected() const { return Sum(&SocketNodeReport::rejected); }
+  uint64_t TerminalAborted() const {
+    return Sum(&SocketNodeReport::terminal_aborted);
+  }
+  uint64_t DuplicateDecisionsSuppressed() const {
+    return Sum(&SocketNodeReport::duplicate_decisions_suppressed);
+  }
   SocketIoStats Io() const;  // summed over nodes
+  uint64_t Sum(uint64_t SocketNodeReport::*field) const;  // over nodes
 
   /// Conservation law over the aggregated open-loop ledger (only
   /// meaningful when every process survived to report).
@@ -95,8 +106,8 @@ struct SocketRunStats {
 /// Supervisor of the multi-process runtime: forks one process per node
 /// (re-exec of the current binary with a `--ecdb-socket-node=` marker),
 /// distributes the data-port map over a loopback control connection,
-/// starts the run, and at the end collects each process's counters and
-/// latency buckets. Also the crash lever: Kill() SIGKILLs a node process
+/// starts the run, and at the end collects each process's registry
+/// snapshot. Also the crash lever: Kill() SIGKILLs a node process
 /// mid-run (peers see a TCP reset) and Restart() replaces it with a fresh
 /// process over the same WAL, announcing the new port to everyone.
 class SocketCluster {

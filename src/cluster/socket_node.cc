@@ -688,31 +688,34 @@ SocketNode::SocketNode(SocketNodeConfig config)
   // the send site and writev gathering on the wire. The bench ablation
   // turns both off together — its baseline is one syscall per message.
   network_.SetWritevBatching(config_.cluster.coalesce_transport);
+  core_metrics_ = RegisterCoreMetrics(&metrics_registry_);
+  for (size_t i = 0; i < std::size(kSocketIoGauges); ++i) {
+    io_gauges_[i] = metrics_registry_.Gauge(kSocketIoGauges[i].name);
+  }
+  termination_rounds_ = metrics_registry_.Gauge("termination_rounds");
+  duplicate_decisions_suppressed_ =
+      metrics_registry_.Gauge("duplicate_decisions_suppressed");
+  wal_records_ = metrics_registry_.Gauge("wal_records");
+  metrics_registry_.Activate(1);
+  const MetricsHandle handle{&metrics_registry_, &core_metrics_, 0};
   node_ = std::make_unique<ThreadNode>(
       config_.id, config_.cluster, &network_, &workload_, &monitor_,
-      NodeSeed(config_.cluster.seed, config_.id));
+      NodeSeed(config_.cluster.seed, config_.id), handle);
   worker_ = std::make_unique<ThreadWorker>(
-      config_.id, config_.cluster.num_nodes, &network_);
+      config_.id, config_.cluster.num_nodes, &network_, handle);
   worker_->AddNode(node_.get());
   if (config_.cluster.telemetry.enabled) {
-    core_metrics_ = RegisterCoreMetrics(&metrics_registry_);
-    metrics_registry_.Activate(1);
-    node_->BindMetrics(MetricsHandle{&metrics_registry_, &core_metrics_, 0});
-    worker_->BindMetrics(MetricsHandle{&metrics_registry_, &core_metrics_, 0});
     sampler_ = std::make_unique<TelemetrySampler>(&metrics_registry_,
                                                   config_.cluster.telemetry);
-    sampler_->SetPollHook([this] {
-      SetNetworkGauges(network_.stats(), core_metrics_, &metrics_registry_);
-      const SocketIoStats io = network_.io_stats();
-      metrics_registry_.Set(core_metrics_.sock_bytes_in, io.bytes_in);
-      metrics_registry_.Set(core_metrics_.sock_bytes_out, io.bytes_out);
-      metrics_registry_.Set(core_metrics_.sock_writev_calls, io.writev_calls);
-      metrics_registry_.Set(core_metrics_.sock_partial_writes,
-                            io.partial_writes);
-      metrics_registry_.Set(core_metrics_.sock_eagain_stalls,
-                            io.eagain_stalls);
-      metrics_registry_.Set(core_metrics_.sock_reconnects, io.reconnects);
-    });
+    sampler_->SetPollHook([this] { PollGauges(); });
+  }
+}
+
+void SocketNode::PollGauges() {
+  SetNetworkGauges(network_.stats(), core_metrics_, &metrics_registry_);
+  const SocketIoStats io = network_.io_stats();
+  for (size_t i = 0; i < std::size(kSocketIoGauges); ++i) {
+    metrics_registry_.Set(io_gauges_[i], io.*kSocketIoGauges[i].field);
   }
 }
 
@@ -742,11 +745,18 @@ void SocketNode::Stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
   worker_->Stop();
+  // The worker is joined: its node's engine, WAL and trace ring may be
+  // read. Fold them in ahead of the sampler's final sample.
+  PollGauges();
+  metrics_registry_.Set(core_metrics_.trace_events_dropped,
+                        node_->trace().dropped());
+  metrics_registry_.Set(termination_rounds_,
+                        node_->engine().termination_rounds());
+  metrics_registry_.Set(duplicate_decisions_suppressed_,
+                        node_->engine().duplicate_decisions_suppressed());
+  metrics_registry_.Set(wal_records_, node_->wal().Size());
   if (sampler_ != nullptr) {
-    sampling_.Stop([this] {
-      metrics_registry_.Set(core_metrics_.trace_events_dropped,
-                            node_->trace().dropped());
-    });
+    sampling_.Stop();
     if (!config_.telemetry_jsonl.empty()) {
       sampler_->AppendTimeseriesJsonlFile(
           "socket_node" + std::to_string(config_.id),

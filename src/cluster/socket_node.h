@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -48,6 +49,30 @@ struct SocketIoStats {
   uint64_t Syscalls() const {
     return read_calls + writev_calls + epoll_waits + eventfd_wakes;
   }
+};
+
+/// Every SocketIoStats field under its gauge name: a socket node polls them
+/// into its registry; the supervisor reads them out of STATS by name.
+struct SocketIoGauge {
+  const char* name;
+  uint64_t SocketIoStats::*field;
+};
+inline constexpr SocketIoGauge kSocketIoGauges[] = {
+    {"sock_bytes_in", &SocketIoStats::bytes_in},
+    {"sock_bytes_out", &SocketIoStats::bytes_out},
+    {"sock_read_calls", &SocketIoStats::read_calls},
+    {"sock_writev_calls", &SocketIoStats::writev_calls},
+    {"sock_partial_writes", &SocketIoStats::partial_writes},
+    {"sock_eagain_stalls", &SocketIoStats::eagain_stalls},
+    {"sock_epoll_waits", &SocketIoStats::epoll_waits},
+    {"sock_eventfd_wakes", &SocketIoStats::eventfd_wakes},
+    {"sock_reconnects", &SocketIoStats::reconnects},
+    {"sock_frames_out", &SocketIoStats::frames_out},
+    {"sock_messages_out", &SocketIoStats::messages_out},
+    {"sock_frames_in", &SocketIoStats::frames_in},
+    {"sock_messages_in", &SocketIoStats::messages_in},
+    {"sock_overflow_drops", &SocketIoStats::overflow_drops},
+    {"sock_corrupt_resets", &SocketIoStats::corrupt_resets},
 };
 
 /// The real-wire third backend's transport: a ThreadNetwork whose remote
@@ -244,32 +269,41 @@ class SocketNode {
 
   void Quiesce() { node_->Quiesce(); }
 
-  /// Stops the worker, the sampler (exporting telemetry files, if
-  /// configured) and the I/O thread. After this the node's thread-confined
-  /// state (stats, trace, WAL) is safe to read.
+  /// Stops the worker, folds the node's thread-confined ledgers into the
+  /// registry, then stops the sampler (exporting telemetry files, if
+  /// configured) and the I/O thread. After this the node's state (trace,
+  /// WAL) and the registry's complete snapshot are safe to read.
   void Stop();
 
   ThreadNode& node() { return *node_; }
   SocketNetwork& network() { return network_; }
-  SocketIoStats io_stats() const { return network_.io_stats(); }
-  uint64_t committed() const { return node_->committed(); }
+  const MetricsRegistry& metrics() const { return metrics_registry_; }
 
  private:
+  /// Copies the network's and the socket transport's cumulative counters
+  /// into their gauges (the sampler's poll hook).
+  void PollGauges();
+
   SocketNodeConfig config_;
   SafetyMonitor monitor_;
   YcsbWorkload workload_;
   SocketNetwork network_;
+
+  // Single-shard registry (the node runs on the one worker), laid out as
+  // in ThreadCluster plus a gauge per kSocketIoGauges entry and the engine
+  // and WAL ledgers a STATS report carries, folded in at Stop.
+  MetricsRegistry metrics_registry_;
+  CoreMetrics core_metrics_;
+  GaugeId io_gauges_[std::size(kSocketIoGauges)] = {};
+  GaugeId termination_rounds_ = 0;
+  GaugeId duplicate_decisions_suppressed_ = 0;
+  GaugeId wal_records_ = 0;
+
   std::unique_ptr<ThreadNode> node_;
   std::unique_ptr<ThreadWorker> worker_;
   bool started_ = false;
   bool stopped_ = false;
 
-  // Telemetry (config_.cluster.telemetry.enabled): single-shard registry
-  // (one worker per process) sampled by a wall-clock thread, exactly the
-  // ThreadCluster arrangement. The poll hook folds the socket transport's
-  // atomics into the sock_* gauges.
-  MetricsRegistry metrics_registry_;
-  CoreMetrics core_metrics_;
   std::unique_ptr<TelemetrySampler> sampler_;
   WallClockSampler sampling_;
 };

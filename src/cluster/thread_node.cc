@@ -26,10 +26,13 @@ std::unique_ptr<WriteAheadLog> OpenWal(const ThreadClusterConfig& config,
 
 ThreadNode::ThreadNode(NodeId id, const ThreadClusterConfig& config,
                        ThreadNetwork* network, Workload* workload,
-                       SafetyMonitor* monitor, uint64_t seed)
-    : NodeCore(id, config, OpenWal(config, id), workload, monitor, seed),
+                       SafetyMonitor* monitor, uint64_t seed,
+                       const MetricsHandle& metrics)
+    : NodeCore(id, config, OpenWal(config, id), workload, monitor, seed,
+               metrics),
       config_(config),
       network_(network),
+      flushed_size_(wal().Size()),
       send_buffers_(config.num_nodes) {}
 
 ThreadNode::~ThreadNode() = default;
@@ -58,20 +61,17 @@ void ThreadNode::Transmit(Message msg) {
 }
 
 Status ThreadNode::FlushWal() {
-  if (!metrics().on()) return wal().Flush();
-  // Time the device round trip, but only count flushes that covered
-  // staged records (group_flushes() moves iff the flush did work).
-  const uint64_t flushes_before = wal().group_flushes();
+  // Most calls find nothing staged: they skip the flush and its timing.
+  if (wal().Size() == flushed_size_) return Status::OK();
   const auto t0 = std::chrono::steady_clock::now();
   Status status = wal().Flush();
-  if (wal().group_flushes() > flushes_before) {
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    metrics().registry->Add(metrics().shard, metrics().ids->wal_flushes);
-    metrics().registry->Observe(metrics().shard, metrics().ids->wal_flush_us,
-                                static_cast<uint64_t>(us));
-  }
+  if (!status.ok()) return status;
+  flushed_size_ = wal().Size();
+  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  metrics().Add(metrics().ids->wal_flushes);
+  metrics().Observe(metrics().ids->wal_flush_us, static_cast<uint64_t>(us));
   return status;
 }
 
@@ -173,31 +173,24 @@ ThreadCluster::ThreadCluster(const ThreadClusterConfig& config,
           ? config_.num_nodes
           : std::min<uint32_t>(config_.worker_threads, config_.num_nodes);
   network_ = std::make_unique<ThreadNetwork>(config_.num_nodes, workers);
+  core_metrics_ = RegisterCoreMetrics(&metrics_registry_);
+  // One shard per event-loop worker: a node records through its hosting
+  // worker's shard, so concurrent record paths never share a cell.
+  metrics_registry_.Activate(workers);
   workers_.reserve(workers);
   for (uint32_t w = 0; w < workers; ++w) {
-    workers_.push_back(
-        std::make_unique<ThreadWorker>(w, workers, network_.get()));
+    workers_.push_back(std::make_unique<ThreadWorker>(
+        w, workers, network_.get(),
+        MetricsHandle{&metrics_registry_, &core_metrics_, w}));
   }
   Rng root(config_.seed);
   for (NodeId id = 0; id < config_.num_nodes; ++id) {
     nodes_.push_back(std::make_unique<ThreadNode>(
-        id, config_, network_.get(), workload_.get(), &monitor_,
-        root.Next()));
+        id, config_, network_.get(), workload_.get(), &monitor_, root.Next(),
+        MetricsHandle{&metrics_registry_, &core_metrics_, id % workers}));
     workers_[id % workers]->AddNode(nodes_.back().get());
   }
   if (config_.telemetry.enabled) {
-    core_metrics_ = RegisterCoreMetrics(&metrics_registry_);
-    // One shard per event-loop worker: a node records through its hosting
-    // worker's shard, so concurrent record paths never share a cell.
-    metrics_registry_.Activate(workers);
-    for (NodeId id = 0; id < config_.num_nodes; ++id) {
-      nodes_[id]->BindMetrics(
-          MetricsHandle{&metrics_registry_, &core_metrics_, id % workers});
-    }
-    for (uint32_t w = 0; w < workers; ++w) {
-      workers_[w]->BindMetrics(
-          MetricsHandle{&metrics_registry_, &core_metrics_, w});
-    }
     sampler_ = std::make_unique<TelemetrySampler>(&metrics_registry_,
                                                   config_.telemetry);
     sampler_->SetPollHook([this] {
@@ -233,12 +226,11 @@ void ThreadCluster::Stop() {
   for (auto& worker : workers_) worker->Stop();
   network_->Shutdown();
   // Workers are joined: thread-confined sources (trace rings) are now safe
-  // to fold into the final sample.
-  sampling_.Stop([this] {
-    uint64_t trace_drops = 0;
-    for (const auto& node : nodes_) trace_drops += node->trace().dropped();
-    metrics_registry_.Set(core_metrics_.trace_events_dropped, trace_drops);
-  });
+  // to fold in, ahead of the sampler's final sample.
+  uint64_t trace_drops = 0;
+  for (const auto& node : nodes_) trace_drops += node->trace().dropped();
+  metrics_registry_.Set(core_metrics_.trace_events_dropped, trace_drops);
+  sampling_.Stop();
   started_ = false;
 }
 
@@ -252,33 +244,17 @@ ClusterStats ThreadCluster::CollectStats(double duration_seconds) const {
   ClusterStats out;
   out.duration_seconds = duration_seconds;
   out.num_nodes = config_.num_nodes;
-  for (const auto& node : nodes_) {
-    NodeStats ns = node->stats();
-    // The engine counts rounds itself; a crash recreates the engine and
-    // resets the counter, so this undercounts across crashes (documented
-    // behaviour — the counter is a failure-handling signal, not an exact
-    // ledger).
-    ns.termination_rounds = node->engine().termination_rounds();
-    ns.acceptor_rounds = node->engine().acceptor_rounds();
-    ns.ballots_promoted = node->engine().ballots_promoted();
-    ns.quorum_lost_rounds = node->engine().quorum_lost_rounds();
-    out.total.Merge(ns);
-    out.duplicate_decisions_suppressed +=
-        node->engine().duplicate_decisions_suppressed();
-    out.wal_group_flushes += node->wal().group_flushes();
-    out.trace_events_dropped += node->trace().dropped();
-  }
+  const MetricsSnapshot snap = metrics_registry_.Snapshot();
+  out.total = CoreTotals(snap, core_metrics_);
+  for (const auto& node : nodes_) node->AddNodeCounters(&out);
   out.net_messages_from_crashed = network_->messages_from_crashed();
   out.net_messages_to_crashed = network_->messages_to_crashed();
   const NetworkStats net = network_->stats();
   out.net_frames_sent = net.frames_sent;
   out.net_messages_coalesced = net.messages_coalesced;
   out.worker_threads = workers_.size();
-  for (const auto& worker : workers_) {
-    const WorkerStats& ws = worker->stats();
-    out.worker_mailbox_messages += ws.mailbox_messages;
-    out.worker_local_messages += ws.local_messages;
-  }
+  out.worker_mailbox_messages = snap.counters[core_metrics_.worker_mailbox_msgs];
+  out.worker_local_messages = snap.counters[core_metrics_.worker_local_msgs];
   return out;
 }
 

@@ -56,7 +56,8 @@ class ThreadNode : public NodeCore {
  public:
   ThreadNode(NodeId id, const ThreadClusterConfig& config,
              ThreadNetwork* network, Workload* workload,
-             SafetyMonitor* monitor, uint64_t seed);
+             SafetyMonitor* monitor, uint64_t seed,
+             const MetricsHandle& metrics);
   ~ThreadNode() override;
 
   /// Crash (fail-stop), callable from any thread: at the start of its next
@@ -96,7 +97,8 @@ class ThreadNode : public NodeCore {
   /// the way Crash() does, and the buffered frames die with it.
   void FlushOutput();
 
-  /// wal().Flush(), timed into the telemetry registry when it is on.
+  /// wal().Flush() when records are staged, counted and timed into the
+  /// registry.
   Status FlushWal();
 
   /// Sends one frame to `dst`, draining `frame` (capacity kept).
@@ -105,6 +107,7 @@ class ThreadNode : public NodeCore {
   const ThreadClusterConfig& config_;
   ThreadNetwork* network_;
   ThreadWorker* host_ = nullptr;
+  uint64_t flushed_size_;  // wal().Size() at the last flush
 
   // One open send buffer per destination plus the list of destinations
   // touched this iteration; buffers are drained by SendBatch (or the
@@ -148,9 +151,9 @@ class ThreadCluster {
   /// Total committed transactions across nodes (live, approximate).
   uint64_t TotalCommitted() const;
 
-  /// Merges per-node stats into a ClusterStats for a window of
-  /// `duration_seconds`. Per-node counters are thread-confined, so call
-  /// only after Stop().
+  /// The whole run's stats, reported for a window of `duration_seconds`:
+  /// a registry snapshot plus the engine and WAL counters, which are
+  /// thread-confined, so call only after Stop().
   ClusterStats CollectStats(double duration_seconds) const;
 
   /// Per-worker event-loop counters (occupancy, mailbox/local message
@@ -174,18 +177,19 @@ class ThreadCluster {
   std::unique_ptr<ThreadNetwork> network_;
   std::unique_ptr<Workload> workload_;
   SafetyMonitor monitor_;  // guarded by monitor_mu_ inside nodes
+
+  // One registry shard per worker, recorded by the worker and the nodes it
+  // hosts. The wall-clock sampler thread (config_.telemetry.enabled) only
+  // touches the registry's and ThreadNetwork's atomics.
+  MetricsRegistry metrics_registry_;
+  CoreMetrics core_metrics_;
+
   std::vector<std::unique_ptr<ThreadNode>> nodes_;
   // Declared after nodes_: workers are destroyed (joined) first, so no
   // worker thread can touch a node mid-destruction.
   std::vector<std::unique_ptr<ThreadWorker>> workers_;
   bool started_ = false;
 
-  // Telemetry (config_.telemetry.enabled): one registry shard per worker,
-  // sampled on wall time by a dedicated thread. The sampler thread only
-  // touches the registry's atomics and ThreadNetwork's atomic counters —
-  // never thread-confined node state.
-  MetricsRegistry metrics_registry_;
-  CoreMetrics core_metrics_;
   std::unique_ptr<TelemetrySampler> sampler_;
   WallClockSampler sampling_;
 };

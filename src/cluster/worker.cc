@@ -20,8 +20,9 @@ uint64_t ElapsedUs(std::chrono::steady_clock::time_point from,
 }  // namespace
 
 ThreadWorker::ThreadWorker(uint32_t index, uint32_t stride,
-                           ThreadNetwork* network)
-    : index_(index), stride_(stride), network_(network) {}
+                           ThreadNetwork* network,
+                           const MetricsHandle& metrics)
+    : index_(index), stride_(stride), network_(network), metrics_(metrics) {}
 
 ThreadWorker::~ThreadWorker() { Stop(); }
 
@@ -51,6 +52,17 @@ void ThreadWorker::Stop() {
   if (thread_.joinable()) thread_.join();
 }
 
+WorkerStats ThreadWorker::stats() const {
+  WorkerStats out = stats_;
+  const MetricsRegistry& reg = *metrics_.registry;
+  const CoreMetrics& ids = *metrics_.ids;
+  out.iterations = reg.Value(metrics_.shard, ids.worker_iterations);
+  out.mailbox_messages = reg.Value(metrics_.shard, ids.worker_mailbox_msgs);
+  out.local_messages = reg.Value(metrics_.shard, ids.worker_local_msgs);
+  out.timers_fired = reg.Value(metrics_.shard, ids.worker_timers_fired);
+  return out;
+}
+
 Micros ThreadWorker::NowUs() const {
   return static_cast<Micros>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -59,11 +71,7 @@ Micros ThreadWorker::NowUs() const {
 }
 
 void ThreadWorker::EnqueueLocalBatch(std::vector<Message>* msgs) {
-  stats_.local_messages += msgs->size();
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->worker_local_msgs,
-                           msgs->size());
-  }
+  metrics_.Add(metrics_.ids->worker_local_msgs, msgs->size());
   for (Message& m : *msgs) local_queue_.push_back(std::move(m));
   msgs->clear();
 }
@@ -84,10 +92,7 @@ void ThreadWorker::FireDueTimers() {
     // stale and the node declines it. Timers of co-hosted nodes pop
     // normally around the stale ones.
     if (!NodeFor(timer.node)->FireTimer(timer)) continue;
-    stats_.timers_fired++;
-    if (metrics_.on()) {
-      metrics_.registry->Add(metrics_.shard, metrics_.ids->worker_timers_fired);
-    }
+    metrics_.Add(metrics_.ids->worker_timers_fired);
   }
 }
 
@@ -123,10 +128,7 @@ void ThreadWorker::Loop() {
   std::vector<Message> inbox;  // recycled: PopAll swaps its capacity in
   auto last_wake = epoch_start_;
   while (running_.load(std::memory_order_relaxed)) {
-    stats_.iterations++;
-    if (metrics_.on()) {
-      metrics_.registry->Add(metrics_.shard, metrics_.ids->worker_iterations);
-    }
+    metrics_.Add(metrics_.ids->worker_iterations);
     for (ThreadNode* node : nodes_) node->ProcessControl();
 
     // Sleep no longer than the earliest timer deadline across all hosted
@@ -145,13 +147,8 @@ void ThreadWorker::Loop() {
     last_wake = std::chrono::steady_clock::now();
     if (got) {
       stats_.mailbox_batches++;
-      stats_.mailbox_messages += inbox.size();
       stats_.max_batch = std::max<uint64_t>(stats_.max_batch, inbox.size());
-      if (metrics_.on()) {
-        metrics_.registry->Add(metrics_.shard,
-                               metrics_.ids->worker_mailbox_msgs,
-                               inbox.size());
-      }
+      metrics_.Add(metrics_.ids->worker_mailbox_msgs, inbox.size());
       DispatchBatch(inbox);
     }
     FireDueTimers();

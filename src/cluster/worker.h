@@ -178,8 +178,8 @@ class WorkerTimerHeap {
   std::vector<uint32_t> free_;
 };
 
-/// Per-worker event-loop counters. Owned by the worker thread while it
-/// runs; read them only after ThreadCluster::Stop().
+/// Per-worker event-loop counters: the four message/turn counts come from
+/// the worker's registry shard. Read them only after ThreadCluster::Stop().
 struct WorkerStats {
   uint32_t nodes_hosted = 0;
   uint64_t iterations = 0;        ///< event-loop turns
@@ -210,7 +210,9 @@ struct WorkerStats {
 /// that node's old per-node mailbox.
 class ThreadWorker {
  public:
-  ThreadWorker(uint32_t index, uint32_t stride, ThreadNetwork* network);
+  /// `metrics` records into this worker's own shard.
+  ThreadWorker(uint32_t index, uint32_t stride, ThreadNetwork* network,
+               const MetricsHandle& metrics);
   ~ThreadWorker();
 
   ThreadWorker(const ThreadWorker&) = delete;
@@ -246,12 +248,7 @@ class ThreadWorker {
   void EnqueueLocalBatch(std::vector<Message>* msgs);
 
   /// Read only after Stop().
-  const WorkerStats& stats() const { return stats_; }
-
-  /// Routes event-loop counters into the cluster registry; the handle's
-  /// shard is this worker's index, so record paths never share cells.
-  /// Must be called before Start().
-  void BindMetrics(const MetricsHandle& metrics) { metrics_ = metrics; }
+  WorkerStats stats() const;
 
  private:
   void Loop();
@@ -271,8 +268,8 @@ class ThreadWorker {
   std::thread thread_;
   std::atomic<bool> running_{false};
   std::chrono::steady_clock::time_point epoch_start_;
-  WorkerStats stats_;
-  MetricsHandle metrics_;
+  WorkerStats stats_;  // the fields the registry does not hold
+  const MetricsHandle metrics_;
 };
 
 }  // namespace ecdb

@@ -32,11 +32,13 @@ namespace testbed {
 /// network (network().CrashNode).
 class ProtocolHost : public SimNode {
  public:
-  /// `config` must outlive the host (ProtocolTestbed owns it).
+  /// `config` and the registry behind `metrics` must outlive the host
+  /// (ProtocolTestbed owns both).
   ProtocolHost(NodeId id, const ClusterConfig& config, Scheduler* scheduler,
-               SimNetwork* network, SafetyMonitor* monitor)
+               SimNetwork* network, SafetyMonitor* monitor,
+               const MetricsHandle& metrics)
       : SimNode(id, config, scheduler, network, /*workload=*/nullptr, monitor,
-                /*seed=*/0),
+                /*seed=*/0, metrics),
         network_(network) {
     set_vote_override([this](TxnId) { return vote_; });
     Bootstrap();
@@ -51,6 +53,11 @@ class ProtocolHost : public SimNode {
       // narrowest window in which a decided node can disappear.
       network_->CrashNode(self());
     }
+  }
+
+  void OnBlocked(TxnId txn) override {
+    NodeCore::OnBlocked(txn);
+    ++blocked_;
   }
 
   void OnCleanup(TxnId txn) override {
@@ -68,7 +75,7 @@ class ProtocolHost : public SimNode {
     return it->second;
   }
   bool cleaned(TxnId txn) const { return cleaned_.count(txn) > 0; }
-  uint64_t blocked_count() const { return stats().txns_blocked; }
+  uint64_t blocked_count() const { return blocked_; }
 
   /// Log entry types for `txn`, in order.
   std::vector<LogRecordType> LogTypes(TxnId txn) const {
@@ -89,6 +96,7 @@ class ProtocolHost : public SimNode {
   Decision vote_ = Decision::kCommit;
   std::unordered_map<TxnId, Decision> applied_;
   std::unordered_set<TxnId> cleaned_;
+  uint64_t blocked_ = 0;
   bool crash_after_apply_ = false;
 };
 
@@ -105,9 +113,12 @@ class ProtocolTestbed {
     config_.protocol = protocol;
     config_.commit = commit;
     config_.commit.keep_decision_ledger = true;
+    ids_ = RegisterCoreMetrics(&registry_);
+    registry_.Activate(1);
     for (NodeId id = 0; id < num_nodes; ++id) {
       hosts_.push_back(std::make_unique<ProtocolHost>(
-          id, config_, &scheduler_, &network_, &monitor_));
+          id, config_, &scheduler_, &network_, &monitor_,
+          MetricsHandle{&registry_, &ids_, 0}));
     }
   }
 
@@ -167,6 +178,8 @@ class ProtocolTestbed {
   SimNetwork network_;
   SafetyMonitor monitor_;
   ClusterConfig config_;
+  MetricsRegistry registry_;  // every host records into shard 0
+  CoreMetrics ids_;
   std::vector<std::unique_ptr<ProtocolHost>> hosts_;
   uint64_t seq_ = 0;
 };

@@ -43,6 +43,19 @@ uint64_t Histogram::BucketUpperBound(size_t bucket) {
   return base + width - 1;
 }
 
+Histogram Histogram::FromBuckets(std::vector<uint64_t> buckets, uint64_t sum,
+                                 uint64_t min, uint64_t max) {
+  Histogram h;
+  for (uint64_t c : buckets) h.count_ += c;
+  if (h.count_ == 0) return h;
+  buckets.resize(kNumBuckets, 0);
+  h.buckets_ = std::move(buckets);
+  h.sum_ = sum;
+  h.min_ = min;
+  h.max_ = max;
+  return h;
+}
+
 void Histogram::Record(uint64_t value) {
   EnsureBuckets();
   buckets_[BucketFor(value)]++;

@@ -43,10 +43,7 @@ class Histogram {
   static size_t BucketFor(uint64_t value);
   static uint64_t BucketUpperBound(size_t bucket);
 
-  /// Sparse bucket export/import, for shipping a histogram across a process
-  /// boundary (the socket runtime's per-node STATS reports): percentiles
-  /// cannot be averaged, so each node serializes its non-zero (bucket,
-  /// count) pairs and the supervisor re-assembles and Merges them.
+  /// Sparse bucket export (bucket, count) of the non-empty buckets.
   std::vector<std::pair<size_t, uint64_t>> NonZeroBuckets() const {
     std::vector<std::pair<size_t, uint64_t>> out;
     for (size_t b = 0; b < buckets_.size(); ++b) {
@@ -55,19 +52,11 @@ class Histogram {
     return out;
   }
 
-  /// Adds `count` samples into `bucket` directly (inverse of
-  /// NonZeroBuckets). Min/max are approximated by the bucket upper bound —
-  /// adequate for the percentile queries the aggregators run.
-  void AddBucket(size_t bucket, uint64_t count) {
-    if (bucket >= kNumBuckets || count == 0) return;
-    EnsureBuckets();
-    buckets_[bucket] += count;
-    const uint64_t v = BucketUpperBound(bucket);
-    sum_ += v * count;
-    if (count_ == 0 || v < min_) min_ = v;
-    if (v > max_) max_ = v;
-    count_ += count;
-  }
+  /// Rebuilds a histogram from raw state kept elsewhere (the metrics
+  /// registry's sharded cells): `buckets` in this geometry, kNumBuckets
+  /// long, plus the samples' exact sum and extremes.
+  static Histogram FromBuckets(std::vector<uint64_t> buckets, uint64_t sum,
+                               uint64_t min, uint64_t max);
 
   static constexpr size_t kNumBuckets = 512;
 

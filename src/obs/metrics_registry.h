@@ -1,19 +1,21 @@
 #ifndef ECDB_OBS_METRICS_REGISTRY_H_
 #define ECDB_OBS_METRICS_REGISTRY_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/histogram.h"
 #include "common/types.h"
+#include "stats/metrics.h"
 
 namespace ecdb {
 
-/// Runtime knob for the time-series telemetry subsystem. Off by default:
-/// benchmarks and tools opt in (e.g. `bench_open_loop --metrics-out`).
+/// Runtime knob for the time-series sampler. The metrics registry itself
+/// is always on; `enabled` only starts the periodic sampler that turns it
+/// into timeslices (e.g. `bench_open_loop --metrics-out`).
 struct TelemetryConfig {
   bool enabled = false;
 
@@ -36,30 +38,44 @@ using HistId = uint32_t;
 /// One cumulative view of every metric, aggregated over shards. Histogram
 /// state is raw geometric bucket counts (Histogram::BucketFor geometry) so
 /// the sampler can difference consecutive snapshots into per-interval
-/// distributions.
+/// distributions; min/max are the extremes since Activate or the last
+/// ResetExtremes (0 while a histogram is empty).
 struct MetricsSnapshot {
   std::vector<uint64_t> counters;
   std::vector<uint64_t> gauges;
   std::vector<std::vector<uint64_t>> hist_buckets;  // [hist][bucket]
   std::vector<uint64_t> hist_counts;
   std::vector<uint64_t> hist_sums;
+  std::vector<uint64_t> hist_mins;
+  std::vector<uint64_t> hist_maxes;
+
+  /// What was recorded since `base`, an earlier snapshot of the same
+  /// registry (an empty snapshot reads as all zeros): counters and
+  /// histogram cells differenced, gauges and extremes as of this snapshot.
+  MetricsSnapshot Since(const MetricsSnapshot& base) const;
+
+  /// Histogram `id` as a Histogram.
+  Histogram Hist(HistId id) const {
+    return Histogram::FromBuckets(hist_buckets[id], hist_sums[id],
+                                  hist_mins[id], hist_maxes[id]);
+  }
 };
 
 /// A registry of typed counters/gauges/histograms with an allocation-free,
 /// per-worker-sharded record path.
 ///
-/// Concurrency model: registration (Counter/Gauge/Hist/SetShards) happens
+/// Concurrency model: registration (Counter/Gauge/Hist) and Activate happen
 /// single-threaded at setup time. Recording is then wait-free and
-/// TSan-clean — each call is one relaxed atomic RMW on the caller's shard,
-/// so worker threads never contend on a cache line as long as they use
-/// distinct shard indices. Snapshot() may run concurrently with recording
-/// (the sampler thread does); it reads with relaxed loads and therefore
-/// observes a slightly torn-in-time but per-cell-consistent view, which is
-/// exactly what a periodic sampler wants.
-///
-/// The simulator uses one shard (single-threaded); the threaded runtime
-/// uses one shard per event-loop worker. Shard count is per *worker*, not
-/// per node, so memory stays flat at 10^4-node simulations.
+/// TSan-clean. Each Add/Observe is a relaxed load plus a relaxed store on
+/// the caller's shard — not a locked read-modify-write — which is correct
+/// only because every shard has exactly one writing thread: the simulator
+/// records on one thread into shard 0, a ThreadCluster worker and the nodes
+/// it hosts record into the worker's shard, and a socket node process runs
+/// its node and worker on one thread. Shard count is per *worker*, not per
+/// node, so memory stays flat at 10^4-node simulations. Gauges are global;
+/// Set is a plain store, so any thread may set them. Snapshot() may run
+/// concurrently with recording (the sampler thread does); its relaxed
+/// loads see a slightly torn-in-time but per-cell-consistent view.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -81,9 +97,8 @@ class MetricsRegistry {
     return static_cast<HistId>(hist_names_.size() - 1);
   }
 
-  /// Allocates per-shard storage for everything registered so far and
-  /// turns recording on. Call once, after registration, before any worker
-  /// records. Gauges are global (not sharded): Set overwrites.
+  /// Allocates per-shard storage for everything registered so far. Call
+  /// once, after registration, before anything records.
   void Activate(uint32_t shards);
 
   const std::vector<std::string>& counter_names() const {
@@ -91,31 +106,42 @@ class MetricsRegistry {
   }
   const std::vector<std::string>& gauge_names() const { return gauge_names_; }
   const std::vector<std::string>& hist_names() const { return hist_names_; }
-  uint32_t shards() const { return num_shards_; }
 
-  /// True once Activate ran; the record-path guard the hosts branch on.
-  bool enabled() const { return enabled_; }
+  /// True once Activate ran.
+  bool enabled() const { return num_shards_ != 0; }
 
-  /// Record paths: one enabled branch + one relaxed atomic op, no
-  /// allocation. `shard` must be < shards().
+  /// Record paths: relaxed atomics, no allocation, no branch on state.
+  /// `shard` must be below the Activate count and owned by the calling
+  /// thread.
   void Add(uint32_t shard, CounterId id, uint64_t delta = 1) {
-    if (!enabled_) return;
-    shard_counters_[shard * counter_stride_ + id].fetch_add(
-        delta, std::memory_order_relaxed);
+    Bump(shard_counters_[shard * counter_stride_ + id], delta);
   }
   void Set(GaugeId id, uint64_t value) {
-    if (!enabled_) return;
     gauges_[id].store(value, std::memory_order_relaxed);
   }
   void Observe(uint32_t shard, HistId id, uint64_t value) {
-    if (!enabled_) return;
-    HistShard& h =
-        hist_shards_[shard * static_cast<size_t>(hist_names_.size()) + id];
-    h.buckets[Histogram::BucketFor(value)].fetch_add(
-        1, std::memory_order_relaxed);
-    h.count.fetch_add(1, std::memory_order_relaxed);
-    h.sum.fetch_add(value, std::memory_order_relaxed);
+    HistShard& h = hist_shards_[shard * hist_names_.size() + id];
+    Bump(h.buckets[Histogram::BucketFor(value)], 1);
+    Bump(h.count, 1);
+    Bump(h.sum, value);
+    if (value < h.min.load(std::memory_order_relaxed)) {
+      h.min.store(value, std::memory_order_relaxed);
+    }
+    if (value > h.max.load(std::memory_order_relaxed)) {
+      h.max.store(value, std::memory_order_relaxed);
+    }
   }
+
+  /// One shard's value of counter `id` (a worker reading its own shard).
+  uint64_t Value(uint32_t shard, CounterId id) const {
+    return shard_counters_[shard * counter_stride_ + id].load(
+        std::memory_order_relaxed);
+  }
+
+  /// Restarts every histogram's min/max: a measurement window's extremes
+  /// cannot be differenced out of cumulative state. Call only while no
+  /// other thread records.
+  void ResetExtremes();
 
   /// Aggregates all shards into one cumulative snapshot. Safe to call
   /// concurrently with recording (relaxed reads).
@@ -123,31 +149,40 @@ class MetricsRegistry {
 
  private:
   /// Per-(shard, histogram) storage: geometric buckets in Histogram's
-  /// bucket geometry plus running count/sum. ~4 KiB per histogram per
-  /// shard; shard count is the worker count, so this stays small.
+  /// bucket geometry plus running count/sum/extremes. ~4 KiB per histogram
+  /// per shard; shard count is the worker count, so this stays small.
   struct HistShard {
-    std::unique_ptr<std::atomic<uint64_t>[]> buckets;
+    std::array<std::atomic<uint64_t>, Histogram::kNumBuckets> buckets{};
     std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> sum{0};
+    std::atomic<uint64_t> min{UINT64_MAX};
+    std::atomic<uint64_t> max{0};
   };
+
+  /// Single-writer increment (see the class comment).
+  static void Bump(std::atomic<uint64_t>& cell, uint64_t delta) {
+    cell.store(cell.load(std::memory_order_relaxed) + delta,
+               std::memory_order_relaxed);
+  }
 
   std::vector<std::string> counter_names_;
   std::vector<std::string> gauge_names_;
   std::vector<std::string> hist_names_;
   uint32_t num_shards_ = 0;
-  bool enabled_ = false;
   size_t counter_stride_ = 0;  // == counter_names_.size() at Activate time
-  std::unique_ptr<std::atomic<uint64_t>[]> shard_counters_;
-  std::unique_ptr<std::atomic<uint64_t>[]> gauges_;
+  std::vector<std::atomic<uint64_t>> shard_counters_;
+  std::vector<std::atomic<uint64_t>> gauges_;
   std::vector<HistShard> hist_shards_;
 };
 
-/// The conventional metric set both runtimes expose: registered once by
-/// the owning cluster so the sampler's export schema is identical across
-/// the simulator and the threaded runtime. Counters are recorded on the
-/// hot paths (sharded per worker); gauges are polled cumulatively from
-/// single-writer sources (network stats, trace-ring drops) by the
-/// sampler's poll hook just before each snapshot.
+/// The metric set every host registers, so the sampler's export schema is
+/// identical across the simulator and the threaded runtime. Counters and
+/// histograms are recorded once, at the event, on the hot paths (sharded
+/// per worker); gauges are polled cumulatively from single-writer sources
+/// (network stats, trace-ring drops) by the sampler's poll hook just before
+/// each snapshot. Instruments a host has no source for read zero: the
+/// Figure-12 category times off the simulator, the worker-loop counters on
+/// it.
 struct CoreMetrics {
   CounterId txns_committed = 0;
   CounterId txns_aborted = 0;        // aborted attempts (may retry)
@@ -160,42 +195,53 @@ struct CoreMetrics {
   CounterId worker_mailbox_msgs = 0;
   CounterId worker_local_msgs = 0;
   CounterId worker_timers_fired = 0;
+  CounterId txns_blocked = 0;
+  CounterId commit_protocol_runs = 0;
+  /// Simulated worker microseconds per Figure-12 category (TimeCategory
+  /// order). Idle is never recorded: it is the capacity no job used.
+  std::array<CounterId, kNumTimeCategories> time_us{};
 
   GaugeId net_messages_sent = 0;
   GaugeId net_messages_delivered = 0;
   GaugeId net_messages_dropped = 0;
   GaugeId net_bytes_sent = 0;
-  GaugeId trace_events_dropped = 0;  // trace ring overwrites (satellite)
+  GaugeId trace_events_dropped = 0;  // trace ring overwrites
   GaugeId clients_in_flight = 0;
-
-  // Socket-runtime transport (zero outside the multi-process backend).
-  // Cumulative values owned by the I/O thread's atomics, copied in via the
-  // poll hook like the net_* gauges above.
-  GaugeId sock_bytes_in = 0;
-  GaugeId sock_bytes_out = 0;
-  GaugeId sock_writev_calls = 0;
-  GaugeId sock_partial_writes = 0;
-  GaugeId sock_eagain_stalls = 0;
-  GaugeId sock_reconnects = 0;
 
   HistId latency_us = 0;       // end-to-end committed-txn latency
   HistId wal_flush_us = 0;     // device round-trip per group flush
+  /// Commit-protocol phase latencies (see CommitPhase).
+  HistId phase_vote_us = 0;
+  HistId phase_transmit_us = 0;
+  HistId phase_apply_us = 0;
 };
 
 /// Registers the CoreMetrics set in declaration order (stable export
 /// schema) and returns the handles.
 CoreMetrics RegisterCoreMetrics(MetricsRegistry* registry);
 
-/// Pointer-plus-shard handle a node or worker records through. A default
-/// constructed handle (null registry) means telemetry is off for this
-/// host; record sites guard with `if (metrics.on())` so the disabled path
-/// is one predictable branch.
+/// The transaction counters and histograms of `window` (a snapshot, or a
+/// snapshot difference, of a registry holding `ids`). The engine, WAL and
+/// worker-pool fields of the view are the host's to fill.
+NodeStats CoreTotals(const MetricsSnapshot& window, const CoreMetrics& ids);
+
+/// Pointer-plus-shard handle a node or worker records through. Every host
+/// binds one when it builds the node or worker, so record sites call it
+/// unconditionally.
 struct MetricsHandle {
   MetricsRegistry* registry = nullptr;
   const CoreMetrics* ids = nullptr;
   uint32_t shard = 0;
 
+  /// True when bound to an activated registry.
   bool on() const { return registry != nullptr && registry->enabled(); }
+
+  void Add(CounterId id, uint64_t delta = 1) const {
+    registry->Add(shard, id, delta);
+  }
+  void Observe(HistId id, uint64_t value) const {
+    registry->Observe(shard, id, value);
+  }
 };
 
 }  // namespace ecdb

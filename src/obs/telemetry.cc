@@ -26,34 +26,16 @@ void TelemetrySampler::Sample(Micros now_us) {
   }
   if (poll_) poll_();
   MetricsSnapshot cur = registry_->Snapshot();
+  const MetricsSnapshot delta = cur.Since(last_);
 
   Timeslice slice;
   slice.start_us = last_at_us_;
   slice.end_us = now_us;
-  slice.counters.resize(cur.counters.size());
-  for (size_t i = 0; i < cur.counters.size(); ++i) {
-    // Counters are monotone; guard the subtraction anyway so a torn
-    // concurrent read can never wrap to 2^64.
-    slice.counters[i] = cur.counters[i] >= last_.counters[i]
-                            ? cur.counters[i] - last_.counters[i]
-                            : 0;
-  }
-  slice.gauges = cur.gauges;
-  slice.hists.resize(cur.hist_buckets.size());
-  std::vector<uint64_t> delta(Histogram::kNumBuckets, 0);
-  for (size_t h = 0; h < cur.hist_buckets.size(); ++h) {
-    uint64_t count = 0;
-    for (size_t b = 0; b < Histogram::kNumBuckets; ++b) {
-      const uint64_t d = cur.hist_buckets[h][b] >= last_.hist_buckets[h][b]
-                             ? cur.hist_buckets[h][b] - last_.hist_buckets[h][b]
-                             : 0;
-      delta[b] = d;
-      count += d;
-    }
-    const uint64_t sum = cur.hist_sums[h] >= last_.hist_sums[h]
-                             ? cur.hist_sums[h] - last_.hist_sums[h]
-                             : 0;
-    slice.hists[h] = SummarizeBuckets(delta, count, sum);
+  slice.counters = delta.counters;
+  slice.gauges = delta.gauges;
+  for (size_t h = 0; h < delta.hist_buckets.size(); ++h) {
+    slice.hists.push_back(SummarizeBuckets(
+        delta.hist_buckets[h], delta.hist_counts[h], delta.hist_sums[h]));
   }
 
   slices_.push_back(std::move(slice));
@@ -231,7 +213,7 @@ void WallClockSampler::Start(TelemetrySampler* sampler) {
   });
 }
 
-void WallClockSampler::Stop(const std::function<void()>& at_stop) {
+void WallClockSampler::Stop() {
   if (!thread_.joinable()) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -239,7 +221,6 @@ void WallClockSampler::Stop(const std::function<void()>& at_stop) {
   }
   cv_.notify_all();
   thread_.join();
-  if (at_stop) at_stop();
   sampler_->Sample(NowUs());
 }
 

@@ -78,11 +78,6 @@ class TelemetrySampler {
   const std::deque<Timeslice>& slices() const { return slices_; }
   uint64_t slices_dropped() const { return slices_dropped_; }
   const TelemetryConfig& config() const { return config_; }
-  const MetricsRegistry* registry() const { return registry_; }
-
-  /// Cumulative snapshot as of the last Sample()/Reset() — what the
-  /// Prometheus exposition reports.
-  const MetricsSnapshot& cumulative() const { return last_; }
 
   /// JSONL time-series: one meta line naming every metric in order, then
   /// one fixed-key-order object per timeslice. Byte-deterministic for a
@@ -126,10 +121,9 @@ class WallClockSampler {
   /// Starts the epoch now and takes the baseline at time 0.
   void Start(TelemetrySampler* sampler);
 
-  /// Joins the thread, runs `at_stop` (the host's workers are joined by
-  /// then, so it may read thread-confined state) and takes one final
-  /// sample closing the tail interval. No-op unless running.
-  void Stop(const std::function<void()>& at_stop = nullptr);
+  /// Joins the thread and takes one final sample closing the tail
+  /// interval. No-op unless running.
+  void Stop();
 
  private:
   Micros NowUs() const;

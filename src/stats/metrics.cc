@@ -22,46 +22,6 @@ std::string ToString(TimeCategory category) {
   return "Unknown";
 }
 
-void NodeStats::Merge(const NodeStats& other) {
-  txns_committed += other.txns_committed;
-  txns_aborted += other.txns_aborted;
-  txns_blocked += other.txns_blocked;
-  commit_protocol_runs += other.commit_protocol_runs;
-  termination_rounds += other.termination_rounds;
-  acceptor_rounds += other.acceptor_rounds;
-  ballots_promoted += other.ballots_promoted;
-  quorum_lost_rounds += other.quorum_lost_rounds;
-  open_loop_offered += other.open_loop_offered;
-  open_loop_rejected += other.open_loop_rejected;
-  open_loop_aborted += other.open_loop_aborted;
-  for (size_t i = 0; i < kNumTimeCategories; ++i) {
-    time_us[i] += other.time_us[i];
-  }
-  latency.Merge(other.latency);
-  phase_vote.Merge(other.phase_vote);
-  phase_transmit.Merge(other.phase_transmit);
-  phase_apply.Merge(other.phase_apply);
-}
-
-void NodeStats::Clear() {
-  txns_committed = 0;
-  txns_aborted = 0;
-  txns_blocked = 0;
-  commit_protocol_runs = 0;
-  termination_rounds = 0;
-  acceptor_rounds = 0;
-  ballots_promoted = 0;
-  quorum_lost_rounds = 0;
-  open_loop_offered = 0;
-  open_loop_rejected = 0;
-  open_loop_aborted = 0;
-  time_us.fill(0);
-  latency.Clear();
-  phase_vote.Clear();
-  phase_transmit.Clear();
-  phase_apply.Clear();
-}
-
 double ClusterStats::TimeFraction(TimeCategory category) const {
   uint64_t sum = 0;
   for (size_t i = 0; i < kNumTimeCategories; ++i) sum += total.time_us[i];

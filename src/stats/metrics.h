@@ -27,14 +27,17 @@ inline constexpr size_t kNumTimeCategories = 7;
 /// Returns the paper's label, e.g. "Useful Work".
 std::string ToString(TimeCategory category);
 
-/// Per-node counters for one measurement window.
+/// Transaction counters and histograms over one measurement window, summed
+/// over the nodes it covers. A plain value: hosts derive it from their
+/// MetricsRegistry snapshot (CoreTotalsSince) and fill the engine-owned
+/// fields from the engines.
 struct NodeStats {
   uint64_t txns_committed = 0;
   uint64_t txns_aborted = 0;   // aborted attempts (restarted later)
   uint64_t txns_blocked = 0;
   uint64_t commit_protocol_runs = 0;
 
-  /// Termination-protocol rounds initiated by this node in the window
+  /// Termination-protocol rounds the nodes initiated in the window
   /// (nonzero only under failures or very aggressive timeouts).
   uint64_t termination_rounds = 0;
 
@@ -80,14 +83,11 @@ struct NodeStats {
   uint64_t TimeIn(TimeCategory category) const {
     return time_us[static_cast<size_t>(category)];
   }
-
-  void Merge(const NodeStats& other);
-  void Clear();
 };
 
 /// Cluster-level result of a benchmark window.
 struct ClusterStats {
-  NodeStats total;               // merged over nodes
+  NodeStats total;               // summed over nodes
   double duration_seconds = 0;   // measurement window length
   uint32_t num_nodes = 0;
 

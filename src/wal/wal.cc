@@ -1,5 +1,7 @@
 #include "wal/wal.h"
 
+#include <unistd.h>
+
 #include <cstring>
 
 namespace ecdb {
@@ -147,13 +149,23 @@ Result<std::unique_ptr<FileWal>> FileWal::Open(const std::string& path) {
   }
   auto wal = std::unique_ptr<FileWal>(new FileWal(path, file));
 
-  // Replay existing records; stop at the first torn/corrupt frame.
+  // Replay existing records; stop at the first torn/corrupt frame and cut
+  // the file back to the last good record. Appends land at the end of the
+  // file, so a torn tail left in place would hide every later record from
+  // the next replay.
   std::fseek(file, 0, SEEK_SET);
   LogRecord record;
+  long good_end = 0;
   while (ReadRecord(file, &record)) {
     wal->records_.push_back(record);
+    good_end = std::ftell(file);
   }
   std::fseek(file, 0, SEEK_END);
+  if (std::ftell(file) > good_end &&
+      (ftruncate(fileno(file), good_end) != 0 ||
+       std::fseek(file, 0, SEEK_END) != 0)) {
+    return Status::IOError("cannot truncate torn WAL tail at " + path);
+  }
   wal->flushed_records_ = wal->records_.size();
   return wal;
 }

@@ -29,16 +29,6 @@ namespace {
 // MetricsRegistry
 // --------------------------------------------------------------------------
 
-TEST(MetricsRegistryTest, InertBeforeActivate) {
-  MetricsRegistry reg;
-  const CounterId c = reg.Counter("c");
-  EXPECT_FALSE(reg.enabled());
-  reg.Add(0, c, 5);  // must be a no-op, not a crash
-  const MetricsSnapshot snap = reg.Snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0], 0u);
-}
-
 TEST(MetricsRegistryTest, ShardsMergeIntoSnapshot) {
   MetricsRegistry reg;
   const CounterId c0 = reg.Counter("alpha");
@@ -67,6 +57,36 @@ TEST(MetricsRegistryTest, ShardsMergeIntoSnapshot) {
   uint64_t bucket_total = 0;
   for (uint64_t b : snap.hist_buckets[h]) bucket_total += b;
   EXPECT_EQ(bucket_total, 3u);
+}
+
+// A measurement window is a snapshot minus its baseline; the extremes
+// restart at the window's start because they cannot be differenced.
+TEST(MetricsRegistryTest, WindowIsSnapshotMinusBaseline) {
+  MetricsRegistry reg;
+  const CounterId c = reg.Counter("ops");
+  const HistId h = reg.Hist("lat");
+  reg.Activate(2);
+  reg.Add(0, c, 5);
+  reg.Observe(0, h, 9000);
+  reg.Observe(1, h, 3);
+  const MetricsSnapshot base = reg.Snapshot();
+  EXPECT_EQ(base.hist_mins[h], 3u);
+  EXPECT_EQ(base.hist_maxes[h], 9000u);
+  reg.ResetExtremes();
+  reg.Add(1, c, 2);
+  reg.Observe(0, h, 100);
+  reg.Observe(1, h, 700);
+
+  const MetricsSnapshot now = reg.Snapshot();
+  EXPECT_EQ(now.Since(MetricsSnapshot{}).counters[c], 7u);
+  const MetricsSnapshot delta = now.Since(base);
+  EXPECT_EQ(delta.counters[c], 2u);
+  const Histogram window = delta.Hist(h);
+  EXPECT_EQ(window.count(), 2u);
+  EXPECT_DOUBLE_EQ(window.Mean(), 400.0);
+  EXPECT_EQ(window.min(), 100u);
+  EXPECT_EQ(window.max(), 700u);
+  EXPECT_EQ(window.Percentile(1.0), 700u);
 }
 
 // The TSan target: workers hammer their own shards while a sampler thread

@@ -57,6 +57,8 @@ TEST_P(SimClusterProtocolTest, LatencyIsMeasured) {
   cluster.RunFor(0.3);
   const ClusterStats stats = cluster.CollectStats(0.3);
   EXPECT_GT(stats.total.latency.count(), 0u);
+  // One latency sample per commit, both recorded at the commit itself.
+  EXPECT_EQ(stats.total.latency.count(), stats.total.txns_committed);
   // A multi-partition transaction needs at least two network round trips.
   EXPECT_GT(stats.total.latency.Percentile(0.5),
             2 * cluster.config().network.base_latency_us);
@@ -108,13 +110,10 @@ TEST(SimClusterTest, ReadOnlyWorkloadSkipsCommitProtocol) {
   SimCluster cluster(cfg, std::make_unique<YcsbWorkload>(ycfg));
   cluster.Start();
   cluster.RunFor(0.5);
-  uint64_t committed = 0, protocol_runs = 0;
-  for (NodeId id = 0; id < 4; ++id) {
-    committed += cluster.node(id).stats().txns_committed;
-    protocol_runs += cluster.node(id).stats().commit_protocol_runs;
-  }
-  EXPECT_GT(committed, 100u);
-  EXPECT_EQ(protocol_runs, 0u);  // Section 5.2: read-only txns skip it
+  const ClusterStats stats = cluster.CollectStats(0.5);
+  EXPECT_GT(stats.total.txns_committed, 100u);
+  // Section 5.2: read-only txns skip it.
+  EXPECT_EQ(stats.total.commit_protocol_runs, 0u);
 }
 
 TEST(SimClusterTest, SinglePartitionTxnsSkipCommitProtocol) {
@@ -124,13 +123,9 @@ TEST(SimClusterTest, SinglePartitionTxnsSkipCommitProtocol) {
   SimCluster cluster(cfg, std::make_unique<YcsbWorkload>(ycfg));
   cluster.Start();
   cluster.RunFor(0.5);
-  uint64_t committed = 0, protocol_runs = 0;
-  for (NodeId id = 0; id < 4; ++id) {
-    committed += cluster.node(id).stats().txns_committed;
-    protocol_runs += cluster.node(id).stats().commit_protocol_runs;
-  }
-  EXPECT_GT(committed, 100u);
-  EXPECT_EQ(protocol_runs, 0u);
+  const ClusterStats stats = cluster.CollectStats(0.5);
+  EXPECT_GT(stats.total.txns_committed, 100u);
+  EXPECT_EQ(stats.total.commit_protocol_runs, 0u);
   EXPECT_EQ(cluster.network().stats().messages_sent, 0u);  // all local
 }
 
@@ -142,11 +137,7 @@ TEST(SimClusterTest, ContentionCausesAborts) {
   SimCluster cluster(cfg, std::make_unique<YcsbWorkload>(ycfg));
   cluster.Start();
   cluster.RunFor(0.5);
-  uint64_t aborted = 0;
-  for (NodeId id = 0; id < 4; ++id) {
-    aborted += cluster.node(id).stats().txns_aborted;
-  }
-  EXPECT_GT(aborted, 0u);
+  EXPECT_GT(cluster.CollectStats(0.5).total.txns_aborted, 0u);
   EXPECT_TRUE(cluster.monitor().Violations().empty());
 }
 
@@ -224,12 +215,11 @@ TEST(SimClusterFailureTest, EasyCommitSurvivesCoordinatorCrash) {
   cluster.RunFor(0.2);
   cluster.CrashNode(0);
   cluster.RunFor(0.5);  // survivors keep processing
-  uint64_t blocked = 0, committed_after = 0;
+  uint64_t committed_after = 0;
   for (NodeId id = 1; id < 4; ++id) {
-    blocked += cluster.node(id).stats().txns_blocked;
     committed_after += cluster.node(id).stats().txns_committed;
   }
-  EXPECT_EQ(blocked, 0u);  // EC never blocks
+  EXPECT_EQ(cluster.CollectStats(0.7).total.txns_blocked, 0u);  // EC never blocks
   EXPECT_GT(committed_after, 0u);
   EXPECT_TRUE(cluster.monitor().Violations().empty());
   // Survivors hold no leaked protocol state for dead transactions.

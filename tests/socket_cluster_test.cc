@@ -49,6 +49,20 @@ TEST(SocketClusterTest, LoopbackOpenLoopConservation) {
       << "offered=" << run.Offered() << " committed=" << run.Committed()
       << " rejected=" << run.Rejected()
       << " taborted=" << run.TerminalAborted();
+  // One latency sample per commit, both recorded at the commit itself.
+  EXPECT_EQ(run.latency.count(), run.Committed());
+  // Each STATS report is the node's whole registry snapshot.
+  MetricsRegistry core;
+  RegisterCoreMetrics(&core);
+  for (const SocketNodeReport& n : run.nodes) {
+    for (const std::string& name : core.counter_names()) {
+      EXPECT_EQ(n.metrics.count(name), 1u) << "node " << n.id << ": " << name;
+    }
+    for (const SocketIoGauge& g : kSocketIoGauges) {
+      EXPECT_EQ(n.metrics.count(g.name), 1u) << "node " << n.id << ": "
+                                             << g.name;
+    }
+  }
 
   const SocketIoStats io = run.Io();
   // Coalescing must actually batch: frames carried more messages than

@@ -76,39 +76,6 @@ TEST(HistogramTest, PercentileZeroIsMin) {
   EXPECT_EQ(h.Percentile(1.0), 2000u);
 }
 
-TEST(NodeStatsTest, MergeCombinesEverything) {
-  NodeStats a, b;
-  a.txns_committed = 10;
-  a.txns_aborted = 2;
-  a.AddTime(TimeCategory::kUsefulWork, 100);
-  a.latency.Record(500);
-  b.txns_committed = 5;
-  b.txns_blocked = 1;
-  b.commit_protocol_runs = 4;
-  b.AddTime(TimeCategory::kUsefulWork, 50);
-  b.AddTime(TimeCategory::kIdle, 10);
-  b.latency.Record(700);
-  a.Merge(b);
-  EXPECT_EQ(a.txns_committed, 15u);
-  EXPECT_EQ(a.txns_aborted, 2u);
-  EXPECT_EQ(a.txns_blocked, 1u);
-  EXPECT_EQ(a.commit_protocol_runs, 4u);
-  EXPECT_EQ(a.TimeIn(TimeCategory::kUsefulWork), 150u);
-  EXPECT_EQ(a.TimeIn(TimeCategory::kIdle), 10u);
-  EXPECT_EQ(a.latency.count(), 2u);
-}
-
-TEST(NodeStatsTest, ClearResets) {
-  NodeStats stats;
-  stats.txns_committed = 3;
-  stats.AddTime(TimeCategory::kAbort, 9);
-  stats.latency.Record(1);
-  stats.Clear();
-  EXPECT_EQ(stats.txns_committed, 0u);
-  EXPECT_EQ(stats.TimeIn(TimeCategory::kAbort), 0u);
-  EXPECT_EQ(stats.latency.count(), 0u);
-}
-
 TEST(ClusterStatsTest, Throughput) {
   ClusterStats stats;
   stats.total.txns_committed = 5000;

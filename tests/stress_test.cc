@@ -80,11 +80,7 @@ TEST_P(CrashStressTest, RandomCrashRecoverScheduleKeepsInvariants) {
 
   // Liveness: EC (and 3PC) never block, even across this schedule.
   if (param.protocol != CommitProtocol::kTwoPhase) {
-    uint64_t blocked = 0;
-    for (NodeId id = 0; id < cfg.num_nodes; ++id) {
-      blocked += cluster.node(id).stats().txns_blocked;
-    }
-    EXPECT_EQ(blocked, 0u);
+    EXPECT_EQ(cluster.CollectStats(0).total.txns_blocked, 0u);
   }
 
   // Progress: the cluster kept committing throughout.

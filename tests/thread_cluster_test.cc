@@ -65,11 +65,7 @@ TEST_P(ThreadClusterProtocolTest, CommitsUnderRealThreads) {
   cluster.Stop();
   EXPECT_GT(cluster.TotalCommitted(), 20u);
   EXPECT_TRUE(cluster.monitor().Violations().empty());
-  uint64_t blocked = 0;
-  for (NodeId id = 0; id < 3; ++id) {
-    blocked += cluster.node(id).stats().txns_blocked;
-  }
-  EXPECT_EQ(blocked, 0u);
+  EXPECT_EQ(cluster.CollectStats(0.8).total.txns_blocked, 0u);
 }
 
 TEST_P(ThreadClusterProtocolTest, LatenciesAreRecorded) {
@@ -78,11 +74,11 @@ TEST_P(ThreadClusterProtocolTest, LatenciesAreRecorded) {
   cluster.Start();
   cluster.RunFor(0.5);
   cluster.Stop();
-  uint64_t samples = 0;
-  for (NodeId id = 0; id < 3; ++id) {
-    samples += cluster.node(id).stats().latency.count();
-  }
-  EXPECT_GT(samples, 0u);
+  const ClusterStats stats = cluster.CollectStats(0.5);
+  EXPECT_GT(stats.total.latency.count(), 0u);
+  // One latency sample per commit, both recorded at the commit itself.
+  EXPECT_EQ(stats.total.latency.count(), stats.total.txns_committed);
+  EXPECT_EQ(stats.total.txns_committed, cluster.TotalCommitted());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, ThreadClusterProtocolTest,
@@ -198,11 +194,7 @@ TEST(ThreadClusterTest, SurvivesNodeCrashWithoutBlocking) {
   cluster.Stop();
   EXPECT_GT(after, at_crash);
   EXPECT_TRUE(cluster.monitor().Violations().empty());
-  uint64_t blocked = 0;
-  for (NodeId id = 0; id < 2; ++id) {
-    blocked += cluster.node(id).stats().txns_blocked;
-  }
-  EXPECT_EQ(blocked, 0u);
+  EXPECT_EQ(cluster.CollectStats(0).total.txns_blocked, 0u);
 }
 
 // A crash lands between loop iterations at either frame cap, so a node
@@ -339,12 +331,10 @@ TEST(ThreadClusterTest, OpenLoopGeneratesLoadAndConserves) {
   cluster.Stop();
   EXPECT_GT(committed, 0u);
 
-  uint64_t offered = 0, accounted = cluster.TotalCommitted();
-  for (NodeId id = 0; id < cfg.num_nodes; ++id) {
-    const NodeStats& s = cluster.node(id).stats();
-    offered += s.open_loop_offered;
-    accounted += s.open_loop_rejected + s.open_loop_aborted;
-  }
+  const NodeStats s = cluster.CollectStats(0).total;
+  const uint64_t offered = s.open_loop_offered;
+  const uint64_t accounted =
+      cluster.TotalCommitted() + s.open_loop_rejected + s.open_loop_aborted;
   EXPECT_GT(offered, 0u);
   // Conservation, with slack for transactions still in flight when the
   // drain window closed: nothing is ever counted twice, so accounted can
@@ -427,11 +417,7 @@ TEST(ThreadClusterWorkerPoolTest, SharedWorkersCommitOnBothDeliveryPaths) {
     cluster.Stop();
     EXPECT_GT(committed, 20u) << "coalesce=" << coalesce;
     EXPECT_TRUE(cluster.monitor().Violations().empty());
-    uint64_t blocked = 0;
-    for (NodeId id = 0; id < cfg.num_nodes; ++id) {
-      blocked += cluster.node(id).stats().txns_blocked;
-    }
-    EXPECT_EQ(blocked, 0u);
+    EXPECT_EQ(cluster.CollectStats(0).total.txns_blocked, 0u);
 
     const std::vector<WorkerStats> workers = cluster.CollectWorkerStats();
     ASSERT_EQ(workers.size(), 3u);
@@ -510,12 +496,10 @@ TEST(ThreadClusterWorkerPoolTest, CrashIsolatesCoHostedNodes) {
   // Conservation across the crash/recover cycle: offered ==
   // committed + rejected + terminal aborts, with slack bounded by the
   // cluster-wide admission cap for still-in-flight work at drain close.
-  uint64_t offered = 0, accounted = cluster.TotalCommitted();
-  for (NodeId id = 0; id < cfg.num_nodes; ++id) {
-    const NodeStats& s = cluster.node(id).stats();
-    offered += s.open_loop_offered;
-    accounted += s.open_loop_rejected + s.open_loop_aborted;
-  }
+  const NodeStats s = cluster.CollectStats(0).total;
+  const uint64_t offered = s.open_loop_offered;
+  const uint64_t accounted =
+      cluster.TotalCommitted() + s.open_loop_rejected + s.open_loop_aborted;
   EXPECT_LE(accounted, offered);
   EXPECT_GE(accounted + static_cast<uint64_t>(cfg.num_nodes) *
                             cfg.open_loop.max_in_flight_per_node,

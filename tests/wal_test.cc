@@ -138,6 +138,36 @@ TEST(FileWalTest, TornTailIsIgnored) {
   EXPECT_EQ(wal->Size(), 2u);  // valid prefix only
 }
 
+TEST(FileWalTest, AppendsAfterTornTailSurviveTheNextReopen) {
+  const std::string path = TempPath("wal_torn_reopen.log");
+  std::remove(path.c_str());
+  {
+    auto wal = std::move(FileWal::Open(path)).value();
+    for (TxnId txn = 1; txn <= 3; ++txn) {
+      wal->Append({0, txn, LogRecordType::kReady, {}});
+    }
+    ASSERT_TRUE(wal->Flush().ok());
+  }
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  const unsigned char junk[7] = {0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03};
+  std::fwrite(junk, 1, sizeof(junk), f);
+  std::fclose(f);
+  {
+    auto wal = std::move(FileWal::Open(path)).value();
+    ASSERT_EQ(wal->Size(), 3u);
+    for (TxnId txn = 4; txn <= 6; ++txn) {
+      wal->Append({0, txn, LogRecordType::kReady, {}});
+    }
+    ASSERT_TRUE(wal->Flush().ok());
+    EXPECT_EQ(wal->Size(), 6u);
+  }
+  // Recovery after recovery: the records appended after the first replay
+  // must not sit behind the torn bytes.
+  auto wal = std::move(FileWal::Open(path)).value();
+  ASSERT_EQ(wal->Size(), 6u);
+  EXPECT_EQ(wal->Scan().back().txn, 6u);
+}
+
 TEST(FileWalTest, OpenFailsForBadPath) {
   auto wal = FileWal::Open("/nonexistent-dir-xyz/wal.log");
   EXPECT_FALSE(wal.ok());
