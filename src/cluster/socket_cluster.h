@@ -169,7 +169,7 @@ class SocketCluster {
 };
 
 /// Child-process entry hook. Every binary that supervises socket clusters
-/// (tools/socket_cluster, bench_socket, the socket tests) calls this first
+/// (tools/socket_cluster, ecbench, the socket tests) calls this first
 /// in main(): when the process was exec'd with the `--ecdb-socket-node=`
 /// marker it runs the node-process loop to completion and returns true
 /// (the caller just returns 0); otherwise returns false and main proceeds

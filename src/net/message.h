@@ -131,7 +131,7 @@ struct Message {
   /// decision flood is O(n²) copies), so the quorum fields are packed
   /// into existing padding holes and `quorum_epoch` shares storage with
   /// `priority_ts` below — the execution and quorum vocabularies never
-  /// meet in one message. BM_NetworkBroadcast is the tripwire for
+  /// meet in one message. The static_assert below is the tripwire for
   /// letting sizeof(Message) creep.
   bool quorum_nack = false;
   NodeId quorum_instance = kInvalidNode;
@@ -155,12 +155,11 @@ struct Message {
   size_t ApproximateBytes() const;
 };
 
-/// Tripwire for the PR 9 repack: Message is copied once per recipient on
-/// every broadcast (EC's decision flood is O(n²) copies), so its size is a
-/// first-order throughput input. BM_NetworkBroadcast only *documents* the
-/// size; this fails the build if a new field regrows the struct instead of
-/// reusing a padding hole. 64-bit platforms only — pointer width drives
-/// the CowVector fields.
+/// Tripwire for the quorum-field repack: Message is copied once per
+/// recipient on every broadcast (EC's decision flood is O(n²) copies), so
+/// its size is a first-order throughput input. This fails the build if a
+/// new field regrows the struct instead of reusing a padding hole. 64-bit
+/// platforms only — pointer width drives the CowVector fields.
 static_assert(sizeof(void*) != 8 || sizeof(Message) == 96,
               "Message grew past 96 bytes; pack new fields into existing "
               "padding holes (see the quorum payload comment)");

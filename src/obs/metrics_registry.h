@@ -15,7 +15,8 @@ namespace ecdb {
 
 /// Runtime knob for the time-series sampler. The metrics registry itself
 /// is always on; `enabled` only starts the periodic sampler that turns it
-/// into timeslices (e.g. `bench_open_loop --metrics-out`).
+/// into timeslices (e.g. `chaos_run --metrics-out`,
+/// `socket_cluster --telemetry-dir`).
 struct TelemetryConfig {
   bool enabled = false;
 

@@ -128,15 +128,6 @@ struct ClusterStats {
   /// the critical-path analyzer reconstructs from it may be truncated.
   uint64_t trace_events_dropped = 0;
 
-  /// Offered (open-loop arrival) transactions per second of (simulated)
-  /// time; 0 under the closed loop.
-  double OfferedRate() const {
-    return duration_seconds > 0
-               ? static_cast<double>(total.open_loop_offered) /
-                     duration_seconds
-               : 0.0;
-  }
-
   /// Committed transactions per second of (simulated) time.
   double Throughput() const {
     return duration_seconds > 0

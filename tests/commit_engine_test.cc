@@ -225,6 +225,50 @@ TEST(CommitMessageTest, NoForwardAblationSendsLinearDecisions) {
   EXPECT_EQ(bed.network().stats().per_type.at(MsgType::kGlobalCommit), 3u);
 }
 
+// Failure-free messages per commit round, every protocol, on the coalesced
+// transport the cluster experiments run with: the message-delay cost Gray &
+// Lamport compare commit protocols on. EC's decision flood and Paxos
+// Commit's vote broadcast to every acceptor both grow O(n^2) (Section 5.3);
+// the 2PC and 3PC families stay linear.
+TEST(CommitMessageTest, MessagesPerFailureFreeRound) {
+  struct Row {
+    CommitProtocol protocol;
+    uint32_t n;
+    uint64_t messages;
+  };
+  const Row rows[] = {
+      {CommitProtocol::kTwoPhase, 4, 12},
+      {CommitProtocol::kTwoPhase, 32, 124},
+      {CommitProtocol::kTwoPhasePresumedAbort, 4, 12},
+      {CommitProtocol::kTwoPhasePresumedAbort, 32, 124},
+      {CommitProtocol::kTwoPhasePresumedCommit, 4, 9},
+      {CommitProtocol::kTwoPhasePresumedCommit, 32, 93},
+      {CommitProtocol::kThreePhase, 4, 18},
+      {CommitProtocol::kThreePhase, 32, 186},
+      {CommitProtocol::kEasyCommit, 4, 18},
+      {CommitProtocol::kEasyCommit, 32, 1054},
+      {CommitProtocol::kThreePhaseE3PC, 4, 18},
+      {CommitProtocol::kThreePhaseE3PC, 32, 186},
+      {CommitProtocol::kPaxosCommit, 4, 30},
+      {CommitProtocol::kPaxosCommit, 32, 2046},
+  };
+  NetworkConfig net;
+  net.base_latency_us = 1;
+  net.jitter_us = 0;
+  for (const Row& row : rows) {
+    ProtocolTestbed bed(row.protocol, row.n, net);
+    bed.network().EnableCoalescing(true);
+    const TxnId txn = bed.StartAll();
+    bed.Settle();
+    for (NodeId id = 0; id < row.n; ++id) {
+      ASSERT_EQ(bed.host(id).applied(txn), Decision::kCommit)
+          << ToString(row.protocol) << " n=" << row.n << " node " << id;
+    }
+    EXPECT_EQ(bed.network().stats().messages_sent, row.messages)
+        << ToString(row.protocol) << " n=" << row.n;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Timeouts and the termination protocol
 // ---------------------------------------------------------------------------
