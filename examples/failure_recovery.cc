@@ -92,8 +92,7 @@ void RunMotivatingExample(CommitProtocol protocol, bool x_receives,
   }
   std::printf("  termination rounds run: %llu, safety violations: %zu\n",
               static_cast<unsigned long long>(
-                  bed.host(2).engine().termination_rounds() +
-                  bed.host(3).engine().termination_rounds()),
+                  bed.Totals().termination_rounds),
               bed.monitor().Violations().size());
 
   if (!trace_dir.empty()) {

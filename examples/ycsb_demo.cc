@@ -4,7 +4,8 @@
 //
 // Usage: ycsb_demo [protocol] [nodes] [theta] [write_pct] [parts_per_txn]
 //                  [coalesce] [workers]
-//   protocol: 2pc | 3pc | ec | ec-noforward     (default ec)
+//   protocol: any ParseProtocol name, e.g. 2pc | 3pc | ec | ec-noforward |
+//             2pc-pa | 2pc-pc | e3pc | paxos    (default ec)
 //   nodes:    cluster size (any size; the sim and the worker pool both
 //             host hundreds of nodes)           (default 8)
 //   theta:    Zipfian skew 0.0..0.95            (default 0.6)
@@ -18,7 +19,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 
 #include "cluster/sim_cluster.h"
@@ -28,18 +28,6 @@
 using namespace ecdb;
 
 namespace {
-
-CommitProtocol ParseProtocol(const char* arg) {
-  if (std::strcmp(arg, "2pc") == 0) return CommitProtocol::kTwoPhase;
-  if (std::strcmp(arg, "3pc") == 0) return CommitProtocol::kThreePhase;
-  if (std::strcmp(arg, "ec") == 0) return CommitProtocol::kEasyCommit;
-  if (std::strcmp(arg, "ec-noforward") == 0) {
-    return CommitProtocol::kEasyCommitNoForward;
-  }
-  std::fprintf(stderr, "unknown protocol '%s' (want 2pc|3pc|ec|ec-noforward)\n",
-               arg);
-  std::exit(2);
-}
 
 /// Threaded-runtime variant: same workload knobs, wall-clock execution on
 /// a shard-per-core worker pool, plus the per-worker readout the simulator
@@ -111,7 +99,14 @@ int main(int argc, char** argv) {
   ycsb.rows_per_partition = 131072;
   ycsb.theta = 0.6;
 
-  if (argc > 1) cluster_config.protocol = ParseProtocol(argv[1]);
+  if (argc > 1) {
+    const auto protocol = ParseProtocol(argv[1]);
+    if (!protocol) {
+      std::fprintf(stderr, "unknown protocol '%s'\n", argv[1]);
+      return 2;
+    }
+    cluster_config.protocol = *protocol;
+  }
   if (argc > 2) cluster_config.num_nodes = std::atoi(argv[2]);
   if (argc > 3) ycsb.theta = std::atof(argv[3]);
   if (argc > 4) ycsb.write_fraction = std::atof(argv[4]) / 100.0;

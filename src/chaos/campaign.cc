@@ -59,18 +59,9 @@ ChaosCaseResult RunCase(const ChaosCaseConfig& cfg, const FaultPlan& plan,
   driver.Schedule(plan);
   cluster.RunFor(static_cast<double>(plan.horizon_us) / 1e6);
 
-  // Latency of the horizon window only — the audit's drain below lets
-  // stragglers finish in fault-free conditions, which would flatten the
-  // tail the faults actually caused.
-  result.latency = cluster.CollectStats(0).total.latency;
-  for (NodeId id = 0; id < cluster.num_nodes(); ++id) {
-    // Quorum counters are harvested here, before the audit's full restart
-    // recreates every engine and zeroes them.
-    result.acceptor_rounds += cluster.node(id).engine().acceptor_rounds();
-    result.ballots_promoted += cluster.node(id).engine().ballots_promoted();
-    result.quorum_lost_rounds +=
-        cluster.node(id).engine().quorum_lost_rounds();
-  }
+  // Before the audit's drain, which lets stragglers finish fault-free and
+  // would flatten the latency tail the faults actually caused.
+  result.horizon = cluster.CollectStats(0).total;
 
   result.audit = RunConsistencyAudit(&cluster, &driver, cfg.drain_budget);
   result.faults_applied = driver.faults_applied();
@@ -125,10 +116,10 @@ CampaignSummary RunCampaign(
     summary.atomicity_violations += result.audit.CountFor("atomicity");
     summary.durability_violations += result.audit.CountFor("durability");
     summary.liveness_violations += result.audit.CountFor("liveness");
-    summary.acceptor_rounds += result.acceptor_rounds;
-    summary.ballots_promoted += result.ballots_promoted;
-    summary.quorum_lost_rounds += result.quorum_lost_rounds;
-    summary.latency.Merge(result.latency);
+    summary.acceptor_rounds += result.horizon.acceptor_rounds;
+    summary.ballots_promoted += result.horizon.ballots_promoted;
+    summary.quorum_lost_rounds += result.horizon.quorum_lost_rounds;
+    summary.latency.Merge(result.horizon.latency);
     if (!result.audit.quiescent) summary.non_quiescent++;
     if (!result.ok()) {
       summary.seeds_failed++;

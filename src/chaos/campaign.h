@@ -62,17 +62,10 @@ struct ChaosCaseResult {
   FaultPlan plan;
   AuditResult audit;
   uint64_t faults_applied = 0;
-  /// End-to-end latency of transactions committed during the fault horizon
-  /// (harvested before the audit's drain, so drain-time completions do not
-  /// skew the distribution).
-  Histogram latency;
-  /// Quorum-protocol counters summed over nodes at the end of the horizon
-  /// (before the audit's full restart resets the engines). Mid-run crashes
-  /// also reset a node's counters, so these undercount — a failure-signal
-  /// floor, not an exact ledger (same caveat as termination_rounds).
-  uint64_t acceptor_rounds = 0;
-  uint64_t ballots_promoted = 0;
-  uint64_t quorum_lost_rounds = 0;
+  /// What the cluster counted over the fault horizon, crashes included:
+  /// read before the audit's drain, so drain-time completions do not skew
+  /// the latency distribution and recovery rounds are not counted.
+  NodeStats horizon;
   bool ok() const { return audit.ok(); }
 };
 

@@ -313,6 +313,10 @@ void NodeCore::OnPhaseSample(TxnId txn, CommitPhase phase,
   }
 }
 
+void NodeCore::OnProtocolEvent(ProtocolEvent event) {
+  metrics_.Add(metrics_.ids->protocol_events[static_cast<size_t>(event)]);
+}
+
 // --------------------------------------------------------------------------
 // Message handling
 // --------------------------------------------------------------------------
@@ -925,30 +929,6 @@ void NodeCore::SeedQuorumSnapshots(TxnId txn) {
       engine_->SeedPaxosAcceptor(txn, promised, std::move(accepted));
     }
   }
-}
-
-void NodeCore::BeginMeasurement() {
-  window_termination_ = engine_->termination_rounds();
-  window_acceptor_ = engine_->acceptor_rounds();
-  window_ballots_ = engine_->ballots_promoted();
-  window_quorum_lost_ = engine_->quorum_lost_rounds();
-}
-
-void NodeCore::AddNodeCounters(ClusterStats* out) const {
-  auto since = [](uint64_t now, uint64_t base) {
-    return now > base ? now - base : 0;
-  };
-  NodeStats& t = out->total;
-  t.termination_rounds +=
-      since(engine_->termination_rounds(), window_termination_);
-  t.acceptor_rounds += since(engine_->acceptor_rounds(), window_acceptor_);
-  t.ballots_promoted += since(engine_->ballots_promoted(), window_ballots_);
-  t.quorum_lost_rounds +=
-      since(engine_->quorum_lost_rounds(), window_quorum_lost_);
-  out->duplicate_decisions_suppressed +=
-      engine_->duplicate_decisions_suppressed();
-  out->wal_group_flushes += wal_->group_flushes();
-  out->trace_events_dropped += trace_.dropped();
 }
 
 void NodeCore::ReseedTxnIdsFromWal() {

@@ -85,6 +85,7 @@ class NodeCore : public CommitEnv {
   void OnCleanup(TxnId txn) override;
   void OnPhaseSample(TxnId txn, CommitPhase phase,
                      Micros elapsed_us) override;
+  void OnProtocolEvent(ProtocolEvent event) override;
 
   // --- Driven by the host ---
 
@@ -131,15 +132,6 @@ class NodeCore : public CommitEnv {
   }
   TraceRecorder& trace() { return trace_; }
   const TraceRecorder& trace() const { return trace_; }
-
-  /// Starts a measurement window for the engine's protocol-round counters.
-  void BeginMeasurement();
-
-  /// Adds what this node's engine, WAL and trace ring count to `out`:
-  /// protocol rounds since BeginMeasurement (clamped at zero: a crash
-  /// recreates the engine), duplicate decisions, group flushes and trace
-  /// drops since construction. Call from the node's thread or after it.
-  void AddNodeCounters(ClusterStats* out) const;
 
   /// Bumps the TxnId allocator past the highest self-coordinated sequence
   /// in the WAL. A process restart builds a fresh node over the old log;
@@ -369,9 +361,6 @@ class NodeCore : public CommitEnv {
   bool track_acked_ = false;
   std::vector<TxnId> acked_commits_;
   VoteOverride vote_override_;
-  // Engine protocol-round counters at BeginMeasurement.
-  uint64_t window_termination_ = 0, window_acceptor_ = 0, window_ballots_ = 0,
-           window_quorum_lost_ = 0;
 
   const MetricsHandle metrics_;
   std::atomic<uint64_t> committed_{0};

@@ -26,17 +26,19 @@ SimCluster::SimCluster(const ClusterConfig& config,
   if (config_.telemetry.enabled) {
     sampler_ = std::make_unique<TelemetrySampler>(&metrics_registry_,
                                                   config_.telemetry);
-    sampler_->SetPollHook([this] {
-      SetNetworkGauges(network_->stats(), core_metrics_, &metrics_registry_);
-      uint64_t trace_drops = 0, in_flight = 0;
-      for (const auto& node : nodes_) {
-        trace_drops += node->trace().dropped();
-        in_flight += node->InFlightClientCount();
-      }
-      metrics_registry_.Set(core_metrics_.trace_events_dropped, trace_drops);
-      metrics_registry_.Set(core_metrics_.clients_in_flight, in_flight);
-    });
+    sampler_->SetPollHook([this] { PollGauges(); });
   }
+}
+
+void SimCluster::PollGauges() {
+  SetNetworkGauges(network_->stats(), core_metrics_, &metrics_registry_);
+  uint64_t trace_drops = 0, in_flight = 0;
+  for (const auto& node : nodes_) {
+    trace_drops += node->trace().dropped();
+    in_flight += node->InFlightClientCount();
+  }
+  metrics_registry_.Set(core_metrics_.trace_events_dropped, trace_drops);
+  metrics_registry_.Set(core_metrics_.clients_in_flight, in_flight);
 }
 
 void SimCluster::Start() {
@@ -77,16 +79,14 @@ size_t SimCluster::RunToQuiescence(size_t max_events) {
 void SimCluster::BeginMeasurement() {
   window_base_ = metrics_registry_.Snapshot();
   metrics_registry_.ResetExtremes();
-  for (auto& node : nodes_) node->BeginMeasurement();
 }
 
-ClusterStats SimCluster::CollectStats(double duration_seconds) const {
-  ClusterStats out;
+ClusterStats SimCluster::CollectStats(double duration_seconds) {
+  PollGauges();
+  ClusterStats out = CoreStats(
+      metrics_registry_.Snapshot().Since(window_base_), core_metrics_);
   out.duration_seconds = duration_seconds;
   out.num_nodes = config_.num_nodes;
-  out.total = CoreTotals(metrics_registry_.Snapshot().Since(window_base_),
-                         core_metrics_);
-  for (const auto& node : nodes_) node->AddNodeCounters(&out);
   // Idle = worker capacity not attributed to any category this window.
   uint64_t busy = 0;
   for (uint64_t us : out.total.time_us) busy += us;
@@ -95,10 +95,6 @@ ClusterStats SimCluster::CollectStats(double duration_seconds) const {
                             static_cast<uint64_t>(duration_seconds * 1e6);
   out.total.AddTime(TimeCategory::kIdle,
                     capacity > busy ? capacity - busy : 0);
-  out.net_messages_from_crashed = network_->stats().messages_from_crashed;
-  out.net_messages_to_crashed = network_->stats().messages_to_crashed;
-  out.net_frames_sent = network_->stats().frames_sent;
-  out.net_messages_coalesced = network_->stats().messages_coalesced;
   return out;
 }
 

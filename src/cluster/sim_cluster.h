@@ -44,13 +44,13 @@ class SimCluster {
   size_t RunToQuiescence(size_t max_events = 10'000'000);
 
   /// Opens a fresh measurement window: snapshots the registry as the
-  /// window's baseline and restarts the per-node engine baselines.
+  /// window's baseline.
   void BeginMeasurement();
 
-  /// Stats since BeginMeasurement (else since construction): the registry
-  /// snapshot minus the baseline, the node counters, and idle time derived
+  /// Stats since BeginMeasurement (else since construction): after a gauge
+  /// poll, the registry snapshot minus the baseline, plus idle time derived
   /// from worker busy time vs. the `duration_seconds` window.
-  ClusterStats CollectStats(double duration_seconds) const;
+  ClusterStats CollectStats(double duration_seconds);
 
   SimNode& node(NodeId id) { return *nodes_[id]; }
   size_t num_nodes() const { return nodes_.size(); }
@@ -89,6 +89,9 @@ class SimCluster {
   std::vector<const TraceRecorder*> recorders() const;
 
  private:
+  /// Copies the network's, trace rings' and clients' cumulative counts
+  /// into the registry's gauges.
+  void PollGauges();
   void SampleTick();
 
   ClusterConfig config_;

@@ -692,9 +692,6 @@ SocketNode::SocketNode(SocketNodeConfig config)
   for (size_t i = 0; i < std::size(kSocketIoGauges); ++i) {
     io_gauges_[i] = metrics_registry_.Gauge(kSocketIoGauges[i].name);
   }
-  termination_rounds_ = metrics_registry_.Gauge("termination_rounds");
-  duplicate_decisions_suppressed_ =
-      metrics_registry_.Gauge("duplicate_decisions_suppressed");
   wal_records_ = metrics_registry_.Gauge("wal_records");
   metrics_registry_.Activate(1);
   const MetricsHandle handle{&metrics_registry_, &core_metrics_, 0};
@@ -745,15 +742,11 @@ void SocketNode::Stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
   worker_->Stop();
-  // The worker is joined: its node's engine, WAL and trace ring may be
-  // read. Fold them in ahead of the sampler's final sample.
+  // The worker is joined: its node's WAL and trace ring may be read. Fold
+  // them in ahead of the sampler's final sample.
   PollGauges();
   metrics_registry_.Set(core_metrics_.trace_events_dropped,
                         node_->trace().dropped());
-  metrics_registry_.Set(termination_rounds_,
-                        node_->engine().termination_rounds());
-  metrics_registry_.Set(duplicate_decisions_suppressed_,
-                        node_->engine().duplicate_decisions_suppressed());
   metrics_registry_.Set(wal_records_, node_->wal().Size());
   if (sampler_ != nullptr) {
     sampling_.Stop();

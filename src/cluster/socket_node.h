@@ -290,13 +290,11 @@ class SocketNode {
   SocketNetwork network_;
 
   // Single-shard registry (the node runs on the one worker), laid out as
-  // in ThreadCluster plus a gauge per kSocketIoGauges entry and the engine
-  // and WAL ledgers a STATS report carries, folded in at Stop.
+  // in ThreadCluster plus a gauge per kSocketIoGauges entry and the WAL
+  // size a STATS report carries, folded in at Stop.
   MetricsRegistry metrics_registry_;
   CoreMetrics core_metrics_;
   GaugeId io_gauges_[std::size(kSocketIoGauges)] = {};
-  GaugeId termination_rounds_ = 0;
-  GaugeId duplicate_decisions_suppressed_ = 0;
   GaugeId wal_records_ = 0;
 
   std::unique_ptr<ThreadNode> node_;

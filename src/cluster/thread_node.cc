@@ -193,10 +193,12 @@ ThreadCluster::ThreadCluster(const ThreadClusterConfig& config,
   if (config_.telemetry.enabled) {
     sampler_ = std::make_unique<TelemetrySampler>(&metrics_registry_,
                                                   config_.telemetry);
-    sampler_->SetPollHook([this] {
-      SetNetworkGauges(network_->stats(), core_metrics_, &metrics_registry_);
-    });
+    sampler_->SetPollHook([this] { PollGauges(); });
   }
+}
+
+void ThreadCluster::PollGauges() {
+  SetNetworkGauges(network_->stats(), core_metrics_, &metrics_registry_);
 }
 
 ThreadCluster::~ThreadCluster() { Stop(); }
@@ -240,21 +242,12 @@ uint64_t ThreadCluster::TotalCommitted() const {
   return total;
 }
 
-ClusterStats ThreadCluster::CollectStats(double duration_seconds) const {
-  ClusterStats out;
+ClusterStats ThreadCluster::CollectStats(double duration_seconds) {
+  PollGauges();
+  ClusterStats out = CoreStats(metrics_registry_.Snapshot(), core_metrics_);
   out.duration_seconds = duration_seconds;
   out.num_nodes = config_.num_nodes;
-  const MetricsSnapshot snap = metrics_registry_.Snapshot();
-  out.total = CoreTotals(snap, core_metrics_);
-  for (const auto& node : nodes_) node->AddNodeCounters(&out);
-  out.net_messages_from_crashed = network_->messages_from_crashed();
-  out.net_messages_to_crashed = network_->messages_to_crashed();
-  const NetworkStats net = network_->stats();
-  out.net_frames_sent = net.frames_sent;
-  out.net_messages_coalesced = net.messages_coalesced;
   out.worker_threads = workers_.size();
-  out.worker_mailbox_messages = snap.counters[core_metrics_.worker_mailbox_msgs];
-  out.worker_local_messages = snap.counters[core_metrics_.worker_local_msgs];
   return out;
 }
 

@@ -152,9 +152,9 @@ class ThreadCluster {
   uint64_t TotalCommitted() const;
 
   /// The whole run's stats, reported for a window of `duration_seconds`:
-  /// a registry snapshot plus the engine and WAL counters, which are
-  /// thread-confined, so call only after Stop().
-  ClusterStats CollectStats(double duration_seconds) const;
+  /// a registry snapshot after a gauge poll. Trace drops are folded in at
+  /// Stop(), so call only after it.
+  ClusterStats CollectStats(double duration_seconds);
 
   /// Per-worker event-loop counters (occupancy, mailbox/local message
   /// split). Read only after Stop().
@@ -173,6 +173,10 @@ class ThreadCluster {
   TelemetrySampler* telemetry() { return sampler_.get(); }
 
  private:
+  /// Copies the network's cumulative counts into the registry's gauges.
+  /// Reads only atomics: the sampler thread calls it mid-run.
+  void PollGauges();
+
   ThreadClusterConfig config_;
   std::unique_ptr<ThreadNetwork> network_;
   std::unique_ptr<Workload> workload_;

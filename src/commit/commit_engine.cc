@@ -388,9 +388,9 @@ void CommitEngine::OnGlobalDecision(const Message& msg, TxnRecord& rec) {
     // *conflicting* decision can never happen under EC/2PC/3PC with node
     // failures only; the forwarding-disabled ablation does produce it, and
     // the counter is how that experiment measures safety violations.
-    duplicate_decisions_suppressed_++;
+    env_->OnProtocolEvent(ProtocolEvent::kDuplicateDecision);
     if (rec.decision != decision) {
-      conflicting_decisions_++;
+      env_->OnProtocolEvent(ProtocolEvent::kConflictingDecision);
       ECDB_LOG(kWarn, "conflicting decision for txn %llu on node %u",
                static_cast<unsigned long long>(msg.txn), env_->self());
     }
@@ -631,7 +631,7 @@ void CommitEngine::StartTermination(TxnId txn, TxnRecord& rec) {
     rec.in_termination = false;
     return;
   }
-  termination_rounds_++;
+  env_->OnProtocolEvent(ProtocolEvent::kTerminationRound);
   rec.term_attempts++;
   rec.in_termination = true;
   rec.term_replies.clear();
@@ -985,7 +985,7 @@ void CommitEngine::OnMessage(const Message& msg) {
         // Redundant copy of a decision already on record for a cleaned-up
         // transaction — the ledger-side twin of the decided-record fast
         // path in OnGlobalDecision.
-        duplicate_decisions_suppressed_++;
+        env_->OnProtocolEvent(ProtocolEvent::kDuplicateDecision);
       } else {
         LedgerRecord(msg.txn, msg.type == MsgType::kGlobalCommit
                                   ? Decision::kCommit

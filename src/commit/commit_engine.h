@@ -255,39 +255,6 @@ class CommitEngine {
   /// Number of transactions still tracked (not yet cleaned up).
   size_t ActiveCount() const { return index_.size(); }
 
-  /// Total termination-protocol rounds initiated by this node (classic
-  /// cooperative termination and E3PC quorum elections alike).
-  uint64_t termination_rounds() const { return termination_rounds_; }
-
-  /// Paxos Commit: accept-phase quorums this node drove to a decision
-  /// (one per transaction it resolved as leader or promoted proposer).
-  uint64_t acceptor_rounds() const { return acceptor_rounds_; }
-
-  /// Paxos Commit: ballots this node promoted past ballot 0 (prepare
-  /// phases started on timeout).
-  uint64_t ballots_promoted() const { return ballots_promoted_; }
-
-  /// Quorum rounds (E3PC elections / Paxos prepare phases) abandoned for
-  /// lack of a quorum of replies — the "waiting, not blocked" regime a
-  /// minority partition sits in until it heals.
-  uint64_t quorum_lost_rounds() const { return quorum_lost_rounds_; }
-
-  /// Number of decision messages received that contradicted an already
-  /// applied local decision. Always zero for 2PC/3PC/EC under node
-  /// failures; nonzero values quantify the safety loss of the
-  /// forwarding-disabled ablation.
-  uint64_t conflicting_decisions() const { return conflicting_decisions_; }
-
-  /// Global-* receipts for transactions this node had already decided —
-  /// EC's O(n^2) forward redundancy arriving after the first copy (plus
-  /// ledger-answered duplicates for cleaned-up transactions). The engine
-  /// short-circuits these to cleanup accounting instead of re-running the
-  /// adoption path; the count sizes how much of the transmit phase is
-  /// wire-level redundancy on this node.
-  uint64_t duplicate_decisions_suppressed() const {
-    return duplicate_decisions_suppressed_;
-  }
-
   /// Attaches the host's trace recorder. The engine records protocol-level
   /// events (state transitions, decision transmit/apply, termination
   /// rounds) into it; message/timer/WAL events are recorded by the host at
@@ -555,13 +522,6 @@ class CommitEngine {
   // Entries are erased when this node learns the decision; later queries
   // are answered from the decision ledger.
   FlatMap<TxnId, PaxosAcceptorState> paxos_acceptors_;
-
-  uint64_t termination_rounds_ = 0;
-  uint64_t conflicting_decisions_ = 0;
-  uint64_t duplicate_decisions_suppressed_ = 0;
-  uint64_t acceptor_rounds_ = 0;
-  uint64_t ballots_promoted_ = 0;
-  uint64_t quorum_lost_rounds_ = 0;
 };
 
 }  // namespace ecdb

@@ -21,6 +21,21 @@ enum class CommitPhase : uint8_t {
 
 inline constexpr size_t kNumCommitPhases = 3;
 
+/// Protocol events the engine reports, each once, as it happens; it keeps
+/// no counters of its own. Hosts count each into its NodeStats or
+/// ClusterStats field (kTerminationRound into termination_rounds, and so
+/// on), which documents it.
+enum class ProtocolEvent : uint8_t {
+  kTerminationRound,     // termination round / election / ballot started
+  kAcceptorRound,        // Paxos Commit: an accept quorum it led decided
+  kBallotPromoted,       // Paxos Commit: a ballot minted above 0
+  kQuorumLost,           // an election or prepare phase found no quorum
+  kDuplicateDecision,    // Global-* receipt for an already decided txn
+  kConflictingDecision,  // a decision contradicting the applied one
+};
+
+inline constexpr size_t kNumProtocolEvents = 6;
+
 /// Host interface for the commit-protocol engine. The protocol state
 /// machines are sans-I/O: every externally visible effect (sending a
 /// message, writing the log, arming a timeout, applying a decision) goes
@@ -97,6 +112,9 @@ class CommitEnv {
     (void)phase;
     (void)elapsed_us;
   }
+
+  /// Observability hook: one protocol `event` happened on this node.
+  virtual void OnProtocolEvent(ProtocolEvent event) { (void)event; }
 };
 
 }  // namespace ecdb

@@ -223,8 +223,9 @@ void CommitEngine::PaxosPromote(TxnId txn, TxnRecord& rec) {
   q.ballot_accepts.clear();
   q.proposal.clear();
   rec.in_termination = true;
-  ballots_promoted_++;
-  termination_rounds_++;  // promotions are this protocol's recovery rounds
+  env_->OnProtocolEvent(ProtocolEvent::kBallotPromoted);
+  // Promotions are this protocol's recovery rounds.
+  env_->OnProtocolEvent(ProtocolEvent::kTerminationRound);
   rec.term_attempts++;
   Trace(TraceEventType::kTermRoundStart, txn, rec.term_attempts);
   env_->ArmTimer(txn, QuorumRetryDelay(rec));
@@ -335,14 +336,14 @@ void CommitEngine::OnPaxosAccepted(const Message& msg, TxnRecord& rec) {
       t.done = true;
       if (t.value == Decision::kAbort) {
         // One instance chose Abort: the conjunction is already decided.
-        acceptor_rounds_++;
+        env_->OnProtocolEvent(ProtocolEvent::kAcceptorRound);
         CoordinatorDecide(msg.txn, rec, Decision::kAbort);
         return;
       }
       for (const QuorumTxnState::InstanceTally& other : q.tallies) {
         if (!other.done) return;  // still collecting other instances
       }
-      acceptor_rounds_++;
+      env_->OnProtocolEvent(ProtocolEvent::kAcceptorRound);
       CoordinatorDecide(msg.txn, rec, Decision::kCommit);
       return;
     }
@@ -362,7 +363,7 @@ void CommitEngine::OnPaxosAccepted(const Message& msg, TxnRecord& rec) {
       break;
     }
   }
-  acceptor_rounds_++;
+  env_->OnProtocolEvent(ProtocolEvent::kAcceptorRound);
   AdoptDecision(msg.txn, rec,
                 all_commit ? Decision::kCommit : Decision::kAbort,
                 /*from_termination=*/true);
@@ -382,7 +383,8 @@ void CommitEngine::PaxosOnTimeout(TxnId txn, TxnRecord& rec) {
     return;
   }
   if (rec.in_termination) {
-    quorum_lost_rounds_++;  // the pending promotion found no quorum
+    // The pending promotion found no quorum.
+    env_->OnProtocolEvent(ProtocolEvent::kQuorumLost);
     Trace(TraceEventType::kTermRoundOutcome, txn, 0, kInvalidNode,
           static_cast<uint8_t>(TermOutcome::kDeferred));
   }

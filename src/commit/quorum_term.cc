@@ -95,7 +95,7 @@ void CommitEngine::E3pcOnTimeout(TxnId txn, TxnRecord& rec) {
   // timeout, where plain 3PC commits unilaterally): quorum termination.
   if (rec.in_termination) {
     // The previous round is still open: no quorum of replies/acks arrived.
-    quorum_lost_rounds_++;
+    env_->OnProtocolEvent(ProtocolEvent::kQuorumLost);
     Trace(TraceEventType::kTermRoundOutcome, txn, 0, kInvalidNode,
           static_cast<uint8_t>(TermOutcome::kDeferred));
   }
@@ -122,7 +122,7 @@ void CommitEngine::StartQuorumTermination(TxnId txn, TxnRecord& rec) {
   q.attempt_proposed = false;
   q.attempt_acks.clear();
   rec.in_termination = true;
-  termination_rounds_++;
+  env_->OnProtocolEvent(ProtocolEvent::kTerminationRound);
   rec.term_attempts++;
   Trace(TraceEventType::kTermRoundStart, txn, rec.term_attempts);
   // Durable promise: after a crash this node must still refuse attempts

@@ -158,6 +158,11 @@ class ProtocolTestbed {
     return out;
   }
 
+  /// Everything the hosts counted, summed over them.
+  NodeStats Totals() const {
+    return CoreStats(registry_.Snapshot(), ids_).total;
+  }
+
   ProtocolHost& host(NodeId id) { return *hosts_[id]; }
   size_t num_nodes() const { return hosts_.size(); }
   Scheduler& scheduler() { return scheduler_; }

@@ -1,5 +1,8 @@
 #include "common/types.h"
 
+#include <cctype>
+#include <utility>
+
 namespace ecdb {
 
 std::string ToString(Decision decision) {
@@ -26,6 +29,33 @@ std::string ToString(CommitProtocol protocol) {
       return "Paxos";
   }
   return "unknown";
+}
+
+std::optional<CommitProtocol> ParseProtocol(std::string_view name) {
+  static constexpr std::pair<std::string_view, CommitProtocol> kNames[] = {
+      {"2pc", CommitProtocol::kTwoPhase},
+      {"3pc", CommitProtocol::kThreePhase},
+      {"ec", CommitProtocol::kEasyCommit},
+      {"easycommit", CommitProtocol::kEasyCommit},
+      {"ec-noforward", CommitProtocol::kEasyCommitNoForward},
+      {"ecnf", CommitProtocol::kEasyCommitNoForward},
+      {"ecnoforward", CommitProtocol::kEasyCommitNoForward},
+      {"2pc-pa", CommitProtocol::kTwoPhasePresumedAbort},
+      {"2pc-pc", CommitProtocol::kTwoPhasePresumedCommit},
+      {"e3pc", CommitProtocol::kThreePhaseE3PC},
+      {"paxos", CommitProtocol::kPaxosCommit},
+      {"paxos-commit", CommitProtocol::kPaxosCommit},
+      {"paxoscommit", CommitProtocol::kPaxosCommit},
+  };
+  std::string lower;
+  for (char c : name) {
+    lower.push_back(
+        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+  }
+  for (const auto& [known, protocol] : kNames) {
+    if (lower == known) return protocol;
+  }
+  return std::nullopt;
 }
 
 }  // namespace ecdb

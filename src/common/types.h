@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace ecdb {
 
@@ -77,6 +79,11 @@ enum class CommitProtocol : uint8_t {
 
 /// Returns a short human-readable protocol name ("2PC", "3PC", "EC", ...).
 std::string ToString(CommitProtocol protocol);
+
+/// The protocol named `name`, case-insensitively: any ToString name or
+/// one of the aliases "easycommit", "ecnf", "ecnoforward", "paxos-commit"
+/// and "paxoscommit". Empty for an unknown name.
+std::optional<CommitProtocol> ParseProtocol(std::string_view name);
 
 }  // namespace ecdb
 

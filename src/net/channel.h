@@ -121,15 +121,6 @@ class ThreadNetwork {
   void RecoverNode(NodeId node);
   bool IsCrashed(NodeId node) const;
 
-  /// Messages dropped because the source was crashed at send time.
-  uint64_t messages_from_crashed() const {
-    return from_crashed_.load(std::memory_order_relaxed);
-  }
-  /// Messages dropped because the destination was crashed at send time.
-  uint64_t messages_to_crashed() const {
-    return to_crashed_.load(std::memory_order_relaxed);
-  }
-
   // --- Fault injection (the SimNetwork subset chaos campaigns use) ---
   //
   // All setters are thread-safe and may race with Send. The first setter

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "commit/commit_env.h"
 #include "common/histogram.h"
 #include "common/types.h"
 #include "stats/metrics.h"
@@ -152,7 +153,8 @@ class MetricsRegistry {
   /// Per-(shard, histogram) storage: geometric buckets in Histogram's
   /// bucket geometry plus running count/sum/extremes. ~4 KiB per histogram
   /// per shard; shard count is the worker count, so this stays small.
-  struct HistShard {
+  /// Line-aligned, so no two shards' cells share a cache line.
+  struct alignas(64) HistShard {
     std::array<std::atomic<uint64_t>, Histogram::kNumBuckets> buckets{};
     std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> sum{0};
@@ -170,8 +172,12 @@ class MetricsRegistry {
   std::vector<std::string> gauge_names_;
   std::vector<std::string> hist_names_;
   uint32_t num_shards_ = 0;
-  size_t counter_stride_ = 0;  // == counter_names_.size() at Activate time
-  std::vector<std::atomic<uint64_t>> shard_counters_;
+  // Cells per shard: the counter count rounded up to a whole cache line.
+  size_t counter_stride_ = 0;
+  std::vector<std::atomic<uint64_t>> counter_cells_;
+  // The first line-aligned cell of counter_cells_; shard s starts at
+  // s * counter_stride_.
+  std::atomic<uint64_t>* shard_counters_ = nullptr;
   std::vector<std::atomic<uint64_t>> gauges_;
   std::vector<HistShard> hist_shards_;
 };
@@ -180,10 +186,11 @@ class MetricsRegistry {
 /// identical across the simulator and the threaded runtime. Counters and
 /// histograms are recorded once, at the event, on the hot paths (sharded
 /// per worker); gauges are polled cumulatively from single-writer sources
-/// (network stats, trace-ring drops) by the sampler's poll hook just before
-/// each snapshot. Instruments a host has no source for read zero: the
-/// Figure-12 category times off the simulator, the worker-loop counters on
-/// it.
+/// (network stats, trace-ring drops) by the host's gauge poll, which the
+/// sampler runs just before each snapshot and CollectStats before its
+/// read. Instruments a host has no source for read zero: the Figure-12
+/// category times off the simulator, the worker-loop counters and WAL
+/// flushes on it.
 struct CoreMetrics {
   CounterId txns_committed = 0;
   CounterId txns_aborted = 0;        // aborted attempts (may retry)
@@ -191,7 +198,7 @@ struct CoreMetrics {
   CounterId open_loop_rejected = 0;
   CounterId open_loop_aborted = 0;   // terminal aborts
   CounterId wal_appends = 0;
-  CounterId wal_flushes = 0;
+  CounterId wal_flushes = 0;         // group flushes that covered records
   CounterId worker_iterations = 0;   // threaded runtime event-loop turns
   CounterId worker_mailbox_msgs = 0;
   CounterId worker_local_msgs = 0;
@@ -201,11 +208,17 @@ struct CoreMetrics {
   /// Simulated worker microseconds per Figure-12 category (TimeCategory
   /// order). Idle is never recorded: it is the capacity no job used.
   std::array<CounterId, kNumTimeCategories> time_us{};
+  /// Commit-engine protocol events (ProtocolEvent order).
+  std::array<CounterId, kNumProtocolEvents> protocol_events{};
 
   GaugeId net_messages_sent = 0;
   GaugeId net_messages_delivered = 0;
   GaugeId net_messages_dropped = 0;
   GaugeId net_bytes_sent = 0;
+  GaugeId net_frames_sent = 0;
+  GaugeId net_messages_coalesced = 0;
+  GaugeId net_messages_from_crashed = 0;
+  GaugeId net_messages_to_crashed = 0;
   GaugeId trace_events_dropped = 0;  // trace ring overwrites
   GaugeId clients_in_flight = 0;
 
@@ -221,10 +234,11 @@ struct CoreMetrics {
 /// schema) and returns the handles.
 CoreMetrics RegisterCoreMetrics(MetricsRegistry* registry);
 
-/// The transaction counters and histograms of `window` (a snapshot, or a
-/// snapshot difference, of a registry holding `ids`). The engine, WAL and
-/// worker-pool fields of the view are the host's to fill.
-NodeStats CoreTotals(const MetricsSnapshot& window, const CoreMetrics& ids);
+/// The stats view of `window` (a snapshot, or a snapshot difference, of a
+/// registry holding `ids`): every ClusterStats field but the window
+/// length, the node and worker counts, and the simulator's idle time,
+/// which are the host's to fill.
+ClusterStats CoreStats(const MetricsSnapshot& window, const CoreMetrics& ids);
 
 /// Pointer-plus-shard handle a node or worker records through. Every host
 /// binds one when it builds the node or worker, so record sites call it

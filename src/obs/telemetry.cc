@@ -237,6 +237,10 @@ void SetNetworkGauges(const NetworkStats& stats, const CoreMetrics& ids,
   registry->Set(ids.net_messages_delivered, stats.messages_delivered);
   registry->Set(ids.net_messages_dropped, stats.messages_dropped);
   registry->Set(ids.net_bytes_sent, stats.bytes_sent);
+  registry->Set(ids.net_frames_sent, stats.frames_sent);
+  registry->Set(ids.net_messages_coalesced, stats.messages_coalesced);
+  registry->Set(ids.net_messages_from_crashed, stats.messages_from_crashed);
+  registry->Set(ids.net_messages_to_crashed, stats.messages_to_crashed);
 }
 
 }  // namespace ecdb

@@ -27,10 +27,9 @@ inline constexpr size_t kNumTimeCategories = 7;
 /// Returns the paper's label, e.g. "Useful Work".
 std::string ToString(TimeCategory category);
 
-/// Transaction counters and histograms over one measurement window, summed
-/// over the nodes it covers. A plain value: hosts derive it from their
-/// MetricsRegistry snapshot (CoreTotalsSince) and fill the engine-owned
-/// fields from the engines.
+/// Transaction and protocol counters and histograms over one measurement
+/// window, summed over the nodes it covers. A plain value: hosts derive it
+/// from a MetricsRegistry snapshot (CoreStats).
 struct NodeStats {
   uint64_t txns_committed = 0;
   uint64_t txns_aborted = 0;   // aborted attempts (restarted later)
@@ -52,6 +51,10 @@ struct NodeStats {
   uint64_t acceptor_rounds = 0;
   uint64_t ballots_promoted = 0;
   uint64_t quorum_lost_rounds = 0;
+
+  /// Decision messages that contradicted an already applied decision:
+  /// zero for every protocol but the forwarding-disabled EC ablation.
+  uint64_t conflicting_decisions = 0;
 
   /// Open-loop load accounting (all zero under the closed loop). Every
   /// arrival is counted exactly once as offered and ends in exactly one of
@@ -85,30 +88,37 @@ struct NodeStats {
   }
 };
 
-/// Cluster-level result of a benchmark window.
+/// Cluster-level result of a benchmark window: one read of the host's
+/// MetricsRegistry (CoreStats) plus the window length and pool shape.
+/// Every counter, in `total` and below, covers the simulator's
+/// BeginMeasurement window (else the cluster's life) and the threaded
+/// host's whole run; the registry outlives every engine, so a crash resets
+/// none of them. The `net_*` and `trace_*` fields are gauges, read as of
+/// collection.
 struct ClusterStats {
   NodeStats total;               // summed over nodes
   double duration_seconds = 0;   // measurement window length
   uint32_t num_nodes = 0;
 
-  /// Network-level loss accounting (whole run, not just the window):
-  /// messages a crashed node would have sent (suppressed at the source)
-  /// and messages addressed to a crashed node (dropped at the sink).
+  /// Network loss accounting: messages a crashed node would have sent
+  /// (suppressed at the source) and messages addressed to a crashed node
+  /// (dropped at the sink).
   uint64_t net_messages_from_crashed = 0;
   uint64_t net_messages_to_crashed = 0;
 
-  /// Transport coalescing + group commit accounting (whole run).
-  /// `net_frames_sent` counts framed batches put on the wire (zero on the
-  /// simulator with the coalescing knob off; one per message on the
-  /// threaded host) and `net_messages_coalesced` the messages that rode
+  /// Transport coalescing + group commit accounting.
+  /// `net_frames_sent` counts framed batches put on the wire: zero on the
+  /// simulator with the coalescing knob off; on the threaded host, one per
+  /// destination per loop iteration coalesced, one per message at a frame
+  /// cap of one (same-worker deliveries bypass the network and count in
+  /// neither). `net_messages_coalesced` counts the messages that rode
   /// behind another in the same frame — their ratio is the effective
-  /// batch factor. `duplicate_decisions_suppressed` counts
-  /// Global-* receipts short-circuited because the transaction was
-  /// already decided locally (EC's O(n^2) redundancy; counted regardless
-  /// of the knob). `wal_group_flushes` counts WAL flushes that covered
-  /// pending records — each one stands in for the per-append syncs group
-  /// commit amortized away. Engine-derived counters reset when a crash
-  /// recreates a node's engine, like termination_rounds.
+  /// batch factor. `duplicate_decisions_suppressed` counts Global-*
+  /// receipts short-circuited because the transaction was already decided
+  /// locally (EC's O(n^2) redundancy; counted regardless of the knob).
+  /// `wal_group_flushes` counts WAL flushes that covered pending records —
+  /// each one stands in for the per-append syncs group commit amortized
+  /// away (zero on the simulator, whose log needs no flush).
   uint64_t net_frames_sent = 0;
   uint64_t net_messages_coalesced = 0;
   uint64_t duplicate_decisions_suppressed = 0;

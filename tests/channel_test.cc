@@ -204,17 +204,17 @@ TEST(ThreadNetworkTest, CrashedNodesDropTraffic) {
 
 TEST(ThreadNetworkTest, CountsMessagesDroppedAtCrashedNodes) {
   ThreadNetwork net(3);
-  EXPECT_EQ(net.messages_from_crashed(), 0u);
-  EXPECT_EQ(net.messages_to_crashed(), 0u);
+  EXPECT_EQ(net.stats().messages_from_crashed, 0u);
+  EXPECT_EQ(net.stats().messages_to_crashed, 0u);
   net.CrashNode(1);
   net.Send(Make(0, 1));  // to crashed
   net.Send(Make(2, 1));  // to crashed
   net.Send(Make(1, 2));  // from crashed
-  EXPECT_EQ(net.messages_to_crashed(), 2u);
-  EXPECT_EQ(net.messages_from_crashed(), 1u);
+  EXPECT_EQ(net.stats().messages_to_crashed, 2u);
+  EXPECT_EQ(net.stats().messages_from_crashed, 1u);
   net.RecoverNode(1);
   net.Send(Make(0, 1));  // delivered, not counted
-  EXPECT_EQ(net.messages_to_crashed(), 2u);
+  EXPECT_EQ(net.stats().messages_to_crashed, 2u);
   EXPECT_EQ(net.channel(1).Size(), 1u);
 }
 

@@ -514,11 +514,7 @@ TEST(QuorumTest, PaxosPromotionAbortsUnvotedInstanceWithFreeValue) {
     EXPECT_EQ(bed.host(id).blocked_count(), 0u);
   }
   EXPECT_TRUE(bed.monitor().Violations().empty());
-  uint64_t promoted = 0;
-  for (NodeId id = 0; id < 3; ++id) {
-    promoted += bed.host(id).engine().ballots_promoted();
-  }
-  EXPECT_GT(promoted, 0u);
+  EXPECT_GT(bed.Totals().ballots_promoted, 0u);
 }
 
 TEST(OrderingTest, ConcurrentTransactionsDoNotInterfere) {

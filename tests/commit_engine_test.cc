@@ -296,9 +296,7 @@ TEST(CommitTimeoutTest, EcCohortTimeoutInInitialRunsTermination) {
   bed.Settle();
   EXPECT_EQ(*bed.host(1).applied(txn), Decision::kAbort);
   EXPECT_EQ(*bed.host(2).applied(txn), Decision::kAbort);
-  EXPECT_GT(bed.host(1).engine().termination_rounds() +
-                bed.host(2).engine().termination_rounds(),
-            0u);
+  EXPECT_GT(bed.Totals().termination_rounds, 0u);
 }
 
 TEST(CommitTimeoutTest, TwoPcCohortTimeoutInInitialAbortsUnilaterally) {
@@ -309,7 +307,7 @@ TEST(CommitTimeoutTest, TwoPcCohortTimeoutInInitialAbortsUnilaterally) {
   bed.network().CrashNode(2);
   bed.Settle();
   EXPECT_EQ(*bed.host(1).applied(txn), Decision::kAbort);
-  EXPECT_EQ(bed.host(1).engine().termination_rounds(), 0u);
+  EXPECT_EQ(bed.Totals().termination_rounds, 0u);
 }
 
 TEST(CommitTimeoutTest, CohortLearnsDecisionFromPeerViaTermination) {
@@ -521,7 +519,7 @@ TEST(CommitRobustnessTest, DuplicateDecisionMessagesAreIdempotent) {
   dup.participants = {0, 1, 2};
   bed.host(1).engine().OnMessage(dup);
   EXPECT_EQ(*bed.host(1).applied(txn), Decision::kCommit);
-  EXPECT_EQ(bed.host(1).engine().conflicting_decisions(), 0u);
+  EXPECT_EQ(bed.Totals().conflicting_decisions, 0u);
 }
 
 TEST(CommitRobustnessTest, SpuriousTimeoutAfterCleanupIsIgnored) {

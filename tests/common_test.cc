@@ -89,6 +89,44 @@ TEST(TypesTest, ProtocolNames) {
   EXPECT_EQ(ToString(Decision::kAbort), "abort");
 }
 
+TEST(TypesTest, ParseProtocolRoundTripsEveryName) {
+  constexpr CommitProtocol kAll[] = {
+      CommitProtocol::kTwoPhase,
+      CommitProtocol::kThreePhase,
+      CommitProtocol::kEasyCommit,
+      CommitProtocol::kEasyCommitNoForward,
+      CommitProtocol::kTwoPhasePresumedAbort,
+      CommitProtocol::kTwoPhasePresumedCommit,
+      CommitProtocol::kThreePhaseE3PC,
+      CommitProtocol::kPaxosCommit,
+  };
+  for (const CommitProtocol p : kAll) {
+    EXPECT_EQ(ParseProtocol(ToString(p)), p) << ToString(p);
+  }
+  const struct {
+    const char* name;
+    CommitProtocol protocol;
+  } kAliases[] = {
+      {"ec", CommitProtocol::kEasyCommit},
+      {"EasyCommit", CommitProtocol::kEasyCommit},
+      {"ecnf", CommitProtocol::kEasyCommitNoForward},
+      {"ec-noforward", CommitProtocol::kEasyCommitNoForward},
+      {"ECnoForward", CommitProtocol::kEasyCommitNoForward},
+      {"2pc-pa", CommitProtocol::kTwoPhasePresumedAbort},
+      {"2pc-PC", CommitProtocol::kTwoPhasePresumedCommit},
+      {"e3pc", CommitProtocol::kThreePhaseE3PC},
+      {"paxos", CommitProtocol::kPaxosCommit},
+      {"Paxos-Commit", CommitProtocol::kPaxosCommit},
+      {"paxoscommit", CommitProtocol::kPaxosCommit},
+  };
+  for (const auto& alias : kAliases) {
+    EXPECT_EQ(ParseProtocol(alias.name), alias.protocol) << alias.name;
+  }
+  for (const char* unknown : {"", "4pc", "ec-", "paxos commit"}) {
+    EXPECT_EQ(ParseProtocol(unknown), std::nullopt) << unknown;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Rng
 // ---------------------------------------------------------------------------

@@ -263,6 +263,30 @@ TEST(SimClusterFailureTest, CrashedNodeRecoversAndResolvesInFlight) {
   EXPECT_FALSE(cluster.node(2).crashed());
 }
 
+TEST(SimClusterFailureTest, ProtocolCountersNeverRunBackwardsAcrossCrashes) {
+  // A crash recreates the node's engine. The window's protocol counters
+  // must still only grow: a later collection never reads below an earlier
+  // one.
+  SimCluster cluster(SmallCluster(CommitProtocol::kEasyCommit),
+                     std::make_unique<YcsbWorkload>(SmallYcsb(4)));
+  cluster.Start();
+  cluster.RunFor(0.2);
+  cluster.BeginMeasurement();
+  cluster.CrashNode(0);
+  cluster.RunFor(0.3);
+  const ClusterStats early = cluster.CollectStats(0.3);
+  cluster.CrashNode(1);
+  cluster.RunFor(0.05);
+  const ClusterStats late = cluster.CollectStats(0.35);
+  EXPECT_GT(early.total.termination_rounds, 0u);
+  EXPECT_GE(late.total.termination_rounds, early.total.termination_rounds);
+  EXPECT_GE(late.total.acceptor_rounds, early.total.acceptor_rounds);
+  EXPECT_GE(late.total.ballots_promoted, early.total.ballots_promoted);
+  EXPECT_GE(late.total.quorum_lost_rounds, early.total.quorum_lost_rounds);
+  EXPECT_GE(late.duplicate_decisions_suppressed,
+            early.duplicate_decisions_suppressed);
+}
+
 TEST(SimClusterFailureTest, ClusterKeepsCommittingAfterRecovery) {
   ClusterConfig cfg = SmallCluster(CommitProtocol::kEasyCommit);
   cfg.commit.keep_decision_ledger = true;

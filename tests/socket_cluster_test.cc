@@ -9,6 +9,7 @@
 #include <stdlib.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -188,6 +189,51 @@ TEST(SocketClusterTest, UncoalescedRestartReplaysPreKillLog) {
   // The replacement's log holds the replayed history plus whatever it
   // wrote since.
   EXPECT_GE(restarted->wal_records, on_disk_at_kill);
+  std::filesystem::remove_all(wal_dir);
+}
+
+TEST(SocketClusterTest, TornTailBetweenKillsKeepsLaterRecords) {
+  // A SIGKILL mid group flush can leave a torn record at the end of the
+  // log. The replacement process must cut it off before appending, or
+  // everything it logs hides behind the torn bytes from the next restart.
+  const std::string wal_dir = MakeTempDir();
+  ASSERT_FALSE(wal_dir.empty());
+  const std::string wal_path = wal_dir + "/node2.wal";
+
+  SocketClusterConfig cfg;
+  cfg.num_nodes = 4;
+  cfg.clients_per_node = 8;
+  cfg.wal_dir = wal_dir;
+  cfg.seed = 29;
+  cfg.timeout_us = 120'000;
+  cfg.termination_window_us = 60'000;
+
+  SocketCluster cluster(cfg);
+  ASSERT_TRUE(cluster.Start());
+  cluster.RunFor(1.0);
+  ASSERT_TRUE(cluster.Kill(2));
+  uint64_t on_disk_at_first_kill = 0;
+  {
+    auto wal = FileWal::Open(wal_path);
+    ASSERT_TRUE(wal.ok());
+    on_disk_at_first_kill = wal.value()->Size();
+  }
+  EXPECT_GT(on_disk_at_first_kill, 0u);
+  {
+    std::ofstream torn(wal_path, std::ios::binary | std::ios::app);
+    torn.write("\xDB\xEC\x01\x02\x03\x04\x05", 7);
+    ASSERT_TRUE(torn.good());
+  }
+
+  ASSERT_TRUE(cluster.Restart(2));
+  cluster.RunFor(0.5);
+  ASSERT_TRUE(cluster.Kill(2));
+  {
+    auto wal = FileWal::Open(wal_path);
+    ASSERT_TRUE(wal.ok());
+    EXPECT_GT(wal.value()->Size(), on_disk_at_first_kill);
+  }
+  cluster.Stop();
   std::filesystem::remove_all(wal_dir);
 }
 

@@ -527,6 +527,28 @@ TEST(ThreadClusterWorkerPoolTest, SingleWorkerHostsWholeCluster) {
   EXPECT_EQ(stats.worker_mailbox_messages, 0u);
 }
 
+// The stats view must agree with the sources it summarizes: ecbench's
+// wal.flushes_per_txn and net.msgs_per_frame read these fields.
+TEST(ThreadClusterTest, StatsMatchWalAndNetworkCounts) {
+  ThreadClusterConfig cfg = SmallConfig(CommitProtocol::kEasyCommit);
+  cfg.coalesce_transport = true;
+  ThreadCluster cluster(cfg, std::make_unique<YcsbWorkload>(SmallYcsb()));
+  cluster.Start();
+  cluster.RunFor(0.4);
+  cluster.Stop();
+  const ClusterStats stats = cluster.CollectStats(0.4);
+  uint64_t group_flushes = 0;
+  for (NodeId id = 0; id < cluster.num_nodes(); ++id) {
+    group_flushes += cluster.node(id).wal().group_flushes();
+  }
+  EXPECT_GT(group_flushes, 0u);
+  EXPECT_EQ(stats.wal_group_flushes, group_flushes);
+  const NetworkStats net = cluster.network().stats();
+  EXPECT_GT(net.frames_sent, 0u);
+  EXPECT_EQ(stats.net_frames_sent, net.frames_sent);
+  EXPECT_EQ(stats.net_messages_coalesced, net.messages_coalesced);
+}
+
 TEST(ThreadClusterTest, StopIsIdempotent) {
   ThreadCluster cluster(SmallConfig(CommitProtocol::kTwoPhase),
                         std::make_unique<YcsbWorkload>(SmallYcsb()));

@@ -59,32 +59,6 @@ namespace {
 
 using namespace ecdb;
 
-bool ParseProtocol(const std::string& name, CommitProtocol* out) {
-  std::string lower;
-  for (char c : name) lower.push_back(static_cast<char>(std::tolower(c)));
-  if (lower == "ec" || lower == "easycommit") {
-    *out = CommitProtocol::kEasyCommit;
-  } else if (lower == "ec-noforward" || lower == "ecnoforward") {
-    *out = CommitProtocol::kEasyCommitNoForward;
-  } else if (lower == "2pc") {
-    *out = CommitProtocol::kTwoPhase;
-  } else if (lower == "3pc") {
-    *out = CommitProtocol::kThreePhase;
-  } else if (lower == "e3pc") {
-    *out = CommitProtocol::kThreePhaseE3PC;
-  } else if (lower == "paxos" || lower == "paxos-commit" ||
-             lower == "paxoscommit") {
-    *out = CommitProtocol::kPaxosCommit;
-  } else if (lower == "2pc-pa") {
-    *out = CommitProtocol::kTwoPhasePresumedAbort;
-  } else if (lower == "2pc-pc") {
-    *out = CommitProtocol::kTwoPhasePresumedCommit;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 std::vector<std::string> SplitCsv(const std::string& csv) {
   std::vector<std::string> out;
   std::string cur;
@@ -347,12 +321,12 @@ int main(int argc, char** argv) {
 
   std::vector<CommitProtocol> protocols;
   for (const std::string& name : SplitCsv(protocols_csv)) {
-    CommitProtocol p;
-    if (!ParseProtocol(name, &p)) {
+    const auto p = ParseProtocol(name);
+    if (!p) {
       std::fprintf(stderr, "unknown protocol '%s'\n", name.c_str());
       return 2;
     }
-    protocols.push_back(p);
+    protocols.push_back(*p);
   }
   if (protocols.empty()) return Usage(argv[0]);
   if (!dump_dir.empty()) std::filesystem::create_directories(dump_dir);

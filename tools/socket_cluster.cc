@@ -57,19 +57,6 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-bool ParseProtocol(const std::string& name, CommitProtocol* out) {
-  if (name == "ec") *out = CommitProtocol::kEasyCommit;
-  else if (name == "ecnf") *out = CommitProtocol::kEasyCommitNoForward;
-  else if (name == "2pc") *out = CommitProtocol::kTwoPhase;
-  else if (name == "2pc-pa") *out = CommitProtocol::kTwoPhasePresumedAbort;
-  else if (name == "2pc-pc") *out = CommitProtocol::kTwoPhasePresumedCommit;
-  else if (name == "3pc") *out = CommitProtocol::kThreePhase;
-  else if (name == "e3pc") *out = CommitProtocol::kThreePhaseE3PC;
-  else if (name == "paxos") *out = CommitProtocol::kPaxosCommit;
-  else return false;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -98,10 +85,12 @@ int main(int argc, char** argv) {
       cfg.num_nodes =
           static_cast<uint32_t>(std::strtoul(next("--nodes"), nullptr, 10));
     } else if (arg == "--protocol") {
-      if (!ParseProtocol(next("--protocol"), &cfg.protocol)) {
+      const auto protocol = ParseProtocol(next("--protocol"));
+      if (!protocol) {
         std::fprintf(stderr, "unknown protocol\n");
         return 2;
       }
+      cfg.protocol = *protocol;
     } else if (arg == "--seconds") {
       seconds = std::strtod(next("--seconds"), nullptr);
     } else if (arg == "--clients") {
