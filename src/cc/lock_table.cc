@@ -150,10 +150,7 @@ void LockTable::ReleaseAll(TxnId txn) {
   for (const LockId& id : held) {
     Entry* entry = entries_.Find(id);
     if (entry == nullptr) continue;
-    entry->holders.erase(
-        std::remove_if(entry->holders.begin(), entry->holders.end(),
-                       [&](const Holder& h) { return h.txn == txn; }),
-        entry->holders.end());
+    entry->holders.EraseIf([&](const Holder& h) { return h.txn == txn; });
     PromoteWaiters(id, *entry, fired);
     if (entry->holders.empty() && entry->queue.empty()) {
       entries_.Erase(id);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/flat_map.h"
+#include "common/inline_vector.h"
 #include "common/operation.h"
 #include "common/types.h"
 #include "sim/task.h"
@@ -43,10 +44,11 @@ enum class CcPolicy : uint8_t {
 ///
 /// Hot-path layout: entries and the per-transaction held/waiting indices
 /// live in open-addressing FlatMaps (no per-node allocation, no bucket
-/// chains), grant callbacks are inline TaskFns (no std::function heap
-/// spill), and ReleaseAll touches only the entries its transaction actually
-/// holds or awaits — the waiting index replaces the previous
-/// scan-every-entry queue cleanup.
+/// chains), each entry keeps up to two holders inline (granting a lock
+/// allocates nothing), grant callbacks are inline TaskFns (no
+/// std::function heap spill), and ReleaseAll touches only the entries its
+/// transaction actually holds or awaits — the waiting index replaces the
+/// previous scan-every-entry queue cleanup.
 class LockTable {
  public:
   /// Inline, move-only grant callback (WAIT_DIE). TaskFn's 104-byte buffer
@@ -107,7 +109,7 @@ class LockTable {
     GrantCallback on_grant;
   };
   struct Entry {
-    std::vector<Holder> holders;
+    InlineVector<Holder, 2> holders;  // a third shared holder spills
     std::vector<Waiter> queue;  // FIFO; head at index 0
   };
   using LockIdList = std::vector<LockId>;

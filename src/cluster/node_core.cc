@@ -745,14 +745,11 @@ bool NodeCore::ApplyOp(const Operation& op, std::vector<UndoRecord>* undo) {
   auto row = table->GetMutable(op.key);
   if (!row.ok()) return false;
   if (op.is_write()) {
-    UndoRecord rec;
-    rec.table = op.table;
-    rec.key = op.key;
-    rec.old_columns = row.value()->columns;
-    rec.old_version = row.value()->version;
-    undo->push_back(std::move(rec));
-    row.value()->columns[0]++;
-    row.value()->version++;
+    Row& r = *row.value();
+    uint64_t& column0 = table->Columns(r)[0];
+    undo->push_back(UndoRecord{op.table, op.key, column0, r.version});
+    column0++;
+    r.version++;
   }
   return true;
 }
@@ -764,7 +761,7 @@ void NodeCore::UndoWrites(const std::vector<UndoRecord>& undo) {
     if (table == nullptr) continue;
     auto row = table->GetMutable(it->key);
     if (!row.ok()) continue;
-    row.value()->columns = it->old_columns;
+    table->Columns(*row.value())[0] = it->old_column0;
     row.value()->version = it->old_version;
   }
 }

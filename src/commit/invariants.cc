@@ -44,15 +44,15 @@ void SafetyMonitor::RecordApplied(TxnId txn, NodeId node, Decision decision) {
   std::lock_guard<std::mutex> lock(stripe.mu);
   PerTxn& per = stripe.txns[txn];
   bool found = false;
-  for (auto& [other, d] : per.applied) {
-    if (other == node) {
-      d = decision;
+  for (Applier& applier : per.applied) {
+    if (applier.node == node) {
+      applier.decision = decision;
       found = true;
-    } else if (d != decision) {
+    } else if (applier.decision != decision) {
       per.conflict = true;
     }
   }
-  if (!found) per.applied.emplace_back(node, decision);
+  if (!found) per.applied.push_back(Applier{node, decision});
 }
 
 void SafetyMonitor::RecordBlocked(TxnId txn, NodeId node) {
@@ -98,8 +98,8 @@ std::optional<Decision> SafetyMonitor::DecisionOf(TxnId txn,
   std::lock_guard<std::mutex> lock(stripe.mu);
   const PerTxn* per = stripe.txns.Find(txn);
   if (per == nullptr) return std::nullopt;
-  for (const auto& [other, d] : per->applied) {
-    if (other == node) return d;
+  for (const Applier& applier : per->applied) {
+    if (applier.node == node) return applier.decision;
   }
   return std::nullopt;
 }
@@ -109,8 +109,12 @@ std::vector<std::pair<NodeId, Decision>> SafetyMonitor::AppliedFor(
   const Stripe& stripe = StripeFor(txn);
   std::lock_guard<std::mutex> lock(stripe.mu);
   const PerTxn* per = stripe.txns.Find(txn);
-  if (per == nullptr) return {};
-  return per->applied;
+  std::vector<std::pair<NodeId, Decision>> out;
+  if (per == nullptr) return out;
+  for (const Applier& applier : per->applied) {
+    out.emplace_back(applier.node, applier.decision);
+  }
+  return out;
 }
 
 }  // namespace ecdb

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/flat_map.h"
+#include "common/inline_vector.h"
 #include "common/types.h"
 #include "net/message.h"
 
@@ -73,11 +74,18 @@ class SafetyMonitor {
   std::vector<std::pair<NodeId, Decision>> AppliedFor(TxnId txn) const;
 
  private:
+  struct Applier {
+    NodeId node;
+    Decision decision;
+  };
   struct PerTxn {
-    // A transaction has tens of appliers at most; a flat vector keyed by
-    // linear scan beats a per-txn hash map and never allocates per insert
-    // once grown.
-    std::vector<std::pair<NodeId, Decision>> applied;
+    // A transaction has tens of appliers at most, so a flat list keyed by
+    // linear scan beats a per-txn hash map. The first two (both
+    // participants of the evaluation's two-partition transactions) sit
+    // inline, so recording their decisions does not allocate. Two, not
+    // more: the monitor keeps a slot for every transaction ever decided,
+    // so its size is resident memory.
+    InlineVector<Applier, 2> applied;
     bool conflict = false;
   };
 

@@ -12,12 +12,14 @@
 
 namespace ecdb {
 
-/// Before-image of one updated row, kept while a transaction is in flight
-/// so an abort can restore the row (in-place update + undo, 2PL style).
+/// Before-image of one write, kept while a transaction is in flight so an
+/// abort can restore the row (in-place update + undo, 2PL style). A write
+/// changes exactly column 0 and the version, so the record holds exactly
+/// those two words: fixed-size, no heap copy of the row.
 struct UndoRecord {
   TableId table = 0;
   Key key = 0;
-  std::vector<uint64_t> old_columns;
+  uint64_t old_column0 = 0;
   uint64_t old_version = 0;
 };
 

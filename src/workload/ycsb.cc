@@ -11,6 +11,8 @@ YcsbWorkload::YcsbWorkload(YcsbConfig config)
   ECDB_CHECK(config_.partitions_per_txn >= 1);
   ECDB_CHECK(config_.partitions_per_txn <= config_.num_partitions);
   ECDB_CHECK(config_.ops_per_txn >= config_.partitions_per_txn);
+  // Writes update column 0 (PartitionStore rejects a zero-column table).
+  ECDB_CHECK(config_.columns >= 1);
   // Distinct-key sampling must be able to terminate.
   ECDB_CHECK(config_.rows_per_partition >= config_.ops_per_txn);
 }

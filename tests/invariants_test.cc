@@ -2,6 +2,10 @@
 
 #include "commit/invariants.h"
 
+#include <algorithm>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace ecdb {
@@ -101,6 +105,51 @@ TEST(SafetyMonitorTest, DecisionLookup) {
   EXPECT_FALSE(monitor.DecisionOf(9, 3).has_value());
   EXPECT_EQ(monitor.AppliedFor(1).size(), 1u);
   EXPECT_TRUE(monitor.AppliedFor(9).empty());
+}
+
+TEST(SafetyMonitorTest, ConflictBeyondInlineAppliersIsDetected) {
+  // An n=8 all-partition transaction has more appliers than fit inline;
+  // the spilled appliers must still be compared with every other one.
+  SafetyMonitor monitor;
+  for (NodeId node = 0; node < 7; ++node) {
+    monitor.RecordApplied(1, node, Decision::kCommit);
+  }
+  EXPECT_TRUE(monitor.Violations().empty());
+  monitor.RecordApplied(1, 7, Decision::kAbort);
+  EXPECT_EQ(monitor.Violations(), std::vector<TxnId>{1});
+  EXPECT_EQ(monitor.AppliedFor(1).size(), 8u);
+  EXPECT_EQ(monitor.DecisionOf(1, 6), Decision::kCommit);
+  EXPECT_EQ(monitor.DecisionOf(1, 7), Decision::kAbort);
+}
+
+TEST(SafetyMonitorTest, ConcurrentAppliersOnSharedStripes) {
+  // Four node threads apply decisions for the same transactions at once,
+  // as the threaded runtime does; 512 transactions share 16 stripes, and
+  // eight appliers per transaction spill past the inline slots. Thread 3
+  // aborts every fifth transaction that the others commit.
+  constexpr TxnId kTxns = 512;
+  SafetyMonitor monitor;
+  std::vector<std::thread> threads;
+  for (NodeId t = 0; t < 4; ++t) {
+    threads.emplace_back([&monitor, t] {
+      for (TxnId txn = 0; txn < kTxns; ++txn) {
+        for (NodeId node : {t, t + 4}) {
+          const bool dissent = t == 3 && txn % 5 == 0;
+          monitor.RecordApplied(
+              txn, node, dissent ? Decision::kAbort : Decision::kCommit);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::vector<TxnId> violations = monitor.Violations();
+  std::sort(violations.begin(), violations.end());
+  std::vector<TxnId> expected;
+  for (TxnId txn = 0; txn < kTxns; txn += 5) expected.push_back(txn);
+  EXPECT_EQ(violations, expected);
+  for (TxnId txn = 0; txn < kTxns; ++txn) {
+    ASSERT_EQ(monitor.AppliedFor(txn).size(), 8u) << txn;
+  }
 }
 
 TEST(SafetyMonitorTest, BlockedAccounting) {

@@ -95,6 +95,37 @@ TEST(NoWaitTest, ReleaseAllFreesEverything) {
             AcquireResult::kGranted);
 }
 
+TEST(NoWaitTest, ManySharedHoldersSpillAndRelease) {
+  // Holders beyond the two kept inline spill to the heap; the spill must
+  // keep every holder visible to conflict checks, upgrades and release.
+  LockTable lt(CcPolicy::kNoWait);
+  for (TxnId t = 1; t <= 5; ++t) {
+    ASSERT_EQ(lt.Acquire(t, t, kTable, 10, LockMode::kShared),
+              AcquireResult::kGranted);
+  }
+  EXPECT_EQ(lt.Acquire(6, 6, kTable, 10, LockMode::kExclusive),
+            AcquireResult::kAbort);
+  EXPECT_EQ(lt.Acquire(3, 3, kTable, 10, LockMode::kExclusive),
+            AcquireResult::kAbort);  // upgrade blocked by four sharers
+  EXPECT_EQ(lt.Acquire(5, 5, kTable, 10, LockMode::kShared),
+            AcquireResult::kGranted);  // re-acquire found past the inline two
+  for (TxnId t : {1, 2, 4, 5}) {
+    lt.ReleaseAll(t);
+    EXPECT_EQ(lt.HeldCount(t), 0u);
+  }
+  EXPECT_EQ(lt.HeldCount(3), 1u);
+  EXPECT_EQ(lt.ActiveEntries(), 1u);
+  // Now the sole holder, txn 3 upgrades; everyone else conflicts.
+  EXPECT_EQ(lt.Acquire(3, 3, kTable, 10, LockMode::kExclusive),
+            AcquireResult::kGranted);
+  EXPECT_EQ(lt.Acquire(7, 7, kTable, 10, LockMode::kShared),
+            AcquireResult::kAbort);
+  lt.ReleaseAll(3);
+  EXPECT_EQ(lt.ActiveEntries(), 0u);
+  EXPECT_EQ(lt.Acquire(8, 8, kTable, 10, LockMode::kExclusive),
+            AcquireResult::kGranted);
+}
+
 TEST(NoWaitTest, ReleaseUnknownTxnIsNoop) {
   LockTable lt(CcPolicy::kNoWait);
   lt.ReleaseAll(42);  // must not crash
@@ -210,6 +241,33 @@ TEST(WaitDieTest, QueuedUpgradeGrantsWhenOtherSharersLeave) {
   // The upgrade must be effective: another shared request conflicts.
   EXPECT_EQ(lt.Acquire(3, 30, kTable, 10, LockMode::kShared),
             AcquireResult::kAbort);
+}
+
+TEST(WaitDieTest, ManySharedHoldersSpillAndRelease) {
+  LockTable lt(CcPolicy::kWaitDie);
+  for (TxnId t = 3; t <= 6; ++t) {
+    ASSERT_EQ(lt.Acquire(t, 10 * t, kTable, 10, LockMode::kShared),
+              AcquireResult::kGranted);
+  }
+  // Txn 5's upgrade conflicts with older sharer 3 (ts 30 < 50): it dies.
+  EXPECT_EQ(lt.Acquire(5, 50, kTable, 10, LockMode::kExclusive),
+            AcquireResult::kAbort);
+  // Older than every holder, txn 1's exclusive request waits.
+  bool granted = false;
+  ASSERT_EQ(lt.Acquire(1, 10, kTable, 10, LockMode::kExclusive,
+                       [&] { granted = true; }),
+            AcquireResult::kWaiting);
+  for (TxnId t : {6, 3, 5}) {
+    lt.ReleaseAll(t);
+    EXPECT_FALSE(granted) << "granted while txn 4 still shares";
+  }
+  lt.ReleaseAll(4);
+  EXPECT_TRUE(granted);
+  EXPECT_EQ(lt.HeldCount(1), 1u);
+  EXPECT_EQ(lt.Acquire(2, 20, kTable, 10, LockMode::kShared),
+            AcquireResult::kAbort);
+  lt.ReleaseAll(1);
+  EXPECT_EQ(lt.ActiveEntries(), 0u);
 }
 
 // Property: under WAIT_DIE a waits-for edge always points from an older

@@ -10,6 +10,7 @@
 
 #include "cluster/sim_cluster.h"
 #include "commit/recovery.h"
+#include "common/logging.h"
 #include "workload/ycsb.h"
 
 namespace ecdb {
@@ -173,6 +174,60 @@ TEST(SimNodeTest, RowsRevertOnAbortedAttempts) {
   const uint64_t in_flight_bound = 3ull * cfg.clients_per_node * 10;
   EXPECT_GE(version_sum + in_flight_bound, committed * 10);
   EXPECT_LE(version_sum, committed * 10 + in_flight_bound);
+}
+
+/// Two partitions, one row each (key = partition). Every transaction
+/// writes its home row twice, then the other partition's row.
+class RepeatedWriteWorkload : public Workload {
+ public:
+  static constexpr TableId kTable = 0;
+  static constexpr uint64_t kColumn0 = 41;
+  static constexpr uint64_t kColumn1 = 7;
+
+  void LoadPartition(PartitionStore* store, const KeyPartitioner&) override {
+    ECDB_CHECK(store->CreateTable(kTable, "rows", 2).ok());
+    ECDB_CHECK(store->GetTable(kTable)
+                   ->InsertWith(store->id(), {kColumn0, kColumn1})
+                   .ok());
+  }
+
+  TxnRequest NextTxn(PartitionId home, Rng&) override {
+    TxnRequest req;
+    req.ops = {{kTable, home, AccessMode::kWrite},
+               {kTable, home, AccessMode::kWrite},
+               {kTable, Key{1} - home, AccessMode::kWrite}};
+    return req;
+  }
+};
+
+TEST(SimNodeTest, AbortRestoresRowsWrittenTwice) {
+  // Each write logs column 0 and the version before bumping both; an abort
+  // must undo newest-first, so a row written twice returns to its original
+  // image rather than to the one between the two writes.
+  ClusterConfig cfg = BaseConfig();
+  cfg.num_nodes = 2;
+  cfg.clients_per_node = 1;
+  SimCluster cluster(cfg, std::make_unique<RepeatedWriteWorkload>());
+  cluster.Start();
+  for (NodeId id = 0; id < 2; ++id) {
+    cluster.node(id).set_vote_override(
+        [](TxnId) { return Decision::kAbort; });
+  }
+  cluster.RunFor(0.05);
+  cluster.Quiesce();
+  cluster.RunToQuiescence();
+  for (NodeId id = 0; id < 2; ++id) {
+    const Table* table =
+        cluster.node(id).store().GetTable(RepeatedWriteWorkload::kTable);
+    const Row* row = table->Get(id).value();
+    EXPECT_EQ(row->version, 0u) << "node " << id;
+    EXPECT_EQ(table->Columns(*row)[0], RepeatedWriteWorkload::kColumn0);
+    EXPECT_EQ(table->Columns(*row)[1], RepeatedWriteWorkload::kColumn1);
+  }
+  const ClusterStats stats = cluster.CollectStats(0.05);
+  EXPECT_GT(stats.total.txns_aborted, 10u);
+  EXPECT_EQ(stats.total.txns_committed, 0u);
+  EXPECT_TRUE(cluster.monitor().Violations().empty());
 }
 
 TEST(SimNodeTest, EarlyLockReleaseLowersAbortRate) {

@@ -31,6 +31,12 @@ TEST(YcsbTest, LoadPopulatesPartition) {
   EXPECT_EQ(table->num_columns(), 10u);
 }
 
+TEST(YcsbDeathTest, ZeroColumnsIsRejected) {
+  YcsbConfig cfg = SmallConfig();
+  cfg.columns = 0;  // every write updates column 0
+  EXPECT_DEATH(YcsbWorkload{cfg}, "CHECK failed");
+}
+
 TEST(YcsbTest, LoadedKeysBelongToPartition) {
   YcsbWorkload ycsb(SmallConfig());
   PartitionStore store(3);
