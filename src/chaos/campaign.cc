@@ -6,6 +6,7 @@
 
 #include "chaos/chaos_driver.h"
 #include "cluster/sim_cluster.h"
+#include "cluster/thread_node.h"
 #include "trace/trace_export.h"
 #include "workload/ycsb.h"
 
@@ -31,11 +32,29 @@ ClusterConfig MakeClusterConfig(const ChaosCaseConfig& cfg, uint64_t seed,
   return cluster;
 }
 
+ThreadClusterConfig MakeThreadConfig(const ChaosCaseConfig& cfg,
+                                     uint64_t seed, uint32_t worker_threads) {
+  ThreadClusterConfig tc;
+  tc.num_nodes = cfg.num_nodes;
+  tc.clients_per_node = cfg.clients_per_node;
+  tc.protocol = cfg.protocol;
+  tc.worker_threads = worker_threads;
+  tc.coalesce_transport = cfg.coalesce_transport;
+  // Wall-clock timeouts well above a busy machine's scheduling hiccups.
+  tc.commit.timeout_us = 250'000;
+  tc.commit.termination_window_us = 80'000;
+  tc.commit.term_fruitless_retries = cfg.term_fruitless_retries;
+  tc.commit.keep_decision_ledger = true;
+  tc.seed = seed;
+  return tc;
+}
+
 std::unique_ptr<Workload> MakeWorkload(const ChaosCaseConfig& cfg,
-                                       uint32_t num_nodes) {
+                                       uint32_t num_nodes,
+                                       uint64_t rows_per_partition) {
   YcsbConfig ycsb;
   ycsb.num_partitions = num_nodes;
-  ycsb.rows_per_partition = 1024;
+  ycsb.rows_per_partition = rows_per_partition;
   ycsb.partitions_per_txn =
       std::max<uint32_t>(1, std::min(cfg.partitions_per_txn, num_nodes));
   return std::make_unique<YcsbWorkload>(ycsb);
@@ -48,14 +67,15 @@ ChaosCaseResult RunCase(const ChaosCaseConfig& cfg, const FaultPlan& plan,
   result.plan = plan;
 
   SimCluster cluster(MakeClusterConfig(cfg, seed, plan.num_nodes),
-                     MakeWorkload(cfg, plan.num_nodes));
+                     MakeWorkload(cfg, plan.num_nodes, 1024));
   if (!trace_path.empty()) cluster.EnableTracing();
   cluster.Start();
   for (NodeId id = 0; id < cluster.num_nodes(); ++id) {
     cluster.node(id).TrackAckedCommits(true);
   }
 
-  ChaosDriver driver(&cluster);
+  SimFaultHost host(&cluster);
+  ChaosDriver driver(&host, cluster.config().network.drop_probability);
   driver.Schedule(plan);
   cluster.RunFor(static_cast<double>(plan.horizon_us) / 1e6);
 
@@ -102,13 +122,40 @@ ChaosCaseResult ReplayFaultPlan(const ChaosCaseConfig& cfg,
   return RunCase(cfg, plan, plan.seed, trace_path);
 }
 
+ChaosCaseResult RunThreadedChaosCase(const ChaosCaseConfig& cfg,
+                                     uint64_t seed, uint32_t worker_threads,
+                                     double time_scale) {
+  ChaosCaseResult result;
+  result.seed = seed;
+  result.plan =
+      GenerateFaultPlan(seed, cfg.num_nodes, cfg.horizon_us, cfg.intensity);
+
+  ThreadCluster cluster(MakeThreadConfig(cfg, seed, worker_threads),
+                        MakeWorkload(cfg, cfg.num_nodes, 2048));
+  for (NodeId id = 0; id < cluster.num_nodes(); ++id) {
+    cluster.node(id).TrackAckedCommits(true);
+  }
+  cluster.Start();
+  result.faults_applied =
+      ApplyPlanToThreadCluster(result.plan, &cluster, time_scale);
+  cluster.RunFor(0.3);  // fault-free tail so recovered nodes participate
+  cluster.Quiesce();
+  cluster.Stop();
+
+  result.horizon = cluster.CollectStats(1.0).total;
+  result.audit = AuditThreadCluster(&cluster);
+  return result;
+}
+
 CampaignSummary RunCampaign(
     const ChaosCaseConfig& cfg, uint64_t first_seed, uint64_t num_seeds,
-    const std::function<void(const ChaosCaseResult&)>& on_failure) {
+    const std::function<void(const ChaosCaseResult&)>& on_failure,
+    const ChaosCaseRunner& run_case) {
   CampaignSummary summary;
   summary.protocol = cfg.protocol;
   for (uint64_t seed = first_seed; seed < first_seed + num_seeds; ++seed) {
-    const ChaosCaseResult result = RunChaosCase(cfg, seed);
+    const ChaosCaseResult result =
+        run_case ? run_case(cfg, seed) : RunChaosCase(cfg, seed);
     summary.seeds_run++;
     summary.acked_commits += result.audit.acked_commits;
     summary.blocked_txns += result.audit.blocked_txns;

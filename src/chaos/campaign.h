@@ -62,9 +62,10 @@ struct ChaosCaseResult {
   FaultPlan plan;
   AuditResult audit;
   uint64_t faults_applied = 0;
-  /// What the cluster counted over the fault horizon, crashes included:
-  /// read before the audit's drain, so drain-time completions do not skew
-  /// the latency distribution and recovery rounds are not counted.
+  /// What the cluster counted over the fault horizon, crashes included.
+  /// The simulator reads it before the audit's drain, so drain-time
+  /// completions do not skew the latency distribution and recovery rounds
+  /// are not counted; the threaded host reads it after Stop().
   NodeStats horizon;
   bool ok() const { return audit.ok(); }
 };
@@ -81,6 +82,19 @@ ChaosCaseResult RunChaosCase(const ChaosCaseConfig& cfg, uint64_t seed,
 ChaosCaseResult ReplayFaultPlan(const ChaosCaseConfig& cfg,
                                 const FaultPlan& plan,
                                 const std::string& trace_path = "");
+
+/// Runs one case on the threaded host: the plan generated from `seed` as
+/// for RunChaosCase, applied to a ThreadCluster on a pool of
+/// `worker_threads` event-loop threads in wall clock (compressed by
+/// `time_scale`), then a fault-free tail, Quiesce, Stop and the threaded
+/// audit. `horizon` counts the whole run, tail included.
+ChaosCaseResult RunThreadedChaosCase(const ChaosCaseConfig& cfg,
+                                     uint64_t seed, uint32_t worker_threads,
+                                     double time_scale);
+
+/// Runs one seeded case on some host.
+using ChaosCaseRunner =
+    std::function<ChaosCaseResult(const ChaosCaseConfig&, uint64_t seed)>;
 
 /// Aggregates over a seed range for one protocol.
 struct CampaignSummary {
@@ -108,11 +122,13 @@ struct CampaignSummary {
   bool ok() const { return seeds_failed == 0; }
 };
 
-/// Runs seeds [first_seed, first_seed + num_seeds). `on_failure` (may be
-/// null) is invoked with each failing case, e.g. to dump + shrink plans.
+/// Runs seeds [first_seed, first_seed + num_seeds) through `run_case`
+/// (null: the simulator, RunChaosCase). `on_failure` (may be null) is
+/// invoked with each failing case, e.g. to dump + shrink plans.
 CampaignSummary RunCampaign(
     const ChaosCaseConfig& cfg, uint64_t first_seed, uint64_t num_seeds,
-    const std::function<void(const ChaosCaseResult&)>& on_failure = nullptr);
+    const std::function<void(const ChaosCaseResult&)>& on_failure = nullptr,
+    const ChaosCaseRunner& run_case = nullptr);
 
 /// Fixed-width per-protocol table (deterministic output; ends with '\n').
 std::string FormatCampaignTable(const std::vector<CampaignSummary>& rows);

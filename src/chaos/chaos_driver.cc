@@ -8,18 +8,13 @@ namespace ecdb {
 
 namespace {
 
-uint64_t UndirectedKey(NodeId a, NodeId b) {
-  NodeId lo = a < b ? a : b;
-  NodeId hi = a < b ? b : a;
-  return (static_cast<uint64_t>(lo) << 32) | hi;
+std::pair<NodeId, NodeId> Undirected(NodeId a, NodeId b) {
+  return {std::min(a, b), std::max(a, b)};
 }
 
-uint64_t DirectedKey(NodeId a, NodeId b) {
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
-
-/// kSplit3 cell index of `node`: 0 = ev.group, 1 = ev.group_b, 2 = rest.
-int Split3Cell(const FaultEvent& ev, NodeId node) {
+/// Partition cell of `node`: 0 = ev.group, 1 = ev.group_b (kSplit3 only),
+/// 2 = the rest.
+uint8_t CellOf(const FaultEvent& ev, NodeId node) {
   if (std::find(ev.group.begin(), ev.group.end(), node) != ev.group.end()) {
     return 0;
   }
@@ -30,97 +25,130 @@ int Split3Cell(const FaultEvent& ev, NodeId node) {
   return 2;
 }
 
+/// ThreadCluster's levers. The plan clock is a queue of actions walked in
+/// wall clock on the calling thread by Run().
+class ThreadFaultHost : public FaultHost {
+ public:
+  ThreadFaultHost(ThreadCluster* cluster, double time_scale)
+      : cluster_(cluster), time_scale_(time_scale) {}
+
+  size_t num_nodes() const override { return cluster_->num_nodes(); }
+  void Crash(NodeId node) override {
+    if (!cluster_->network().IsCrashed(node)) cluster_->node(node).Crash();
+  }
+  void Recover(NodeId node) override { cluster_->node(node).Recover(); }
+  void SetLinkDown(NodeId a, NodeId b, bool down) override {
+    cluster_->network().SetLinkDown(a, b, down);
+  }
+  void SetDropProbability(double p) override {
+    cluster_->network().SetDropProbability(p);
+  }
+  void SetExtraDelay(NodeId a, NodeId b, Micros extra_us) override {
+    cluster_->network().SetExtraDelay(
+        a, b, static_cast<Micros>(static_cast<double>(extra_us) / time_scale_));
+  }
+  Micros Now() const override { return now_; }
+  void After(Micros delay_us, std::function<void()> fn) override {
+    actions_.push_back({now_ + delay_us, next_seq_++, std::move(fn)});
+    std::push_heap(actions_.begin(), actions_.end(), Later);
+  }
+
+  /// Fires every action, including the ones actions schedule, each at
+  /// its plan time / time_scale after the call.
+  void Run() {
+    const auto start = std::chrono::steady_clock::now();
+    while (!actions_.empty()) {
+      std::pop_heap(actions_.begin(), actions_.end(), Later);
+      Action action = std::move(actions_.back());
+      actions_.pop_back();
+      now_ = action.at_us;
+      std::this_thread::sleep_until(
+          start + std::chrono::microseconds(static_cast<uint64_t>(
+                      static_cast<double>(now_) / time_scale_)));
+      action.fn();
+    }
+  }
+
+ private:
+  struct Action {
+    Micros at_us;
+    uint64_t seq;
+    std::function<void()> fn;
+  };
+  static bool Later(const Action& x, const Action& y) {
+    return x.at_us != y.at_us ? x.at_us > y.at_us : x.seq > y.seq;
+  }
+
+  ThreadCluster* cluster_;
+  double time_scale_;
+  Micros now_ = 0;
+  uint64_t next_seq_ = 0;
+  std::vector<Action> actions_;  // min-heap on (at_us, seq)
+};
+
 }  // namespace
 
-ChaosDriver::ChaosDriver(SimCluster* cluster)
-    : cluster_(cluster),
-      base_drop_probability_(cluster->config().network.drop_probability) {}
+ChaosDriver::ChaosDriver(FaultHost* host, double base_drop_probability)
+    : host_(host), base_drop_probability_(base_drop_probability) {}
 
 void ChaosDriver::Schedule(const FaultPlan& plan) {
   // All events are scheduled up front, before the workload advances: the
-  // scheduler orders equal-time events by insertion, so scheduling inside
-  // earlier callbacks would change the interleaving between replays.
-  Scheduler& sched = cluster_->scheduler();
-  const Micros now = sched.Now();
+  // plan clock orders equal-time actions by insertion, so scheduling inside
+  // earlier actions would change the interleaving between replays.
+  const Micros now = host_->Now();
   for (const FaultEvent& ev : plan.events) {
-    const Micros delay = ev.at_us > now ? ev.at_us - now : 0;
-    FaultEvent copy = ev;
-    sched.ScheduleAfter(delay, [this, copy]() { Apply(copy); });
+    host_->After(ev.at_us > now ? ev.at_us - now : 0,
+                 [this, ev]() { Apply(ev); });
   }
 }
 
 void ChaosDriver::Apply(const FaultEvent& ev) {
-  SimNetwork& net = cluster_->network();
-  Scheduler& sched = cluster_->scheduler();
+  const size_t n = host_->num_nodes();
   faults_applied_++;
   switch (ev.type) {
     case FaultType::kCrash:
-      if (ev.a < cluster_->num_nodes() && !cluster_->node(ev.a).crashed()) {
-        cluster_->CrashNode(ev.a);
-      }
+      if (ev.a < n) host_->Crash(ev.a);
       break;
     case FaultType::kRecover:
-      // Recovering a node that is up is rejected by the node itself.
-      if (ev.a < cluster_->num_nodes()) cluster_->RecoverNode(ev.a);
+      if (ev.a < n) host_->Recover(ev.a);
       break;
     case FaultType::kLinkCut:
-      net.SetLinkDown(ev.a, ev.b, true);
-      cut_links_.insert(UndirectedKey(ev.a, ev.b));
+      cut_links_.insert(Undirected(ev.a, ev.b));
+      SyncLinks();
       break;
     case FaultType::kLinkHeal:
-      net.SetLinkDown(ev.a, ev.b, false);
-      cut_links_.erase(UndirectedKey(ev.a, ev.b));
+      cut_links_.erase(Undirected(ev.a, ev.b));
+      SyncLinks();
       break;
     case FaultType::kPartition:
-      // Cut every link between the group and the rest. Links the plan cut
-      // individually stay attributed to cut_links_ (heal order-safe).
-      for (NodeId in : ev.group) {
-        for (NodeId out = 0; out < cluster_->num_nodes(); ++out) {
-          if (std::find(ev.group.begin(), ev.group.end(), out) !=
-              ev.group.end()) {
-            continue;
-          }
-          if (cut_links_.count(UndirectedKey(in, out)) != 0) continue;
-          net.SetLinkDown(in, out, true);
-          partition_cuts_.emplace_back(in, out);
-        }
-      }
-      break;
-    case FaultType::kPartitionHeal:
-      for (const auto& [a, b] : partition_cuts_) net.SetLinkDown(a, b, false);
-      partition_cuts_.clear();
-      break;
-    case FaultType::kSplit3:
-      // Cut every cross-cell link among the three cells (group / group_b /
-      // rest); healed by the same kPartitionHeal bookkeeping as kPartition.
-      for (NodeId x = 0; x < cluster_->num_nodes(); ++x) {
-        for (NodeId y = x + 1; y < cluster_->num_nodes(); ++y) {
-          if (Split3Cell(ev, x) == Split3Cell(ev, y)) continue;
-          if (cut_links_.count(UndirectedKey(x, y)) != 0) continue;
-          net.SetLinkDown(x, y, true);
-          partition_cuts_.emplace_back(x, y);
-        }
-      }
-      break;
-    case FaultType::kLossBurst: {
-      net.SetDropProbability(ev.probability);
-      const double base = base_drop_probability_;
-      sched.ScheduleAfter(ev.duration_us, [this, base]() {
-        cluster_->network().SetDropProbability(base);
-      });
+    case FaultType::kSplit3: {
+      std::vector<uint8_t> cells(n);
+      for (NodeId id = 0; id < n; ++id) cells[id] = CellOf(ev, id);
+      partitions_.push_back(std::move(cells));
+      SyncLinks();
       break;
     }
+    case FaultType::kPartitionHeal:
+      partitions_.clear();
+      SyncLinks();
+      break;
+    case FaultType::kLossBurst:
+      host_->SetDropProbability(ev.probability);
+      host_->After(ev.duration_us, [this]() {
+        host_->SetDropProbability(base_drop_probability_);
+      });
+      break;
     case FaultType::kDelaySpike: {
-      net.SetExtraDelay(ev.a, ev.b, ev.delay_us);
-      net.SetExtraDelay(ev.b, ev.a, ev.delay_us);
-      delayed_links_.insert(DirectedKey(ev.a, ev.b));
-      delayed_links_.insert(DirectedKey(ev.b, ev.a));
       const NodeId a = ev.a, b = ev.b;
-      sched.ScheduleAfter(ev.duration_us, [this, a, b]() {
-        cluster_->network().SetExtraDelay(a, b, 0);
-        cluster_->network().SetExtraDelay(b, a, 0);
-        delayed_links_.erase(DirectedKey(a, b));
-        delayed_links_.erase(DirectedKey(b, a));
+      host_->SetExtraDelay(a, b, ev.delay_us);
+      host_->SetExtraDelay(b, a, ev.delay_us);
+      delayed_links_.insert({a, b});
+      delayed_links_.insert({b, a});
+      host_->After(ev.duration_us, [this, a, b]() {
+        host_->SetExtraDelay(a, b, 0);
+        host_->SetExtraDelay(b, a, 0);
+        delayed_links_.erase({a, b});
+        delayed_links_.erase({b, a});
       });
       break;
     }
@@ -129,124 +157,69 @@ void ChaosDriver::Apply(const FaultEvent& ev) {
   }
 }
 
-void ChaosDriver::ClearFaults() {
-  SimNetwork& net = cluster_->network();
-  net.SetDropProbability(base_drop_probability_);
-  for (const auto& [a, b] : partition_cuts_) net.SetLinkDown(a, b, false);
-  partition_cuts_.clear();
-  for (uint64_t key : cut_links_) {
-    net.SetLinkDown(static_cast<NodeId>(key >> 32),
-                    static_cast<NodeId>(key & 0xFFFFFFFFULL), false);
-  }
-  cut_links_.clear();
-  for (uint64_t key : delayed_links_) {
-    net.SetExtraDelay(static_cast<NodeId>(key >> 32),
-                      static_cast<NodeId>(key & 0xFFFFFFFFULL), 0);
-  }
-  delayed_links_.clear();
-  for (NodeId id = 0; id < cluster_->num_nodes(); ++id) {
-    cluster_->RecoverNode(id);
+void ChaosDriver::SyncLinks() {
+  const NodeId n = static_cast<NodeId>(host_->num_nodes());
+  for (NodeId x = 0; x < n; ++x) {
+    for (NodeId y = x + 1; y < n; ++y) {
+      bool down = cut_links_.count({x, y}) != 0;
+      for (const std::vector<uint8_t>& cells : partitions_) {
+        down = down || cells[x] != cells[y];
+      }
+      if (down == (links_down_.count({x, y}) != 0)) continue;
+      host_->SetLinkDown(x, y, down);
+      if (down) {
+        links_down_.insert({x, y});
+      } else {
+        links_down_.erase({x, y});
+      }
+    }
   }
 }
 
-// --------------------------------------------------------------------------
-// Threaded runtime (crash/loss subset)
-// --------------------------------------------------------------------------
+void ChaosDriver::ClearFaults() {
+  host_->SetDropProbability(base_drop_probability_);
+  cut_links_.clear();
+  partitions_.clear();
+  SyncLinks();
+  for (const auto& [a, b] : delayed_links_) host_->SetExtraDelay(a, b, 0);
+  delayed_links_.clear();
+  for (NodeId id = 0; id < host_->num_nodes(); ++id) host_->Recover(id);
+}
 
-void ApplyPlanToThreadCluster(const FaultPlan& plan, ThreadCluster* cluster,
-                              double time_scale) {
+void SimFaultHost::Crash(NodeId node) {
+  if (!cluster_->node(node).crashed()) cluster_->CrashNode(node);
+}
+
+void SimFaultHost::Recover(NodeId node) { cluster_->RecoverNode(node); }
+
+void SimFaultHost::SetLinkDown(NodeId a, NodeId b, bool down) {
+  cluster_->network().SetLinkDown(a, b, down);
+}
+
+void SimFaultHost::SetDropProbability(double p) {
+  cluster_->network().SetDropProbability(p);
+}
+
+void SimFaultHost::SetExtraDelay(NodeId a, NodeId b, Micros extra_us) {
+  cluster_->network().SetExtraDelay(a, b, extra_us);
+}
+
+Micros SimFaultHost::Now() const { return cluster_->scheduler().Now(); }
+
+void SimFaultHost::After(Micros delay_us, std::function<void()> fn) {
+  cluster_->scheduler().ScheduleAfter(delay_us, std::move(fn));
+}
+
+uint64_t ApplyPlanToThreadCluster(const FaultPlan& plan,
+                                  ThreadCluster* cluster, double time_scale) {
   if (time_scale <= 0.0) time_scale = 1.0;
-  ThreadNetwork& net = cluster->network();
-  net.SetFaultSeed(plan.seed);
-
-  // Flatten duration-based events into apply/restore points, then walk the
-  // timeline in wall clock.
-  struct TimedAction {
-    Micros at_us;
-    FaultEvent ev;
-    bool restore;
-  };
-  std::vector<TimedAction> timeline;
-  for (const FaultEvent& ev : plan.events) {
-    timeline.push_back({ev.at_us, ev, false});
-    if (ev.type == FaultType::kLossBurst ||
-        ev.type == FaultType::kDelaySpike) {
-      timeline.push_back({ev.at_us + ev.duration_us, ev, true});
-    }
-  }
-  std::stable_sort(timeline.begin(), timeline.end(),
-                   [](const TimedAction& x, const TimedAction& y) {
-                     return x.at_us < y.at_us;
-                   });
-
-  const size_t n = cluster->num_nodes();
-  std::vector<std::pair<NodeId, NodeId>> partition_cuts;
-  const auto start = std::chrono::steady_clock::now();
-  for (const TimedAction& action : timeline) {
-    const auto due = start + std::chrono::microseconds(static_cast<uint64_t>(
-                                 static_cast<double>(action.at_us) /
-                                 time_scale));
-    std::this_thread::sleep_until(due);
-    const FaultEvent& ev = action.ev;
-    switch (ev.type) {
-      case FaultType::kCrash:
-        if (ev.a < n && !net.IsCrashed(ev.a)) cluster->node(ev.a).Crash();
-        break;
-      case FaultType::kRecover:
-        if (ev.a < n) cluster->node(ev.a).Recover();
-        break;
-      case FaultType::kLinkCut:
-        net.SetLinkDown(ev.a, ev.b, true);
-        break;
-      case FaultType::kLinkHeal:
-        net.SetLinkDown(ev.a, ev.b, false);
-        break;
-      case FaultType::kPartition:
-        for (NodeId in : ev.group) {
-          for (NodeId out = 0; out < n; ++out) {
-            if (std::find(ev.group.begin(), ev.group.end(), out) !=
-                ev.group.end()) {
-              continue;
-            }
-            net.SetLinkDown(in, out, true);
-            partition_cuts.emplace_back(in, out);
-          }
-        }
-        break;
-      case FaultType::kPartitionHeal:
-        for (const auto& [a, b] : partition_cuts) net.SetLinkDown(a, b, false);
-        partition_cuts.clear();
-        break;
-      case FaultType::kSplit3:
-        for (NodeId x = 0; x < n; ++x) {
-          for (NodeId y = static_cast<NodeId>(x + 1); y < n; ++y) {
-            if (Split3Cell(ev, x) == Split3Cell(ev, y)) continue;
-            net.SetLinkDown(x, y, true);
-            partition_cuts.emplace_back(x, y);
-          }
-        }
-        break;
-      case FaultType::kLossBurst:
-        net.SetLossProbability(action.restore ? 0.0 : ev.probability);
-        break;
-      case FaultType::kDelaySpike: {
-        const Micros d =
-            action.restore
-                ? 0
-                : static_cast<Micros>(static_cast<double>(ev.delay_us) /
-                                      time_scale);
-        net.SetExtraDelay(ev.a, ev.b, d);
-        net.SetExtraDelay(ev.b, ev.a, d);
-        break;
-      }
-      case FaultType::kFaultTypeCount:
-        break;
-    }
-  }
-
-  // End of plan: fault-free network, everyone back up.
-  net.ClearFaults();
-  for (NodeId id = 0; id < n; ++id) cluster->node(id).Recover();
+  cluster->network().SetFaultSeed(plan.seed);
+  ThreadFaultHost host(cluster, time_scale);
+  ChaosDriver driver(&host, /*base_drop_probability=*/0.0);
+  driver.Schedule(plan);
+  host.Run();
+  driver.ClearFaults();
+  return driver.faults_applied();
 }
 
 }  // namespace ecdb

@@ -49,6 +49,94 @@ std::string NodeList(const std::vector<NodeId>& nodes) {
   return out.str();
 }
 
+/// The checks both hosts share, over the WALs, acked commits and engines
+/// of every node plus the cluster's SafetyMonitor. `after` ends the
+/// liveness detail: what the cluster went through before the check.
+template <typename Cluster>
+void CheckEvidence(Cluster* cluster, const char* after, AuditResult* result) {
+  // Collect decision evidence from every WAL.
+  std::unordered_map<TxnId, WalEvidence> evidence;
+  for (NodeId id = 0; id < cluster->num_nodes(); ++id) {
+    CollectWalEvidence(cluster->node(id).wal(), id, &evidence);
+  }
+  for (auto& [txn, ev] : evidence) {
+    Dedup(&ev.commit_nodes);
+    Dedup(&ev.abort_nodes);
+  }
+
+  // (a) Atomicity: no transaction may leave both commit and abort records
+  // behind, across all nodes' stable storage.
+  for (const auto& [txn, ev] : evidence) {
+    if (!ev.commit_nodes.empty() && !ev.abort_nodes.empty()) {
+      result->violations.push_back(
+          {"atomicity", txn,
+           "commit logged at node(s) " + NodeList(ev.commit_nodes) +
+               " but abort logged at node(s) " + NodeList(ev.abort_nodes)});
+    }
+  }
+  // ... and no node may have *applied* conflicting decisions (in-memory
+  // view; catches conflicts the WAL scan cannot, e.g. EC-noforward apply
+  // paths that logged nothing).
+  std::vector<TxnId> monitor_violations = cluster->monitor().Violations();
+  std::sort(monitor_violations.begin(), monitor_violations.end());
+  for (TxnId txn : monitor_violations) {
+    const auto it = evidence.find(txn);
+    if (it != evidence.end() && !it->second.commit_nodes.empty() &&
+        !it->second.abort_nodes.empty()) {
+      continue;  // already reported from the WAL evidence
+    }
+    result->violations.push_back(
+        {"atomicity", txn, "conflicting decisions applied (SafetyMonitor)"});
+  }
+
+  // (b) Durability: every client-acked protocol commit has a commit record
+  // at its coordinator and no abort record anywhere.
+  for (NodeId id = 0; id < cluster->num_nodes(); ++id) {
+    for (TxnId txn : cluster->node(id).acked_commits()) {
+      result->acked_commits++;
+      const auto it = evidence.find(txn);
+      const bool has_commit =
+          it != evidence.end() &&
+          std::binary_search(it->second.commit_nodes.begin(),
+                             it->second.commit_nodes.end(),
+                             TxnCoordinator(txn));
+      if (!has_commit) {
+        result->violations.push_back(
+            {"durability", txn,
+             "client-acked commit has no commit record in coordinator " +
+                 std::to_string(TxnCoordinator(txn)) + "'s WAL"});
+      } else if (!it->second.abort_nodes.empty()) {
+        result->violations.push_back(
+            {"durability", txn,
+             "client-acked commit aborted at node(s) " +
+                 NodeList(it->second.abort_nodes)});
+      }
+    }
+  }
+
+  // (c) Liveness: no node may still hold an undecided transaction. Blocked
+  // 2PC cohorts are the protocol's documented failure mode — reported, not
+  // counted as violations.
+  for (NodeId id = 0; id < cluster->num_nodes(); ++id) {
+    auto unresolved = cluster->node(id).engine().UnresolvedTxns();
+    std::sort(unresolved.begin(), unresolved.end());
+    for (const auto& [txn, blocked] : unresolved) {
+      if (blocked) continue;
+      result->violations.push_back(
+          {"liveness", txn,
+           "still undecided at node " + std::to_string(id) + " " + after});
+    }
+  }
+  result->blocked_txns = cluster->monitor().BlockedTxnCount();
+
+  std::sort(result->violations.begin(), result->violations.end(),
+            [](const AuditViolation& x, const AuditViolation& y) {
+              if (x.check != y.check) return x.check < y.check;
+              if (x.txn != y.txn) return x.txn < y.txn;
+              return x.detail < y.detail;
+            });
+}
+
 }  // namespace
 
 AuditResult RunConsistencyAudit(SimCluster* cluster, ChaosDriver* driver,
@@ -57,13 +145,7 @@ AuditResult RunConsistencyAudit(SimCluster* cluster, ChaosDriver* driver,
 
   // 1. Back to a fault-free network with every node up: the audit judges
   // protocol outcomes, not behaviour under an adversary that never stops.
-  if (driver != nullptr) {
-    driver->ClearFaults();
-  } else {
-    for (NodeId id = 0; id < cluster->num_nodes(); ++id) {
-      if (cluster->node(id).crashed()) cluster->RecoverNode(id);
-    }
-  }
+  driver->ClearFaults();
 
   // 2. Stop the closed loop and drain in-flight work.
   cluster->Quiesce();
@@ -89,175 +171,16 @@ AuditResult RunConsistencyAudit(SimCluster* cluster, ChaosDriver* driver,
          "drain did not reach quiescence within the event budget"});
   }
 
-  // Collect decision evidence from every WAL.
-  std::unordered_map<TxnId, WalEvidence> evidence;
-  for (NodeId id = 0; id < cluster->num_nodes(); ++id) {
-    CollectWalEvidence(cluster->node(id).wal(), id, &evidence);
-  }
-  for (auto& [txn, ev] : evidence) {
-    Dedup(&ev.commit_nodes);
-    Dedup(&ev.abort_nodes);
-  }
-
-  // (a) Atomicity: no transaction may leave both commit and abort records
-  // behind, across all nodes' stable storage.
-  for (const auto& [txn, ev] : evidence) {
-    if (!ev.commit_nodes.empty() && !ev.abort_nodes.empty()) {
-      result.violations.push_back(
-          {"atomicity", txn,
-           "commit logged at node(s) " + NodeList(ev.commit_nodes) +
-               " but abort logged at node(s) " + NodeList(ev.abort_nodes)});
-    }
-  }
-  // ... and no node may have *applied* conflicting decisions (in-memory
-  // view; catches conflicts the WAL scan cannot, e.g. EC-noforward apply
-  // paths that logged nothing).
-  std::vector<TxnId> monitor_violations = cluster->monitor().Violations();
-  std::sort(monitor_violations.begin(), monitor_violations.end());
-  for (TxnId txn : monitor_violations) {
-    const auto it = evidence.find(txn);
-    if (it != evidence.end() && !it->second.commit_nodes.empty() &&
-        !it->second.abort_nodes.empty()) {
-      continue;  // already reported from the WAL evidence
-    }
-    result.violations.push_back(
-        {"atomicity", txn,
-         "conflicting decisions applied (SafetyMonitor)"});
-  }
-
-  // (b) Durability: every client-acked protocol commit must survive the
-  // full restart — a commit record at its coordinator, no abort anywhere.
-  for (NodeId id = 0; id < cluster->num_nodes(); ++id) {
-    for (TxnId txn : cluster->node(id).acked_commits()) {
-      result.acked_commits++;
-      const auto it = evidence.find(txn);
-      const bool has_commit =
-          it != evidence.end() &&
-          std::binary_search(it->second.commit_nodes.begin(),
-                             it->second.commit_nodes.end(),
-                             TxnCoordinator(txn));
-      if (!has_commit) {
-        result.violations.push_back(
-            {"durability", txn,
-             "client-acked commit has no commit record in coordinator " +
-                 std::to_string(TxnCoordinator(txn)) + "'s WAL"});
-      } else if (!it->second.abort_nodes.empty()) {
-        result.violations.push_back(
-            {"durability", txn,
-             "client-acked commit aborted at node(s) " +
-                 NodeList(it->second.abort_nodes)});
-      }
-    }
-  }
-
-  // (c) Liveness: after recovery and drain, no active node may still hold
-  // an undecided transaction. Blocked 2PC cohorts are the protocol's
-  // documented failure mode — reported, not counted as violations.
-  for (NodeId id = 0; id < cluster->num_nodes(); ++id) {
-    auto unresolved = cluster->node(id).engine().UnresolvedTxns();
-    std::sort(unresolved.begin(), unresolved.end());
-    for (const auto& [txn, blocked] : unresolved) {
-      if (blocked) continue;
-      result.violations.push_back(
-          {"liveness", txn,
-           "still undecided at node " + std::to_string(id) +
-               " after full restart and drain"});
-    }
-  }
-  result.blocked_txns = cluster->monitor().BlockedTxnCount();
-
-  std::sort(result.violations.begin(), result.violations.end(),
-            [](const AuditViolation& x, const AuditViolation& y) {
-              if (x.check != y.check) return x.check < y.check;
-              if (x.txn != y.txn) return x.txn < y.txn;
-              return x.detail < y.detail;
-            });
+  // 4. The shared checks.
+  CheckEvidence(cluster, "after full restart and drain", &result);
   return result;
 }
 
 AuditResult AuditThreadCluster(ThreadCluster* cluster) {
   AuditResult result;
-
-  // Evidence scan over every (stopped) node's WAL.
-  std::unordered_map<TxnId, WalEvidence> evidence;
-  for (NodeId id = 0; id < cluster->num_nodes(); ++id) {
-    CollectWalEvidence(cluster->node(id).wal(), id, &evidence);
-  }
-  for (auto& [txn, ev] : evidence) {
-    Dedup(&ev.commit_nodes);
-    Dedup(&ev.abort_nodes);
-  }
-
-  // (a) Atomicity: WAL evidence plus applied-decision conflicts.
-  for (const auto& [txn, ev] : evidence) {
-    if (!ev.commit_nodes.empty() && !ev.abort_nodes.empty()) {
-      result.violations.push_back(
-          {"atomicity", txn,
-           "commit logged at node(s) " + NodeList(ev.commit_nodes) +
-               " but abort logged at node(s) " + NodeList(ev.abort_nodes)});
-    }
-  }
-  std::vector<TxnId> monitor_violations = cluster->monitor().Violations();
-  std::sort(monitor_violations.begin(), monitor_violations.end());
-  for (TxnId txn : monitor_violations) {
-    const auto it = evidence.find(txn);
-    if (it != evidence.end() && !it->second.commit_nodes.empty() &&
-        !it->second.abort_nodes.empty()) {
-      continue;  // already reported from the WAL evidence
-    }
-    result.violations.push_back(
-        {"atomicity", txn, "conflicting decisions applied (SafetyMonitor)"});
-  }
-
-  // (b) Durability: every client-acked protocol commit has a commit
-  // record at its coordinator and no abort record anywhere.
-  for (NodeId id = 0; id < cluster->num_nodes(); ++id) {
-    for (TxnId txn : cluster->node(id).acked_commits()) {
-      result.acked_commits++;
-      const auto it = evidence.find(txn);
-      const bool has_commit =
-          it != evidence.end() &&
-          std::binary_search(it->second.commit_nodes.begin(),
-                             it->second.commit_nodes.end(),
-                             TxnCoordinator(txn));
-      if (!has_commit) {
-        result.violations.push_back(
-            {"durability", txn,
-             "client-acked commit has no commit record in coordinator " +
-                 std::to_string(TxnCoordinator(txn)) + "'s WAL"});
-      } else if (!it->second.abort_nodes.empty()) {
-        result.violations.push_back(
-            {"durability", txn,
-             "client-acked commit aborted at node(s) " +
-                 NodeList(it->second.abort_nodes)});
-      }
-    }
-  }
-
-  // (c) Liveness: after the fault-free tail and quiesce, no engine may
-  // still hold an undecided, non-blocked transaction.
-  bool quiescent = true;
-  for (NodeId id = 0; id < cluster->num_nodes(); ++id) {
-    auto unresolved = cluster->node(id).engine().UnresolvedTxns();
-    std::sort(unresolved.begin(), unresolved.end());
-    for (const auto& [txn, blocked] : unresolved) {
-      if (blocked) continue;
-      quiescent = false;
-      result.violations.push_back(
-          {"liveness", txn,
-           "still undecided at node " + std::to_string(id) +
-               " after fault-free drain"});
-    }
-  }
-  result.quiescent = quiescent;
-  result.blocked_txns = cluster->monitor().BlockedTxnCount();
-
-  std::sort(result.violations.begin(), result.violations.end(),
-            [](const AuditViolation& x, const AuditViolation& y) {
-              if (x.check != y.check) return x.check < y.check;
-              if (x.txn != y.txn) return x.txn < y.txn;
-              return x.detail < y.detail;
-            });
+  CheckEvidence(cluster, "after fault-free drain", &result);
+  // Every engine drained iff no liveness check fired.
+  result.quiescent = result.CountFor("liveness") == 0;
   return result;
 }
 

@@ -45,39 +45,34 @@ struct AuditResult {
   }
 };
 
-/// End-of-run crash-recovery audit (the tentpole's check):
-///
-///  1. Clear every injected fault (loss back to base, links healed,
-///     crashed nodes recovered) — a recovered node behind a dead link
-///     would re-run elections forever.
-///  2. Quiesce the closed loop and drain in-flight work.
-///  3. Crash *every* node, then recover every node: each WAL goes through
-///     replay + the Section 4.2 RecoveryManager analysis, and unresolved
-///     transactions re-enter the termination protocol.
-///  4. Drain again, then check:
-///     (a) atomicity — no transaction with both a commit- and an
-///         abort-flavored record across all WALs, and the SafetyMonitor
-///         saw no conflicting applied decisions;
-///     (b) durability — every client-acked protocol commit has a commit
-///         record in its coordinator's WAL and no abort record anywhere
-///         (decision-level durability: the WAL logs protocol milestones,
-///         not data pages; see docs/ROBUSTNESS.md for the scope);
-///     (c) liveness — no node's engine still tracks an undecided,
-///         non-blocked transaction (the non-blocking claim). Blocked 2PC
-///         cohorts are counted in `blocked_txns`, not as violations.
-///
-/// Requires TrackAckedCommits(true) on every node from the start of the
-/// run for the durability set to be complete.
+/// Both hosts' audits end in the same evidence checks:
+///   (a) atomicity — no transaction with both a commit- and an
+///       abort-flavored record across all WALs, and the SafetyMonitor saw
+///       no conflicting applied decisions;
+///   (b) durability — every client-acked protocol commit has a commit
+///       record in its coordinator's WAL and no abort record anywhere
+///       (decision-level durability: the WAL logs protocol milestones, not
+///       data pages; see docs/ROBUSTNESS.md for the scope);
+///   (c) liveness — no node's engine still tracks an undecided,
+///       non-blocked transaction (the non-blocking claim). Blocked 2PC
+///       cohorts are counted in `blocked_txns`, not as violations.
+/// Both require TrackAckedCommits(true) on every node from the start of
+/// the run for the durability set to be complete.
+
+/// Simulator audit: clears every injected fault through `driver` (a
+/// recovered node behind a dead link would re-run elections forever),
+/// quiesces the closed loop and drains, crashes *every* node and recovers
+/// every node (each WAL goes through replay + the Section 4.2
+/// RecoveryManager analysis, and unresolved transactions re-enter the
+/// termination protocol), drains again, then runs the shared checks.
+/// `quiescent` reports whether both drains finished within the budget.
 AuditResult RunConsistencyAudit(SimCluster* cluster, ChaosDriver* driver,
                                 size_t drain_budget = 20'000'000);
 
-/// Threaded-runtime variant: the same WAL-evidence, durability and
-/// liveness checks over a *stopped* ThreadCluster (call after Quiesce() +
-/// Stop(); requires TrackAckedCommits(true) on every node before Start()).
-/// Unlike the sim audit it does not replay a full crash/recover cycle —
-/// wall-clock restarts are not deterministic — so it audits the evidence
-/// the run left behind: WAL records, the safety monitor, and each engine's
-/// unresolved set. `quiescent` reports whether every engine drained.
+/// Threaded audit: the shared checks over a *stopped* ThreadCluster (call
+/// after Quiesce() + Stop()). Wall-clock restarts are not deterministic,
+/// so it audits the evidence the run left behind rather than replaying a
+/// crash/recover cycle. `quiescent` reports whether every engine drained.
 AuditResult AuditThreadCluster(ThreadCluster* cluster);
 
 }  // namespace ecdb

@@ -66,26 +66,6 @@ bool MessageChannel::PopAll(std::vector<Message>* out,
   return true;
 }
 
-bool MessageChannel::Pop(Message* out, std::chrono::milliseconds timeout) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!cv_.wait_for(lock, timeout,
-                    [this] { return !queue_.empty() || closed_; })) {
-    return false;
-  }
-  if (queue_.empty()) return false;  // closed and drained
-  *out = std::move(queue_.front());
-  queue_.erase(queue_.begin());
-  return true;
-}
-
-bool MessageChannel::TryPop(Message* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (queue_.empty()) return false;
-  *out = std::move(queue_.front());
-  queue_.erase(queue_.begin());
-  return true;
-}
-
 void MessageChannel::Close() {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -167,11 +147,8 @@ void ThreadNetwork::FaultSend(Message msg) {
   Micros delay;
   {
     std::lock_guard<std::mutex> lock(fault_mu_);
-    const uint64_t uk = UndirectedKey(msg.src, msg.dst);
-    down = links_down_.count(uk) != 0;
-    loss = loss_probability_;
-    auto ll = link_loss_.find(uk);
-    if (ll != link_loss_.end()) loss = std::max(loss, ll->second);
+    down = links_down_.count(UndirectedKey(msg.src, msg.dst)) != 0;
+    loss = drop_probability_;
     auto ed = extra_delay_.find(DirectedKey(msg.src, msg.dst));
     delay = ed != extra_delay_.end() ? ed->second : 0;
   }
@@ -255,22 +232,10 @@ void ThreadNetwork::SetLinkDown(NodeId a, NodeId b, bool down) {
   Arm();
 }
 
-void ThreadNetwork::SetLossProbability(double p) {
+void ThreadNetwork::SetDropProbability(double p) {
   {
     std::lock_guard<std::mutex> lock(fault_mu_);
-    loss_probability_ = p;
-  }
-  Arm();
-}
-
-void ThreadNetwork::SetLinkLoss(NodeId a, NodeId b, double p) {
-  {
-    std::lock_guard<std::mutex> lock(fault_mu_);
-    if (p > 0.0) {
-      link_loss_[UndirectedKey(a, b)] = p;
-    } else {
-      link_loss_.erase(UndirectedKey(a, b));
-    }
+    drop_probability_ = p;
   }
   Arm();
 }
@@ -293,14 +258,6 @@ void ThreadNetwork::SetExtraDelay(NodeId a, NodeId b, Micros extra_us) {
 
 void ThreadNetwork::SetFaultSeed(uint64_t seed) {
   fault_seed_.store(seed, std::memory_order_relaxed);
-}
-
-void ThreadNetwork::ClearFaults() {
-  std::lock_guard<std::mutex> lock(fault_mu_);
-  loss_probability_ = 0.0;
-  links_down_.clear();
-  link_loss_.clear();
-  extra_delay_.clear();
 }
 
 NetworkStats ThreadNetwork::stats() const {

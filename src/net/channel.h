@@ -50,14 +50,6 @@ class MessageChannel {
   /// lock + one swap per burst, regardless of burst size.
   bool PopAll(std::vector<Message>* out, std::chrono::microseconds timeout);
 
-  /// Dequeues the next message, blocking up to `timeout`. Returns false on
-  /// timeout or when the channel is closed and drained. One-at-a-time
-  /// compatibility path (tests, simple consumers); the runtime uses PopAll.
-  bool Pop(Message* out, std::chrono::milliseconds timeout);
-
-  /// Non-blocking dequeue. Returns false when empty.
-  bool TryPop(Message* out);
-
   /// Closes the channel; blocked consumers wake up once it drains.
   void Close();
 
@@ -134,11 +126,7 @@ class ThreadNetwork {
   void SetLinkDown(NodeId a, NodeId b, bool down);
 
   /// Probability that any message is dropped (chaos loss bursts).
-  void SetLossProbability(double p);
-
-  /// Per-link (undirected) loss probability; the effective rate for a
-  /// message is max(global, link).
-  void SetLinkLoss(NodeId a, NodeId b, double p);
+  void SetDropProbability(double p);
 
   /// Adds a fixed extra delay to every message on the (a -> b) direction.
   /// Delayed messages are delivered by a background pump thread; 0 clears.
@@ -146,10 +134,6 @@ class ThreadNetwork {
 
   /// Seed for loss sampling (call before arming faults).
   void SetFaultSeed(uint64_t seed);
-
-  /// Restores a fault-free network: loss 0, all links up, no extra delay.
-  /// Counters stay armed so end-of-run audits can still read them.
-  void ClearFaults();
 
   /// Snapshot of the SimNetwork-style counters. Counting starts when the
   /// fault path is first armed; crashed-node drops and the coalescing
@@ -196,9 +180,8 @@ class ThreadNetwork {
   // Fault state (guarded by fault_mu_; armed flag checked lock-free).
   std::atomic<bool> faults_armed_{false};
   mutable std::mutex fault_mu_;
-  double loss_probability_ = 0.0;
+  double drop_probability_ = 0.0;
   std::unordered_set<uint64_t> links_down_;          // undirected
-  std::unordered_map<uint64_t, double> link_loss_;   // undirected
   std::unordered_map<uint64_t, Micros> extra_delay_;  // directed
   std::atomic<uint64_t> fault_seed_{0x6563646273656564ULL};  // "ecdbseed"
   std::atomic<uint64_t> fault_counter_{0};

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -23,25 +24,17 @@ Message Make(NodeId src, NodeId dst) {
 TEST(MessageChannelTest, PushPop) {
   MessageChannel ch;
   ch.Push(Make(0, 1));
-  Message out;
-  ASSERT_TRUE(ch.Pop(&out, 100ms));
-  EXPECT_EQ(out.src, 0u);
+  std::vector<Message> batch;
+  ASSERT_TRUE(ch.PopAll(&batch, 100ms));
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].src, 0u);
   EXPECT_EQ(ch.Size(), 0u);
 }
 
 TEST(MessageChannelTest, PopTimesOutWhenEmpty) {
   MessageChannel ch;
-  Message out;
-  EXPECT_FALSE(ch.Pop(&out, 10ms));
-}
-
-TEST(MessageChannelTest, TryPop) {
-  MessageChannel ch;
-  Message out;
-  EXPECT_FALSE(ch.TryPop(&out));
-  ch.Push(Make(0, 1));
-  EXPECT_TRUE(ch.TryPop(&out));
-  EXPECT_FALSE(ch.TryPop(&out));
+  std::vector<Message> batch;
+  EXPECT_FALSE(ch.PopAll(&batch, 10ms));
 }
 
 TEST(MessageChannelTest, FifoOrder) {
@@ -50,19 +43,18 @@ TEST(MessageChannelTest, FifoOrder) {
     Message m = Make(i, 0);
     ch.Push(std::move(m));
   }
-  Message out;
-  for (uint32_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(ch.TryPop(&out));
-    EXPECT_EQ(out.src, i);
-  }
+  std::vector<Message> batch;
+  ASSERT_TRUE(ch.PopAll(&batch, 0us));
+  ASSERT_EQ(batch.size(), 10u);
+  for (uint32_t i = 0; i < 10; ++i) EXPECT_EQ(batch[i].src, i);
 }
 
 TEST(MessageChannelTest, CloseWakesBlockedConsumer) {
   MessageChannel ch;
   std::atomic<bool> returned{false};
   std::thread consumer([&] {
-    Message out;
-    ch.Pop(&out, 5000ms);
+    std::vector<Message> batch;
+    ch.PopAll(&batch, 5000ms);
     returned = true;
   });
   std::this_thread::sleep_for(20ms);
@@ -91,9 +83,9 @@ TEST(MessageChannelTest, ConcurrentProducersDeliverEverything) {
     });
   }
   int received = 0;
-  Message out;
+  std::vector<Message> batch;
   while (received < kProducers * kPerProducer) {
-    if (ch.Pop(&out, 1000ms)) received++;
+    if (ch.PopAll(&batch, 1000ms)) received += static_cast<int>(batch.size());
   }
   for (auto& t : producers) t.join();
   EXPECT_EQ(received, kProducers * kPerProducer);
@@ -186,9 +178,10 @@ TEST(MessageChannelTest, StressedProducersDrainAndCloseRace) {
 TEST(ThreadNetworkTest, RoutesByDestination) {
   ThreadNetwork net(3);
   net.Send(Make(0, 2));
-  Message out;
-  ASSERT_TRUE(net.channel(2).Pop(&out, 100ms));
-  EXPECT_EQ(out.src, 0u);
+  std::vector<Message> batch;
+  ASSERT_TRUE(net.channel(2).PopAll(&batch, 100ms));
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].src, 0u);
   EXPECT_EQ(net.channel(1).Size(), 0u);
 }
 
@@ -234,9 +227,9 @@ TEST(ThreadNetworkTest, OutOfRangeDestinationIsDropped) {
 TEST(ThreadNetworkTest, ShutdownClosesAllChannels) {
   ThreadNetwork net(2);
   net.Shutdown();
-  Message out;
-  EXPECT_FALSE(net.channel(0).Pop(&out, 10ms));
-  EXPECT_FALSE(net.channel(1).Pop(&out, 10ms));
+  std::vector<Message> batch;
+  EXPECT_FALSE(net.channel(0).PopAll(&batch, 10ms));
+  EXPECT_FALSE(net.channel(1).PopAll(&batch, 10ms));
 }
 
 }  // namespace

@@ -1,13 +1,18 @@
 // Tests for the chaos campaign engine: fault-plan generation and JSON
 // round-trips, deterministic replay, the end-to-end crash-recovery audit
-// over small campaigns, the ddmin shrinker on a pinned failing case, and
-// the ThreadNetwork fault-injection hooks (named ThreadNetworkChaos* so
-// the TSan CI job picks them up).
+// over small campaigns, the ddmin shrinker on a pinned failing case, the
+// fault applier's link rule on a recording host, and the ThreadNetwork
+// fault-injection hooks and threaded campaign (named ThreadNetworkChaos*
+// so the TSan CI job picks them up).
 
+#include <algorithm>
 #include <chrono>
+#include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -372,6 +377,188 @@ TEST(ChaosQuorumTest, PaxosCommitClearsThePinnedThreePhaseRepro) {
 }
 
 // ---------------------------------------------------------------------------
+// The fault applier, on a recording host
+// ---------------------------------------------------------------------------
+
+// Records what the applier sets, on a plan clock the test advances.
+class RecordingHost : public FaultHost {
+ public:
+  explicit RecordingHost(size_t num_nodes) : num_nodes_(num_nodes) {}
+
+  size_t num_nodes() const override { return num_nodes_; }
+  void Crash(NodeId node) override { down_nodes.insert(node); }
+  void Recover(NodeId node) override { down_nodes.erase(node); }
+  void SetLinkDown(NodeId a, NodeId b, bool down) override {
+    const std::pair<NodeId, NodeId> link = std::minmax(a, b);
+    if (down) {
+      links_down.insert(link);
+    } else {
+      links_down.erase(link);
+    }
+  }
+  void SetDropProbability(double p) override { drop_probability = p; }
+  void SetExtraDelay(NodeId a, NodeId b, Micros extra_us) override {
+    if (extra_us > 0) {
+      delays[{a, b}] = extra_us;
+    } else {
+      delays.erase({a, b});
+    }
+  }
+  Micros Now() const override { return now_; }
+  void After(Micros delay_us, std::function<void()> fn) override {
+    actions_.emplace(now_ + delay_us, std::move(fn));  // FIFO on ties
+  }
+
+  /// Fires every action due at or before `t`, then sets the clock to `t`.
+  void RunUntil(Micros t) {
+    while (!actions_.empty() && actions_.begin()->first <= t) {
+      auto action = actions_.extract(actions_.begin());
+      now_ = action.key();
+      action.mapped()();
+    }
+    now_ = t;
+  }
+
+  bool LinkDown(NodeId a, NodeId b) const {
+    return links_down.count(std::minmax(a, b)) != 0;
+  }
+
+  std::set<NodeId> down_nodes;
+  std::set<std::pair<NodeId, NodeId>> links_down;
+  double drop_probability = 0.0;
+  std::map<std::pair<NodeId, NodeId>, Micros> delays;
+
+ private:
+  size_t num_nodes_;
+  Micros now_ = 0;
+  std::multimap<Micros, std::function<void()>> actions_;
+};
+
+FaultPlan PlanOf(uint32_t num_nodes, std::vector<FaultEvent> events) {
+  FaultPlan plan;
+  plan.num_nodes = num_nodes;
+  plan.horizon_us = 1'000;
+  plan.events = std::move(events);
+  return plan;
+}
+
+// The link rule, first overlap order: a link cut before a partition stays
+// down when the partition heals, until its own heal.
+TEST(ChaosDriverTest, CutBeforePartitionOutlivesPartitionHeal) {
+  RecordingHost host(3);
+  ChaosDriver driver(&host, 0.0);
+  driver.Schedule(PlanOf(
+      3, {{.at_us = 10, .type = FaultType::kLinkCut, .a = 0, .b = 2},
+          {.at_us = 20, .type = FaultType::kPartition, .group = {2}},
+          {.at_us = 30, .type = FaultType::kPartitionHeal},
+          {.at_us = 40, .type = FaultType::kLinkHeal, .a = 0, .b = 2}}));
+  host.RunUntil(20);
+  EXPECT_TRUE(host.LinkDown(0, 2));
+  EXPECT_TRUE(host.LinkDown(1, 2));
+  EXPECT_FALSE(host.LinkDown(0, 1));
+  host.RunUntil(30);
+  EXPECT_TRUE(host.LinkDown(0, 2));
+  EXPECT_FALSE(host.LinkDown(1, 2));
+  host.RunUntil(40);
+  EXPECT_TRUE(host.links_down.empty());
+}
+
+// Second overlap order: a link cut during a partition outlives it too.
+TEST(ChaosDriverTest, CutDuringPartitionOutlivesPartitionHeal) {
+  RecordingHost host(3);
+  ChaosDriver driver(&host, 0.0);
+  driver.Schedule(PlanOf(
+      3, {{.at_us = 10, .type = FaultType::kPartition, .group = {2}},
+          {.at_us = 20, .type = FaultType::kLinkCut, .a = 0, .b = 2},
+          {.at_us = 30, .type = FaultType::kPartitionHeal},
+          {.at_us = 40, .type = FaultType::kLinkHeal, .a = 0, .b = 2}}));
+  host.RunUntil(20);
+  EXPECT_TRUE(host.LinkDown(0, 2));
+  EXPECT_TRUE(host.LinkDown(1, 2));
+  host.RunUntil(30);
+  EXPECT_TRUE(host.LinkDown(0, 2));
+  EXPECT_FALSE(host.LinkDown(1, 2));
+  host.RunUntil(40);
+  EXPECT_TRUE(host.links_down.empty());
+}
+
+// A link's own heal does not reopen it while it crosses a partition.
+TEST(ChaosDriverTest, LinkHealDuringPartitionKeepsCrossingLinkDown) {
+  RecordingHost host(3);
+  ChaosDriver driver(&host, 0.0);
+  driver.Schedule(PlanOf(
+      3, {{.at_us = 10, .type = FaultType::kLinkCut, .a = 0, .b = 2},
+          {.at_us = 20, .type = FaultType::kPartition, .group = {2}},
+          {.at_us = 30, .type = FaultType::kLinkHeal, .a = 0, .b = 2},
+          {.at_us = 40, .type = FaultType::kPartitionHeal}}));
+  host.RunUntil(30);
+  EXPECT_TRUE(host.LinkDown(0, 2));
+  EXPECT_TRUE(host.LinkDown(1, 2));
+  host.RunUntil(40);
+  EXPECT_TRUE(host.links_down.empty());
+}
+
+TEST(ChaosDriverTest, Split3CutsEveryCrossCellLink) {
+  RecordingHost host(4);
+  ChaosDriver driver(&host, 0.0);
+  driver.Schedule(PlanOf(
+      4, {{.at_us = 10, .type = FaultType::kSplit3, .group = {0},
+           .group_b = {1}},
+          {.at_us = 20, .type = FaultType::kPartitionHeal}}));
+  host.RunUntil(10);
+  const std::set<std::pair<NodeId, NodeId>> cross = {
+      {0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}};
+  EXPECT_EQ(host.links_down, cross);  // 2 and 3 share the third cell
+  host.RunUntil(20);
+  EXPECT_TRUE(host.links_down.empty());
+}
+
+TEST(ChaosDriverTest, BurstAndSpikeEndAfterTheirDuration) {
+  RecordingHost host(2);
+  ChaosDriver driver(&host, 0.01);
+  driver.Schedule(PlanOf(
+      2, {{.at_us = 10, .type = FaultType::kLossBurst, .duration_us = 50,
+           .probability = 0.5},
+          {.at_us = 20, .type = FaultType::kDelaySpike, .a = 0, .b = 1,
+           .duration_us = 30, .delay_us = 700}}));
+  host.RunUntil(20);
+  EXPECT_EQ(host.drop_probability, 0.5);
+  EXPECT_EQ(host.delays.size(), 2u);  // both directions
+  EXPECT_EQ(host.delays[std::make_pair(NodeId{1}, NodeId{0})], 700u);
+  host.RunUntil(50);
+  EXPECT_TRUE(host.delays.empty());
+  EXPECT_EQ(host.drop_probability, 0.5);
+  host.RunUntil(60);
+  EXPECT_EQ(host.drop_probability, 0.01);
+  EXPECT_EQ(driver.faults_applied(), 2u);
+}
+
+TEST(ChaosDriverTest, ClearFaultsRestoresAFaultFreeHost) {
+  RecordingHost host(4);
+  ChaosDriver driver(&host, 0.01);
+  driver.Schedule(PlanOf(
+      4, {{.at_us = 10, .type = FaultType::kCrash, .a = 1},
+          {.at_us = 10, .type = FaultType::kLinkCut, .a = 0, .b = 3},
+          {.at_us = 10, .type = FaultType::kPartition, .group = {2}},
+          {.at_us = 10, .type = FaultType::kLossBurst, .duration_us = 100,
+           .probability = 0.5},
+          {.at_us = 10, .type = FaultType::kDelaySpike, .a = 0, .b = 1,
+           .duration_us = 100, .delay_us = 700}}));
+  host.RunUntil(10);
+  EXPECT_EQ(host.down_nodes, std::set<NodeId>{1});
+  EXPECT_EQ(host.links_down.size(), 4u);  // 0-3 plus 2's three links
+  driver.ClearFaults();
+  EXPECT_TRUE(host.down_nodes.empty());
+  EXPECT_TRUE(host.links_down.empty());
+  EXPECT_TRUE(host.delays.empty());
+  EXPECT_EQ(host.drop_probability, 0.01);
+  // The restores still pending change nothing.
+  host.RunUntil(200);
+  EXPECT_TRUE(host.delays.empty());
+  EXPECT_EQ(host.drop_probability, 0.01);
+}
+
+// ---------------------------------------------------------------------------
 // ThreadNetwork fault hooks (TSan-covered: ThreadNetworkChaos*)
 // ---------------------------------------------------------------------------
 
@@ -386,14 +573,14 @@ Message Make(NodeId src, NodeId dst) {
 TEST(ThreadNetworkChaosTest, FullLossDropsEverythingUntilCleared) {
   ThreadNetwork net(2);
   net.SetFaultSeed(7);
-  net.SetLossProbability(1.0);
+  net.SetDropProbability(1.0);
   for (int i = 0; i < 8; ++i) net.Send(Make(0, 1));
   EXPECT_EQ(net.channel(1).Size(), 0u);
   EXPECT_EQ(net.stats().messages_dropped, 8u);
-  net.ClearFaults();
+  net.SetDropProbability(0.0);
   net.Send(Make(0, 1));
-  Message out;
-  ASSERT_TRUE(net.channel(1).Pop(&out, 100ms));
+  std::vector<Message> batch;
+  ASSERT_TRUE(net.channel(1).PopAll(&batch, 100ms));
   EXPECT_EQ(net.stats().messages_delivered, 1u);
   net.Shutdown();
 }
@@ -407,25 +594,11 @@ TEST(ThreadNetworkChaosTest, LinkCutIsBidirectionalAndHealable) {
   EXPECT_EQ(net.channel(1).Size(), 0u);
   // The third node is unaffected.
   net.Send(Make(0, 2));
-  Message out;
-  ASSERT_TRUE(net.channel(2).Pop(&out, 100ms));
+  std::vector<Message> batch;
+  ASSERT_TRUE(net.channel(2).PopAll(&batch, 100ms));
   net.SetLinkDown(0, 1, false);
   net.Send(Make(0, 1));
-  ASSERT_TRUE(net.channel(1).Pop(&out, 100ms));
-  net.Shutdown();
-}
-
-TEST(ThreadNetworkChaosTest, LinkLossUsesMaxOfGlobalAndLink) {
-  ThreadNetwork net(2);
-  net.SetFaultSeed(11);
-  net.SetLinkLoss(0, 1, 1.0);
-  for (int i = 0; i < 4; ++i) net.Send(Make(0, 1));
-  EXPECT_EQ(net.channel(1).Size(), 0u);
-  EXPECT_EQ(net.stats().messages_dropped, 4u);
-  net.SetLinkLoss(0, 1, 0.0);
-  net.Send(Make(0, 1));
-  Message out;
-  ASSERT_TRUE(net.channel(1).Pop(&out, 100ms));
+  ASSERT_TRUE(net.channel(1).PopAll(&batch, 100ms));
   net.Shutdown();
 }
 
@@ -433,12 +606,13 @@ TEST(ThreadNetworkChaosTest, ExtraDelayDefersDelivery) {
   ThreadNetwork net(2);
   net.SetExtraDelay(0, 1, 50'000);
   net.Send(Make(0, 1));
-  Message out;
+  std::vector<Message> batch;
   // Not delivered synchronously; the delay pump hands it over later.
-  EXPECT_FALSE(net.channel(1).TryPop(&out));
-  ASSERT_TRUE(net.channel(1).Pop(&out, 2000ms));
-  EXPECT_EQ(out.src, 0u);
-  net.ClearFaults();
+  EXPECT_FALSE(net.channel(1).PopAll(&batch, 0us));
+  ASSERT_TRUE(net.channel(1).PopAll(&batch, 2000ms));
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].src, 0u);
+  net.SetExtraDelay(0, 1, 0);
   net.Shutdown();
 }
 
@@ -485,8 +659,8 @@ TEST(ThreadNetworkChaosTest, ApplyPlanToThreadClusterStaysSafe) {
 
 // The wall-clock campaign path end-to-end for the quorum variants: plan
 // applied to a live ThreadCluster, then the stopped-cluster evidence audit
-// (what chaos_run --threaded --campaign runs per seed). TSan-covered via
-// the ThreadNetworkChaos* name.
+// (what chaos_run --threaded runs per seed). TSan-covered via the
+// ThreadNetworkChaos* name.
 TEST(ThreadNetworkChaosTest, ThreadedAuditPassesQuorumProtocols) {
   for (const CommitProtocol protocol :
        {CommitProtocol::kThreePhaseE3PC, CommitProtocol::kPaxosCommit}) {
@@ -528,6 +702,28 @@ TEST(ThreadNetworkChaosTest, ThreadedAuditPassesQuorumProtocols) {
         << ToString(protocol) << ":\n" << DescribeViolations(audit);
     EXPECT_GT(audit.acked_commits, 0u) << ToString(protocol);
   }
+}
+
+// One seed of the threaded campaign through the shared campaign loop: the
+// same plan generator, fault applier, audit and summary as the simulator's
+// campaign.
+TEST(ThreadNetworkChaosTest, ThreadedCaseRunsThroughTheSharedCampaignLoop) {
+  ChaosCaseConfig cfg;
+  cfg.protocol = CommitProtocol::kEasyCommit;
+  cfg.num_nodes = 3;
+  cfg.clients_per_node = 2;
+  cfg.horizon_us = 200'000;
+  const CampaignSummary summary = RunCampaign(
+      cfg, /*first_seed=*/3, /*num_seeds=*/1, nullptr,
+      [](const ChaosCaseConfig& c, uint64_t seed) {
+        return RunThreadedChaosCase(c, seed, /*worker_threads=*/2,
+                                    /*time_scale=*/1.0);
+      });
+  EXPECT_TRUE(summary.ok());
+  EXPECT_EQ(summary.seeds_run, 1u);
+  EXPECT_EQ(summary.faults_applied,
+            GenerateFaultPlan(3, 3, 200'000, cfg.intensity).events.size());
+  EXPECT_GT(summary.acked_commits, 0u);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// chaos_run: seeded chaos campaigns against the simulated cluster.
+// chaos_run: seeded chaos campaigns against the simulated or the threaded
+// cluster.
 //
 //   chaos_run [--seeds N] [--first-seed S] [--protocols ec,3pc,2pc]
 //             [--intensity light|default|heavy] [--nodes N]
@@ -7,33 +8,28 @@
 //             [--dump-dir DIR] [--trace-dir DIR]
 //             [--metrics-out FILE] [--shrink]
 //   chaos_run --plan FILE [--shrink] [--trace-dir DIR] [--protocols ec]
-//   chaos_run --threaded [--campaign] [--workers W] [--time-scale S] ...
+//   chaos_run --threaded [--workers W] [--time-scale S] [campaign flags]
 //
-// Campaign mode runs N seeds per protocol and prints one table row per
-// protocol. A failing seed's plan is dumped to --dump-dir (and, with
-// --shrink, ddmin-minimized to a *.min.json repro); --trace-dir replays
-// each failure with protocol tracing on and writes a JSONL trace.
+// Campaign mode runs N seeds per protocol, audits each (WAL atomicity
+// evidence, acked-commit durability, engine liveness) and prints one table
+// row per protocol. A failing seed's plan is dumped to --dump-dir (and,
+// with --shrink, ddmin-minimized to a *.min.json repro); --trace-dir
+// replays each failure with protocol tracing on and writes a JSONL trace.
 // Replay mode (--plan) re-runs one dumped plan and prints the audit
 // verdict. Exit code: 0 if every audit passed, 1 otherwise (blocked 2PC
 // cohorts are reported in the table, not counted as failures).
 //
-// --threaded runs each seed's plan against the real-time ThreadCluster
+// --threaded runs the same campaign against the real-time ThreadCluster
 // instead of the simulator: the nodes (any count, --nodes 128 works) are
 // hosted M:N on a shard-per-core pool of --workers W event-loop threads,
-// the plan's crash/loss/delay subset is applied in wall clock (compressed
-// by --time-scale), and the verdict is the safety monitor plus liveness
-// (every seed must commit through the faults). Each seed prints the
-// per-worker occupancy and mailbox-vs-local traffic split. Shrink/replay/
-// trace are simulator-only and are rejected with --threaded.
-//
-// --threaded --campaign upgrades the threaded verdict to the full
-// consistency audit (WAL atomicity evidence, acked-commit durability,
-// engine liveness) per seed and prints the same per-protocol table as the
-// sim campaign, with the quorum wait/ballot counters.
+// each seed's plan is applied in wall clock (compressed by --time-scale)
+// through the same fault applier, and the stopped cluster goes through
+// the threaded audit. Shrink, replay, tracing and --metrics-out need
+// deterministic replay and are simulator-only.
 //
 // --metrics-out FILE enables time-series telemetry on every simulated
 // case and appends one labeled JSONL section per seed (file truncated at
-// startup). Simulator-only, like tracing.
+// startup).
 
 #include <cctype>
 #include <cstdint>
@@ -45,15 +41,10 @@
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "chaos/campaign.h"
-#include "chaos/chaos_driver.h"
 #include "chaos/fault_plan.h"
 #include "chaos/shrinker.h"
-#include "cluster/thread_node.h"
 #include "common/types.h"
-#include "workload/ycsb.h"
 
 namespace {
 
@@ -102,140 +93,10 @@ int Usage(const char* argv0) {
                "          [--dump-dir DIR] [--trace-dir DIR]\n"
                "          [--metrics-out FILE] [--shrink]\n"
                "       %s --plan FILE [--shrink] [--trace-dir DIR]\n"
-               "       %s --threaded [--campaign] [--workers W]\n"
-               "          [--time-scale S] ...\n",
+               "       %s --threaded [--workers W] [--time-scale S]\n"
+               "          [campaign flags]\n",
                argv0, argv0, argv0);
   return 2;
-}
-
-ThreadClusterConfig MakeThreadConfig(const ChaosCaseConfig& cfg,
-                                     uint64_t seed, uint32_t workers) {
-  ThreadClusterConfig tc;
-  tc.num_nodes = cfg.num_nodes;
-  tc.clients_per_node = cfg.clients_per_node;
-  tc.protocol = cfg.protocol;
-  tc.worker_threads = workers;
-  tc.coalesce_transport = cfg.coalesce_transport;
-  tc.commit.timeout_us = 250'000;
-  tc.commit.termination_window_us = 80'000;
-  tc.commit.term_fruitless_retries = cfg.term_fruitless_retries;
-  tc.commit.keep_decision_ledger = true;
-  tc.seed = seed;
-  return tc;
-}
-
-YcsbConfig MakeThreadYcsb(const ChaosCaseConfig& cfg) {
-  YcsbConfig ycsb;
-  ycsb.num_partitions = cfg.num_nodes;
-  ycsb.rows_per_partition = 2048;
-  ycsb.partitions_per_txn = cfg.partitions_per_txn < 1
-                                ? 1
-                                : (cfg.partitions_per_txn > cfg.num_nodes
-                                       ? cfg.num_nodes
-                                       : cfg.partitions_per_txn);
-  return ycsb;
-}
-
-/// One seed of the threaded chaos campaign: plan generated exactly like
-/// the sim campaign's, applied to a ThreadCluster on a worker pool in
-/// (compressed) wall clock. Returns true when the seed stayed safe and
-/// live.
-bool RunThreadedSeed(const ChaosCaseConfig& cfg, uint64_t seed,
-                     uint32_t workers, double time_scale) {
-  const ThreadClusterConfig tc = MakeThreadConfig(cfg, seed, workers);
-  const YcsbConfig ycsb = MakeThreadYcsb(cfg);
-  const FaultPlan plan =
-      GenerateFaultPlan(seed, cfg.num_nodes, cfg.horizon_us, cfg.intensity);
-
-  ThreadCluster cluster(tc, std::make_unique<YcsbWorkload>(ycsb));
-  cluster.Start();
-  ApplyPlanToThreadCluster(plan, &cluster, time_scale);
-  cluster.RunFor(0.3);  // fault-free tail so recovered nodes participate
-  cluster.Quiesce();
-  cluster.Stop();
-
-  const uint64_t committed = cluster.TotalCommitted();
-  const size_t violations = cluster.monitor().Violations().size();
-  const ClusterStats stats = cluster.CollectStats(1.0);
-  std::printf("%-4s seed %-4llu: %s  committed=%llu violations=%zu "
-              "faults=%zu  mailbox=%llu local=%llu\n",
-              ToString(cfg.protocol).c_str(),
-              static_cast<unsigned long long>(seed),
-              violations == 0 && committed > 0 ? "PASS" : "FAIL",
-              static_cast<unsigned long long>(committed), violations,
-              plan.events.size(),
-              static_cast<unsigned long long>(stats.worker_mailbox_messages),
-              static_cast<unsigned long long>(stats.worker_local_messages));
-  const std::vector<WorkerStats> per_worker = cluster.CollectWorkerStats();
-  for (size_t w = 0; w < per_worker.size(); ++w) {
-    const WorkerStats& ws = per_worker[w];
-    std::printf("    worker %2zu: nodes %4llu  occupancy %5.1f%%  "
-                "mailbox %8llu  local %8llu  timers %7llu\n",
-                w, static_cast<unsigned long long>(ws.nodes_hosted),
-                100.0 * ws.Occupancy(),
-                static_cast<unsigned long long>(ws.mailbox_messages),
-                static_cast<unsigned long long>(ws.local_messages),
-                static_cast<unsigned long long>(ws.timers_fired));
-  }
-  return violations == 0 && committed > 0;
-}
-
-/// Threaded campaign: every seed runs against a ThreadCluster with
-/// acked-commit tracking on, then goes through AuditThreadCluster (WAL
-/// atomicity evidence, acked-commit durability, engine liveness) instead
-/// of the pass/fail one-liner. Aggregates into the same CampaignSummary
-/// shape the sim campaign prints.
-CampaignSummary RunThreadedCampaign(const ChaosCaseConfig& cfg,
-                                    uint64_t first_seed, uint64_t num_seeds,
-                                    uint32_t workers, double time_scale) {
-  CampaignSummary summary;
-  summary.protocol = cfg.protocol;
-  for (uint64_t s = 0; s < num_seeds; ++s) {
-    const uint64_t seed = first_seed + s;
-    const ThreadClusterConfig tc = MakeThreadConfig(cfg, seed, workers);
-    const YcsbConfig ycsb = MakeThreadYcsb(cfg);
-    const FaultPlan plan =
-        GenerateFaultPlan(seed, cfg.num_nodes, cfg.horizon_us, cfg.intensity);
-
-    ThreadCluster cluster(tc, std::make_unique<YcsbWorkload>(ycsb));
-    for (NodeId id = 0; id < static_cast<NodeId>(cluster.num_nodes()); ++id) {
-      cluster.node(id).TrackAckedCommits(true);
-    }
-    cluster.Start();
-    ApplyPlanToThreadCluster(plan, &cluster, time_scale);
-    const uint64_t faults = plan.events.size();
-    cluster.RunFor(0.3);  // fault-free tail so recovered nodes participate
-    cluster.Quiesce();
-    cluster.Stop();
-
-    // Harvest quorum/latency counters before the audit (which only reads,
-    // but keep the same order as the sim campaign for symmetry).
-    const ClusterStats stats = cluster.CollectStats(1.0);
-    const AuditResult audit = AuditThreadCluster(&cluster);
-
-    summary.seeds_run++;
-    summary.faults_applied += faults;
-    summary.acked_commits += audit.acked_commits;
-    summary.blocked_txns += audit.blocked_txns;
-    summary.atomicity_violations += audit.CountFor("atomicity");
-    summary.durability_violations += audit.CountFor("durability");
-    summary.liveness_violations += audit.CountFor("liveness");
-    summary.acceptor_rounds += stats.total.acceptor_rounds;
-    summary.ballots_promoted += stats.total.ballots_promoted;
-    summary.quorum_lost_rounds += stats.total.quorum_lost_rounds;
-    summary.latency.Merge(stats.total.latency);
-    if (!audit.quiescent) summary.non_quiescent++;
-    if (!audit.ok()) {
-      summary.seeds_failed++;
-      summary.failing_seeds.push_back(seed);
-      std::printf("FAIL %s seed %llu (threaded, %zu events, %llu faults)\n",
-                  ToString(cfg.protocol).c_str(),
-                  static_cast<unsigned long long>(seed), plan.events.size(),
-                  static_cast<unsigned long long>(faults));
-      PrintAudit(audit);
-    }
-  }
-  return summary;
 }
 
 }  // namespace
@@ -249,7 +110,6 @@ int main(int argc, char** argv) {
   std::string trace_dir;
   bool shrink = false;
   bool threaded = false;
-  bool thread_campaign = false;
   uint32_t workers = 4;
   double time_scale = 1.0;
   ChaosCaseConfig cfg;
@@ -304,8 +164,6 @@ int main(int argc, char** argv) {
       shrink = true;
     } else if (arg == "--threaded") {
       threaded = true;
-    } else if (arg == "--campaign") {
-      thread_campaign = true;
     } else if (arg == "--workers") {
       workers = static_cast<uint32_t>(
           std::strtoul(next("--workers"), nullptr, 10));
@@ -336,7 +194,7 @@ int main(int argc, char** argv) {
     std::ofstream trunc(cfg.metrics_path, std::ios::trunc);
   }
 
-  // ---- Threaded campaign -------------------------------------------------
+  ChaosCaseRunner run_case;  // null: the simulator
   if (threaded) {
     if (shrink || !plan_path.empty() || !trace_dir.empty() ||
         !cfg.metrics_path.empty()) {
@@ -349,32 +207,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "need --workers >= 1 and --time-scale > 0\n");
       return 2;
     }
-    if (thread_campaign) {
-      std::vector<CampaignSummary> rows;
-      bool all_ok = true;
-      for (CommitProtocol protocol : protocols) {
-        cfg.protocol = protocol;
-        const CampaignSummary summary =
-            RunThreadedCampaign(cfg, first_seed, seeds, workers, time_scale);
-        rows.push_back(summary);
-        all_ok = all_ok && summary.ok();
-      }
-      std::fputs(FormatCampaignTable(rows).c_str(), stdout);
-      return all_ok ? 0 : 1;
-    }
-    bool all_ok = true;
-    for (CommitProtocol protocol : protocols) {
-      cfg.protocol = protocol;
-      for (uint64_t s = 0; s < seeds; ++s) {
-        all_ok &= RunThreadedSeed(cfg, first_seed + s, workers, time_scale);
-      }
-    }
-    return all_ok ? 0 : 1;
-  }
-  if (thread_campaign) {
-    std::fprintf(stderr, "--campaign requires --threaded (the simulator "
-                         "campaign is the default mode)\n");
-    return 2;
+    run_case = [workers, time_scale](const ChaosCaseConfig& c, uint64_t seed) {
+      return RunThreadedChaosCase(c, seed, workers, time_scale);
+    };
   }
 
   // ---- Replay mode -------------------------------------------------------
@@ -454,7 +289,7 @@ int main(int argc, char** argv) {
       }
     };
     const CampaignSummary summary =
-        RunCampaign(cfg, first_seed, seeds, on_failure);
+        RunCampaign(cfg, first_seed, seeds, on_failure, run_case);
     rows.push_back(summary);
     all_ok = all_ok && summary.ok();
   }
