@@ -30,7 +30,7 @@ class BankWorkload : public Workload {
   explicit BankWorkload(uint32_t branches) : branches_(branches) {}
 
   void LoadPartition(PartitionStore* store,
-                     const KeyPartitioner& partitioner) override {
+                     const KeyPartitioner& partitioner) const override {
     (void)partitioner;
     Status s = store->CreateTable(kAccounts, "accounts", /*num_columns=*/2);
     ECDB_CHECK(s.ok());

@@ -138,11 +138,13 @@ ChaosCaseResult RunThreadedChaosCase(const ChaosCaseConfig& cfg,
   cluster.Start();
   result.faults_applied =
       ApplyPlanToThreadCluster(result.plan, &cluster, time_scale);
+  // At the plan horizon, as on the simulator: the fault-free tail and the
+  // drain below would flatten the latency tail the faults caused.
+  result.horizon = cluster.CollectStats(1.0).total;
   cluster.RunFor(0.3);  // fault-free tail so recovered nodes participate
   cluster.Quiesce();
   cluster.Stop();
 
-  result.horizon = cluster.CollectStats(1.0).total;
   result.audit = AuditThreadCluster(&cluster);
   return result;
 }

@@ -87,7 +87,8 @@ ChaosCaseResult ReplayFaultPlan(const ChaosCaseConfig& cfg,
 /// for RunChaosCase, applied to a ThreadCluster on a pool of
 /// `worker_threads` event-loop threads in wall clock (compressed by
 /// `time_scale`), then a fault-free tail, Quiesce, Stop and the threaded
-/// audit. `horizon` counts the whole run, tail included.
+/// audit. `horizon` is read at the plan horizon, before the tail, over
+/// the same window as on the simulator.
 ChaosCaseResult RunThreadedChaosCase(const ChaosCaseConfig& cfg,
                                      uint64_t seed, uint32_t worker_threads,
                                      double time_scale);

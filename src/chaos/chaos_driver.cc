@@ -25,6 +25,13 @@ uint8_t CellOf(const FaultEvent& ev, NodeId node) {
   return 2;
 }
 
+/// Ends fault `id` of `active`; false when it was cleared already.
+template <typename Fault>
+bool End(std::vector<Fault>* active, uint64_t id) {
+  return std::erase_if(*active, [id](const Fault& f) { return f.id == id; }) !=
+         0;
+}
+
 /// ThreadCluster's levers. The plan clock is a queue of actions walked in
 /// wall clock on the calling thread by Run().
 class ThreadFaultHost : public FaultHost {
@@ -132,23 +139,27 @@ void ChaosDriver::Apply(const FaultEvent& ev) {
       partitions_.clear();
       SyncLinks();
       break;
-    case FaultType::kLossBurst:
+    case FaultType::kLossBurst: {
+      const uint64_t id = next_fault_id_++;
+      bursts_.push_back({id, ev.probability});
       host_->SetDropProbability(ev.probability);
-      host_->After(ev.duration_us, [this]() {
-        host_->SetDropProbability(base_drop_probability_);
+      host_->After(ev.duration_us, [this, id]() {
+        if (!End(&bursts_, id)) return;  // cleared already
+        host_->SetDropProbability(bursts_.empty() ? base_drop_probability_
+                                                  : bursts_.back().value);
       });
       break;
+    }
     case FaultType::kDelaySpike: {
-      const NodeId a = ev.a, b = ev.b;
-      host_->SetExtraDelay(a, b, ev.delay_us);
-      host_->SetExtraDelay(b, a, ev.delay_us);
-      delayed_links_.insert({a, b});
-      delayed_links_.insert({b, a});
-      host_->After(ev.duration_us, [this, a, b]() {
-        host_->SetExtraDelay(a, b, 0);
-        host_->SetExtraDelay(b, a, 0);
-        delayed_links_.erase({a, b});
-        delayed_links_.erase({b, a});
+      const uint64_t id = next_fault_id_++;
+      const Link link = Undirected(ev.a, ev.b);
+      spikes_[link].push_back({id, ev.delay_us});
+      SyncDelay(link);
+      host_->After(ev.duration_us, [this, id, link]() {
+        auto it = spikes_.find(link);
+        if (it == spikes_.end() || !End(&it->second, id)) return;  // cleared
+        SyncDelay(link);
+        if (it->second.empty()) spikes_.erase(it);
       });
       break;
     }
@@ -176,13 +187,24 @@ void ChaosDriver::SyncLinks() {
   }
 }
 
+void ChaosDriver::SyncDelay(const Link& link) {
+  const std::vector<Active<Micros>>& active = spikes_[link];
+  const Micros delay = active.empty() ? 0 : active.back().value;
+  host_->SetExtraDelay(link.first, link.second, delay);
+  host_->SetExtraDelay(link.second, link.first, delay);
+}
+
 void ChaosDriver::ClearFaults() {
   host_->SetDropProbability(base_drop_probability_);
+  bursts_.clear();
   cut_links_.clear();
   partitions_.clear();
   SyncLinks();
-  for (const auto& [a, b] : delayed_links_) host_->SetExtraDelay(a, b, 0);
-  delayed_links_.clear();
+  for (auto& [link, active] : spikes_) {
+    active.clear();
+    SyncDelay(link);
+  }
+  spikes_.clear();
   for (NodeId id = 0; id < host_->num_nodes(); ++id) host_->Recover(id);
 }
 
@@ -217,6 +239,9 @@ uint64_t ApplyPlanToThreadCluster(const FaultPlan& plan,
   ThreadFaultHost host(cluster, time_scale);
   ChaosDriver driver(&host, /*base_drop_probability=*/0.0);
   driver.Schedule(plan);
+  // Run to the plan horizon, past the plan's last fault, so the caller's
+  // stats cover the same window as a simulator run of the plan.
+  host.After(plan.horizon_us, [] {});
   host.Run();
   driver.ClearFaults();
   return driver.faults_applied();

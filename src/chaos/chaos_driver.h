@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -55,6 +56,12 @@ class FaultHost {
 /// healed by its kLinkHeal) or while it crosses the cells of an active
 /// partition (kPartition or kSplit3 not yet ended by a kPartitionHeal,
 /// which ends every active partition).
+///
+/// Burst and spike rule: a loss burst holds the drop probability, and a
+/// delay spike its link's extra delay, for its whole duration. While
+/// several bursts (or spikes on one link) overlap, the latest one still
+/// active sets the value; when one ends, the value falls back to the
+/// latest one still active, and to the fault-free value only when none is.
 class ChaosDriver {
  public:
   /// `base_drop_probability` is the host's loss rate without faults: loss
@@ -76,11 +83,22 @@ class ChaosDriver {
  private:
   using Link = std::pair<NodeId, NodeId>;
 
+  /// One active burst or spike: its id and the value it sets.
+  template <typename T>
+  struct Active {
+    uint64_t id;
+    T value;
+  };
+
   /// Applies one event now (scheduling its restore, if it has a duration).
   void Apply(const FaultEvent& ev);
 
   /// Sets every link of the host to what the link rule says.
   void SyncLinks();
+
+  /// Sets both directions of `link` to its latest active spike's delay,
+  /// or 0 without one.
+  void SyncDelay(const Link& link);
 
   FaultHost* host_;
   double base_drop_probability_;
@@ -88,7 +106,9 @@ class ChaosDriver {
   std::set<Link> cut_links_;    // undirected (lo, hi), cut on their own
   std::vector<std::vector<uint8_t>> partitions_;  // active: cell per node
   std::set<Link> links_down_;   // undirected (lo, hi), as set on the host
-  std::set<Link> delayed_links_;  // directed
+  uint64_t next_fault_id_ = 0;
+  std::vector<Active<double>> bursts_;  // in start order
+  std::map<Link, std::vector<Active<Micros>>> spikes_;  // undirected
 };
 
 /// SimCluster's levers: the plan clock is the cluster's scheduler.
@@ -111,9 +131,9 @@ class SimFaultHost : public FaultHost {
 
 /// Applies `plan` to a running ThreadCluster in wall clock: plan time t
 /// fires at t / time_scale after the call (time_scale > 1 compresses the
-/// plan; extra delays shrink by the same factor). Blocks until the last
-/// action has fired, then runs the clear step. Returns the number of fault
-/// events applied.
+/// plan; extra delays shrink by the same factor). Blocks until the plan
+/// horizon (or the last action, if that is later), then runs the clear
+/// step. Returns the number of fault events applied.
 uint64_t ApplyPlanToThreadCluster(const FaultPlan& plan,
                                   ThreadCluster* cluster,
                                   double time_scale = 1.0);

@@ -1,6 +1,10 @@
 #include "cluster/node_core.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
 #include <unordered_set>
 #include <utility>
 
@@ -47,6 +51,35 @@ void NodeCore::NewEngine() {
 
 void NodeCore::Bootstrap() {
   if (workload_ != nullptr) workload_->LoadPartition(&store_, partitioner_);
+}
+
+void LoadPartitions(std::span<NodeCore* const> nodes) {
+  // Without a workload every load is a no-op: start no thread for it.
+  const size_t threads =
+      nodes.empty() || !nodes.front()->has_workload()
+          ? 1
+          : std::min<size_t>(nodes.size(),
+                             std::max(1u, std::thread::hardware_concurrency()));
+  std::atomic<size_t> next{0};
+  std::mutex failure_mu;
+  std::exception_ptr failure;  // the first load that threw, rethrown below
+  const auto load = [&] {
+    try {
+      for (size_t i; (i = next.fetch_add(1)) < nodes.size();) {
+        nodes[i]->Bootstrap();
+      }
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(failure_mu);
+      if (failure == nullptr) failure = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> loaders;  // joined on scope exit
+    loaders.reserve(threads - 1);
+    for (size_t t = 1; t < threads; ++t) loaders.emplace_back(load);
+    load();
+  }
+  if (failure != nullptr) std::rethrow_exception(failure);
 }
 
 void NodeCore::StartClients() {

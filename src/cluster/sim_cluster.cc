@@ -42,7 +42,8 @@ void SimCluster::PollGauges() {
 }
 
 void SimCluster::Start() {
-  for (auto& node : nodes_) node->Bootstrap();
+  LoadPartitions(nodes_);
+  for (auto& node : nodes_) node->JoinNetwork();
   for (auto& node : nodes_) node->StartClients();
   if (sampler_ != nullptr && sampler_task_ == 0) {
     sampler_->Reset(scheduler_.Now());

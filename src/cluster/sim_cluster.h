@@ -33,7 +33,9 @@ class SimCluster {
   SimCluster(const SimCluster&) = delete;
   SimCluster& operator=(const SimCluster&) = delete;
 
-  /// Bootstraps every node (loads partitions) and launches the clients.
+  /// Loads every node's partition (in parallel, see LoadPartitions), then,
+  /// on the calling thread and in node order, joins each node to the
+  /// network and launches the clients. Returns with every partition loaded.
   void Start();
 
   /// Advances simulated time by `seconds`.

@@ -17,8 +17,7 @@ SimNode::SimNode(NodeId id, const ClusterConfig& config, Scheduler* scheduler,
 
 SimNode::~SimNode() = default;
 
-void SimNode::Bootstrap() {
-  NodeCore::Bootstrap();
+void SimNode::JoinNetwork() {
   network_->RegisterNode(self(),
                          [this](const Message& msg) { OnMessage(msg); });
 }

@@ -26,8 +26,9 @@ class SimNode : public NodeCore {
           uint64_t seed, const MetricsHandle& metrics);
   ~SimNode() override;
 
-  /// Loads this node's partition and registers with the network.
-  void Bootstrap();
+  /// Registers with the network so the node receives messages. Call on
+  /// the thread that drives the cluster, once, after Bootstrap().
+  void JoinNetwork();
 
   /// Fail-stop crash: the network drops the node and its queued and
   /// running jobs die with the core's volatile state; the WAL survives.

@@ -206,7 +206,7 @@ ThreadCluster::~ThreadCluster() { Stop(); }
 void ThreadCluster::Start() {
   ECDB_CHECK(!started_);
   started_ = true;
-  for (auto& node : nodes_) node->Bootstrap();
+  LoadPartitions(nodes_);
   for (auto& worker : workers_) worker->Start();
   if (sampler_ != nullptr) sampling_.Start(sampler_.get());
 }

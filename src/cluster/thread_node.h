@@ -130,7 +130,8 @@ class ThreadCluster {
                 std::unique_ptr<Workload> workload);
   ~ThreadCluster();
 
-  /// Bootstraps every node and starts the worker pool.
+  /// Loads every node's partition (in parallel, see LoadPartitions), then
+  /// starts the worker pool: no load work runs after Start() returns.
   void Start();
 
   /// Lets the cluster run for `seconds` of wall-clock time.
@@ -152,8 +153,8 @@ class ThreadCluster {
   uint64_t TotalCommitted() const;
 
   /// The whole run's stats, reported for a window of `duration_seconds`:
-  /// a registry snapshot after a gauge poll. Trace drops are folded in at
-  /// Stop(), so call only after it.
+  /// a registry snapshot after a gauge poll. Safe to call mid-run for every
+  /// field except trace_events_dropped, which Stop() folds in.
   ClusterStats CollectStats(double duration_seconds);
 
   /// Per-worker event-loop counters (occupancy, mailbox/local message

@@ -41,7 +41,7 @@ class ProtocolHost : public SimNode {
                 /*seed=*/0, metrics),
         network_(network) {
     set_vote_override([this](TxnId) { return vote_; });
-    Bootstrap();
+    JoinNetwork();
   }
 
   void ApplyDecision(TxnId txn, Decision decision) override {

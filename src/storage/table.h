@@ -87,6 +87,13 @@ class Table {
   /// Removes a row and recycles its cells; NotFound if absent.
   Status Erase(Key key);
 
+  /// Calls fn(key, row) for every row, in unspecified order. The table
+  /// must not change during the walk.
+  template <typename Fn>
+  void ForEachRow(Fn&& fn) const {
+    for (const auto& slot : rows_) fn(slot.key, slot.value);
+  }
+
  private:
   /// Zero-initialised 64-bit cells in one anonymous memory mapping. The
   /// kernel backs the mapping with zero pages on first touch, so sizing the

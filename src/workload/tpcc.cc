@@ -61,7 +61,7 @@ Key TpccWorkload::ItemKey(PartitionId reader_home, uint32_t item) const {
 }
 
 void TpccWorkload::LoadPartition(PartitionStore* store,
-                                 const KeyPartitioner& partitioner) {
+                                 const KeyPartitioner& partitioner) const {
   ECDB_CHECK(partitioner.num_partitions() == config_.num_partitions);
   ECDB_CHECK(store->CreateTable(kWarehouse, "warehouse", kWarehouseCols).ok());
   ECDB_CHECK(store->CreateTable(kDistrict, "district", kDistrictCols).ok());

@@ -52,7 +52,7 @@ class TpccWorkload : public Workload {
   explicit TpccWorkload(TpccConfig config);
 
   void LoadPartition(PartitionStore* store,
-                     const KeyPartitioner& partitioner) override;
+                     const KeyPartitioner& partitioner) const override;
 
   TxnRequest NextTxn(PartitionId home, Rng& rng) override;
 

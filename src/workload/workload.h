@@ -33,9 +33,13 @@ class Workload {
   virtual ~Workload() = default;
 
   /// Creates this workload's tables in `store` and loads the rows owned by
-  /// partition `store->id()`.
+  /// partition `store->id()`. A pure function of the workload's
+  /// configuration and the partition id: it reads no mutable workload
+  /// state and writes only `store`, so the hosts load many partitions at
+  /// once, one thread per store (LoadPartitions). Implementations must keep
+  /// it safe to call concurrently on distinct stores.
   virtual void LoadPartition(PartitionStore* store,
-                             const KeyPartitioner& partitioner) = 0;
+                             const KeyPartitioner& partitioner) const = 0;
 
   /// Generates the next transaction for a client homed at `home`. The
   /// transaction's first accessed partition is the home partition (the

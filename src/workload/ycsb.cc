@@ -18,7 +18,7 @@ YcsbWorkload::YcsbWorkload(YcsbConfig config)
 }
 
 void YcsbWorkload::LoadPartition(PartitionStore* store,
-                                 const KeyPartitioner& partitioner) {
+                                 const KeyPartitioner& partitioner) const {
   ECDB_CHECK(partitioner.num_partitions() == config_.num_partitions);
   ECDB_CHECK(store->CreateTable(kTableId, "usertable", config_.columns).ok());
   Table* table = store->GetTable(kTableId);

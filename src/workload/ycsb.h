@@ -44,7 +44,7 @@ class YcsbWorkload : public Workload {
   explicit YcsbWorkload(YcsbConfig config);
 
   void LoadPartition(PartitionStore* store,
-                     const KeyPartitioner& partitioner) override;
+                     const KeyPartitioner& partitioner) const override;
 
   TxnRequest NextTxn(PartitionId home, Rng& rng) override;
 

@@ -533,6 +533,79 @@ TEST(ChaosDriverTest, BurstAndSpikeEndAfterTheirDuration) {
   EXPECT_EQ(driver.faults_applied(), 2u);
 }
 
+// Overlapping bursts: the earlier one's end does not cut the later one
+// short, and the later one's end falls back to the earlier one's loss
+// while that is still in its window.
+TEST(ChaosDriverTest, OverlappingBurstsEachLastTheirDuration) {
+  RecordingHost host(2);
+  ChaosDriver driver(&host, 0.01);
+  driver.Schedule(PlanOf(
+      2, {{.at_us = 10, .type = FaultType::kLossBurst, .duration_us = 40,
+           .probability = 0.5},
+          {.at_us = 20, .type = FaultType::kLossBurst, .duration_us = 100,
+           .probability = 0.3},
+          {.at_us = 30, .type = FaultType::kLossBurst, .duration_us = 30,
+           .probability = 0.9}}));
+  host.RunUntil(30);
+  EXPECT_EQ(host.drop_probability, 0.9);
+  host.RunUntil(50);  // the first burst ends inside the other two
+  EXPECT_EQ(host.drop_probability, 0.9);
+  host.RunUntil(60);  // the third ends: the second still holds
+  EXPECT_EQ(host.drop_probability, 0.3);
+  host.RunUntil(119);
+  EXPECT_EQ(host.drop_probability, 0.3);
+  host.RunUntil(120);
+  EXPECT_EQ(host.drop_probability, 0.01);
+}
+
+// Overlapping spikes on one link, planned in either direction, end the
+// same way; a spike on another link is independent.
+TEST(ChaosDriverTest, OverlappingSpikesOnALinkEachLastTheirDuration) {
+  RecordingHost host(3);
+  ChaosDriver driver(&host, 0.0);
+  driver.Schedule(PlanOf(
+      3, {{.at_us = 10, .type = FaultType::kDelaySpike, .a = 0, .b = 1,
+           .duration_us = 30, .delay_us = 700},
+          {.at_us = 20, .type = FaultType::kDelaySpike, .a = 1, .b = 0,
+           .duration_us = 50, .delay_us = 300},
+          {.at_us = 20, .type = FaultType::kDelaySpike, .a = 1, .b = 2,
+           .duration_us = 10, .delay_us = 900}}));
+  const auto delay = [&host](NodeId a, NodeId b) {
+    const auto it = host.delays.find({a, b});
+    return it == host.delays.end() ? Micros{0} : it->second;
+  };
+  host.RunUntil(20);
+  EXPECT_EQ(delay(0, 1), 300u);
+  EXPECT_EQ(delay(1, 0), 300u);
+  EXPECT_EQ(delay(2, 1), 900u);
+  host.RunUntil(30);
+  EXPECT_EQ(delay(1, 2), 0u);
+  EXPECT_EQ(delay(0, 1), 300u);
+  host.RunUntil(40);  // the first spike ends inside the second
+  EXPECT_EQ(delay(0, 1), 300u);
+  EXPECT_EQ(delay(1, 0), 300u);
+  host.RunUntil(70);
+  EXPECT_TRUE(host.delays.empty());
+}
+
+// A later spike that ends first falls back to the earlier one's delay.
+TEST(ChaosDriverTest, InnerSpikeEndFallsBackToOuterSpike) {
+  RecordingHost host(2);
+  ChaosDriver driver(&host, 0.0);
+  driver.Schedule(PlanOf(
+      2, {{.at_us = 10, .type = FaultType::kDelaySpike, .a = 0, .b = 1,
+           .duration_us = 100, .delay_us = 700},
+          {.at_us = 20, .type = FaultType::kDelaySpike, .a = 0, .b = 1,
+           .duration_us = 10, .delay_us = 300}}));
+  host.RunUntil(25);
+  EXPECT_EQ(host.delays[std::make_pair(NodeId{0}, NodeId{1})], 300u);
+  host.RunUntil(30);
+  EXPECT_EQ(host.delays[std::make_pair(NodeId{0}, NodeId{1})], 700u);
+  EXPECT_EQ(host.delays[std::make_pair(NodeId{1}, NodeId{0})], 700u);
+  host.RunUntil(110);
+  EXPECT_TRUE(host.delays.empty());
+}
+
 TEST(ChaosDriverTest, ClearFaultsRestoresAFaultFreeHost) {
   RecordingHost host(4);
   ChaosDriver driver(&host, 0.01);
@@ -646,8 +719,8 @@ TEST(ThreadNetworkChaosTest, ApplyPlanToThreadClusterStaysSafe) {
        .duration_us = 60'000, .probability = 0.02});
   plan.events.push_back(
       {.at_us = 200'000, .type = FaultType::kRecover, .a = 2});
-  // Blocks until the last event fired, then heals the network and
-  // recovers any node still down.
+  // Blocks until the plan horizon, then heals the network and recovers
+  // any node still down.
   ApplyPlanToThreadCluster(plan, &cluster, /*time_scale=*/1.0);
 
   cluster.RunFor(0.3);

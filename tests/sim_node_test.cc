@@ -184,7 +184,8 @@ class RepeatedWriteWorkload : public Workload {
   static constexpr uint64_t kColumn0 = 41;
   static constexpr uint64_t kColumn1 = 7;
 
-  void LoadPartition(PartitionStore* store, const KeyPartitioner&) override {
+  void LoadPartition(PartitionStore* store,
+                     const KeyPartitioner&) const override {
     ECDB_CHECK(store->CreateTable(kTable, "rows", 2).ok());
     ECDB_CHECK(store->GetTable(kTable)
                    ->InsertWith(store->id(), {kColumn0, kColumn1})
