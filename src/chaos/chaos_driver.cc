@@ -4,6 +4,8 @@
 #include <chrono>
 #include <thread>
 
+#include "sim/scheduler.h"
+
 namespace ecdb {
 
 namespace {
@@ -32,8 +34,8 @@ bool End(std::vector<Fault>* active, uint64_t id) {
          0;
 }
 
-/// ThreadCluster's levers. The plan clock is a queue of actions walked in
-/// wall clock on the calling thread by Run().
+/// ThreadCluster's levers. The plan clock is a Scheduler in plan time,
+/// walked in wall clock on the calling thread by Run().
 class ThreadFaultHost : public FaultHost {
  public:
   ThreadFaultHost(ThreadCluster* cluster, double time_scale)
@@ -54,43 +56,28 @@ class ThreadFaultHost : public FaultHost {
     cluster_->network().SetExtraDelay(
         a, b, static_cast<Micros>(static_cast<double>(extra_us) / time_scale_));
   }
-  Micros Now() const override { return now_; }
+  Micros Now() const override { return plan_.Now(); }
   void After(Micros delay_us, std::function<void()> fn) override {
-    actions_.push_back({now_ + delay_us, next_seq_++, std::move(fn)});
-    std::push_heap(actions_.begin(), actions_.end(), Later);
+    plan_.ScheduleAfter(delay_us, std::move(fn));
   }
 
   /// Fires every action, including the ones actions schedule, each at
   /// its plan time / time_scale after the call.
   void Run() {
     const auto start = std::chrono::steady_clock::now();
-    while (!actions_.empty()) {
-      std::pop_heap(actions_.begin(), actions_.end(), Later);
-      Action action = std::move(actions_.back());
-      actions_.pop_back();
-      now_ = action.at_us;
+    Micros next;
+    while (plan_.NextEventAt(&next)) {
       std::this_thread::sleep_until(
           start + std::chrono::microseconds(static_cast<uint64_t>(
-                      static_cast<double>(now_) / time_scale_)));
-      action.fn();
+                      static_cast<double>(next) / time_scale_)));
+      plan_.RunUntil(next);
     }
   }
 
  private:
-  struct Action {
-    Micros at_us;
-    uint64_t seq;
-    std::function<void()> fn;
-  };
-  static bool Later(const Action& x, const Action& y) {
-    return x.at_us != y.at_us ? x.at_us > y.at_us : x.seq > y.seq;
-  }
-
   ThreadCluster* cluster_;
   double time_scale_;
-  Micros now_ = 0;
-  uint64_t next_seq_ = 0;
-  std::vector<Action> actions_;  // min-heap on (at_us, seq)
+  Scheduler plan_;
 };
 
 }  // namespace

@@ -93,13 +93,13 @@ void NodeCore::StartClients() {
     return;
   }
   for (uint32_t slot = 0; slot < clients_.size(); ++slot) {
-    StartNewClientTxn(slot);
+    StartNewClientTxn(slot, NowUs());
   }
 }
 
 NodeCore::TimerId NodeCore::ArmNodeTimer(Micros at, NodeTimerKind kind,
                                          TxnId txn, uint32_t slot) {
-  return ScheduleTimer(at, NodeTimer{kind, txn, slot, id_, epoch_});
+  return ScheduleTimer(at, NodeTimer{kind, txn, slot, epoch_});
 }
 
 bool NodeCore::FireTimer(const NodeTimer& timer) {
@@ -158,7 +158,9 @@ void NodeCore::OnArrival() {
   }
   const uint32_t slot = free_client_slots_.back();
   free_client_slots_.pop_back();
-  StartNewClientTxn(slot);
+  // Stamped at the arrival's deadline, not when the host got to it: a
+  // host that fell behind shows its lateness in the latency it reports.
+  StartNewClientTxn(slot, next_arrival_us_);
 }
 
 // --------------------------------------------------------------------------
@@ -488,11 +490,11 @@ void NodeCore::HandleRemoteRollback(const Message& msg) {
 // Coordinator paths
 // --------------------------------------------------------------------------
 
-void NodeCore::StartNewClientTxn(uint32_t slot) {
+void NodeCore::StartNewClientTxn(uint32_t slot, Micros start_us) {
   if (quiesced()) return;
   ClientSlot& client = clients_[slot];
   client.request = workload_->NextTxn(id_, rng_);
-  client.first_start_us = NowUs();
+  client.first_start_us = start_us;
   client.attempts = 0;
   client.in_flight = true;
   StartAttempt(slot);
@@ -665,7 +667,7 @@ void NodeCore::FinishCommitted(TxnId txn) {
     return;
   }
   // Closed loop: the client immediately submits its next transaction.
-  StartNewClientTxn(slot);
+  StartNewClientTxn(slot, NowUs());
 }
 
 void NodeCore::AbortAttempt(TxnId txn, bool send_rollbacks) {
@@ -924,7 +926,7 @@ bool NodeCore::RecoverCore() {
       ScheduleNextArrival();
     } else {
       for (uint32_t slot = 0; slot < clients_.size(); ++slot) {
-        if (!clients_[slot].in_flight) StartNewClientTxn(slot);
+        if (!clients_[slot].in_flight) StartNewClientTxn(slot, NowUs());
       }
     }
   }

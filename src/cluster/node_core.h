@@ -31,14 +31,12 @@ namespace ecdb {
 enum class NodeTimerKind : uint8_t { kProtocol, kExec, kRetry, kArrival };
 
 /// Payload of one armed timer; the host hands it back to
-/// NodeCore::FireTimer when it is due. `node` routes the firing on hosts
-/// that share one timer queue between nodes; `epoch` is the node's crash
+/// NodeCore::FireTimer when it is due. `epoch` is the node's crash
 /// generation at arm time, so a crash orphans every timer armed before it.
 struct NodeTimer {
   NodeTimerKind kind = NodeTimerKind::kProtocol;
   TxnId txn = kInvalidTxn;
   uint32_t slot = 0;
-  NodeId node = kInvalidNode;
   uint32_t epoch = 0;
 };
 
@@ -300,7 +298,9 @@ class NodeCore : public CommitEnv {
   void HandleRemoteRollback(const Message& msg);
 
   // Coordinator paths.
-  void StartNewClientTxn(uint32_t slot);
+  /// Submits the client's next transaction; its end-to-end latency counts
+  /// from `start_us` (an open-loop arrival's deadline, else now).
+  void StartNewClientTxn(uint32_t slot, Micros start_us);
   void StartAttempt(uint32_t slot);
   void RunLocalExec(TxnId txn);
   void LocalExecDone(TxnId txn, bool ok);

@@ -645,7 +645,9 @@ void SocketNetwork::ReadPeer(NodeId id) {
                         std::memory_order_relaxed);
     p.decoder.Feed(read_buf_.data(), static_cast<size_t>(got));
     while (p.decoder.Next(&rx_frame_)) {
-      if (rx_frame_.dst != self_) continue;  // misrouted; drop
+      // The hello (or our connect) fixed who is on this connection: a frame
+      // naming another sender, or another receiver, is misrouted; drop it.
+      if (rx_frame_.dst != self_ || rx_frame_.src != id) continue;
       frames_in_.fetch_add(1, std::memory_order_relaxed);
       messages_in_.fetch_add(rx_frame_.messages.size(),
                              std::memory_order_relaxed);

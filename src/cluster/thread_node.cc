@@ -38,15 +38,17 @@ ThreadNode::ThreadNode(NodeId id, const ThreadClusterConfig& config,
 ThreadNode::~ThreadNode() = default;
 
 // Every co-hosted node reads its worker's clock, so all deadlines in the
-// shared timer heap are on one time axis.
+// shared timer queue are on one time axis.
 Micros ThreadNode::NowUs() const { return host_->NowUs(); }
 
 NodeCore::TimerId ThreadNode::ScheduleTimer(Micros at,
                                             const NodeTimer& timer) {
-  return host_->ScheduleTimer(at, timer);
+  return host_->timers().ScheduleAt(at, [this, timer]() {
+    if (FireTimer(timer)) metrics().Add(metrics().ids->worker_timers_fired);
+  });
 }
 
-void ThreadNode::UnscheduleTimer(TimerId id) { host_->CancelTimer(id); }
+void ThreadNode::UnscheduleTimer(TimerId id) { host_->timers().Cancel(id); }
 
 void ThreadNode::Run(Work work, TaskFn fn) {
   (void)work;  // no cost model: the work is the real CPU time it takes

@@ -32,7 +32,7 @@ struct ThreadClusterConfig : NodeConfig {
 
   /// Worker-pool size for the shard-per-core runtime: nodes are hosted
   /// M:N on `worker_threads` event-loop workers (node_id % workers), each
-  /// with one mailbox and one shared timer heap. 0 keeps the historical
+  /// with one mailbox and one shared timer queue. 0 keeps the historical
   /// thread-per-node behaviour (one worker per node). Values above
   /// num_nodes are clamped. For a fixed pool sized to the machine, pass
   /// std::thread::hardware_concurrency().
@@ -47,7 +47,7 @@ struct ThreadClusterConfig : NodeConfig {
 /// ThreadWorker (node_id % workers), thread-confined to that worker.
 /// Cross-worker communication goes through ThreadNetwork mailboxes;
 /// same-worker sends ride the worker's local queue. Node work runs inline
-/// on the worker thread and timers live in the worker's shared heap. Every
+/// on the worker thread and timers live in the worker's shared queue. Every
 /// send is buffered per destination and leaves at the end of the loop
 /// iteration, after the iteration's WAL appends are group-committed:
 /// coalesce_transport sets the frame cap (a whole buffer per frame, or one

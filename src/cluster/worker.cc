@@ -84,18 +84,6 @@ void ThreadWorker::DispatchBatch(std::vector<Message>& batch) {
   }
 }
 
-void ThreadWorker::FireDueTimers() {
-  const Micros now = NowUs();
-  NodeTimer timer;
-  while (timers_.PopDue(now, &timer)) {
-    // A crash bumped the owner's epoch: everything it armed before is
-    // stale and the node declines it. Timers of co-hosted nodes pop
-    // normally around the stale ones.
-    if (!NodeFor(timer.node)->FireTimer(timer)) continue;
-    metrics_.Add(metrics_.ids->worker_timers_fired);
-  }
-}
-
 void ThreadWorker::FlushAll() {
   // Write-ahead order per node: FlushOutput makes the node's WAL group
   // durable before any of its buffered frames leave (local or remote).
@@ -136,7 +124,7 @@ void ThreadWorker::Loop() {
     // leftover local work (a bounded drain bailed out) means no sleep.
     Micros wait_us = local_queue_.empty() ? 1000 : 0;
     Micros deadline = 0;
-    if (wait_us != 0 && timers_.PeekDeadline(&deadline)) {
+    if (wait_us != 0 && timers_.NextEventAt(&deadline)) {
       const Micros now = NowUs();
       wait_us = deadline <= now ? 0 : std::min<Micros>(1000, deadline - now);
     }
@@ -151,7 +139,10 @@ void ThreadWorker::Loop() {
       metrics_.Add(metrics_.ids->worker_mailbox_msgs, inbox.size());
       DispatchBatch(inbox);
     }
-    FireDueTimers();
+    // A crash bumped its node's epoch: the node declines every timer it
+    // armed before (see ThreadNode::ScheduleTimer), while co-hosted nodes'
+    // timers fire normally around them.
+    timers_.RunUntil(NowUs());
     FlushAll();
     DrainLocal();
   }

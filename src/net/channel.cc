@@ -1,6 +1,5 @@
 #include "net/channel.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace ecdb {
@@ -17,6 +16,14 @@ uint64_t SplitMix64(uint64_t x) {
 
 double HashToUnit(uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+// The delay pump's time axis: steady-clock microseconds.
+Micros SteadyUs() {
+  return static_cast<Micros>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
 }
 
 }  // namespace
@@ -168,10 +175,10 @@ void ThreadNetwork::FaultSend(Message msg) {
     {
       std::lock_guard<std::mutex> lock(delay_mu_);
       if (!delay_stop_) {
-        delayed_.push_back(
-            {std::chrono::steady_clock::now() +
-                 std::chrono::microseconds(delay),
-             std::move(msg)});
+        delayed_.ScheduleAt(SteadyUs() + delay,
+                            [this, m = std::move(msg)]() mutable {
+                              Deliver(std::move(m));
+                            });
       }
     }
     delay_cv_.notify_one();
@@ -192,25 +199,17 @@ void ThreadNetwork::Deliver(Message msg) {
 void ThreadNetwork::DelayPump() {
   std::unique_lock<std::mutex> lock(delay_mu_);
   while (!delay_stop_) {
-    if (delayed_.empty()) {
+    Micros due;
+    if (!delayed_.NextEventAt(&due)) {
       delay_cv_.wait(lock);
       continue;
     }
-    auto min_it = std::min_element(
-        delayed_.begin(), delayed_.end(),
-        [](const DelayedMessage& a, const DelayedMessage& b) {
-          return a.due < b.due;
-        });
-    if (min_it->due > std::chrono::steady_clock::now()) {
-      delay_cv_.wait_until(lock, min_it->due);
-      continue;  // re-scan: the set may have changed while waiting
+    if (due > SteadyUs()) {
+      delay_cv_.wait_until(lock, std::chrono::steady_clock::time_point(
+                                     std::chrono::microseconds(due)));
+      continue;  // re-check: an earlier message may have arrived
     }
-    Message msg = std::move(min_it->msg);
-    *min_it = std::move(delayed_.back());
-    delayed_.pop_back();
-    lock.unlock();
-    Deliver(std::move(msg));
-    lock.lock();
+    delayed_.RunUntil(SteadyUs());
   }
 }
 
@@ -292,8 +291,7 @@ bool ThreadNetwork::IsCrashed(NodeId node) const {
 void ThreadNetwork::Shutdown() {
   {
     std::lock_guard<std::mutex> lock(delay_mu_);
-    delay_stop_ = true;
-    delayed_.clear();  // pending delayed messages die with the network
+    delay_stop_ = true;  // pending delayed messages die with the network
   }
   delay_cv_.notify_all();
   if (delay_thread_.joinable()) delay_thread_.join();

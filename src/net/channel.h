@@ -15,6 +15,7 @@
 #include "common/types.h"
 #include "net/message.h"
 #include "net/network.h"
+#include "sim/scheduler.h"
 
 namespace ecdb {
 
@@ -150,11 +151,6 @@ class ThreadNetwork {
     return *channels_[node % channels_.size()];
   }
 
-  struct DelayedMessage {
-    std::chrono::steady_clock::time_point due;
-    Message msg;
-  };
-
   static uint64_t UndirectedKey(NodeId a, NodeId b) {
     NodeId lo = a < b ? a : b;
     NodeId hi = a < b ? b : a;
@@ -186,11 +182,14 @@ class ThreadNetwork {
   std::atomic<uint64_t> fault_seed_{0x6563646273656564ULL};  // "ecdbseed"
   std::atomic<uint64_t> fault_counter_{0};
 
-  // Delayed-delivery pump (lazily spawned on first SetExtraDelay).
+  // Delayed-delivery pump (lazily spawned on first SetExtraDelay). The
+  // queue is keyed in steady-clock microseconds; the pump delivers due
+  // messages while holding delay_mu_, so the lock order is delay_mu_ ->
+  // mailbox mutex and no path may take delay_mu_ under a mailbox mutex.
   std::thread delay_thread_;
   std::mutex delay_mu_;
   std::condition_variable delay_cv_;
-  std::vector<DelayedMessage> delayed_;
+  Scheduler delayed_;
   bool delay_stop_ = false;
 
   // SimNetwork-style counters (armed fault path only).

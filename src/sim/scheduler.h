@@ -11,10 +11,18 @@
 namespace ecdb {
 
 /// Deterministic discrete-event scheduler: the heart of the simulated
-/// cluster. Events fire in (time, insertion-order) order, so two runs with
-/// the same seed replay identically. All simulated components (network
-/// delivery, worker completions, protocol timeouts, client arrivals) are
-/// events on one scheduler.
+/// cluster, and the only timed-event queue in the repo. Events fire in
+/// (time, insertion-order) order, so two runs with the same seed replay
+/// identically. All simulated components (network delivery, worker
+/// completions, protocol timeouts, client arrivals) are events on one
+/// scheduler.
+///
+/// Wall-clock hosts use the same queue on their own time axis: a threaded
+/// worker's timers, the threaded network's fault-delay pump and the
+/// threaded fault plan arm events with absolute `ScheduleAt` deadlines and
+/// fire them with `RunUntil(now)`, sleeping until `NextEventAt` between
+/// turns. The clock then only records the last `RunUntil` bound; deadlines
+/// already behind it are clamped to it and fire on the next turn.
 ///
 /// Implementation notes (this is the hottest structure in the repo — every
 /// simulated message and timer passes through it twice):
@@ -30,9 +38,12 @@ namespace ecdb {
 ///    paid a node allocation and a hash insert/erase per event.
 ///  * `ScheduleAt` is a template so the callable is constructed directly in
 ///    its slot; the hot path lives in this header to inline into callers.
-///  * `Cancel` is O(1): bumping the slot's generation invalidates the queue
-///    entry in place (it is skipped lazily at pop time) and destroys the
-///    captured state eagerly, matching the old map-erase semantics.
+///  * `Cancel` is amortized O(1): bumping the slot's generation invalidates
+///    the queue entry in place (it is skipped lazily at pop time) and
+///    destroys the captured state eagerly, matching the old map-erase
+///    semantics. Once cancelled entries outnumber live ones they are
+///    dropped in bulk, so a queue whose timers are nearly all cancelled
+///    (protocol timeouts, the execution watchdog) stays shallow.
 class Scheduler {
  public:
   using TaskId = uint64_t;
@@ -86,6 +97,15 @@ class Scheduler {
     slots_[slot].task = Task();
     RetireSlot(slot);
     --live_count_;
+    if (heap_.size() > 64 && heap_.size() > 2 * live_count_) Compact();
+    return true;
+  }
+
+  /// Earliest pending (non-cancelled) deadline, if any event is pending.
+  bool NextEventAt(Micros* when) {
+    const Entry* head = PeekLive();
+    if (head == nullptr) return false;
+    *when = head->when;
     return true;
   }
 
@@ -165,6 +185,19 @@ class Scheduler {
       PopHeap();  // stale: cancelled (or slot since recycled)
     }
     return nullptr;
+  }
+
+  /// Drops cancelled entries and re-heapifies. (when, seq) is a total
+  /// order, so the pop sequence is unchanged.
+  void Compact() {
+    size_t kept = 0;
+    for (const Entry& e : heap_) {
+      if (LiveEntry(e)) heap_[kept++] = e;
+    }
+    heap_.resize(kept);
+    for (size_t i = kept / 4 + 1; i-- > 0;) {
+      if (i < kept) SiftDown(i);
+    }
   }
 
   /// Pops the (live) head, retires its slot, and runs its task.

@@ -689,6 +689,23 @@ TEST(ThreadNetworkChaosTest, ExtraDelayDefersDelivery) {
   net.Shutdown();
 }
 
+TEST(ThreadNetworkChaosTest, DelayedMessagesArriveInDueOrder) {
+  ThreadNetwork net(3);
+  net.SetExtraDelay(0, 2, 40'000);
+  net.SetExtraDelay(1, 2, 10'000);
+  net.Send(Make(0, 2));  // due in 40 ms
+  net.Send(Make(1, 2));  // due in 10 ms: overtakes the first
+  std::vector<Message> got;
+  std::vector<Message> batch;
+  while (got.size() < 2 && net.channel(2).PopAll(&batch, 2000ms)) {
+    for (Message& m : batch) got.push_back(std::move(m));
+  }
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].src, 1u);
+  EXPECT_EQ(got[1].src, 0u);
+  net.Shutdown();
+}
+
 TEST(ThreadNetworkChaosTest, ApplyPlanToThreadClusterStaysSafe) {
   ThreadClusterConfig cfg;
   cfg.num_nodes = 3;

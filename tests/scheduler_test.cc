@@ -268,6 +268,47 @@ TEST_P(SchedulerBackendTest, InsertEarlierThanPendingHeadBetweenRuns) {
   EXPECT_EQ(fired, (std::vector<Micros>{600, 1000}));
 }
 
+TEST_P(SchedulerBackendTest, NextEventAtSkipsCancelledHead) {
+  Micros when = 0;
+  EXPECT_FALSE(s.NextEventAt(&when));
+  const Scheduler::TaskId head = s.ScheduleAt(10, [] {});
+  s.ScheduleAt(30, [] {});
+  ASSERT_TRUE(s.NextEventAt(&when));
+  EXPECT_EQ(when, 10u);
+  ASSERT_TRUE(s.Cancel(head));
+  ASSERT_TRUE(s.NextEventAt(&when));
+  EXPECT_EQ(when, 30u);
+  EXPECT_EQ(s.Now(), 0u);  // peeking never advances the clock
+  s.RunAll();
+  EXPECT_FALSE(s.NextEventAt(&when));
+}
+
+// Cancelling most events compacts the queue; the survivors still run in
+// exact (time, schedule order) order and none is lost.
+TEST_P(SchedulerBackendTest, CompactionKeepsLiveTimersInOrder) {
+  std::vector<std::pair<Micros, uint32_t>> expected;  // (time, index)
+  std::vector<Scheduler::TaskId> ids;
+  std::vector<uint32_t> ran;
+  for (uint32_t i = 0; i < 2000; ++i) {
+    const Micros when = (i * 7919u) % 500;  // many equal times
+    ids.push_back(s.ScheduleAt(when, [&ran, i] { ran.push_back(i); }));
+  }
+  for (uint32_t i = 0; i < 2000; ++i) {
+    if (i % 10 == 3) {
+      expected.emplace_back((i * 7919u) % 500, i);
+    } else {
+      EXPECT_TRUE(s.Cancel(ids[i]));
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(s.PendingCount(), expected.size());
+  EXPECT_EQ(s.RunAll(), expected.size());
+  ASSERT_EQ(ran.size(), expected.size());
+  for (size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(ran[k], expected[k].second) << "time " << expected[k].first;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, SchedulerBackendTest,
                          ::testing::Values(QueueBackend::kHeap),
                          [](const ::testing::TestParamInfo<QueueBackend>&) {

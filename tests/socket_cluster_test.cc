@@ -6,13 +6,21 @@
 
 #include "cluster/socket_cluster.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <stdlib.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "net/frame.h"
 #include "wal/wal.h"
 
 namespace ecdb {
@@ -257,6 +265,55 @@ TEST(SocketClusterTest, UncoalescedPathStillConverges) {
   // One message per frame, one syscall per frame: no batching anywhere.
   EXPECT_EQ(io.frames_out, io.messages_out);
   EXPECT_EQ(io.corrupt_resets, 0u);
+}
+
+MessageFrame FrameFrom(NodeId src, NodeId dst) {
+  MessageFrame frame;
+  frame.src = src;
+  frame.dst = dst;
+  Message msg;
+  msg.src = src;
+  msg.dst = dst;
+  msg.txn = MakeTxnId(src, 1);
+  frame.messages.push_back(msg);
+  return frame;
+}
+
+// The hello fixes who is on a data connection: a frame on it that names
+// another sender is dropped, and only the peer's own frame reaches the
+// node's mailbox.
+TEST(SocketNetworkTest, DropsFramesFromAForeignSender) {
+  SocketNetwork net(/*self=*/2, /*num_nodes=*/3);
+  const uint16_t port = net.Listen();
+  net.StartIo();
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  // Hello [magic u32][node id u32]: this connection is node 0's. The
+  // forged frame goes first, so once the good one is in, the forged one
+  // has been decoded too.
+  const uint32_t hello[2] = {0xEC5C1A10, 0};
+  std::vector<uint8_t> bytes(sizeof(hello));
+  std::memcpy(bytes.data(), hello, sizeof(hello));
+  EncodeFrameToStream(FrameFrom(/*src=*/1, /*dst=*/2), &bytes);
+  EncodeFrameToStream(FrameFrom(/*src=*/0, /*dst=*/2), &bytes);
+  ASSERT_EQ(write(fd, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  std::vector<Message> got;
+  std::vector<Message> batch;
+  while (got.empty() &&
+         net.channel(2).PopAll(&batch, std::chrono::seconds(5))) {
+    got.insert(got.end(), batch.begin(), batch.end());
+  }
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].src, 0u);
+  EXPECT_EQ(net.io_stats().frames_in, 1u);
+  close(fd);
+  net.StopIo();
 }
 
 }  // namespace

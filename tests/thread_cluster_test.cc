@@ -6,10 +6,11 @@
 #include <stdlib.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -346,31 +347,35 @@ TEST(ThreadClusterTest, OpenLoopGeneratesLoadAndConserves) {
   EXPECT_TRUE(cluster.monitor().Violations().empty());
 }
 
-// Cancelling most timers compacts the heap; the survivors still pop in
-// exact (deadline, arm order) order and none is lost.
-TEST(WorkerTimerHeapTest, CompactionKeepsLiveTimersInOrder) {
-  WorkerTimerHeap heap;
-  std::vector<std::pair<Micros, uint32_t>> expected;  // (deadline, arm index)
-  std::vector<WorkerTimerHeap::Id> ids;
-  for (uint32_t i = 0; i < 2000; ++i) {
-    const Micros when = (i * 7919u) % 500;  // many equal deadlines
-    ids.push_back(heap.Schedule(when, NodeTimer{.slot = i}));
+// YCSB whose transaction generation takes 3 ms of wall clock: the worker
+// reaches every open-loop arrival at least that late.
+class SlowNextTxnYcsb : public YcsbWorkload {
+ public:
+  using YcsbWorkload::YcsbWorkload;
+  TxnRequest NextTxn(PartitionId home, Rng& rng) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    return YcsbWorkload::NextTxn(home, rng);
   }
-  for (uint32_t i = 0; i < 2000; ++i) {
-    if (i % 10 == 3) {
-      expected.emplace_back((i * 7919u) % 500, i);
-    } else {
-      EXPECT_TRUE(heap.Cancel(ids[i]));
-    }
+};
+
+// An open-loop transaction's latency counts from its arrival's deadline,
+// so time the host spent getting to it (here: generating it) shows.
+TEST(ThreadClusterTest, OpenLoopLatencyCountsFromArrivalDeadline) {
+  ThreadClusterConfig cfg = SmallConfig(CommitProtocol::kEasyCommit);
+  cfg.open_loop.enabled = true;
+  cfg.open_loop.arrivals_per_sec_per_node = 50.0;
+  cfg.open_loop.max_in_flight_per_node = 4;
+  ThreadCluster cluster(cfg, std::make_unique<SlowNextTxnYcsb>(SmallYcsb()));
+  cluster.Start();
+  uint64_t committed = 0;
+  for (int i = 0; i < 40 && committed < 5; ++i) {
+    cluster.RunFor(0.2);
+    committed = cluster.TotalCommitted();
   }
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(heap.pending(), expected.size());
-  NodeTimer timer;
-  for (const auto& [when, index] : expected) {
-    ASSERT_TRUE(heap.PopDue(1000, &timer));
-    EXPECT_EQ(timer.slot, index) << "deadline " << when;
-  }
-  EXPECT_FALSE(heap.PopDue(1000, &timer));
+  cluster.Stop();
+  const ClusterStats stats = cluster.CollectStats(0);
+  ASSERT_GT(stats.total.latency.count(), 0u);
+  EXPECT_GE(stats.total.latency.min(), 3000u);
 }
 
 // --- Shard-per-core worker pool (worker_threads > 0) ---
