@@ -34,10 +34,9 @@ class BankWorkload : public Workload {
     (void)partitioner;
     Status s = store->CreateTable(kAccounts, "accounts", /*num_columns=*/2);
     ECDB_CHECK(s.ok());
-    Table* accounts = store->GetTable(kAccounts);
-    for (uint64_t a = 0; a < kAccountsPerBranch; ++a) {
-      ECDB_CHECK(accounts->Insert(AccountKey(store->id(), a)).ok());
-    }
+    // Accounts 0..n-1 of this branch: keys branch, branch + B, ...
+    store->GetTable(kAccounts)->InsertRange(AccountKey(store->id(), 0),
+                                            branches_, kAccountsPerBranch);
   }
 
   TxnRequest NextTxn(PartitionId home, Rng& rng) override {

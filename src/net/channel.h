@@ -170,11 +170,14 @@ class ThreadNetwork {
   std::vector<std::atomic<bool>> crashed_;
   std::atomic<uint64_t> from_crashed_{0};
   std::atomic<uint64_t> to_crashed_{0};
-  std::atomic<uint64_t> frames_sent_{0};
+  // Every worker bumps these on every frame: they get a cache line of
+  // their own, apart from the fields every send reads (channels_, crashed_,
+  // faults_armed_).
+  alignas(64) std::atomic<uint64_t> frames_sent_{0};
   std::atomic<uint64_t> coalesced_{0};
 
   // Fault state (guarded by fault_mu_; armed flag checked lock-free).
-  std::atomic<bool> faults_armed_{false};
+  alignas(64) std::atomic<bool> faults_armed_{false};
   mutable std::mutex fault_mu_;
   double drop_probability_ = 0.0;
   std::unordered_set<uint64_t> links_down_;          // undirected

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <utility>
 
 namespace ecdb {
 
@@ -45,7 +46,7 @@ uint64_t WriteAheadLog::AppendBatch(std::vector<LogRecord>* records) {
 
 uint64_t MemoryWal::Append(LogRecord record) {
   record.lsn = records_.size() + 1;
-  records_.push_back(record);
+  records_.push_back(std::move(record));  // lsn stays readable below
   appended_since_flush_++;
   return record.lsn;
 }

@@ -69,35 +69,20 @@ void TpccWorkload::LoadPartition(PartitionStore* store,
   ECDB_CHECK(store->CreateTable(kStock, "stock", kStockCols).ok());
   ECDB_CHECK(store->CreateTable(kItem, "item", kItemCols).ok());
 
-  // Pre-size the row indices so the bulk load below never rehashes.
-  const uint64_t local_warehouses = config_.warehouses_per_partition;
-  const uint64_t districts = local_warehouses * config_.districts_per_warehouse;
-  store->GetTable(kWarehouse)->Reserve(local_warehouses);
-  store->GetTable(kDistrict)->Reserve(districts);
-  store->GetTable(kCustomer)->Reserve(districts *
-                                      config_.customers_per_district);
-  store->GetTable(kStock)->Reserve(local_warehouses * config_.items);
-  store->GetTable(kItem)->Reserve(config_.items);
-
+  // The partition owns warehouses part, part + P, ... (w % P == part), so
+  // each table's local row numbers run 0..n-1 and its keys row * P + part
+  // form one progression with stride P: one dense range per table.
   const PartitionId part = store->id();
-  for (uint32_t w = 0; w < total_warehouses(); ++w) {
-    if (PartitionOfWarehouse(w) != part) continue;
-    ECDB_CHECK(store->GetTable(kWarehouse)->Insert(WarehouseKey(w)).ok());
-    for (uint32_t d = 0; d < config_.districts_per_warehouse; ++d) {
-      ECDB_CHECK(store->GetTable(kDistrict)->Insert(DistrictKey(w, d)).ok());
-      for (uint32_t c = 0; c < config_.customers_per_district; ++c) {
-        ECDB_CHECK(
-            store->GetTable(kCustomer)->Insert(CustomerKey(w, d, c)).ok());
-      }
-    }
-    for (uint32_t i = 0; i < config_.items; ++i) {
-      ECDB_CHECK(store->GetTable(kStock)->Insert(StockKey(w, i)).ok());
-    }
-  }
+  const uint32_t P = config_.num_partitions;
+  const uint32_t warehouses = config_.warehouses_per_partition;
+  const uint32_t districts = warehouses * config_.districts_per_warehouse;
+  store->GetTable(kWarehouse)->InsertRange(part, P, warehouses);
+  store->GetTable(kDistrict)->InsertRange(part, P, districts);
+  store->GetTable(kCustomer)
+      ->InsertRange(part, P, districts * config_.customers_per_district);
+  store->GetTable(kStock)->InsertRange(part, P, warehouses * config_.items);
   // Replicated ITEM copy for this partition.
-  for (uint32_t i = 0; i < config_.items; ++i) {
-    ECDB_CHECK(store->GetTable(kItem)->Insert(ItemKey(part, i)).ok());
-  }
+  store->GetTable(kItem)->InsertRange(ItemKey(part, 0), P, config_.items);
 }
 
 uint32_t TpccWorkload::HomeWarehouse(PartitionId home, Rng& rng) const {

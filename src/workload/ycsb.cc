@@ -15,17 +15,19 @@ YcsbWorkload::YcsbWorkload(YcsbConfig config)
   ECDB_CHECK(config_.columns >= 1);
   // Distinct-key sampling must be able to terminate.
   ECDB_CHECK(config_.rows_per_partition >= config_.ops_per_txn);
+  // Row ids are 32-bit.
+  ECDB_CHECK(config_.rows_per_partition <= UINT32_MAX);
 }
 
 void YcsbWorkload::LoadPartition(PartitionStore* store,
                                  const KeyPartitioner& partitioner) const {
   ECDB_CHECK(partitioner.num_partitions() == config_.num_partitions);
   ECDB_CHECK(store->CreateTable(kTableId, "usertable", config_.columns).ok());
-  Table* table = store->GetTable(kTableId);
-  table->Reserve(config_.rows_per_partition);  // no rehash mid-load
-  for (uint64_t row = 0; row < config_.rows_per_partition; ++row) {
-    ECDB_CHECK(table->Insert(EncodeKey(store->id(), row)).ok());
-  }
+  // Rows 0..R-1 of this partition: keys part, part + P, part + 2P, ...
+  store->GetTable(kTableId)->InsertRange(EncodeKey(store->id(), 0),
+                                         config_.num_partitions,
+                                         static_cast<uint32_t>(
+                                             config_.rows_per_partition));
 }
 
 TxnRequest YcsbWorkload::NextTxn(PartitionId home, Rng& rng) {

@@ -116,7 +116,7 @@ TEST(AllocationTripwire, CounterSeesHeapAllocations) {
 }
 
 // Ceilings sit ~20% above the counts measured with libstdc++ 12 (n=4:
-// 615 setup allocations, 10.85 per commit; n=16: 2,265 and 10.99). Setup
+// 607 setup allocations, 10.85 per commit; n=16: 2,233 and 10.99). Setup
 // includes the partition loader threads, a few allocations each (8 on a
 // 4-core machine). A heap buffer per loaded row would put setup in the
 // tens of thousands; one per lock grant, undo record or applied decision,

@@ -2,7 +2,9 @@
 // starts (LoadPartitions). Each load touches only its own PartitionStore,
 // so after Start() every partition must hold exactly what a sequential
 // LoadPartition into a fresh store produces. More partitions than cores,
-// so loader threads take several partitions each.
+// so loader threads take several partitions each. The loaders bulk-load
+// dense key ranges (Table::InsertRange); a store built by one Insert per
+// key, from the workloads' key encodings, is the independent reference.
 
 #include <algorithm>
 #include <memory>
@@ -111,6 +113,82 @@ void CheckThreadCluster(std::unique_ptr<Workload> (*make)(uint32_t),
   for (NodeId id = 0; id < n; ++id) {
     ExpectSequentialImage(*reference, n, id, cluster.node(id).store(),
                           max_table);
+  }
+}
+
+/// A store with `loaded`'s schema whose rows come from Insert(key) per key.
+PartitionStore PerKeyStore(const PartitionStore& loaded, TableId max_table,
+                           const std::vector<std::vector<Key>>& keys) {
+  PartitionStore out(loaded.id());
+  for (TableId id = 0; id <= max_table; ++id) {
+    const Table* table = loaded.GetTable(id);
+    if (table == nullptr) continue;
+    EXPECT_TRUE(
+        out.CreateTable(id, table->name(), table->num_columns()).ok());
+    for (Key key : keys[id]) {
+      EXPECT_TRUE(out.GetTable(id)->Insert(key).ok()) << key;
+    }
+  }
+  return out;
+}
+
+TEST(ParallelLoadTest, YcsbLoadMatchesPerKeyInserts) {
+  constexpr uint32_t kParts = 3;
+  YcsbConfig cfg;
+  cfg.num_partitions = kParts;
+  cfg.rows_per_partition = 777;
+  const YcsbWorkload ycsb(cfg);
+  for (PartitionId part = 0; part < kParts; ++part) {
+    PartitionStore loaded(part);
+    ycsb.LoadPartition(&loaded, KeyPartitioner(kParts));
+    std::vector<std::vector<Key>> keys(1);
+    for (uint64_t row = 0; row < cfg.rows_per_partition; ++row) {
+      keys[YcsbWorkload::kTableId].push_back(ycsb.EncodeKey(part, row));
+    }
+    const PartitionStore want =
+        PerKeyStore(loaded, YcsbWorkload::kTableId, keys);
+    ASSERT_EQ(loaded.num_tables(), want.num_tables());
+    EXPECT_TRUE(ImageOf(loaded, YcsbWorkload::kTableId) ==
+                ImageOf(want, YcsbWorkload::kTableId))
+        << "partition " << part;
+  }
+}
+
+TEST(ParallelLoadTest, TpccLoadMatchesPerKeyInserts) {
+  constexpr uint32_t kParts = 3;
+  TpccConfig cfg;
+  cfg.num_partitions = kParts;
+  cfg.warehouses_per_partition = 2;  // warehouses p and p + 3 per partition
+  cfg.customers_per_district = 8;
+  cfg.items = 50;
+  const TpccWorkload tpcc(cfg);
+  for (PartitionId part = 0; part < kParts; ++part) {
+    PartitionStore loaded(part);
+    tpcc.LoadPartition(&loaded, KeyPartitioner(kParts));
+    std::vector<std::vector<Key>> keys(TpccWorkload::kItem + 1);
+    for (uint32_t w = 0; w < tpcc.total_warehouses(); ++w) {
+      if (tpcc.PartitionOfWarehouse(w) != part) continue;
+      keys[TpccWorkload::kWarehouse].push_back(tpcc.WarehouseKey(w));
+      for (uint32_t d = 0; d < cfg.districts_per_warehouse; ++d) {
+        keys[TpccWorkload::kDistrict].push_back(tpcc.DistrictKey(w, d));
+        for (uint32_t c = 0; c < cfg.customers_per_district; ++c) {
+          keys[TpccWorkload::kCustomer].push_back(tpcc.CustomerKey(w, d, c));
+        }
+      }
+      for (uint32_t i = 0; i < cfg.items; ++i) {
+        keys[TpccWorkload::kStock].push_back(tpcc.StockKey(w, i));
+      }
+    }
+    for (uint32_t i = 0; i < cfg.items; ++i) {
+      keys[TpccWorkload::kItem].push_back(tpcc.ItemKey(part, i));
+    }
+    const PartitionStore want = PerKeyStore(loaded, TpccWorkload::kItem, keys);
+    ASSERT_EQ(loaded.num_tables(), want.num_tables());
+    const std::vector<TableImage> image = ImageOf(loaded, TpccWorkload::kItem);
+    ASSERT_EQ(image.size(), 5u);
+    for (const TableImage& table : image) ASSERT_FALSE(table.rows.empty());
+    EXPECT_TRUE(image == ImageOf(want, TpccWorkload::kItem))
+        << "partition " << part;
   }
 }
 

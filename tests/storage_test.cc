@@ -2,7 +2,9 @@
 
 #include "storage/table.h"
 
+#include <algorithm>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -85,10 +87,9 @@ TEST(TableTest, EraseThenReinsertYieldsZeroedRow) {
   for (uint64_t cell : t.Columns(*t.Get(3).value())) EXPECT_EQ(cell, 0u);
 }
 
-TEST(TableTest, InsertsPastReserveKeepEarlierValues) {
+TEST(TableTest, GrowingInsertsKeepEarlierValues) {
   Table t(0, "t", 10);
-  t.Reserve(4);
-  // Far past the reservation: the cell array grows (and moves) repeatedly.
+  // The cell array grows (and moves) repeatedly under plain inserts.
   constexpr Key kRows = 5000;
   for (Key k = 0; k < kRows; ++k) {
     ASSERT_TRUE(t.Insert(k).ok());
@@ -107,6 +108,152 @@ TEST(TableTest, InsertsPastReserveKeepEarlierValues) {
     ASSERT_EQ(cells[5], 0u) << k;
     ASSERT_EQ(row->version, k) << k;
   }
+}
+
+/// Every (key, version, cells) in the table, sorted by key.
+std::vector<std::tuple<Key, uint64_t, std::vector<uint64_t>>> Contents(
+    const Table& t) {
+  std::vector<std::tuple<Key, uint64_t, std::vector<uint64_t>>> out;
+  t.ForEachRow([&](Key key, const Row& row) {
+    const std::span<const uint64_t> cells = t.Columns(row);
+    out.emplace_back(key, row.version,
+                     std::vector<uint64_t>(cells.begin(), cells.end()));
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// The range below holds keys 3, 7, 11, 15, 19 as row ids 0..4.
+constexpr Key kFirst = 3;
+constexpr Key kStride = 4;
+constexpr uint32_t kCount = 5;
+
+TEST(TableTest, InsertRangeRowsAreFoundByKey) {
+  Table t(0, "t", 3);
+  t.InsertRange(kFirst, kStride, kCount);
+  EXPECT_EQ(t.size(), kCount);
+  for (uint32_t k = 0; k < kCount; ++k) {
+    const Key key = kFirst + k * kStride;
+    auto row = t.Get(key);
+    ASSERT_TRUE(row.ok()) << key;
+    EXPECT_EQ(row.value()->id, k);
+    EXPECT_EQ(row.value()->version, 0u);
+    ASSERT_EQ(t.Columns(*row.value()).size(), 3u);
+    for (uint64_t cell : t.Columns(*row.value())) EXPECT_EQ(cell, 0u);
+    Row* mutable_row = t.GetMutable(key).value();
+    t.Columns(*mutable_row)[2] = 10 * key;
+    mutable_row->version = key;
+  }
+  for (uint32_t k = 0; k < kCount; ++k) {
+    const Key key = kFirst + k * kStride;
+    const Row* row = t.Get(key).value();
+    EXPECT_EQ(t.Columns(*row)[2], 10 * key);
+    EXPECT_EQ(t.Columns(*row)[0], 0u);
+    EXPECT_EQ(row->version, key);
+  }
+}
+
+TEST(TableTest, KeysOffTheRangeUseTheHashIndex) {
+  Table t(0, "t", 2);
+  t.InsertRange(kFirst, kStride, kCount);
+  // Off stride inside the span, below the first key (including 0, whose
+  // offset wraps) and from one stride past the last key on.
+  const std::vector<Key> off = {4, 5, 6, 18, 0, 1, 2, 23, 27, 1u << 30};
+  for (Key key : off) {
+    EXPECT_TRUE(t.Get(key).status().IsNotFound()) << key;
+    EXPECT_TRUE(t.Erase(key).IsNotFound()) << key;
+  }
+  for (Key key : off) ASSERT_TRUE(t.InsertWith(key, {key, key + 1}).ok());
+  EXPECT_EQ(t.size(), kCount + off.size());
+  for (Key key : off) {
+    const Row* row = t.Get(key).value();
+    EXPECT_GE(row->id, kCount) << key;  // the range owns ids 0..4
+    const std::span<const uint64_t> cells = t.Columns(*row);
+    EXPECT_EQ(cells[0], key);
+    EXPECT_EQ(cells[1], key + 1);
+    EXPECT_EQ(t.Insert(key).code(), Code::kAlreadyExists) << key;
+  }
+  // The range rows are untouched by the growth of the cell array.
+  for (uint32_t k = 0; k < kCount; ++k) {
+    const Row* row = t.Get(kFirst + k * kStride).value();
+    EXPECT_EQ(row->id, k);
+    for (uint64_t cell : t.Columns(*row)) EXPECT_EQ(cell, 0u);
+  }
+}
+
+TEST(TableTest, InsertOfALiveRangeKeyFails) {
+  Table t(0, "t", 2);
+  t.InsertRange(kFirst, kStride, kCount);
+  EXPECT_EQ(t.Insert(kFirst).code(), Code::kAlreadyExists);
+  EXPECT_EQ(t.InsertWith(kFirst + 4 * kStride, {1}).code(),
+            Code::kAlreadyExists);
+  EXPECT_EQ(t.size(), kCount);
+  EXPECT_EQ(t.Columns(*t.Get(kFirst + 4 * kStride).value())[0], 0u);
+}
+
+TEST(TableTest, EraseInRangeThenReinsertYieldsZeroedRow) {
+  Table t(0, "t", 3);
+  t.InsertRange(kFirst, kStride, kCount);
+  const Key key = kFirst + kStride;  // row id 1
+  Row* row = t.GetMutable(key).value();
+  t.Columns(*row)[0] = 5;
+  t.Columns(*row)[2] = 7;
+  row->version = 9;
+  ASSERT_TRUE(t.Erase(key).ok());
+  EXPECT_TRUE(t.Get(key).status().IsNotFound());
+  EXPECT_TRUE(t.GetMutable(key).status().IsNotFound());
+  EXPECT_TRUE(t.Erase(key).IsNotFound());
+  EXPECT_EQ(t.size(), kCount - 1);
+  // The erased row's id is recycled, through the hash index too.
+  ASSERT_TRUE(t.Insert(1000).ok());
+  EXPECT_EQ(t.Get(1000).value()->id, 1u);
+  for (uint64_t cell : t.Columns(*t.Get(1000).value())) EXPECT_EQ(cell, 0u);
+  ASSERT_TRUE(t.Erase(1000).ok());
+  // Reinserting the key reuses its slot, with a zeroed row.
+  ASSERT_TRUE(t.Insert(key).ok());
+  const Row* back = t.Get(key).value();
+  EXPECT_EQ(back->id, 1u);
+  EXPECT_EQ(back->version, 0u);
+  for (uint64_t cell : t.Columns(*back)) EXPECT_EQ(cell, 0u);
+  EXPECT_EQ(t.size(), kCount);
+}
+
+TEST(TableTest, ForEachRowAndSizeCoverBothIndexes) {
+  Table t(0, "t", 2);
+  t.InsertRange(kFirst, kStride, kCount);
+  ASSERT_TRUE(t.InsertWith(4, {40}).ok());
+  ASSERT_TRUE(t.InsertWith(100, {1000}).ok());
+  ASSERT_TRUE(t.Erase(kFirst + 2 * kStride).ok());  // key 11
+  t.GetMutable(19).value()->version = 2;
+  t.Columns(*t.GetMutable(19).value())[1] = 8;
+  using Image = std::tuple<Key, uint64_t, std::vector<uint64_t>>;
+  const std::vector<Image> want = {
+      {3, 0, {0, 0}},  {4, 0, {40, 0}}, {7, 0, {0, 0}},
+      {15, 0, {0, 0}}, {19, 2, {0, 8}}, {100, 0, {1000, 0}},
+  };
+  EXPECT_EQ(Contents(t), want);
+  EXPECT_EQ(t.size(), want.size());
+}
+
+TEST(TableTest, EmptyRangeLeavesEveryKeyToTheHashIndex) {
+  Table t(0, "t", 1);
+  t.InsertRange(kFirst, kStride, 0);
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_TRUE(t.Get(kFirst).status().IsNotFound());
+  ASSERT_TRUE(t.Insert(kFirst).ok());
+  EXPECT_EQ(t.Get(kFirst).value()->id, 0u);
+  EXPECT_EQ(t.size(), 1u);
+}
+
+TEST(TableDeathTest, InsertRangeNeedsATableThatNeverHeldARow) {
+  Table t(0, "t", 2);
+  ASSERT_TRUE(t.Insert(1).ok());
+  EXPECT_DEATH(t.InsertRange(kFirst, kStride, kCount), "CHECK failed");
+  ASSERT_TRUE(t.Erase(1).ok());  // empty again, but row id 0 is taken
+  EXPECT_DEATH(t.InsertRange(kFirst, kStride, kCount), "CHECK failed");
+  Table ranged(0, "r", 2);
+  ranged.InsertRange(kFirst, kStride, kCount);
+  EXPECT_DEATH(ranged.InsertRange(100, kStride, kCount), "CHECK failed");
 }
 
 TEST(TableDeathTest, CellAccessChecksTheRowId) {
