@@ -32,11 +32,11 @@ class BankWorkload : public Workload {
   void LoadPartition(PartitionStore* store,
                      const KeyPartitioner& partitioner) const override {
     (void)partitioner;
-    Status s = store->CreateTable(kAccounts, "accounts", /*num_columns=*/2);
-    ECDB_CHECK(s.ok());
     // Accounts 0..n-1 of this branch: keys branch, branch + B, ...
-    store->GetTable(kAccounts)->InsertRange(AccountKey(store->id(), 0),
-                                            branches_, kAccountsPerBranch);
+    Status s = store->CreateTable(kAccounts, "accounts", /*num_columns=*/2,
+                                  AccountKey(store->id(), 0), branches_,
+                                  kAccountsPerBranch);
+    ECDB_CHECK(s.ok());
   }
 
   TxnRequest NextTxn(PartitionId home, Rng& rng) override {
@@ -97,7 +97,7 @@ int main() {
     Table* accounts = cluster.node(id).store().GetTable(kAccounts);
     for (uint64_t a = 0; a < kAccountsPerBranch; ++a) {
       total_updates +=
-          accounts->Get(bank->AccountKey(id, a)).value()->version;
+          accounts->Version(accounts->Get(bank->AccountKey(id, a)).value());
     }
   }
 

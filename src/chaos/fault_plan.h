@@ -45,8 +45,8 @@ struct FaultEvent {
   Micros duration_us = 0;
   Micros delay_us = 0;
   double probability = 0.0;
-  std::vector<NodeId> group;
-  std::vector<NodeId> group_b;  // kSplit3 only: the second cell
+  std::vector<NodeId> group{};
+  std::vector<NodeId> group_b{};  // kSplit3 only: the second cell
 
   bool operator==(const FaultEvent& o) const {
     return at_us == o.at_us && type == o.type && a == o.a && b == o.b &&

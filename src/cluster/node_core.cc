@@ -1,10 +1,6 @@
 #include "cluster/node_core.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <mutex>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
@@ -51,35 +47,6 @@ void NodeCore::NewEngine() {
 
 void NodeCore::Bootstrap() {
   if (workload_ != nullptr) workload_->LoadPartition(&store_, partitioner_);
-}
-
-void LoadPartitions(std::span<NodeCore* const> nodes) {
-  // Without a workload every load is a no-op: start no thread for it.
-  const size_t threads =
-      nodes.empty() || !nodes.front()->has_workload()
-          ? 1
-          : std::min<size_t>(nodes.size(),
-                             std::max(1u, std::thread::hardware_concurrency()));
-  std::atomic<size_t> next{0};
-  std::mutex failure_mu;
-  std::exception_ptr failure;  // the first load that threw, rethrown below
-  const auto load = [&] {
-    try {
-      for (size_t i; (i = next.fetch_add(1)) < nodes.size();) {
-        nodes[i]->Bootstrap();
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(failure_mu);
-      if (failure == nullptr) failure = std::current_exception();
-    }
-  };
-  {
-    std::vector<std::jthread> loaders;  // joined on scope exit
-    loaders.reserve(threads - 1);
-    for (size_t t = 1; t < threads; ++t) loaders.emplace_back(load);
-    load();
-  }
-  if (failure != nullptr) std::rethrow_exception(failure);
 }
 
 void NodeCore::StartClients() {
@@ -777,14 +744,14 @@ void NodeCore::ResumeExec(TxnId txn) {
 bool NodeCore::ApplyOp(const Operation& op, std::vector<UndoRecord>* undo) {
   Table* table = store_.GetTable(op.table);
   if (table == nullptr) return false;
-  auto row = table->GetMutable(op.key);
+  const Result<RowId> row = table->Get(op.key);
   if (!row.ok()) return false;
   if (op.is_write()) {
-    Row& r = *row.value();
-    uint64_t& column0 = table->Columns(r)[0];
-    undo->push_back(UndoRecord{op.table, op.key, column0, r.version});
+    uint64_t& version = table->Version(row.value());
+    uint64_t& column0 = table->Columns(row.value())[0];
+    undo->push_back(UndoRecord{op.table, row.value(), column0, version});
     column0++;
-    r.version++;
+    version++;
   }
   return true;
 }
@@ -793,11 +760,8 @@ void NodeCore::UndoWrites(const std::vector<UndoRecord>& undo) {
   // Reverse order so repeated writes to a row restore the oldest image.
   for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
     Table* table = store_.GetTable(it->table);
-    if (table == nullptr) continue;
-    auto row = table->GetMutable(it->key);
-    if (!row.ok()) continue;
-    table->Columns(*row.value())[0] = it->old_column0;
-    row.value()->version = it->old_version;
+    table->Columns(it->row)[0] = it->old_column0;
+    table->Version(it->row) = it->old_version;
   }
 }
 

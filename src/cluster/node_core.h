@@ -5,7 +5,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "cc/lock_table.h"
@@ -88,12 +87,9 @@ class NodeCore : public CommitEnv {
 
   // --- Driven by the host ---
 
-  /// Loads this node's partition (no-op without a workload). Touches only
-  /// this node's PartitionStore, so different nodes may bootstrap
-  /// concurrently (see LoadPartitions).
+  /// Loads this node's partition (no-op without a workload): creates its
+  /// tables, which maps their memory and writes none of it.
   void Bootstrap();
-
-  bool has_workload() const { return workload_ != nullptr; }
 
   /// Starts the clients: closed loop, every slot submits a transaction;
   /// open loop, the arrival chain begins.
@@ -371,23 +367,6 @@ class NodeCore : public CommitEnv {
   std::atomic<uint64_t> committed_{0};
   TraceRecorder trace_;
 };
-
-/// Bootstraps every node, returning once all partitions are loaded. The
-/// loads run at once on up to hardware_concurrency() threads, the calling
-/// thread among them; without a workload, or on one core, they stay on the
-/// calling thread. Each load touches only its own node's PartitionStore,
-/// so the result equals a sequential load. The caller does anything that
-/// touches shared cluster state (network registration, clients) afterwards.
-void LoadPartitions(std::span<NodeCore* const> nodes);
-
-/// The same over a host's own node list (SimCluster, ThreadCluster).
-template <typename Node>
-void LoadPartitions(const std::vector<std::unique_ptr<Node>>& nodes) {
-  std::vector<NodeCore*> cores;
-  cores.reserve(nodes.size());
-  for (const auto& node : nodes) cores.push_back(node.get());
-  LoadPartitions(cores);
-}
 
 }  // namespace ecdb
 

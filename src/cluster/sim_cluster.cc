@@ -42,7 +42,7 @@ void SimCluster::PollGauges() {
 }
 
 void SimCluster::Start() {
-  LoadPartitions(nodes_);
+  for (auto& node : nodes_) node->Bootstrap();
   for (auto& node : nodes_) node->JoinNetwork();
   for (auto& node : nodes_) node->StartClients();
   if (sampler_ != nullptr && sampler_task_ == 0) {

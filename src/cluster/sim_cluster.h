@@ -33,9 +33,9 @@ class SimCluster {
   SimCluster(const SimCluster&) = delete;
   SimCluster& operator=(const SimCluster&) = delete;
 
-  /// Loads every node's partition (in parallel, see LoadPartitions), then,
-  /// on the calling thread and in node order, joins each node to the
-  /// network and launches the clients. Returns with every partition loaded.
+  /// On the calling thread and in node order: loads every node's partition
+  /// (each load maps its tables' memory and writes none of it), then joins
+  /// each node to the network and launches the clients.
   void Start();
 
   /// Advances simulated time by `seconds`.

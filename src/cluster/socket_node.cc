@@ -736,7 +736,9 @@ void SocketNode::Start() {
     node_->Crash();
     node_->Recover();
   }
-  worker_->Start();
+  // Each node process has its own epoch: traces of different processes
+  // are on different time bases.
+  worker_->Start(std::chrono::steady_clock::now());
   if (sampler_ != nullptr) sampling_.Start(sampler_.get());
 }
 

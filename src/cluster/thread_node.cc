@@ -208,8 +208,11 @@ ThreadCluster::~ThreadCluster() { Stop(); }
 void ThreadCluster::Start() {
   ECDB_CHECK(!started_);
   started_ = true;
-  LoadPartitions(nodes_);
-  for (auto& worker : workers_) worker->Start();
+  for (auto& node : nodes_) node->Bootstrap();
+  // One epoch for every worker: trace timestamps and timer deadlines from
+  // different workers are on one time base.
+  const auto epoch = std::chrono::steady_clock::now();
+  for (auto& worker : workers_) worker->Start(epoch);
   if (sampler_ != nullptr) sampling_.Start(sampler_.get());
 }
 

@@ -130,8 +130,10 @@ class ThreadCluster {
                 std::unique_ptr<Workload> workload);
   ~ThreadCluster();
 
-  /// Loads every node's partition (in parallel, see LoadPartitions), then
-  /// starts the worker pool: no load work runs after Start() returns.
+  /// Loads every node's partition on the calling thread (each load maps
+  /// its tables' memory and writes none of it), then starts the worker pool
+  /// on one shared clock epoch: every worker's NowUs() counts from the same
+  /// instant, so traces from different workers are on one time base.
   void Start();
 
   /// Lets the cluster run for `seconds` of wall-clock time.

@@ -37,8 +37,9 @@ void ThreadWorker::AddNode(ThreadNode* node) {
   stats_.nodes_hosted = static_cast<uint32_t>(nodes_.size());
 }
 
-void ThreadWorker::Start() {
+void ThreadWorker::Start(std::chrono::steady_clock::time_point epoch) {
   ECDB_CHECK(!running_.load());
+  epoch_start_ = epoch;
   running_.store(true);
   thread_ = std::thread([this] { Loop(); });
 }
@@ -106,7 +107,7 @@ void ThreadWorker::DrainLocal() {
 }
 
 void ThreadWorker::Loop() {
-  epoch_start_ = std::chrono::steady_clock::now();
+  const auto loop_start = std::chrono::steady_clock::now();
   for (ThreadNode* node : nodes_) node->StartClients();
   // The initial client transactions' fragments must leave before the loop
   // first blocks on the mailbox, or every worker starts its run one sleep
@@ -114,7 +115,7 @@ void ThreadWorker::Loop() {
   FlushAll();
   DrainLocal();
   std::vector<Message> inbox;  // recycled: PopAll swaps its capacity in
-  auto last_wake = epoch_start_;
+  auto last_wake = loop_start;
   while (running_.load(std::memory_order_relaxed)) {
     metrics_.Add(metrics_.ids->worker_iterations);
     for (ThreadNode* node : nodes_) node->ProcessControl();
@@ -147,7 +148,7 @@ void ThreadWorker::Loop() {
     DrainLocal();
   }
   stats_.busy_us += ElapsedUs(last_wake, std::chrono::steady_clock::now());
-  stats_.wall_us = static_cast<uint64_t>(NowUs());
+  stats_.wall_us = ElapsedUs(loop_start, std::chrono::steady_clock::now());
 }
 
 }  // namespace ecdb

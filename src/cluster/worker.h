@@ -61,8 +61,9 @@ class ThreadWorker {
   /// (the cluster's construction order) before Start().
   void AddNode(ThreadNode* node);
 
-  /// Spawns the worker thread.
-  void Start();
+  /// Spawns the worker thread. NowUs() counts from `epoch`: the workers of
+  /// one cluster share it, so their clocks agree.
+  void Start(std::chrono::steady_clock::time_point epoch);
 
   /// Asks the loop to exit without joining — lets the cluster signal every
   /// worker before blocking on the first join.
@@ -74,8 +75,11 @@ class ThreadWorker {
   uint32_t index() const { return index_; }
   bool Hosts(NodeId node) const { return node % stride_ == index_; }
 
-  // --- Called only from this worker's thread, by hosted nodes ---
+  /// Microseconds since the epoch passed to Start(). Reads only that
+  /// epoch, so any thread may call it once Start() has returned.
   Micros NowUs() const;
+
+  // --- Called only from this worker's thread, by hosted nodes ---
 
   /// The timer queue shared by every hosted node, keyed in NowUs() time.
   Scheduler& timers() { return timers_; }

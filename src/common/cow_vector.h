@@ -32,7 +32,7 @@ class CowVector {
   using const_iterator = typename Vec::const_iterator;
 
   CowVector() = default;
-  CowVector(std::initializer_list<T> init) { *this = Vec(init); }
+  CowVector(std::initializer_list<T> init) { *this = init; }
   CowVector(const Vec& v) { *this = v; }          // NOLINT: deliberate
   CowVector(Vec&& v) { *this = std::move(v); }    // NOLINT: deliberate
 
@@ -50,7 +50,8 @@ class CowVector {
     return *this;
   }
   CowVector& operator=(std::initializer_list<T> init) {
-    return *this = Vec(init);
+    data_ = init.size() == 0 ? nullptr : std::make_shared<Vec>(init);
+    return *this;
   }
 
   bool empty() const { return data_ == nullptr || data_->empty(); }

@@ -14,11 +14,11 @@ namespace ecdb {
 
 /// Before-image of one write, kept while a transaction is in flight so an
 /// abort can restore the row (in-place update + undo, 2PL style). A write
-/// changes exactly column 0 and the version, so the record holds exactly
-/// those two words: fixed-size, no heap copy of the row.
+/// changes exactly column 0 and the version, so the record holds the row
+/// id and exactly those two words: fixed-size, no heap copy of the row.
 struct UndoRecord {
   TableId table = 0;
-  Key key = 0;
+  uint32_t row = 0;  // the row's id in `table` (storage RowId)
   uint64_t old_column0 = 0;
   uint64_t old_version = 0;
 };

@@ -63,26 +63,24 @@ Key TpccWorkload::ItemKey(PartitionId reader_home, uint32_t item) const {
 void TpccWorkload::LoadPartition(PartitionStore* store,
                                  const KeyPartitioner& partitioner) const {
   ECDB_CHECK(partitioner.num_partitions() == config_.num_partitions);
-  ECDB_CHECK(store->CreateTable(kWarehouse, "warehouse", kWarehouseCols).ok());
-  ECDB_CHECK(store->CreateTable(kDistrict, "district", kDistrictCols).ok());
-  ECDB_CHECK(store->CreateTable(kCustomer, "customer", kCustomerCols).ok());
-  ECDB_CHECK(store->CreateTable(kStock, "stock", kStockCols).ok());
-  ECDB_CHECK(store->CreateTable(kItem, "item", kItemCols).ok());
-
   // The partition owns warehouses part, part + P, ... (w % P == part), so
   // each table's local row numbers run 0..n-1 and its keys row * P + part
-  // form one progression with stride P: one dense range per table.
+  // form one progression with stride P.
   const PartitionId part = store->id();
   const uint32_t P = config_.num_partitions;
   const uint32_t warehouses = config_.warehouses_per_partition;
   const uint32_t districts = warehouses * config_.districts_per_warehouse;
-  store->GetTable(kWarehouse)->InsertRange(part, P, warehouses);
-  store->GetTable(kDistrict)->InsertRange(part, P, districts);
-  store->GetTable(kCustomer)
-      ->InsertRange(part, P, districts * config_.customers_per_district);
-  store->GetTable(kStock)->InsertRange(part, P, warehouses * config_.items);
+  const auto create = [&](TableId id, const char* name, uint32_t columns,
+                          Key first, uint32_t count) {
+    ECDB_CHECK(store->CreateTable(id, name, columns, first, P, count).ok());
+  };
+  create(kWarehouse, "warehouse", kWarehouseCols, part, warehouses);
+  create(kDistrict, "district", kDistrictCols, part, districts);
+  create(kCustomer, "customer", kCustomerCols, part,
+         districts * config_.customers_per_district);
+  create(kStock, "stock", kStockCols, part, warehouses * config_.items);
   // Replicated ITEM copy for this partition.
-  store->GetTable(kItem)->InsertRange(ItemKey(part, 0), P, config_.items);
+  create(kItem, "item", kItemCols, ItemKey(part, 0), config_.items);
 }
 
 uint32_t TpccWorkload::HomeWarehouse(PartitionId home, Rng& rng) const {

@@ -32,12 +32,9 @@ class Workload {
  public:
   virtual ~Workload() = default;
 
-  /// Creates this workload's tables in `store` and loads the rows owned by
+  /// Creates this workload's tables in `store`, holding the rows owned by
   /// partition `store->id()`. A pure function of the workload's
-  /// configuration and the partition id: it reads no mutable workload
-  /// state and writes only `store`, so the hosts load many partitions at
-  /// once, one thread per store (LoadPartitions). Implementations must keep
-  /// it safe to call concurrently on distinct stores.
+  /// configuration and the partition id.
   virtual void LoadPartition(PartitionStore* store,
                              const KeyPartitioner& partitioner) const = 0;
 

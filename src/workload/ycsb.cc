@@ -22,12 +22,12 @@ YcsbWorkload::YcsbWorkload(YcsbConfig config)
 void YcsbWorkload::LoadPartition(PartitionStore* store,
                                  const KeyPartitioner& partitioner) const {
   ECDB_CHECK(partitioner.num_partitions() == config_.num_partitions);
-  ECDB_CHECK(store->CreateTable(kTableId, "usertable", config_.columns).ok());
   // Rows 0..R-1 of this partition: keys part, part + P, part + 2P, ...
-  store->GetTable(kTableId)->InsertRange(EncodeKey(store->id(), 0),
-                                         config_.num_partitions,
-                                         static_cast<uint32_t>(
-                                             config_.rows_per_partition));
+  const Status created = store->CreateTable(
+      kTableId, "usertable", config_.columns, EncodeKey(store->id(), 0),
+      config_.num_partitions,
+      static_cast<uint32_t>(config_.rows_per_partition));
+  ECDB_CHECK(created.ok());
 }
 
 TxnRequest YcsbWorkload::NextTxn(PartitionId home, Rng& rng) {

@@ -1,12 +1,10 @@
 // Allocation tripwire: counts global operator new calls while a
 // deterministic SimCluster loads its partitions and runs a fixed window of
 // EC transactions. The simulator repeats exactly for a seed, so the
-// per-commit counts repeat too. Setup counts also include the partition
-// loader threads, a few allocations each, and there are up to
-// min(nodes, cores) - 1 of them, so setup varies a little with the
-// machine's core count. The ceilings fail the build when a change puts heap
-// allocation back on the per-row or per-transaction path (the way the
-// sizeof(Message) static_assert guards message size).
+// per-commit counts, and the setup counts, repeat too. The ceilings fail
+// the build when a change puts heap allocation back on the per-row or
+// per-transaction path (the way the sizeof(Message) static_assert guards
+// message size).
 
 #include <atomic>
 #include <cstdio>
@@ -116,11 +114,10 @@ TEST(AllocationTripwire, CounterSeesHeapAllocations) {
 }
 
 // Ceilings sit ~20% above the counts measured with libstdc++ 12 (n=4:
-// 607 setup allocations, 10.85 per commit; n=16: 2,233 and 10.99). Setup
-// includes the partition loader threads, a few allocations each (8 on a
-// 4-core machine). A heap buffer per loaded row would put setup in the
-// tens of thousands; one per lock grant, undo record or applied decision,
-// near 30 per commit.
+// 599 setup allocations, 10.85 per commit; n=16: 2,225 and 10.99). Loading
+// a partition allocates only its tables' catalog entries. A heap buffer per
+// loaded row would put setup in the tens of thousands; one per lock grant,
+// undo record or applied decision, near 30 per commit.
 TEST(AllocationTripwire, EcFourNodes) {
   const AllocCounts c = Measure(4);
   ASSERT_GT(c.commits, 1000u);

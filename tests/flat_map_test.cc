@@ -230,7 +230,9 @@ TEST(FlatMapTest, RandomizedMirrorsReferenceMap) {
         uint64_t* v = map.Find(key);
         uint64_t* r = ref_find(key);
         ASSERT_EQ(v == nullptr, r == nullptr) << "step " << step;
-        if (v != nullptr) ASSERT_EQ(*v, *r) << "step " << step;
+        if (v != nullptr) {
+          ASSERT_EQ(*v, *r) << "step " << step;
+        }
       }
     }
     ASSERT_EQ(map.size(), ref.size()) << "step " << step;

@@ -167,7 +167,8 @@ TEST(SimClusterTest, AtomicityAllOrNothingUnderContention) {
   for (NodeId id = 0; id < 4; ++id) {
     Table* table = cluster.node(id).store().GetTable(YcsbWorkload::kTableId);
     for (uint64_t row = 0; row < ycfg.rows_per_partition; ++row) {
-      version_sum += table->Get(ycsb->EncodeKey(id, row)).value()->version;
+      version_sum +=
+          table->Version(table->Get(ycsb->EncodeKey(id, row)).value());
     }
   }
   uint64_t committed = 0;

@@ -5,6 +5,7 @@
 #include "cluster/sim_node.h"
 
 #include <memory>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -164,7 +165,8 @@ TEST(SimNodeTest, RowsRevertOnAbortedAttempts) {
   for (NodeId id = 0; id < 3; ++id) {
     Table* table = cluster.node(id).store().GetTable(YcsbWorkload::kTableId);
     for (uint64_t row = 0; row < 4096; ++row) {
-      version_sum += table->Get(ycsb->EncodeKey(id, row)).value()->version;
+      version_sum +=
+          table->Version(table->Get(ycsb->EncodeKey(id, row)).value());
     }
   }
   uint64_t committed = 0;
@@ -186,10 +188,13 @@ class RepeatedWriteWorkload : public Workload {
 
   void LoadPartition(PartitionStore* store,
                      const KeyPartitioner&) const override {
-    ECDB_CHECK(store->CreateTable(kTable, "rows", 2).ok());
-    ECDB_CHECK(store->GetTable(kTable)
-                   ->InsertWith(store->id(), {kColumn0, kColumn1})
+    ECDB_CHECK(store->CreateTable(kTable, "rows", 2, /*first=*/store->id(),
+                                  /*stride=*/1, /*count=*/1)
                    .ok());
+    Table* table = store->GetTable(kTable);
+    const std::span<uint64_t> cells = table->Columns(0);
+    cells[0] = kColumn0;
+    cells[1] = kColumn1;
   }
 
   TxnRequest NextTxn(PartitionId home, Rng&) override {
@@ -220,10 +225,10 @@ TEST(SimNodeTest, AbortRestoresRowsWrittenTwice) {
   for (NodeId id = 0; id < 2; ++id) {
     const Table* table =
         cluster.node(id).store().GetTable(RepeatedWriteWorkload::kTable);
-    const Row* row = table->Get(id).value();
-    EXPECT_EQ(row->version, 0u) << "node " << id;
-    EXPECT_EQ(table->Columns(*row)[0], RepeatedWriteWorkload::kColumn0);
-    EXPECT_EQ(table->Columns(*row)[1], RepeatedWriteWorkload::kColumn1);
+    const RowId row = table->Get(id).value();
+    EXPECT_EQ(table->Version(row), 0u) << "node " << id;
+    EXPECT_EQ(table->Columns(row)[0], RepeatedWriteWorkload::kColumn0);
+    EXPECT_EQ(table->Columns(row)[1], RepeatedWriteWorkload::kColumn1);
   }
   const ClusterStats stats = cluster.CollectStats(0.05);
   EXPECT_GT(stats.total.txns_aborted, 10u);

@@ -11,12 +11,16 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "chaos/consistency_audit.h"
+#include "obs/critical_path.h"
+#include "trace/trace_export.h"
+#include "trace/trace_reader.h"
 #include "workload/ycsb.h"
 
 namespace ecdb {
@@ -530,6 +534,66 @@ TEST(ThreadClusterWorkerPoolTest, SingleWorkerHostsWholeCluster) {
   // No other worker exists: every cross-node message took the fast path.
   EXPECT_GT(stats.worker_local_messages, 0u);
   EXPECT_EQ(stats.worker_mailbox_messages, 0u);
+}
+
+// Every worker of a cluster counts NowUs() from the one epoch that
+// ThreadCluster::Start takes, so trace timestamps from different workers
+// share a time base. With a per-worker epoch, a worker that started late
+// stamps its receives before their sends, and the critical-path walk, which
+// jumps from a receive to its send, walks the same time twice (coverage
+// above 1).
+TEST(ThreadClusterWorkerPoolTest, WorkersShareOneClock) {
+  // One worker per node: every message crosses workers.
+  ThreadClusterConfig cfg = WorkerPoolConfig(8, 8);
+  ThreadCluster cluster(cfg,
+                        std::make_unique<YcsbWorkload>(WorkerPoolYcsb(8)));
+  cluster.EnableTracing(1 << 16);
+  cluster.Start();
+  // Read one after another on one thread, clocks with one epoch never go
+  // backwards from node to node.
+  Micros last = 0;
+  for (NodeId id = 0; id < cfg.num_nodes; ++id) {
+    const Micros now = cluster.node(id).NowUs();
+    EXPECT_GE(now, last) << "node " << id;
+    last = now;
+  }
+  uint64_t committed = 0;
+  for (int i = 0; i < 60 && committed < 200; ++i) {
+    cluster.RunFor(0.05);
+    committed = cluster.TotalCommitted();
+  }
+  cluster.Stop();
+  ASSERT_GT(committed, 20u);
+
+  ParsedTrace trace;
+  trace.meta.runtime = "thread";
+  trace.meta.protocol = ToString(cfg.protocol);
+  trace.meta.num_nodes = cfg.num_nodes;
+  for (const TraceRecorder* r : cluster.recorders()) {
+    trace.meta.dropped.push_back(r->dropped());
+  }
+  trace.events = CollectEvents(cluster.recorders());
+  // Sends keyed by (sender, per-sender seq), as the analyzer joins them.
+  std::unordered_map<uint64_t, Micros> sent_at;
+  for (const TraceEvent& ev : trace.events) {
+    if (ev.type == TraceEventType::kMsgSend) {
+      sent_at[(uint64_t{ev.node} << 48) ^ ev.arg] = ev.at;
+    }
+  }
+  uint64_t matched = 0, early = 0;
+  for (const TraceEvent& ev : trace.events) {
+    if (ev.type != TraceEventType::kMsgRecv) continue;
+    const auto it = sent_at.find((uint64_t{ev.peer} << 48) ^ ev.arg);
+    if (it == sent_at.end()) continue;
+    ++matched;
+    if (ev.at < it->second) ++early;
+  }
+  ASSERT_GT(matched, 100u);
+  EXPECT_EQ(early, 0u) << "of " << matched << " matched receives";
+
+  const CriticalPathReport report = AnalyzeCriticalPaths(trace);
+  ASSERT_GT(report.txns_complete, 0u);
+  EXPECT_LE(report.Coverage(), 1.0);
 }
 
 // The stats view must agree with the sources it summarizes: ecbench's
