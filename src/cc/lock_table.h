@@ -8,7 +8,6 @@
 #include "common/inline_vector.h"
 #include "common/operation.h"
 #include "common/types.h"
-#include "sim/task.h"
 
 namespace ecdb {
 
@@ -18,71 +17,45 @@ enum class LockMode : uint8_t {
   kExclusive,
 };
 
-/// Outcome of a lock request.
-enum class AcquireResult : uint8_t {
-  kGranted,  // lock held; proceed
-  kWaiting,  // queued (WAIT_DIE only); on_grant fires later
-  kAbort,    // conflict; transaction must abort (NO_WAIT, or WAIT_DIE "die")
-};
-
 /// Deadlock-avoidance policy. The paper evaluates all protocols under
 /// NO_WAIT ("a transaction requesting access to a locked record is
-/// aborted"); WAIT_DIE is provided as an extension since ExpoDB supports
-/// multiple concurrency control algorithms.
+/// aborted"), the only policy implemented.
 enum class CcPolicy : uint8_t {
-  kNoWait,
-  kWaitDie,
+  kNoWait,  // sole value, kept because ecbench/ladder.cc still names it
 };
 
-/// Per-partition record lock table. Tracks, for every locked (table, key),
-/// the current holders and (under WAIT_DIE) a FIFO wait queue. Not thread
-/// safe: access is serialized by the owning node, like the storage layer.
+/// Per-partition NO_WAIT record lock table: tracks the current holders of
+/// every locked (table, key). A request that conflicts with a holder is
+/// refused at once, so no transaction ever waits and no deadlock can form.
+/// Not thread safe: access is serialized by the owning node, like the
+/// storage layer.
 ///
-/// Both policies are deadlock-free by construction: NO_WAIT never waits and
-/// WAIT_DIE only lets older transactions wait for younger holders, so the
-/// waits-for graph cannot contain a cycle.
-///
-/// Hot-path layout: entries and the per-transaction held/waiting indices
-/// live in open-addressing FlatMaps (no per-node allocation, no bucket
-/// chains), each entry keeps up to two holders inline (granting a lock
-/// allocates nothing), grant callbacks are inline TaskFns (no
-/// std::function heap spill), and ReleaseAll touches only the entries its
-/// transaction actually holds or awaits — the waiting index replaces the
-/// previous scan-every-entry queue cleanup.
+/// Hot-path layout: entries and the per-transaction held index live in
+/// open-addressing FlatMaps (no per-node allocation, no bucket chains),
+/// each entry keeps up to two holders inline (granting a lock allocates
+/// nothing), and ReleaseAll touches only the entries its transaction holds.
 class LockTable {
  public:
-  /// Inline, move-only grant callback (WAIT_DIE). TaskFn's 104-byte buffer
-  /// absorbs every capture the runtimes use, so queueing a waiter does not
-  /// heap-allocate the way std::function did.
-  using GrantCallback = TaskFn;
+  explicit LockTable(CcPolicy = CcPolicy::kNoWait) {}
 
-  explicit LockTable(CcPolicy policy) : policy_(policy) {}
-
-  CcPolicy policy() const { return policy_; }
-
-  /// Requests `mode` on (table, key) for `txn` whose priority timestamp is
-  /// `ts` (smaller = older, only meaningful under WAIT_DIE). If the result
-  /// is kWaiting, `on_grant` is invoked when the lock is eventually granted
-  /// (possibly from inside another transaction's ReleaseAll).
+  /// Requests `mode` on (table, key) for `txn`; returns whether it is
+  /// granted. A refused request leaves the table unchanged: the caller
+  /// aborts the transaction and calls ReleaseAll.
   ///
-  /// Re-acquiring a lock the transaction already holds is granted
-  /// immediately; a shared->exclusive upgrade succeeds only when the
-  /// transaction is the sole holder, and otherwise follows the policy.
-  AcquireResult Acquire(TxnId txn, uint64_t ts, TableId table, Key key,
-                        LockMode mode, GrantCallback on_grant = {});
+  /// Re-acquiring a lock the transaction already holds is granted; a
+  /// shared->exclusive upgrade is granted only to the sole holder.
+  /// `ts` is ignored, kept because ecbench/ladder.cc still passes one.
+  bool Acquire(TxnId txn, uint64_t /*ts*/, TableId table, Key key,
+               LockMode mode);
 
-  /// Releases every lock held or awaited by `txn`, granting queued
-  /// compatible requests. Grant callbacks run inside this call.
+  /// Releases every lock held by `txn`.
   void ReleaseAll(TxnId txn);
 
   /// Number of locks currently held by `txn`.
   size_t HeldCount(TxnId txn) const;
 
-  /// Number of (table, key) entries with at least one holder or waiter.
+  /// Number of (table, key) entries with at least one holder.
   size_t ActiveEntries() const { return entries_.size(); }
-
-  /// Total times Acquire returned kAbort; feeds the abort-rate statistics.
-  uint64_t conflict_aborts() const { return conflict_aborts_; }
 
  private:
   struct LockId {
@@ -100,56 +73,17 @@ class LockTable {
   struct Holder {
     TxnId txn;
     LockMode mode;
-    uint64_t ts;
   };
-  struct Waiter {
-    TxnId txn;
-    LockMode mode;
-    uint64_t ts;
-    GrantCallback on_grant;
-  };
-  struct Entry {
-    InlineVector<Holder, 2> holders;  // a third shared holder spills
-    std::vector<Waiter> queue;  // FIFO; head at index 0
-  };
+  /// One exclusive holder or any number of shared ones; a third shared
+  /// holder spills to the heap.
+  using Holders = InlineVector<Holder, 2>;
   using LockIdList = std::vector<LockId>;
 
-  static bool Compatible(LockMode held, LockMode requested) {
-    return held == LockMode::kShared && requested == LockMode::kShared;
-  }
-
-  /// Grants queue heads that are now compatible with the holders.
-  void PromoteWaiters(const LockId& id, Entry& entry,
-                      std::vector<GrantCallback>& fired);
-
-  /// Appends `id` to `txn`'s list in `index`, recycling pooled capacity.
-  void AddToIndex(FlatMap<TxnId, LockIdList>& index, TxnId txn,
-                  const LockId& id);
-
-  /// Removes one occurrence of `id` from `txn`'s list in `index`.
-  void RemoveFromIndex(FlatMap<TxnId, LockIdList>& index, TxnId txn,
-                       const LockId& id);
-
-  /// Moves `txn`'s list out of `index` (empty when absent) so the caller
-  /// can iterate it safely while the index is mutated.
-  LockIdList TakeList(FlatMap<TxnId, LockIdList>& index, TxnId txn);
-
-  void RecycleList(LockIdList&& list) {
-    list.clear();
-    spare_lists_.push_back(std::move(list));
-  }
-
-  CcPolicy policy_;
-  FlatMap<LockId, Entry, LockIdHash> entries_;
+  FlatMap<LockId, Holders, LockIdHash> entries_;
   FlatMap<TxnId, LockIdList> held_by_txn_;
-  /// WAIT_DIE only: the entries on whose queue each transaction currently
-  /// waits. Lets ReleaseAll remove queued requests without scanning every
-  /// entry (under NO_WAIT it stays empty and the phase is skipped).
-  FlatMap<TxnId, LockIdList> waiting_by_txn_;
   /// Recycled LockId lists: per-transaction index entries come and go with
   /// every attempt, so their heap buffers are pooled.
   std::vector<LockIdList> spare_lists_;
-  uint64_t conflict_aborts_ = 0;
 };
 
 }  // namespace ecdb

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "cc/lock_table.h"
 #include "commit/commit_engine.h"
 #include "common/types.h"
 #include "net/network.h"
@@ -37,7 +36,6 @@ struct NodeConfig {
   uint32_t clients_per_node = 64;
 
   CommitProtocol protocol = CommitProtocol::kEasyCommit;
-  CcPolicy cc_policy = CcPolicy::kNoWait;
 
   /// Protocol timeouts. The execution watchdog — abort an attempt whose
   /// remote fragments have not all answered — is derived from them:

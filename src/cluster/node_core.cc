@@ -21,7 +21,6 @@ NodeCore::NodeCore(NodeId id, const NodeConfig& config,
       rng_(seed),
       store_(id),
       partitioner_(config.num_nodes),
-      locks_(config.cc_policy),
       wal_(std::move(wal)),
       // The arrival stream's seed is derived from (not equal to) the node
       // seed so it does not correlate with the workload rng_.
@@ -147,8 +146,6 @@ void NodeCore::AttemptState::Reset() {
   pending_remote = kInvalidNode;
   local_undo.clear();
   participants.clear();
-  exec_ts = 0;
-  exec_next = 0;
   exec_timer = 0;
   has_writes = false;
   aborting = false;
@@ -365,41 +362,20 @@ void NodeCore::HandleRemoteExec(const Message& msg) {
     pending_rollbacks_.pop_back();
     return;
   }
-  RunRemoteExec(msg, 0, {});
-}
-
-void NodeCore::RunRemoteExec(const Message& request, size_t next,
-                             std::vector<UndoRecord> undo) {
-  switch (ExecOps(request.txn, request.priority_ts, request.ops.vec(), &next,
-                  &undo)) {
-    case ExecOutcome::kParked:
-      parked_execs_.Emplace(request.txn,
-                            RemoteExec{request, next, std::move(undo)});
-      return;
-    case ExecOutcome::kFailed:
-      FinishRemoteExec(request, false, {});
-      return;
-    case ExecOutcome::kOk:
-      FinishRemoteExec(request, true, std::move(undo));
-      return;
-  }
-}
-
-void NodeCore::FinishRemoteExec(const Message& request, bool ok,
-                                std::vector<UndoRecord> undo) {
+  std::vector<UndoRecord> undo;
   Message reply;
-  reply.txn = request.txn;
-  reply.dst = request.src;
-  if (ok) {
+  reply.txn = msg.txn;
+  reply.dst = msg.src;
+  if (ExecOps(msg.txn, msg.ops.vec(), &undo)) {
     FragmentState frag;
-    frag.txn = request.txn;
-    frag.coordinator = request.src;
-    frag.participants = request.participants;
-    frag.ops = request.ops;
+    frag.txn = msg.txn;
+    frag.coordinator = msg.src;
+    frag.participants = msg.participants;
+    frag.ops = msg.ops;
     frag.undo = std::move(undo);
-    fragments_[request.txn] = std::move(frag);
-    if (request.txn_has_writes) {
-      engine_->ExpectPrepare(request.txn, request.src, request.participants);
+    fragments_[msg.txn] = std::move(frag);
+    if (msg.txn_has_writes) {
+      engine_->ExpectPrepare(msg.txn, msg.src, msg.participants);
     }
     reply.type = MsgType::kRemoteExecOk;
   } else {
@@ -504,33 +480,13 @@ void NodeCore::StartAttempt(uint32_t slot) {
     }
   }
   Run({WorkKind::kExecute, static_cast<uint32_t>(attempt.local_ops.size())},
-      [this, txn]() {
-        AttemptState* a = FindAttempt(txn);
-        if (a == nullptr) return;
-        a->exec_ts = next_priority_ts_++;
-        RunLocalExec(txn);
-      });
+      [this, txn]() { RunLocalExec(txn); });
 }
 
 void NodeCore::RunLocalExec(TxnId txn) {
-  AttemptState& attempt = *FindAttempt(txn);
-  switch (ExecOps(txn, attempt.exec_ts, attempt.local_ops, &attempt.exec_next,
-                  &attempt.local_undo)) {
-    case ExecOutcome::kParked:
-      return;  // ResumeExec continues once the lock is granted
-    case ExecOutcome::kFailed:
-      LocalExecDone(txn, false);
-      return;
-    case ExecOutcome::kOk:
-      LocalExecDone(txn, true);
-      return;
-  }
-}
-
-void NodeCore::LocalExecDone(TxnId txn, bool ok) {
   AttemptState* attempt = FindAttempt(txn);
   if (attempt == nullptr) return;
-  if (!ok) {
+  if (!ExecOps(txn, attempt->local_ops, &attempt->local_undo)) {
     AbortAttempt(txn, /*send_rollbacks=*/false);
     return;
   }
@@ -540,7 +496,6 @@ void NodeCore::LocalExecDone(TxnId txn, bool ok) {
     CompleteWithoutProtocol(txn);
     return;
   }
-  next_priority_ts_++;
   attempt->exec_timer =
       ArmNodeTimer(NowUs() + config_.ExecWatchdogUs(), NodeTimerKind::kExec,
                    txn, attempt->slot);
@@ -559,7 +514,6 @@ void NodeCore::SendNextFragment(TxnId txn) {
   msg.ops = frag.ops;
   msg.participants = attempt->participants;
   msg.txn_has_writes = attempt->has_writes;
-  msg.priority_ts = next_priority_ts_ - 1;
   Send(std::move(msg));
 }
 
@@ -688,57 +642,20 @@ void NodeCore::CancelExecTimer(AttemptState& attempt) {
 // Execution engine
 // --------------------------------------------------------------------------
 
-NodeCore::ExecOutcome NodeCore::ExecOps(TxnId txn, uint64_t ts,
-                                        const std::vector<Operation>& ops,
-                                        size_t* next,
-                                        std::vector<UndoRecord>* undo) {
-  for (; *next < ops.size(); ++*next) {
-    const Operation& op = ops[*next];
+bool NodeCore::ExecOps(TxnId txn, const std::vector<Operation>& ops,
+                       std::vector<UndoRecord>* undo) {
+  for (const Operation& op : ops) {
     const LockMode mode =
         op.is_write() ? LockMode::kExclusive : LockMode::kShared;
-    const AcquireResult result = locks_.Acquire(
-        txn, ts, op.table, op.key, mode, [this, txn, epoch = epoch_]() {
-          // WAIT_DIE grant fired from another transaction's ReleaseAll.
-          if (!crashed_ && epoch == epoch_) ResumeExec(txn);
-        });
-    if (result == AcquireResult::kWaiting) return ExecOutcome::kParked;
-    if (result == AcquireResult::kAbort || !ApplyOp(op, undo)) {
-      FailExec(txn, undo);
-      return ExecOutcome::kFailed;
+    if (!locks_.Acquire(txn, /*ts=*/0, op.table, op.key, mode) ||
+        !ApplyOp(op, undo)) {
+      UndoWrites(*undo);
+      undo->clear();
+      locks_.ReleaseAll(txn);
+      return false;
     }
   }
-  return ExecOutcome::kOk;
-}
-
-void NodeCore::FailExec(TxnId txn, std::vector<UndoRecord>* undo) {
-  UndoWrites(*undo);
-  undo->clear();
-  locks_.ReleaseAll(txn);
-}
-
-void NodeCore::ResumeExec(TxnId txn) {
-  // The granted lock is the one the parked execution waited on: apply that
-  // operation, then continue with the rest.
-  if (RemoteExec* parked = parked_execs_.Find(txn); parked != nullptr) {
-    RemoteExec run = std::move(*parked);
-    parked_execs_.Erase(txn);
-    if (!ApplyOp(run.request.ops[run.next], &run.undo)) {
-      FailExec(txn, &run.undo);
-      FinishRemoteExec(run.request, false, {});
-      return;
-    }
-    RunRemoteExec(run.request, run.next + 1, std::move(run.undo));
-    return;
-  }
-  AttemptState* attempt = FindAttempt(txn);
-  if (attempt == nullptr) return;
-  if (!ApplyOp(attempt->local_ops[attempt->exec_next], &attempt->local_undo)) {
-    FailExec(txn, &attempt->local_undo);
-    LocalExecDone(txn, false);
-    return;
-  }
-  attempt->exec_next++;
-  RunLocalExec(txn);
+  return true;
 }
 
 bool NodeCore::ApplyOp(const Operation& op, std::vector<UndoRecord>* undo) {
@@ -771,13 +688,12 @@ void NodeCore::UndoWrites(const std::vector<UndoRecord>& undo) {
 
 void NodeCore::CrashCore() {
   crashed_ = true;
-  ++epoch_;  // orphans every timer and grant callback armed before now
-  locks_ = LockTable(config_.cc_policy);
+  ++epoch_;  // orphans every timer armed before now
+  locks_ = LockTable();
   attempts_.Clear();
   attempt_pool_.clear();
   free_attempt_slots_.clear();
   fragments_.Clear();
-  parked_execs_.Clear();
   pending_rollbacks_.clear();
   for (const auto& timer : protocol_timers_) UnscheduleTimer(timer.value);
   protocol_timers_.Clear();

@@ -43,14 +43,14 @@ struct NodeTimer {
 /// partition storage, lock table, WAL, the commit-protocol engine, and the
 /// clients attached to the node. It is the only CommitEnv implementation.
 ///
-/// The core owns all of the node's behaviour — transaction execution
-/// (including WAIT_DIE suspension), the remote-exec handlers, open-loop
-/// admission, retry backoff, WAL logging, protocol timers, decision
-/// application, tracing, and the crash wipe plus the Section 4.2 recovery
-/// pass. It reaches its host only through the protected interface below:
-/// the clock (NowUs), arming and cancelling a timer, running a unit of work
-/// charged to a service-cost category, and transmitting a message (plus a
-/// query whether the transport has fail-stopped the node).
+/// The core owns all of the node's behaviour — NO_WAIT transaction
+/// execution, the remote-exec handlers, open-loop admission, retry
+/// backoff, WAL logging, protocol timers, decision application, tracing,
+/// and the crash wipe plus the Section 4.2 recovery pass. It reaches its
+/// host only through the protected interface below: the clock (NowUs),
+/// arming and cancelling a timer, running a unit of work charged to a
+/// service-cost category, and transmitting a message (plus a query whether
+/// the transport has fail-stopped the node).
 ///
 /// Hosts: SimNode queues work on the Figure-12 worker model of the
 /// discrete-event simulator; ThreadNode runs it inline on an event-loop
@@ -248,8 +248,6 @@ class NodeCore : public CommitEnv {
     // Copy-on-write: one buffer, shared by every fragment message, the
     // engine's record, and the begin-commit/ready WAL entries.
     CowVector<NodeId> participants;
-    uint64_t exec_ts = 0;   // local execution's WAIT_DIE priority
-    size_t exec_next = 0;   // local execution cursor into local_ops
     TimerId exec_timer = 0;
     bool has_writes = false;
     bool aborting = false;
@@ -258,15 +256,6 @@ class NodeCore : public CommitEnv {
     void Reset();
     RemoteFragment* FindRemote(NodeId node);
   };
-
-  /// A remote fragment's execution, parked on a WAIT_DIE lock wait.
-  struct RemoteExec {
-    Message request;
-    size_t next = 0;
-    std::vector<UndoRecord> undo;
-  };
-
-  enum class ExecOutcome : uint8_t { kOk, kFailed, kParked };
 
   void NewEngine();
   TimerId ArmNodeTimer(Micros at, NodeTimerKind kind, TxnId txn,
@@ -286,10 +275,6 @@ class NodeCore : public CommitEnv {
 
   // Remote-exec handlers.
   void HandleRemoteExec(const Message& msg);
-  void RunRemoteExec(const Message& request, size_t next,
-                     std::vector<UndoRecord> undo);
-  void FinishRemoteExec(const Message& request, bool ok,
-                        std::vector<UndoRecord> undo);
   void HandleRemoteExecReply(const Message& msg, bool ok);
   void HandleRemoteRollback(const Message& msg);
 
@@ -299,7 +284,6 @@ class NodeCore : public CommitEnv {
   void StartNewClientTxn(uint32_t slot, Micros start_us);
   void StartAttempt(uint32_t slot);
   void RunLocalExec(TxnId txn);
-  void LocalExecDone(TxnId txn, bool ok);
   void SendNextFragment(TxnId txn);
   void AllFragmentsReady(TxnId txn);
   void AbortAttempt(TxnId txn, bool send_rollbacks);
@@ -310,13 +294,11 @@ class NodeCore : public CommitEnv {
   void ScheduleRetry(uint32_t slot);
   void CancelExecTimer(AttemptState& attempt);
 
-  // Execution engine: acquire + apply ops[*next..]; a WAIT_DIE wait parks
-  // the execution until ResumeExec.
-  ExecOutcome ExecOps(TxnId txn, uint64_t ts,
-                      const std::vector<Operation>& ops, size_t* next,
-                      std::vector<UndoRecord>* undo);
-  void FailExec(TxnId txn, std::vector<UndoRecord>* undo);
-  void ResumeExec(TxnId txn);
+  // Execution engine: lock + apply each op under NO_WAIT. On the first
+  // refused lock or missing row, undoes `undo`, releases `txn`'s locks and
+  // returns false.
+  bool ExecOps(TxnId txn, const std::vector<Operation>& ops,
+               std::vector<UndoRecord>* undo);
   bool ApplyOp(const Operation& op, std::vector<UndoRecord>* undo);
   void UndoWrites(const std::vector<UndoRecord>& undo);
 
@@ -347,12 +329,10 @@ class NodeCore : public CommitEnv {
   std::deque<AttemptState> attempt_pool_;
   std::vector<uint32_t> free_attempt_slots_;
   FlatMap<TxnId, FragmentState> fragments_;
-  FlatMap<TxnId, RemoteExec> parked_execs_;
   // Rollbacks that beat their exec request (network reordering); tiny.
   std::vector<TxnId> pending_rollbacks_;
   std::vector<NodeId> rollback_targets_;  // reused by SendRollbacks
   TxnIdAllocator txn_ids_;
-  uint64_t next_priority_ts_ = 1;
 
   FlatMap<TxnId, TimerId> protocol_timers_;
   uint32_t epoch_ = 1;  // bumped on crash; orphans earlier timers and work

@@ -117,7 +117,6 @@ std::string EncodeChildConfig(const SocketClusterConfig& c, NodeId id,
   std::ostringstream out;
   out << "id=" << id << " n=" << c.num_nodes << " ctl=" << ctl_port
       << " proto=" << static_cast<int>(c.protocol)
-      << " cc=" << static_cast<int>(c.cc_policy)
       << " clients=" << c.clients_per_node << " coalesce=" << (c.coalesce ? 1 : 0)
       << " timeout=" << c.timeout_us << " termwin=" << c.termination_window_us
       << " seed=" << c.seed << " ol=" << (c.open_loop ? 1 : 0)
@@ -155,7 +154,6 @@ ChildSetup DecodeChildConfig(const std::string& blob) {
     else if (key == "n") c.num_nodes = static_cast<uint32_t>(std::stoul(val));
     else if (key == "ctl") setup.ctl_port = static_cast<uint16_t>(std::stoul(val));
     else if (key == "proto") c.protocol = static_cast<CommitProtocol>(std::stoi(val));
-    else if (key == "cc") c.cc_policy = static_cast<CcPolicy>(std::stoi(val));
     else if (key == "clients") c.clients_per_node = static_cast<uint32_t>(std::stoul(val));
     else if (key == "coalesce") c.coalesce = val != "0";
     else if (key == "timeout") c.timeout_us = std::stoll(val);
@@ -183,7 +181,6 @@ ChildSetup DecodeChildConfig(const std::string& blob) {
   n.cluster.num_nodes = c.num_nodes;
   n.cluster.clients_per_node = c.clients_per_node;
   n.cluster.protocol = c.protocol;
-  n.cluster.cc_policy = c.cc_policy;
   n.cluster.commit.timeout_us = c.timeout_us;
   n.cluster.commit.termination_window_us = c.termination_window_us;
   n.cluster.commit.keep_decision_ledger = true;

@@ -18,7 +18,6 @@ namespace ecdb {
 struct SocketClusterConfig {
   uint32_t num_nodes = 4;
   CommitProtocol protocol = CommitProtocol::kEasyCommit;
-  CcPolicy cc_policy = CcPolicy::kNoWait;
   uint32_t clients_per_node = 16;
 
   /// Frame cap, exactly the threaded runtime's coalesce_transport: on, one

@@ -22,9 +22,9 @@ enum class CommitPhase : uint8_t {
 inline constexpr size_t kNumCommitPhases = 3;
 
 /// Protocol events the engine reports, each once, as it happens; it keeps
-/// no counters of its own. Hosts count each into its NodeStats or
-/// ClusterStats field (kTerminationRound into termination_rounds, and so
-/// on), which documents it.
+/// no counters of its own. The host adds each to its own counter in the
+/// metrics registry (kTerminationRound to "termination_rounds", and so on;
+/// obs/metrics_registry.cc names them all).
 enum class ProtocolEvent : uint8_t {
   kTerminationRound,     // termination round / election / ballot started
   kAcceptorRound,        // Paxos Commit: an accept quorum it led decided
@@ -58,15 +58,10 @@ class CommitEnv {
 
   /// Appends a record carrying an explicit payload in its `participants`
   /// field (the quorum protocols pack epochs/ballots/accepted values into
-  /// it — see commit/quorum.h). Hosts that recover from their WAL must
-  /// store the payload verbatim; the default forwards to Log(), which is
-  /// only acceptable for hosts that never replay (payload-free logging
-  /// breaks quorum-state recovery).
+  /// it — see commit/quorum.h). The host must store the payload verbatim:
+  /// quorum-state recovery replays it from the WAL.
   virtual void LogPayload(TxnId txn, LogRecordType type,
-                          const CowVector<NodeId>& payload) {
-    (void)payload;
-    Log(txn, type);
-  }
+                          const CowVector<NodeId>& payload) = 0;
 
   /// Arms (or re-arms) the single protocol timer for `txn`; after
   /// `delay_us` of simulated/real time the host must call
@@ -100,21 +95,17 @@ class CommitEnv {
 
   /// Current time on this node's clock, in microseconds. Used only for
   /// observability (trace timestamps and phase-latency samples), never for
-  /// protocol decisions, so the default is fine for hosts that don't track
-  /// time (hand-scripted unit tests).
-  virtual Micros NowUs() const { return 0; }
+  /// protocol decisions.
+  virtual Micros NowUs() const = 0;
 
   /// Observability hook: `txn` spent `elapsed_us` in `phase` on this node.
   /// Emitted only for commit-bound transactions; hosts aggregate the
   /// samples into per-phase latency histograms.
-  virtual void OnPhaseSample(TxnId txn, CommitPhase phase, Micros elapsed_us) {
-    (void)txn;
-    (void)phase;
-    (void)elapsed_us;
-  }
+  virtual void OnPhaseSample(TxnId txn, CommitPhase phase,
+                             Micros elapsed_us) = 0;
 
   /// Observability hook: one protocol `event` happened on this node.
-  virtual void OnProtocolEvent(ProtocolEvent event) { (void)event; }
+  virtual void OnProtocolEvent(ProtocolEvent event) = 0;
 };
 
 }  // namespace ecdb

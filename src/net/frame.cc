@@ -17,9 +17,8 @@ constexpr uint8_t kFlagTxnHasWrites = 1u << 2;
 constexpr uint8_t kFlagQuorumNack = 1u << 3;
 
 // The quorum vocabulary (E3PC + Paxos Commit) is a contiguous tail of the
-// MsgType enum; only those messages carry the quorum_attempt /
-// quorum_instance extension (quorum_epoch shares the priority_ts slot —
-// same storage in the struct, same slot on the wire).
+// MsgType enum; only those messages carry the quorum_epoch /
+// quorum_attempt / quorum_instance extension.
 bool IsQuorumMsg(MsgType type) {
   return type >= MsgType::kQuorumElect && type <= MsgType::kPaxosAccepted;
 }
@@ -53,8 +52,10 @@ uint32_t Fnv1a(const uint8_t* data, size_t size) {
 // coalescing layer buys, so per-message encodings omit both.
 size_t EncodedMessageBytes(const Message& m) {
   return 1 /*type*/ + 1 /*flags*/ + 1 /*term_state*/ + 1 /*decision*/ +
-         8 /*txn*/ + 8 /*priority_ts or quorum_epoch*/ + 8 /*trace_seq*/ +
-         (IsQuorumMsg(m.type) ? 8 /*quorum_attempt*/ + 4 /*instance*/ : 0) +
+         8 /*txn*/ + 8 /*trace_seq*/ +
+         (IsQuorumMsg(m.type)
+              ? 8 /*quorum_epoch*/ + 8 /*quorum_attempt*/ + 4 /*instance*/
+              : 0) +
          4 + m.participants.size() * sizeof(NodeId) +
          4 + m.ops.size() * (sizeof(TableId) + sizeof(Key) + 1 /*mode*/);
 }
@@ -70,9 +71,9 @@ void EncodeMessage(const Message& m, std::vector<uint8_t>* out) {
   Put<uint8_t>(out, static_cast<uint8_t>(m.term_state));
   Put<uint8_t>(out, static_cast<uint8_t>(m.decision));
   Put<uint64_t>(out, m.txn);
-  Put<uint64_t>(out, m.priority_ts);  // == quorum_epoch (shared storage)
   Put<uint64_t>(out, m.trace_seq);
   if (IsQuorumMsg(m.type)) {
+    Put<uint64_t>(out, m.quorum_epoch);
     Put<uint64_t>(out, m.quorum_attempt);
     Put<NodeId>(out, m.quorum_instance);
   }
@@ -103,12 +104,12 @@ bool DecodeMessage(const uint8_t* data, size_t size, size_t* at, NodeId src,
   m->quorum_nack = (flags & kFlagQuorumNack) != 0;
   m->term_state = static_cast<CohortState>(term_state);
   m->decision = static_cast<Decision>(decision);
-  if (!Get(data, size, at, &m->txn) || !Get(data, size, at, &m->priority_ts) ||
-      !Get(data, size, at, &m->trace_seq)) {
+  if (!Get(data, size, at, &m->txn) || !Get(data, size, at, &m->trace_seq)) {
     return false;
   }
   if (IsQuorumMsg(m->type) &&
-      (!Get(data, size, at, &m->quorum_attempt) ||
+      (!Get(data, size, at, &m->quorum_epoch) ||
+       !Get(data, size, at, &m->quorum_attempt) ||
        !Get(data, size, at, &m->quorum_instance))) {
     return false;
   }
@@ -173,7 +174,7 @@ bool DecodeFrame(const uint8_t* data, size_t size, MessageFrame* out) {
   Get(data, body_end, &at, &src);
   Get(data, body_end, &at, &dst);
   Get(data, body_end, &at, &count);
-  constexpr size_t kMinMsgBytes = 4 + 8 * 3 + 4 + 4;
+  constexpr size_t kMinMsgBytes = 4 + 8 * 2 + 4 + 4;
   if ((body_end - at) / kMinMsgBytes < count) return false;
   MessageFrame frame;
   frame.src = src;

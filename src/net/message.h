@@ -129,21 +129,12 @@ struct Message {
   ///
   /// This struct is copied once per recipient on every broadcast (EC's
   /// decision flood is O(n²) copies), so the quorum fields are packed
-  /// into existing padding holes and `quorum_epoch` shares storage with
-  /// `priority_ts` below — the execution and quorum vocabularies never
-  /// meet in one message. The static_assert below is the tripwire for
-  /// letting sizeof(Message) creep.
+  /// into existing padding holes. The static_assert below is the tripwire
+  /// for letting sizeof(Message) creep.
   bool quorum_nack = false;
   NodeId quorum_instance = kInvalidNode;
   uint64_t quorum_attempt = 0;
-
-  /// kRemoteExec: the transaction's WAIT_DIE priority timestamp; for the
-  /// kQuorum*/kPaxos* messages the same storage is `quorum_epoch` (see
-  /// the quorum payload comment above).
-  union {
-    uint64_t priority_ts = 0;
-    uint64_t quorum_epoch;
-  };
+  uint64_t quorum_epoch = 0;
 
   /// Per-sender trace sequence number, stamped by hosts when tracing is
   /// enabled so a receive event can name the exact send it pairs with.

@@ -150,7 +150,7 @@ TEST(MessageChannelTest, StressedProducersDrainAndCloseRace) {
     producers.emplace_back([&ch, &produced, p] {
       for (int i = 0; i < kPerProducer; ++i) {
         Message m = Make(static_cast<NodeId>(p), 0);
-        m.priority_ts = static_cast<uint64_t>(i);
+        m.trace_seq = static_cast<uint64_t>(i);
         ch.Push(std::move(m));
         produced.fetch_add(1, std::memory_order_relaxed);
       }
@@ -163,7 +163,7 @@ TEST(MessageChannelTest, StressedProducersDrainAndCloseRace) {
   while (ch.PopAll(&batch, std::chrono::microseconds(500'000))) {
     for (const Message& m : batch) {
       // Per-producer FIFO must survive the batched drain.
-      ASSERT_EQ(m.priority_ts, next_expected[m.src]++);
+      ASSERT_EQ(m.trace_seq, next_expected[m.src]++);
       received++;
     }
     if (received == kProducers * kPerProducer) break;

@@ -24,7 +24,10 @@ Message MakeMessage(uint32_t i) {
   m.forwarded = (i % 3) == 0;
   m.has_decision = (i % 2) == 0;
   m.decision = (i % 4) < 2 ? Decision::kCommit : Decision::kAbort;
-  m.priority_ts = 77u * i;
+  m.trace_seq = 77u * i;
+  if (m.type >= MsgType::kQuorumElect && m.type <= MsgType::kPaxosAccepted) {
+    m.quorum_epoch = 91u * i;  // only quorum messages ship the epoch
+  }
   if (i % 5 == 0) {
     std::vector<NodeId>& parts = m.participants.Mutable();
     for (uint32_t k = 0; k < i % 6; ++k) parts.push_back(k);
@@ -50,7 +53,8 @@ void ExpectFrameEq(const MessageFrame& want, const MessageFrame& got) {
   for (size_t i = 0; i < want.messages.size(); ++i) {
     EXPECT_EQ(want.messages[i].type, got.messages[i].type);
     EXPECT_EQ(want.messages[i].txn, got.messages[i].txn);
-    EXPECT_EQ(want.messages[i].priority_ts, got.messages[i].priority_ts);
+    EXPECT_EQ(want.messages[i].trace_seq, got.messages[i].trace_seq);
+    EXPECT_EQ(want.messages[i].quorum_epoch, got.messages[i].quorum_epoch);
     EXPECT_EQ(want.messages[i].participants.vec(),
               got.messages[i].participants.vec());
   }

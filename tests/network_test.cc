@@ -257,7 +257,6 @@ TEST(FrameCodecTest, RoundTripPreservesAllFields) {
   full.src = 3;  // per-message src/dst ride in the frame header
   full.dst = 9;
   full.txn = MakeTxnId(3, 77);
-  full.priority_ts = 123456789ULL;
   full.trace_seq = 42;
   full.forwarded = true;
   full.has_decision = true;
@@ -294,7 +293,6 @@ TEST(FrameCodecTest, RoundTripPreservesAllFields) {
   EXPECT_EQ(d.src, 3u);
   EXPECT_EQ(d.dst, 9u);
   EXPECT_EQ(d.txn, full.txn);
-  EXPECT_EQ(d.priority_ts, full.priority_ts);
   EXPECT_EQ(d.trace_seq, full.trace_seq);
   EXPECT_TRUE(d.forwarded);
   EXPECT_TRUE(d.has_decision);
@@ -311,9 +309,8 @@ TEST(FrameCodecTest, RoundTripPreservesAllFields) {
 }
 
 TEST(FrameCodecTest, QuorumMessagesRoundTripTheirExtension) {
-  // The quorum vocabulary carries an extension (ballot/epoch in the
-  // priority_ts slot — shared storage — plus attempt, instance, nack
-  // flag) that only those message types pay wire bytes for.
+  // The quorum vocabulary carries an extension (ballot/epoch, attempt,
+  // instance, nack flag) that only those message types pay wire bytes for.
   MessageFrame frame;
   frame.src = 1;
   frame.dst = 4;
@@ -339,15 +336,23 @@ TEST(FrameCodecTest, QuorumMessagesRoundTripTheirExtension) {
   std::vector<uint8_t> wire;
   EncodeFrame(frame, &wire);
   EXPECT_EQ(wire.size(), frame.WireBytes());
-  // The quorum extension costs exactly attempt + instance over a
-  // same-payload non-quorum message.
+  // The quorum extension costs exactly epoch + attempt + instance over a
+  // same-payload non-quorum message, which ships none of them.
   Message as_plain = promise;
   as_plain.type = MsgType::kTermStateReply;
   MessageFrame baseline;
   baseline.src = 1;
   baseline.dst = 4;
   baseline.messages = {as_plain, plain};
-  EXPECT_EQ(frame.WireBytes(), baseline.WireBytes() + 8 + sizeof(NodeId));
+  EXPECT_EQ(frame.WireBytes(),
+            baseline.WireBytes() + 8 + 8 + sizeof(NodeId));
+  std::vector<uint8_t> baseline_wire;
+  EncodeFrame(baseline, &baseline_wire);
+  EXPECT_EQ(baseline_wire.size(), baseline.WireBytes());
+  MessageFrame baseline_decoded;
+  ASSERT_TRUE(DecodeFrame(baseline_wire, &baseline_decoded));
+  EXPECT_EQ(baseline_decoded.messages[0].quorum_epoch, 0u);
+  EXPECT_EQ(baseline_decoded.messages[0].quorum_attempt, 0u);
 
   MessageFrame decoded;
   ASSERT_TRUE(DecodeFrame(wire, &decoded));
@@ -359,8 +364,31 @@ TEST(FrameCodecTest, QuorumMessagesRoundTripTheirExtension) {
   EXPECT_EQ(d.quorum_instance, promise.quorum_instance);
   EXPECT_TRUE(d.quorum_nack);
   EXPECT_EQ(d.participants, promise.participants);
+  EXPECT_EQ(decoded.messages[1].quorum_epoch, 0u);
   EXPECT_EQ(decoded.messages[1].quorum_attempt, 0u);
   EXPECT_FALSE(decoded.messages[1].quorum_nack);
+}
+
+TEST(FrameCodecTest, FrameOfMinimalMessagesRoundTrips) {
+  // The decoder's message-count bound must admit a frame in which every
+  // message has the smallest encoding: no quorum extension, empty lists.
+  MessageFrame frame;
+  frame.src = 1;
+  frame.dst = 2;
+  for (uint32_t i = 0; i < 64; ++i) {
+    Message m;
+    m.type = MsgType::kVoteCommit;
+    m.src = 1;
+    m.dst = 2;
+    m.txn = MakeTxnId(1, i);
+    frame.messages.push_back(m);
+  }
+  std::vector<uint8_t> wire;
+  EncodeFrame(frame, &wire);
+  MessageFrame decoded;
+  ASSERT_TRUE(DecodeFrame(wire, &decoded));
+  ASSERT_EQ(decoded.messages.size(), 64u);
+  EXPECT_EQ(decoded.messages[63].txn, MakeTxnId(1, 63));
 }
 
 TEST(FrameCodecTest, EmptyFrameRoundTrips) {

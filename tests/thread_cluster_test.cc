@@ -246,6 +246,32 @@ TEST(ThreadClusterTest, ReleaseLocksAtDecisionPassesAudit) {
   EXPECT_GT(audit.acked_commits, 0u);
 }
 
+// Once the closed loop is quiesced and in-flight work drains, every
+// transaction has released its locks: no lock entry and no client slot may
+// remain on any node, even under a skewed, conflict-heavy load.
+TEST(ThreadClusterTest, NoLockLeaksAfterQuiescentDrain) {
+  ThreadClusterConfig cfg = SmallConfig(CommitProtocol::kEasyCommit);
+  cfg.num_nodes = 4;
+  YcsbConfig ycsb = SmallYcsb();
+  ycsb.num_partitions = 4;
+  ycsb.theta = 0.8;
+  ThreadCluster cluster(cfg, std::make_unique<YcsbWorkload>(ycsb));
+  cluster.Start();
+  uint64_t committed = 0;
+  for (int i = 0; i < 40 && committed == 0; ++i) {
+    cluster.RunFor(0.1);
+    committed = cluster.TotalCommitted();
+  }
+  ASSERT_GT(committed, 0u);
+  cluster.Quiesce(0.5);
+  cluster.Stop();
+  for (NodeId id = 0; id < cfg.num_nodes; ++id) {
+    EXPECT_EQ(cluster.node(id).locks().ActiveEntries(), 0u) << "node " << id;
+    EXPECT_EQ(cluster.node(id).InFlightClientCount(), 0u) << "node " << id;
+  }
+  EXPECT_TRUE(cluster.monitor().Violations().empty());
+}
+
 // Quiesce is sticky across crash/recover: the recovered node's clients
 // stay idle instead of issuing new transactions.
 TEST(ThreadClusterTest, QuiescedNodeStartsNothingAfterRecovery) {
