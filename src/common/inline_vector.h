@@ -44,6 +44,9 @@ class InlineVector {
   const T* begin() const { return data(); }
   const T* end() const { return data() + size_; }
 
+  T& operator[](size_t i) { return data()[i]; }
+  const T& operator[](size_t i) const { return data()[i]; }
+
   void push_back(const T& value) {
     if (size_ == capacity_) Grow();
     data()[size_++] = value;

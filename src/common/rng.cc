@@ -1,7 +1,12 @@
 #include "common/rng.h"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <mutex>
+#include <vector>
+
+#include "common/logging.h"
 
 namespace ecdb {
 
@@ -67,10 +72,10 @@ Rng Rng::Fork() { return Rng(Next()); }
 
 ZipfianGenerator::ZipfianGenerator(uint64_t n, double theta)
     : n_(n), theta_(theta) {
-  assert(n > 0);
-  assert(theta >= 0.0 && theta < 1.0);
+  ECDB_CHECK(n > 0);
+  ECDB_CHECK(theta >= 0.0 && theta < 1.0);
   alpha_ = 1.0 / (1.0 - theta_);
-  zetan_ = Zeta(n_, theta_);
+  zetan_ = SharedZeta(n_, theta_);
   const double zeta2 = Zeta(2, theta_);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
          (1.0 - zeta2 / zetan_);
@@ -83,6 +88,27 @@ double ZipfianGenerator::Zeta(uint64_t n, double theta) {
     sum += 1.0 / std::pow(static_cast<double>(i), theta);
   }
   return sum;
+}
+
+double ZipfianGenerator::SharedZeta(uint64_t n, double theta) {
+  struct Entry {
+    uint64_t n;
+    uint64_t theta_bits;
+    double zetan;
+  };
+  // A process sees a handful of shapes (one per sweep point), so a scan
+  // is enough. The first constructor of a shape sums under the lock, and
+  // concurrent constructors of any shape wait for it.
+  static std::mutex mu;
+  static std::vector<Entry> table;
+  const uint64_t theta_bits = std::bit_cast<uint64_t>(theta);
+  std::lock_guard<std::mutex> lock(mu);
+  for (const Entry& e : table) {
+    if (e.n == n && e.theta_bits == theta_bits) return e.zetan;
+  }
+  const double zetan = Zeta(n, theta);
+  table.push_back({n, theta_bits, zetan});
+  return zetan;
 }
 
 uint64_t ZipfianGenerator::Next(Rng& rng) const {

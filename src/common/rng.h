@@ -44,9 +44,16 @@ class Rng {
 /// parameter `theta` follows the YCSB convention: theta near 0 is uniform
 /// and theta 0.9 is extremely skewed (the paper sweeps 0.1 .. 0.9). Uses the
 /// Gray et al. rejection-free method with precomputed zeta constants.
+///
+/// zeta(n, theta) costs one `pow` per item, and every generator of one shape
+/// needs the same value, so the constructor computes it once per
+/// (n, theta bit pattern) per process and shares the stored sum: a generator
+/// draws the same keys whether its shape was seen before or not.
+/// Construction is thread-safe.
 class ZipfianGenerator {
  public:
-  /// Prepares a generator over `n` items with skew `theta` in [0, 1).
+  /// Prepares a generator over `n` > 0 items with skew `theta` in [0, 1);
+  /// aborts on any other shape.
   ZipfianGenerator(uint64_t n, double theta);
 
   /// Draws the next item in [0, n). Item 0 is the hottest.
@@ -54,9 +61,16 @@ class ZipfianGenerator {
 
   uint64_t n() const { return n_; }
   double theta() const { return theta_; }
+  double zetan() const { return zetan_; }
+
+  /// zeta(n, theta) = sum over i in [1, n] of 1 / i^theta, summed in order
+  /// of i; computed afresh on every call.
+  static double Zeta(uint64_t n, double theta);
 
  private:
-  static double Zeta(uint64_t n, double theta);
+  /// Zeta(n, theta), computed on the first call for this shape in the
+  /// process and returned from a shared table afterwards.
+  static double SharedZeta(uint64_t n, double theta);
 
   uint64_t n_;
   double theta_;

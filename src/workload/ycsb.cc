@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/inline_vector.h"
 #include "common/logging.h"
 
 namespace ecdb {
@@ -31,9 +32,10 @@ void YcsbWorkload::LoadPartition(PartitionStore* store,
 }
 
 TxnRequest YcsbWorkload::NextTxn(PartitionId home, Rng& rng) {
-  // Choose the partitions: home first, then distinct others.
-  std::vector<PartitionId> parts;
-  parts.reserve(config_.partitions_per_txn);
+  // Choose the partitions: home first, then distinct others. Eight inline
+  // slots cover the fan-outs the figures use (2 to 6); a wider one spills
+  // to the heap.
+  InlineVector<PartitionId, 8> parts;
   parts.push_back(home);
   while (parts.size() < config_.partitions_per_txn) {
     const PartitionId p =

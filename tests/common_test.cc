@@ -1,7 +1,10 @@
 // Unit tests for common utilities: Status/Result, Rng, Zipfian, Histogram.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -268,6 +271,65 @@ TEST(ZipfianTest, ItemZeroIsHottest) {
   for (int i = 0; i < 100000; ++i) counts[zipf.Next(rng)]++;
   const int max_count = *std::max_element(counts.begin(), counts.end());
   EXPECT_EQ(counts[0], max_count);
+}
+
+// The YCSB shapes the benchmark runs (65,536 and 16,384 rows at theta 0.6)
+// and a few others, including two whose thetas differ only in the last bit
+// (their sums differ too, so a table keyed more coarsely would mix them).
+const std::pair<uint64_t, double> kZipfShapes[] = {
+    {65536, 0.6}, {16384, 0.6},  {1024, 0.5},
+    {1000, 0.9},  {1000, 0.01},  {1000, std::nextafter(0.9, 1.0)},
+};
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+TEST(ZipfianTest, SharedConstantsMatchDirectSum) {
+  for (const auto& [n, theta] : kZipfShapes) {
+    SCOPED_TRACE(testing::Message() << "n=" << n << " theta=" << theta);
+    const uint64_t direct = Bits(ZipfianGenerator::Zeta(n, theta));
+    const ZipfianGenerator first(n, theta);
+    const ZipfianGenerator again(n, theta);  // a shared-table hit
+    EXPECT_EQ(Bits(first.zetan()), direct);
+    EXPECT_EQ(Bits(again.zetan()), direct);
+    Rng a(42), b(42);
+    for (int i = 0; i < 10000; ++i) ASSERT_EQ(first.Next(a), again.Next(b));
+  }
+}
+
+TEST(ZipfianTest, ConcurrentConstructionAgrees) {
+  constexpr int kThreads = 4;
+  constexpr size_t kShapes = std::size(kZipfShapes);
+  std::vector<std::vector<uint64_t>> seen(kThreads);
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&seen, t] {
+        // Each thread walks the shapes from a different start, so first
+        // constructions of one shape race with hits on another.
+        seen[t].resize(kShapes);
+        for (size_t k = 0; k < kShapes; ++k) {
+          const size_t s = (k + static_cast<size_t>(t)) % kShapes;
+          const auto& [n, theta] = kZipfShapes[s];
+          seen[t][s] = Bits(ZipfianGenerator(n, theta).zetan());
+        }
+      });
+    }
+  }
+  for (size_t s = 0; s < kShapes; ++s) {
+    const auto& [n, theta] = kZipfShapes[s];
+    const uint64_t direct = Bits(ZipfianGenerator::Zeta(n, theta));
+    for (int t = 0; t < kThreads; ++t) EXPECT_EQ(seen[t][s], direct);
+  }
+}
+
+TEST(ZipfianDeathTest, ZeroItemsIsRejected) {
+  EXPECT_DEATH(ZipfianGenerator(0, 0.6), "CHECK failed");
+}
+
+TEST(ZipfianDeathTest, ThetaOutsideUnitIntervalIsRejected) {
+  EXPECT_DEATH(ZipfianGenerator(1000, 1.0), "CHECK failed");
+  EXPECT_DEATH(ZipfianGenerator(1000, -0.1), "CHECK failed");
+  EXPECT_DEATH(ZipfianGenerator(1000, std::nan("")), "CHECK failed");
 }
 
 // ---------------------------------------------------------------------------

@@ -37,6 +37,15 @@ TEST(YcsbDeathTest, ZeroColumnsIsRejected) {
   EXPECT_DEATH(YcsbWorkload{cfg}, "CHECK failed");
 }
 
+TEST(YcsbDeathTest, InvalidZipfShapeIsRejected) {
+  YcsbConfig cfg = SmallConfig();
+  cfg.theta = 1.0;  // alpha = 1 / (1 - theta) would be infinite
+  EXPECT_DEATH(YcsbWorkload{cfg}, "CHECK failed");
+  cfg = SmallConfig();
+  cfg.rows_per_partition = 0;
+  EXPECT_DEATH(YcsbWorkload{cfg}, "CHECK failed");
+}
+
 TEST(YcsbTest, LoadedKeysBelongToPartition) {
   YcsbWorkload ycsb(SmallConfig());
   PartitionStore store(3);
