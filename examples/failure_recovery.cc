@@ -17,6 +17,7 @@
 // node and checks atomicity, durability and liveness. Same seed, same
 // timeline, same verdict, every time.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -128,9 +129,13 @@ void ShowIndependentRecovery() {
   wal.Append({0, 3, LogRecordType::kCommitReceived, {0, 1, 2}});
   wal.Append({0, 4, LogRecordType::kAbortDecision, {1, 0, 2}});
 
-  for (TxnId txn : RecoveryManager::InFlightTxns(wal)) {
+  const std::vector<LogRecord>& log = wal.Scan();
+  for (const InFlightTxn& txn : RecoveryManager::Plan(log, 0).in_flight) {
+    const auto last = std::find_if(
+        log.rbegin(), log.rend(),
+        [&txn](const LogRecord& r) { return r.txn == txn.txn; });
     const char* action = "?";
-    switch (RecoveryManager::Analyze(wal, txn)) {
+    switch (txn.action) {
       case RecoveryAction::kAbort:
         action = "abort independently";
         break;
@@ -142,8 +147,8 @@ void ShowIndependentRecovery() {
         break;
     }
     std::printf("  txn %llu: last entry '%s' -> %s\n",
-                static_cast<unsigned long long>(txn),
-                ToString(wal.LastFor(txn)->type).c_str(), action);
+                static_cast<unsigned long long>(txn.txn),
+                ToString(last->type).c_str(), action);
   }
 }
 

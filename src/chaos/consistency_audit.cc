@@ -4,7 +4,7 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "wal/log_record.h"
+#include "wal/wal.h"
 
 namespace ecdb {
 
@@ -20,22 +20,13 @@ void Dedup(std::vector<NodeId>* v) {
   v->erase(std::unique(v->begin(), v->end()), v->end());
 }
 
-void CollectWalEvidence(const WriteAheadLog& wal, NodeId id,
+void CollectWalEvidence(const MemoryWal& wal, NodeId id,
                         std::unordered_map<TxnId, WalEvidence>* evidence) {
   for (const LogRecord& r : wal.Scan()) {
-    switch (r.type) {
-      case LogRecordType::kCommitDecision:
-      case LogRecordType::kCommitReceived:
-      case LogRecordType::kTransactionCommit:
-        (*evidence)[r.txn].commit_nodes.push_back(id);
-        break;
-      case LogRecordType::kAbortDecision:
-      case LogRecordType::kAbortReceived:
-      case LogRecordType::kTransactionAbort:
-        (*evidence)[r.txn].abort_nodes.push_back(id);
-        break;
-      default:
-        break;
+    if (const auto decision = DecisionOf(r.type)) {
+      WalEvidence& ev = (*evidence)[r.txn];
+      (*decision == Decision::kCommit ? ev.commit_nodes : ev.abort_nodes)
+          .push_back(id);
     }
   }
 }

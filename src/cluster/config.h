@@ -43,9 +43,8 @@ struct NodeConfig {
   CommitEngineConfig commit;
 
   /// Aborted transactions restart after a randomized exponential backoff:
-  /// U[0,1) * base * 2^min(attempts, max_shift).
+  /// U[0,1) * base * 2^min(attempts, 6).
   Micros backoff_base_us = 500;
-  uint32_t backoff_max_shift = 6;
 
   /// Ablation knob (A3): release record locks when the decision is applied
   /// instead of at cleanup time. The paper's EC implementation frees

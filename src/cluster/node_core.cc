@@ -10,8 +10,15 @@
 
 namespace ecdb {
 
+namespace {
+
+// Retry backoff doubles per attempt up to 2^kBackoffMaxShift times the base.
+constexpr uint32_t kBackoffMaxShift = 6;
+
+}  // namespace
+
 NodeCore::NodeCore(NodeId id, const NodeConfig& config,
-                   std::unique_ptr<WriteAheadLog> wal, Workload* workload,
+                   std::unique_ptr<MemoryWal> wal, Workload* workload,
                    SafetyMonitor* monitor, uint64_t seed,
                    const MetricsHandle& metrics)
     : id_(id),
@@ -623,7 +630,7 @@ void NodeCore::ScheduleRetry(uint32_t slot) {
     client.in_flight = false;
     return;
   }
-  const uint32_t shift = std::min(client.attempts, config_.backoff_max_shift);
+  const uint32_t shift = std::min(client.attempts, kBackoffMaxShift);
   const Micros backoff = static_cast<Micros>(
       rng_.NextDouble() * static_cast<double>(config_.backoff_base_us) *
       static_cast<double>(1ULL << shift));
@@ -718,82 +725,62 @@ bool NodeCore::RecoverCore() {
   if (!crashed_) return false;
   crashed_ = false;
 
-  // Section 4.2 independent recovery over the WAL.
-  for (TxnId txn : RecoveryManager::InFlightTxns(*wal_)) {
-    // Quorum snapshot records (kQuorumState/kPaxosState) interleave with
-    // the milestones; the fate analysis keys on the last *milestone*, and
-    // the epoch/ballot state is reseeded separately below.
-    const auto last = RecoveryManager::LastMilestone(*wal_, txn);
-    if (!last.has_value()) {
-      // Snapshot-only WAL: Paxos acceptor duties for a transaction this
-      // node never carried as an RM. Its promises/accepts must survive the
-      // crash (acceptor amnesia lets two ballots choose differently), but
-      // there is no RM state machine to resume.
-      SeedQuorumSnapshots(txn);
-      continue;
-    }
-    const RecoveryAction action = RecoveryManager::AnalyzeRecord(last);
-    if (action != RecoveryAction::kConsultPeers) {
-      const bool commit = action == RecoveryAction::kCommit;
-      wal_->Append({0, txn,
-                    commit ? LogRecordType::kTransactionCommit
-                           : LogRecordType::kTransactionAbort,
+  // Section 4.2 independent recovery: read the whole WAL once, then act
+  // on what it says. Acting appends terminal records to the same log, so
+  // nothing may still be reading it by then.
+  RecoveryPlan plan = RecoveryManager::Plan(wal_->Scan(), id_);
+  // A restarted process allocates from 1 again; its new transactions must
+  // not collide with pre-crash ids still held in peers' decision ledgers.
+  // (An in-process host's allocator already runs past every logged id.)
+  txn_ids_.Reseed(plan.max_own_seq);
+  for (InFlightTxn& txn : plan.in_flight) {
+    if (txn.has_milestone && txn.action != RecoveryAction::kConsultPeers) {
+      const Decision decision = txn.action == RecoveryAction::kCommit
+                                    ? Decision::kCommit
+                                    : Decision::kAbort;
+      wal_->Append({0, txn.txn,
+                    decision == Decision::kCommit
+                        ? LogRecordType::kTransactionCommit
+                        : LogRecordType::kTransactionAbort,
                     {}});
-      if (monitor_ != nullptr) {
-        monitor_->RecordApplied(txn, id_,
-                                commit ? Decision::kCommit : Decision::kAbort);
-      }
+      if (monitor_ != nullptr) monitor_->RecordApplied(txn.txn, id_, decision);
+      plan.decisions.emplace_back(txn.txn, decision);
       continue;
     }
-    // Re-enter the commit protocol in the logged state; the armed timeout
-    // triggers the termination protocol, which consults the participants
-    // recorded in the WAL.
-    CohortState state = CohortState::kReady;
-    if (last->type == LogRecordType::kPreCommit) {
-      state = CohortState::kPreCommit;
-    } else if (last->type == LogRecordType::kPreAbort) {
-      state = CohortState::kPreAbort;
+    if (txn.has_milestone) {
+      // Re-enter the commit protocol in the logged state; the armed
+      // timeout triggers the termination protocol, which consults the
+      // participants recorded in the WAL.
+      engine_->ResumeAfterRecovery(txn.txn, TxnCoordinator(txn.txn),
+                                   std::move(txn.participants),
+                                   txn.resume_state);
     }
-    CowVector<NodeId> participants = last->participants;
-    if (participants.empty()) {
-      for (const LogRecord& r : wal_->Scan()) {
-        // Snapshot records reuse `participants` as a packed payload
-        // channel; only begin-commit/ready carry a membership list.
-        if (r.txn == txn && !r.participants.empty() &&
-            (r.type == LogRecordType::kBeginCommit ||
-             r.type == LogRecordType::kReady)) {
-          participants = r.participants;
-          break;
-        }
-      }
+    // Quorum state survives the crash: E3PC epochs, and the Paxos acceptor
+    // state even where this node was an acceptor only.
+    QuorumEpoch last_elected = 0;
+    QuorumEpoch last_attempt = 0;
+    bool pre_abort = false;
+    if (UnpackQuorumState(txn.quorum_state, &last_elected, &last_attempt,
+                          &pre_abort)) {
+      engine_->SeedQuorumState(txn.txn, last_elected, last_attempt,
+                               pre_abort);
     }
-    engine_->ResumeAfterRecovery(txn, TxnCoordinator(txn),
-                                 std::move(participants), state);
-    SeedQuorumSnapshots(txn);
+    QuorumEpoch promised = 0;
+    std::vector<PaxosAccepted> accepted;
+    if (UnpackPaxosState(txn.paxos_state, &promised, &accepted)) {
+      engine_->SeedPaxosAcceptor(txn.txn, promised, std::move(accepted));
+    }
   }
 
   // Seed the fresh engine's decision ledger with every decision the WAL
-  // witnessed (including the terminal records the loop above just wrote).
-  // The pre-crash ledger died with the engine, but peers running the
-  // termination protocol must still get an answer from this node for
-  // transactions it decided before going down; without this, two recovered
-  // nodes consulting each other about a decided transaction would defer
-  // forever.
-  for (const LogRecord& r : wal_->Scan()) {
-    switch (r.type) {
-      case LogRecordType::kCommitDecision:
-      case LogRecordType::kCommitReceived:
-      case LogRecordType::kTransactionCommit:
-        engine_->SeedDecision(r.txn, Decision::kCommit);
-        break;
-      case LogRecordType::kAbortDecision:
-      case LogRecordType::kAbortReceived:
-      case LogRecordType::kTransactionAbort:
-        engine_->SeedDecision(r.txn, Decision::kAbort);
-        break;
-      default:
-        break;
-    }
+  // witnessed, in log order (ending with the terminal records the loop
+  // above just wrote). The pre-crash ledger died with the engine, but
+  // peers running the termination protocol must still get an answer from
+  // this node for transactions it decided before going down; without
+  // this, two recovered nodes consulting each other about a decided
+  // transaction would defer forever.
+  for (const auto& [txn, decision] : plan.decisions) {
+    engine_->SeedDecision(txn, decision);
   }
 
   // Back in service. Open loop: the crash orphaned the arrival chain, so
@@ -811,46 +798,6 @@ bool NodeCore::RecoverCore() {
     }
   }
   return true;
-}
-
-void NodeCore::SeedQuorumSnapshots(TxnId txn) {
-  // Last snapshot wins: each snapshot record supersedes the ones before it
-  // (promises and accepts only move forward). Scan() returns by value, so
-  // the records must outlive the loop for the pointers to stay valid.
-  const std::vector<LogRecord> records = wal_->Scan();
-  const LogRecord* quorum = nullptr;
-  const LogRecord* paxos = nullptr;
-  for (const LogRecord& r : records) {
-    if (r.txn != txn) continue;
-    if (r.type == LogRecordType::kQuorumState) quorum = &r;
-    if (r.type == LogRecordType::kPaxosState) paxos = &r;
-  }
-  if (quorum != nullptr) {
-    QuorumEpoch last_elected = 0;
-    QuorumEpoch last_attempt = 0;
-    bool pre_abort = false;
-    if (UnpackQuorumState(quorum->participants, &last_elected, &last_attempt,
-                          &pre_abort)) {
-      engine_->SeedQuorumState(txn, last_elected, last_attempt, pre_abort);
-    }
-  }
-  if (paxos != nullptr) {
-    QuorumEpoch promised = 0;
-    std::vector<PaxosAccepted> accepted;
-    if (UnpackPaxosState(paxos->participants, &promised, &accepted)) {
-      engine_->SeedPaxosAcceptor(txn, promised, std::move(accepted));
-    }
-  }
-}
-
-void NodeCore::ReseedTxnIdsFromWal() {
-  uint64_t max_seq = 0;
-  for (const LogRecord& r : wal_->Scan()) {
-    if (TxnCoordinator(r.txn) == id_) {
-      max_seq = std::max(max_seq, TxnSequence(r.txn));
-    }
-  }
-  txn_ids_.Reseed(max_seq);
 }
 
 size_t NodeCore::IdleClientCount() const {

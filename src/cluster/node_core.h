@@ -61,7 +61,7 @@ class NodeCore : public CommitEnv {
   /// `metrics` is the host's registry handle; every event the node counts
   /// is recorded there, once.
   NodeCore(NodeId id, const NodeConfig& config,
-           std::unique_ptr<WriteAheadLog> wal, Workload* workload,
+           std::unique_ptr<MemoryWal> wal, Workload* workload,
            SafetyMonitor* monitor, uint64_t seed,
            const MetricsHandle& metrics);
   ~NodeCore() override;
@@ -132,12 +132,6 @@ class NodeCore : public CommitEnv {
   TraceRecorder& trace() { return trace_; }
   const TraceRecorder& trace() const { return trace_; }
 
-  /// Bumps the TxnId allocator past the highest self-coordinated sequence
-  /// in the WAL. A process restart builds a fresh node over the old log;
-  /// without the reseed its ids would collide with pre-crash transactions
-  /// still present in peers' decision ledgers.
-  void ReseedTxnIdsFromWal();
-
   // --- Introspection ---
   /// What a node reports on its own, from any thread. All else it counts
   /// is in the host's registry (sharded per worker, not per node): read it
@@ -151,8 +145,8 @@ class NodeCore : public CommitEnv {
   CommitEngine& engine() { return *engine_; }
   const CommitEngine& engine() const { return *engine_; }
   PartitionStore& store() { return store_; }
-  WriteAheadLog& wal() { return *wal_; }
-  const WriteAheadLog& wal() const { return *wal_; }
+  MemoryWal& wal() { return *wal_; }
+  const MemoryWal& wal() const { return *wal_; }
   LockTable& locks() { return locks_; }
 
   /// Clients with no in-flight transaction.
@@ -302,10 +296,6 @@ class NodeCore : public CommitEnv {
   bool ApplyOp(const Operation& op, std::vector<UndoRecord>* undo);
   void UndoWrites(const std::vector<UndoRecord>& undo);
 
-  /// Recovery: reload `txn`'s quorum epoch pair / Paxos acceptor state
-  /// from the last kQuorumState / kPaxosState snapshot in the WAL.
-  void SeedQuorumSnapshots(TxnId txn);
-
   NodeId id_;
   const NodeConfig config_;
   Workload* workload_;
@@ -315,7 +305,7 @@ class NodeCore : public CommitEnv {
   PartitionStore store_;
   KeyPartitioner partitioner_;
   LockTable locks_;
-  std::unique_ptr<WriteAheadLog> wal_;
+  std::unique_ptr<MemoryWal> wal_;
   std::unique_ptr<CommitEngine> engine_;
 
   std::vector<ClientSlot> clients_;

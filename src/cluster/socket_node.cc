@@ -727,12 +727,11 @@ void SocketNode::Start() {
   node_->Bootstrap();
   if (config_.track_acked) node_->TrackAckedCommits(true);
   if (config_.restarted) {
-    // A replacement process over the old WAL: allocate past every logged
-    // self-coordinated id, then run the crash/recover pair so the worker's
-    // first loop iteration wipes the (empty) volatile state and performs
-    // the full WAL recovery analysis + decision-ledger seeding before any
-    // traffic is served.
-    node_->ReseedTxnIdsFromWal();
+    // A replacement process over the old WAL: run the crash/recover pair
+    // so the worker's first loop iteration wipes the (empty) volatile
+    // state and performs the full WAL recovery (allocating past every
+    // logged self-coordinated id, seeding the decision ledger) before the
+    // clients start and any traffic is served.
     node_->Crash();
     node_->Recover();
   }

@@ -13,8 +13,8 @@ using namespace std::chrono_literals;
 
 namespace {
 
-std::unique_ptr<WriteAheadLog> OpenWal(const ThreadClusterConfig& config,
-                                       NodeId id) {
+std::unique_ptr<MemoryWal> OpenWal(const ThreadClusterConfig& config,
+                                   NodeId id) {
   if (config.wal_dir.empty()) return std::make_unique<MemoryWal>();
   auto wal =
       FileWal::Open(config.wal_dir + "/node" + std::to_string(id) + ".wal");

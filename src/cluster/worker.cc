@@ -108,7 +108,12 @@ void ThreadWorker::DrainLocal() {
 
 void ThreadWorker::Loop() {
   const auto loop_start = std::chrono::steady_clock::now();
-  for (ThreadNode* node : nodes_) node->StartClients();
+  for (ThreadNode* node : nodes_) {
+    // A node whose crash is already pending (a restarted process about to
+    // recover from its WAL) would lose these transactions at once: its
+    // recovery starts the clients instead, with ids past the logged ones.
+    if (!node->crash_requested_.load()) node->StartClients();
+  }
   // The initial client transactions' fragments must leave before the loop
   // first blocks on the mailbox, or every worker starts its run one sleep
   // period late waiting on everyone else's.

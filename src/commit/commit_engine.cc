@@ -483,9 +483,8 @@ void CommitEngine::LedgerRecord(TxnId txn, Decision decision) {
     *slot = decision;
     return;
   }
-  if (config_.decision_ledger_cap == 0) return;
   ledger_fifo_.push_back(txn);
-  while (decision_ledger_.size() > config_.decision_ledger_cap &&
+  while (decision_ledger_.size() > kDecisionLedgerCap &&
          !ledger_fifo_.empty()) {
     decision_ledger_.Erase(ledger_fifo_.front());
     ledger_fifo_.pop_front();

@@ -122,16 +122,6 @@ struct CommitEngineConfig {
   /// answered. Enabled by fault-injection tests; off for benchmarks.
   bool keep_decision_ledger = false;
 
-  /// Upper bound on decision-ledger entries; 0 = unbounded. The ledger
-  /// exists to answer peers whose termination timers are still running,
-  /// i.e. queries land within a protocol-timeout window of the decision —
-  /// a bounded FIFO loses nothing as long as the cap outlives that window
-  /// at peak decision rate (the default gives >10x headroom at the
-  /// throughput benchmarks' rates). Left unbounded, a long throughput run
-  /// grows the map without limit and every insert walks colder and colder
-  /// memory, which measurably dominates the threaded-runtime profile.
-  uint32_t decision_ledger_cap = 65'536;
-
   /// Opt-in (0 = the paper's rule, proven for fail-stop): an EC/3PC
   /// termination leader that is missing state replies from one or more
   /// queried peers re-runs the election up to this many rounds before
@@ -404,9 +394,19 @@ class CommitEngine {
   void MaybeCleanup(TxnId txn, TxnRecord& rec);
   void FinishCleanup(TxnId txn, TxnRecord& rec);
 
+  /// Upper bound on decision-ledger entries. The ledger exists to answer
+  /// peers whose termination timers are still running, i.e. queries land
+  /// within a protocol-timeout window of the decision — a bounded FIFO
+  /// loses nothing as long as the cap outlives that window at peak
+  /// decision rate (this one gives >10x headroom at the throughput
+  /// benchmarks' rates). Left unbounded, a long throughput run grows the
+  /// map without limit and every insert walks colder and colder memory,
+  /// which measurably dominates the threaded-runtime profile.
+  static constexpr size_t kDecisionLedgerCap = 65'536;
+
   /// Sole writer of the decision ledger: records (or overwrites) a
-  /// decision and, when `decision_ledger_cap` is nonzero, evicts the
-  /// oldest entries FIFO once the cap is exceeded.
+  /// decision and evicts the oldest entries FIFO once the ledger holds
+  /// more than kDecisionLedgerCap.
   void LedgerRecord(TxnId txn, Decision decision);
 
   // --- Termination protocol ---

@@ -1,72 +1,92 @@
 #include "commit/recovery.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 namespace ecdb {
 
 RecoveryAction RecoveryManager::AnalyzeRecord(
-    const std::optional<LogRecord>& last) {
+    std::optional<LogRecordType> last) {
   if (!last.has_value()) return RecoveryAction::kAbort;
-  switch (last->type) {
-    case LogRecordType::kBeginCommit:
-      // Coordinator failed before reaching a decision (rule ii).
-      return RecoveryAction::kAbort;
-    case LogRecordType::kReady:
-    case LogRecordType::kPreCommit:
-    case LogRecordType::kPreAbort:
-      // Voted commit (or accepted a quorum-termination attempt); the
-      // decision may have gone either way.
-      return RecoveryAction::kConsultPeers;
-    case LogRecordType::kQuorumState:
-    case LogRecordType::kPaxosState:
-      // Quorum-protocol snapshot records carry epochs/ballots, not an
-      // outcome: the hosts reseed the engine from them and then consult.
-      // (An RM's own milestones are always logged *after* its snapshot, so
-      // a snapshot-last WAL means acceptor-only participation.)
-      return RecoveryAction::kConsultPeers;
-    case LogRecordType::kCommitDecision:
-    case LogRecordType::kCommitReceived:
-    case LogRecordType::kTransactionCommit:
-      return RecoveryAction::kCommit;
-    case LogRecordType::kAbortDecision:
-    case LogRecordType::kAbortReceived:
-    case LogRecordType::kTransactionAbort:
-      return RecoveryAction::kAbort;
+  // Rule iii: a logged decision drives recovery.
+  if (const auto decision = DecisionOf(*last)) {
+    return *decision == Decision::kCommit ? RecoveryAction::kCommit
+                                          : RecoveryAction::kAbort;
   }
+  // Coordinator failed before reaching a decision (rule ii).
+  if (*last == LogRecordType::kBeginCommit) return RecoveryAction::kAbort;
+  // Voted commit (ready, pre-commit) or accepted a quorum-termination
+  // attempt (pre-abort): the decision may have gone either way. Snapshot
+  // entries carry epochs/ballots, not an outcome: the hosts reseed the
+  // engine from them and then consult.
   return RecoveryAction::kConsultPeers;
 }
 
-RecoveryAction RecoveryManager::Analyze(const WriteAheadLog& wal, TxnId txn) {
-  return AnalyzeRecord(wal.LastFor(txn));
-}
+RecoveryPlan RecoveryManager::Plan(const std::vector<LogRecord>& log,
+                                   NodeId self) {
+  // Per transaction, pointers into `log`: valid for this pass only, since
+  // recovery appends to the same log once it acts on the plan.
+  struct Fold {
+    LogRecordType last = LogRecordType::kBeginCommit;
+    const LogRecord* milestone = nullptr;
+    const LogRecord* listed = nullptr;  // first begin-commit/ready list
+    const LogRecord* quorum = nullptr;
+    const LogRecord* paxos = nullptr;
+  };
+  RecoveryPlan plan;
+  // One insertion attempt per record, in log order: the map's iteration
+  // order, which is the order recovery acts in, follows from that key
+  // sequence alone.
+  std::unordered_map<TxnId, Fold> folds;
+  for (const LogRecord& r : log) {
+    Fold& fold = folds[r.txn];
+    fold.last = r.type;
+    if (r.type == LogRecordType::kQuorumState) {
+      fold.quorum = &r;
+    } else if (r.type == LogRecordType::kPaxosState) {
+      fold.paxos = &r;
+    } else {
+      fold.milestone = &r;
+      // Snapshot entries reuse `participants` as a packed payload; only
+      // begin-commit/ready carry a membership list.
+      if (fold.listed == nullptr && !r.participants.empty() &&
+          (r.type == LogRecordType::kBeginCommit ||
+           r.type == LogRecordType::kReady)) {
+        fold.listed = &r;
+      }
+    }
+    if (const auto decision = DecisionOf(r.type)) {
+      plan.decisions.emplace_back(r.txn, *decision);
+    }
+    if (TxnCoordinator(r.txn) == self) {
+      plan.max_own_seq = std::max(plan.max_own_seq, TxnSequence(r.txn));
+    }
+  }
 
-std::optional<LogRecord> RecoveryManager::LastMilestone(
-    const WriteAheadLog& wal, TxnId txn) {
-  std::optional<LogRecord> last;
-  for (const LogRecord& record : wal.Scan()) {
-    if (record.txn != txn) continue;
-    if (record.type == LogRecordType::kQuorumState ||
-        record.type == LogRecordType::kPaxosState) {
+  for (const auto& [txn, fold] : folds) {
+    if (fold.last == LogRecordType::kTransactionCommit ||
+        fold.last == LogRecordType::kTransactionAbort) {
       continue;
     }
-    last = record;
-  }
-  return last;
-}
-
-std::vector<TxnId> RecoveryManager::InFlightTxns(const WriteAheadLog& wal) {
-  std::unordered_map<TxnId, LogRecordType> last;
-  for (const LogRecord& record : wal.Scan()) {
-    last[record.txn] = record.type;
-  }
-  std::vector<TxnId> in_flight;
-  for (const auto& [txn, type] : last) {
-    if (type != LogRecordType::kTransactionCommit &&
-        type != LogRecordType::kTransactionAbort) {
-      in_flight.push_back(txn);
+    InFlightTxn& t = plan.in_flight.emplace_back();
+    t.txn = txn;
+    if (fold.quorum != nullptr) t.quorum_state = fold.quorum->participants;
+    if (fold.paxos != nullptr) t.paxos_state = fold.paxos->participants;
+    if (fold.milestone == nullptr) continue;
+    t.has_milestone = true;
+    const LogRecordType last = fold.milestone->type;
+    t.action = AnalyzeRecord(last);
+    if (last == LogRecordType::kPreCommit) {
+      t.resume_state = CohortState::kPreCommit;
+    } else if (last == LogRecordType::kPreAbort) {
+      t.resume_state = CohortState::kPreAbort;
+    }
+    t.participants = fold.milestone->participants;
+    if (t.participants.empty() && fold.listed != nullptr) {
+      t.participants = fold.listed->participants;
     }
   }
-  return in_flight;
+  return plan;
 }
 
 }  // namespace ecdb

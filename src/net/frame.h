@@ -19,9 +19,8 @@ struct MessageFrame {
   NodeId dst = kInvalidNode;
   std::vector<Message> messages;
 
-  /// Serialized size of the frame: header plus the per-message encodings.
-  /// This is what the byte-accounting and per-byte latency models charge
-  /// for a coalesced send.
+  /// Serialized size of the frame: header plus the per-message encodings,
+  /// i.e. the length EncodeFrame appends.
   size_t WireBytes() const;
 
   void Clear() {

@@ -23,17 +23,13 @@ bool SimNetwork::LinkDown(NodeId a, NodeId b) const {
   return links_down_.Contains(LinkKey(lo, hi));
 }
 
-Micros SimNetwork::SampleLatency(const Message& msg, size_t bytes) {
+Micros SimNetwork::SampleLatency(NodeId src, NodeId dst) {
   Micros latency = config_.base_latency_us;
   if (config_.jitter_us > 0) {
     latency += rng_.NextBounded(config_.jitter_us + 1);
   }
-  if (config_.per_byte_us > 0.0) {
-    latency += static_cast<Micros>(config_.per_byte_us *
-                                   static_cast<double>(bytes));
-  }
   if (!extra_delay_.empty()) {
-    const Micros* extra = extra_delay_.Find(LinkKey(msg.src, msg.dst));
+    const Micros* extra = extra_delay_.Find(LinkKey(src, dst));
     if (extra != nullptr) latency += *extra;
   }
   return latency;
@@ -51,9 +47,8 @@ void SimNetwork::Send(Message msg) {
     return;
   }
 
-  const size_t bytes = msg.ApproximateBytes();  // computed once per send
   stats_.messages_sent++;
-  stats_.bytes_sent += bytes;
+  stats_.bytes_sent += msg.ApproximateBytes();
   stats_.per_type[msg.type]++;
 
   if (LinkDown(msg.src, msg.dst)) {
@@ -74,7 +69,7 @@ void SimNetwork::Send(Message msg) {
     return;
   }
 
-  const Micros latency = SampleLatency(msg, bytes);
+  const Micros latency = SampleLatency(msg.src, msg.dst);
   scheduler_->ScheduleAfter(latency, [this, m = std::move(msg)]() {
     // Crash state is evaluated at delivery time: messages in flight toward
     // a node that crashes meanwhile are lost, matching fail-stop semantics.
@@ -125,24 +120,6 @@ void SimNetwork::AppendToFrame(Message msg) {
   of.frame.messages.push_back(std::move(msg));
 }
 
-Micros SimNetwork::FrameLatency(const MessageFrame& frame) {
-  Micros latency = config_.base_latency_us;
-  if (config_.jitter_us > 0) {
-    latency += rng_.NextBounded(config_.jitter_us + 1);
-  }
-  if (config_.per_byte_us > 0.0) {
-    // The frame ships one header for all its messages; charge the actual
-    // wire size, which is where coalescing's bandwidth saving shows up.
-    latency += static_cast<Micros>(config_.per_byte_us *
-                                   static_cast<double>(frame.WireBytes()));
-  }
-  if (!extra_delay_.empty()) {
-    const Micros* extra = extra_delay_.Find(LinkKey(frame.src, frame.dst));
-    if (extra != nullptr) latency += *extra;
-  }
-  return latency;
-}
-
 uint32_t SimNetwork::AcquireFlightBatch() {
   if (!free_flight_.empty()) {
     const uint32_t idx = free_flight_.back();
@@ -173,7 +150,7 @@ void SimNetwork::FlushCoalesced() {
       continue;
     }
     of.consumed = false;
-    of.latency = FrameLatency(of.frame);
+    of.latency = SampleLatency(of.frame.src, of.frame.dst);
   }
   // Pass 2: frames arriving at the same instant share one delivery event —
   // on a jitter-free network this collapses a whole broadcast step into a

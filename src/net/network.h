@@ -28,9 +28,6 @@ struct NetworkConfig {
   /// Section 4 discusses commit protocols under message loss; this knob
   /// exercises that analysis.
   double drop_probability = 0.0;
-
-  /// Per-byte transfer cost (models bandwidth); 0 disables it.
-  double per_byte_us = 0.0;
 };
 
 /// Dense per-message-type counters. Replaces an unordered_map<MsgType,
@@ -197,8 +194,10 @@ class SimNetwork {
     size_t used = 0;
   };
 
-  Micros SampleLatency(const Message& msg, size_t bytes);
-  Micros FrameLatency(const MessageFrame& frame);
+  /// One delivery's latency on the `src` -> `dst` link: base, jitter and
+  /// any injected extra delay. Drawn once per message, or once per frame
+  /// under coalescing.
+  Micros SampleLatency(NodeId src, NodeId dst);
   bool LinkDown(NodeId a, NodeId b) const;
   void AppendToFrame(Message msg);
   void FlushCoalesced();

@@ -2,6 +2,7 @@
 #define ECDB_WAL_LOG_RECORD_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/cow_vector.h"
@@ -33,6 +34,26 @@ enum class LogRecordType : uint8_t {
 /// Returns the paper's name for the entry, e.g.
 /// "global-commit-decision-reached".
 std::string ToString(LogRecordType type);
+
+/// The decision an entry of `type` witnesses: commit for the commit
+/// decision, commit-received and transaction-commit entries, abort for
+/// their abort counterparts, nullopt for every other entry. Recovery,
+/// decision-ledger seeding and the chaos audit all read decisions off the
+/// log through this one table.
+constexpr std::optional<Decision> DecisionOf(LogRecordType type) {
+  switch (type) {
+    case LogRecordType::kCommitDecision:
+    case LogRecordType::kCommitReceived:
+    case LogRecordType::kTransactionCommit:
+      return Decision::kCommit;
+    case LogRecordType::kAbortDecision:
+    case LogRecordType::kAbortReceived:
+    case LogRecordType::kTransactionAbort:
+      return Decision::kAbort;
+    default:
+      return std::nullopt;
+  }
+}
 
 /// One WAL entry. Entries are tiny and fixed-size: commit protocols log
 /// control-flow milestones, not data (the storage engine is in-memory, as

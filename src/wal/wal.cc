@@ -37,18 +37,18 @@ std::string ToString(LogRecordType type) {
   return "unknown";
 }
 
-uint64_t WriteAheadLog::AppendBatch(std::vector<LogRecord>* records) {
-  uint64_t last = 0;
-  for (LogRecord& r : *records) last = Append(std::move(r));
-  records->clear();
-  return last;
-}
-
 uint64_t MemoryWal::Append(LogRecord record) {
   record.lsn = records_.size() + 1;
   records_.push_back(std::move(record));  // lsn stays readable below
   appended_since_flush_++;
   return record.lsn;
+}
+
+uint64_t MemoryWal::AppendBatch(std::vector<LogRecord>* records) {
+  uint64_t last = 0;
+  for (LogRecord& r : *records) last = Append(std::move(r));
+  records->clear();
+  return last;
 }
 
 Status MemoryWal::Flush() {
@@ -59,23 +59,15 @@ Status MemoryWal::Flush() {
   return Status::OK();
 }
 
-std::vector<LogRecord> MemoryWal::Scan() const { return records_; }
-
-std::optional<LogRecord> MemoryWal::LastFor(TxnId txn) const {
-  for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
-    if (it->txn == txn) return *it;
-  }
-  return std::nullopt;
-}
-
 namespace {
 
 // On-disk framing:
-// [magic u16][type u8][npart u8][txn u64][lsn u64][participants u32 x n]
+// [magic u16][type u8][npart u32][txn u64][lsn u64][participants u32 x n]
 // [check u32]. `check` is a simple mix of the fields, enough to catch torn
-// writes at the tail.
+// writes at the tail. The count is as wide as a participant id: a Paxos
+// snapshot of 64 instances already packs more than 255 words.
 constexpr uint16_t kRecordMagic = 0xECDB;
-constexpr size_t kHeaderBytes = 2 + 1 + 1 + 8 + 8;
+constexpr size_t kHeaderBytes = 2 + 1 + 4 + 8 + 8;
 
 uint32_t Checksum(const LogRecord& r) {
   uint64_t h = r.txn * 0x9E3779B97f4A7C15ULL;
@@ -95,9 +87,10 @@ void EncodeRecord(const LogRecord& r, std::vector<unsigned char>* out) {
   unsigned char* p = out->data() + start;
   std::memcpy(p, &kRecordMagic, 2);
   p[2] = static_cast<unsigned char>(r.type);
-  p[3] = static_cast<unsigned char>(r.participants.size());
-  std::memcpy(p + 4, &r.txn, 8);
-  std::memcpy(p + 12, &r.lsn, 8);
+  const uint32_t npart = static_cast<uint32_t>(r.participants.size());
+  std::memcpy(p + 3, &npart, 4);
+  std::memcpy(p + 7, &r.txn, 8);
+  std::memcpy(p + 15, &r.lsn, 8);
   size_t off = kHeaderBytes;
   for (NodeId part : r.participants) {
     uint32_t v = part;
@@ -116,9 +109,10 @@ bool ReadRecord(std::FILE* file, LogRecord* out) {
   std::memcpy(&magic, header, 2);
   if (magic != kRecordMagic) return false;
   out->type = static_cast<LogRecordType>(header[2]);
-  const size_t npart = header[3];
-  std::memcpy(&out->txn, header + 4, 8);
-  std::memcpy(&out->lsn, header + 12, 8);
+  uint32_t npart;
+  std::memcpy(&npart, header + 3, 4);
+  std::memcpy(&out->txn, header + 7, 8);
+  std::memcpy(&out->lsn, header + 15, 8);
   out->participants.clear();
   for (size_t i = 0; i < npart; ++i) {
     uint32_t v;
@@ -167,31 +161,13 @@ Result<std::unique_ptr<FileWal>> FileWal::Open(const std::string& path) {
        std::fseek(file, 0, SEEK_END) != 0)) {
     return Status::IOError("cannot truncate torn WAL tail at " + path);
   }
-  wal->flushed_records_ = wal->records_.size();
   return wal;
 }
 
 uint64_t FileWal::Append(LogRecord record) {
-  record.lsn = records_.size() + 1;
-  EncodeRecord(record, &pending_);
-  records_.push_back(std::move(record));
-  return records_.back().lsn;
-}
-
-uint64_t FileWal::AppendBatch(std::vector<LogRecord>* records) {
-  uint64_t last = 0;
-  for (LogRecord& r : *records) last = Append(std::move(r));
-  records->clear();
-  return last;
-}
-
-std::vector<LogRecord> FileWal::Scan() const { return records_; }
-
-std::optional<LogRecord> FileWal::LastFor(TxnId txn) const {
-  for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
-    if (it->txn == txn) return *it;
-  }
-  return std::nullopt;
+  const uint64_t lsn = MemoryWal::Append(std::move(record));
+  EncodeRecord(records_.back(), &pending_);
+  return lsn;
 }
 
 Status FileWal::Flush() {
@@ -202,14 +178,13 @@ Status FileWal::Flush() {
   }
   if (std::fflush(file_) != 0) return Status::IOError("fflush failed");
   pending_.clear();
-  flushed_records_ = records_.size();
-  group_flushes_++;
-  return Status::OK();
+  return MemoryWal::Flush();
 }
 
 void FileWal::DropUnflushed() {
   pending_.clear();
-  records_.resize(flushed_records_);
+  records_.resize(records_.size() - appended_since_flush_);
+  appended_since_flush_ = 0;
 }
 
 }  // namespace ecdb

@@ -8,12 +8,6 @@
 
 namespace ecdb {
 
-/// Arrival process for open-loop load generation.
-enum class ArrivalProcess : uint8_t {
-  kPoisson,    // exponential inter-arrival gaps (memoryless)
-  kFixedRate,  // exact 1/rate spacing (deterministic pacing)
-};
-
 /// Open-loop client model: transactions arrive at a configured rate per
 /// node, independent of completions — the load the ROADMAP north-star
 /// ("heavy traffic from millions of users") actually sees, as opposed to
@@ -25,9 +19,8 @@ struct OpenLoopConfig {
   /// Off: clients run the classic closed loop.
   bool enabled = false;
 
-  ArrivalProcess process = ArrivalProcess::kPoisson;
-
-  /// Mean arrival rate per server node, in transactions per second.
+  /// Mean arrival rate per server node, in transactions per second;
+  /// arrivals are a Poisson process (exponential gaps).
   double arrivals_per_sec_per_node = 1000.0;
 
   /// Admission control: arrivals beyond this many in-flight transactions
@@ -46,7 +39,7 @@ struct OpenLoopConfig {
 /// Deterministic per-seed arrival-gap generator. Each node owns one,
 /// seeded from the cluster seed stream, so the full arrival schedule —
 /// and with it the whole simulation — replays bit-identically for a given
-/// (seed, rate, process).
+/// (seed, rate).
 class ArrivalSchedule {
  public:
   ArrivalSchedule(const OpenLoopConfig& config, uint64_t seed);
@@ -56,9 +49,8 @@ class ArrivalSchedule {
   Micros NextGapUs();
 
  private:
-  ArrivalProcess process_;
   double mean_gap_us_;
-  double carry_ = 0.0;  // fixed-rate: fractional microseconds carried over
+  double carry_ = 0.0;  // fractional microseconds carried to the next gap
   Rng rng_;
 };
 

@@ -263,6 +263,77 @@ TEST(ChaosCampaignTest, CampaignTableIsDeterministic) {
   EXPECT_EQ(FormatCampaignTable({a}), FormatCampaignTable({b}));
 }
 
+// One pinned row of a `chaos_run` table: failed, the three violation
+// counts, blocked, qlost, ballots, acked, p50/p99/p999 and faults.
+struct PinnedRow {
+  CommitProtocol protocol;
+  uint64_t failed, atomicity, durability, liveness, blocked, qlost, ballots,
+      acked, p50, p99, p999, faults;
+};
+
+void ExpectPinnedRows(const ChaosCaseConfig& base,
+                      const std::vector<PinnedRow>& rows) {
+  for (const PinnedRow& want : rows) {
+    ChaosCaseConfig cfg = base;
+    cfg.protocol = want.protocol;
+    const CampaignSummary got = RunCampaign(cfg, 1, 8);
+    SCOPED_TRACE(ToString(want.protocol));
+    EXPECT_EQ(got.seeds_run, 8u);
+    EXPECT_EQ(got.seeds_failed, want.failed);
+    EXPECT_EQ(got.atomicity_violations, want.atomicity);
+    EXPECT_EQ(got.durability_violations, want.durability);
+    EXPECT_EQ(got.liveness_violations, want.liveness);
+    EXPECT_EQ(got.blocked_txns, want.blocked);
+    EXPECT_EQ(got.quorum_lost_rounds, want.qlost);
+    EXPECT_EQ(got.ballots_promoted, want.ballots);
+    EXPECT_EQ(got.acked_commits, want.acked);
+    EXPECT_EQ(got.latency.Percentile(0.50), want.p50);
+    EXPECT_EQ(got.latency.Percentile(0.99), want.p99);
+    EXPECT_EQ(got.latency.Percentile(0.999), want.p999);
+    EXPECT_EQ(got.faults_applied, want.faults);
+  }
+}
+
+// The simulator's chaos tables, pinned row by row: any change to the
+// simulated protocols, crash recovery, fault applier or audit that moves a
+// single figure fails here. Same configuration as `chaos_run --seeds 8`
+// (CI's table over the seven protocols) and `chaos_run --seeds 8
+// --intensity heavy --txn-partitions 3 --protocols e3pc,paxos`. ROADMAP
+// item 8's planned golden re-record is the one change meant to move these
+// rows; it updates them deliberately, together with the determinism
+// goldens.
+TEST(ChaosCampaignTest, SmokeTablesMatchPinnedRows) {
+  using P = CommitProtocol;
+  ExpectPinnedRows(
+      ChaosCaseConfig{},
+      {
+          {P::kEasyCommit, 0, 0, 0, 0, 0, 0, 0, 11602, 1983, 102399, 188415,
+           56},
+          {P::kThreePhase, 0, 0, 0, 0, 0, 0, 0, 8703, 2943, 110591, 212991,
+           56},
+          {P::kTwoPhase, 0, 0, 0, 0, 8, 0, 0, 10216, 1983, 106495, 180223,
+           56},
+          {P::kTwoPhasePresumedAbort, 0, 0, 0, 0, 6, 0, 0, 10207, 1983,
+           106495, 212991, 56},
+          {P::kTwoPhasePresumedCommit, 0, 0, 0, 0, 9, 0, 0, 11606, 1983,
+           90111, 180223, 56},
+          {P::kThreePhaseE3PC, 0, 0, 0, 0, 0, 75, 0, 8798, 2943, 106495, 229375, 56},
+          {P::kPaxosCommit, 0, 0, 0, 0, 0, 71, 205, 12926, 1983, 94207,
+           196607, 56},
+      });
+
+  ChaosCaseConfig heavy;
+  heavy.intensity = ChaosIntensity::kHeavy;
+  heavy.partitions_per_txn = 3;
+  ExpectPinnedRows(
+      heavy,
+      {
+          {P::kThreePhaseE3PC, 0, 0, 0, 0, 0, 76, 0, 3681, 3967, 327679, 507903, 131},
+          {P::kPaxosCommit, 0, 0, 0, 0, 0, 82, 246, 5118, 2943, 253951,
+           442367, 131},
+      });
+}
+
 // ---------------------------------------------------------------------------
 // The negative case: EC without decision forwarding fails the audit, and
 // the shrinker produces a smaller plan that still reproduces it.

@@ -206,33 +206,6 @@ TEST(NetworkLossTest, DropProbabilityLosesMessages) {
   EXPECT_EQ(net.stats().messages_dropped + delivered, 1000u);
 }
 
-TEST(NetworkBytesTest, PerByteCostSlowsLargeMessages) {
-  Scheduler sched;
-  NetworkConfig cfg;
-  cfg.base_latency_us = 10;
-  cfg.jitter_us = 0;
-  cfg.per_byte_us = 1.0;
-  SimNetwork net(&sched, cfg, 1);
-  Micros small_time = 0, large_time = 0;
-  net.RegisterNode(1, [&](const Message&) { small_time = sched.Now(); });
-
-  Message small;
-  small.src = 0;
-  small.dst = 1;
-  net.Send(small);
-  sched.RunAll();
-
-  net.RegisterNode(1, [&](const Message&) { large_time = sched.Now(); });
-  Message large;
-  large.src = 0;
-  large.dst = 1;
-  large.participants.assign(64, 0);
-  const Micros start = sched.Now();
-  net.Send(large);
-  sched.RunAll();
-  EXPECT_GT(large_time - start, small_time);
-}
-
 TEST(NetworkMessageTest, ApproximateBytesGrowsWithPayload) {
   Message m;
   const size_t base = m.ApproximateBytes();

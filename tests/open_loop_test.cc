@@ -75,19 +75,6 @@ TEST(ArrivalScheduleTest, SameSeedSameGapSequence) {
   }
 }
 
-TEST(ArrivalScheduleTest, FixedRateGapsAverageToExactRate) {
-  OpenLoopConfig cfg;
-  cfg.process = ArrivalProcess::kFixedRate;
-  cfg.arrivals_per_sec_per_node = 3000.0;  // mean gap 333.3us: not integral
-  ArrivalSchedule sched(cfg, 1);
-  uint64_t total = 0;
-  constexpr int kGaps = 30000;
-  for (int i = 0; i < kGaps; ++i) total += sched.NextGapUs();
-  // The fractional carry keeps the long-run rate exact: 30000 gaps at
-  // 1000/3 us each must sum to 10^7 us, +/- one carried microsecond.
-  EXPECT_NEAR(static_cast<double>(total), 1e7, 1.0);
-}
-
 TEST(ArrivalScheduleTest, PoissonGapsHaveConfiguredMean) {
   OpenLoopConfig cfg;
   cfg.arrivals_per_sec_per_node = 1000.0;  // mean gap 1000us

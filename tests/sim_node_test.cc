@@ -268,8 +268,9 @@ TEST(SimNodeTest, RecoveryFinalizesInFlightTxnsInWal) {
   cluster.RunFor(0.5);
   // After recovery + termination, consult-peers cases resolve; only
   // transactions whose outcome is still being consulted may remain.
-  const auto in_flight = RecoveryManager::InFlightTxns(cluster.node(1).wal());
-  EXPECT_LT(in_flight.size(), 24u);
+  const RecoveryPlan plan =
+      RecoveryManager::Plan(cluster.node(1).wal().Scan(), 1);
+  EXPECT_LT(plan.in_flight.size(), 24u);
   EXPECT_TRUE(cluster.monitor().Violations().empty());
 }
 

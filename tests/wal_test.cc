@@ -42,21 +42,6 @@ TEST(MemoryWalTest, ScanReturnsAppendOrder) {
   EXPECT_EQ(records[1].txn, 8u);
 }
 
-TEST(MemoryWalTest, LastForFindsMostRecent) {
-  MemoryWal wal;
-  wal.Append({0, 7, LogRecordType::kReady, {}});
-  wal.Append({0, 9, LogRecordType::kReady, {}});
-  wal.Append({0, 7, LogRecordType::kTransactionCommit, {}});
-  const auto last = wal.LastFor(7);
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(last->type, LogRecordType::kTransactionCommit);
-}
-
-TEST(MemoryWalTest, LastForMissingTxn) {
-  MemoryWal wal;
-  EXPECT_FALSE(wal.LastFor(42).has_value());
-}
-
 TEST(MemoryWalTest, ClearEmptiesLog) {
   MemoryWal wal;
   wal.Append({0, 1, LogRecordType::kReady, {}});
@@ -67,7 +52,7 @@ TEST(MemoryWalTest, ClearEmptiesLog) {
 TEST(MemoryWalTest, ParticipantsArePreserved) {
   MemoryWal wal;
   wal.Append({0, 1, LogRecordType::kReady, {3, 1, 4}});
-  EXPECT_EQ(wal.LastFor(1)->participants, (std::vector<NodeId>{3, 1, 4}));
+  EXPECT_EQ(wal.Scan().back().participants, (std::vector<NodeId>{3, 1, 4}));
 }
 
 TEST(FileWalTest, OpenCreatesFile) {
@@ -97,14 +82,37 @@ TEST(FileWalTest, SurvivesReopen) {
     auto wal = std::move(FileWal::Open(path)).value();
     wal->Append({0, 5, LogRecordType::kReady, {0, 1, 2}});
     wal->Append({0, 5, LogRecordType::kCommitReceived, {}});
-    ASSERT_TRUE(wal->Sync().ok());
+    ASSERT_TRUE(wal->Flush().ok());
   }
   auto wal = std::move(FileWal::Open(path)).value();
   ASSERT_EQ(wal->Size(), 2u);
-  const auto last = wal->LastFor(5);
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(last->type, LogRecordType::kCommitReceived);
+  EXPECT_EQ(wal->Scan()[1].type, LogRecordType::kCommitReceived);
   EXPECT_EQ(wal->Scan()[0].participants, (std::vector<NodeId>{0, 1, 2}));
+}
+
+TEST(FileWalTest, WideRecordSurvivesReopen) {
+  // A ready list of 300 participants: wider than one byte can count. The
+  // record and everything flushed after it must come back on reopen.
+  const std::string path = TempPath("wal_wide.log");
+  std::remove(path.c_str());
+  std::vector<NodeId> wide(300);
+  for (NodeId i = 0; i < wide.size(); ++i) wide[i] = i;
+  {
+    auto wal = std::move(FileWal::Open(path)).value();
+    wal->Append({0, 5, LogRecordType::kReady, CowVector<NodeId>(wide)});
+    wal->Append({0, 5, LogRecordType::kCommitReceived, {}});
+    ASSERT_TRUE(wal->Flush().ok());
+    ASSERT_EQ(wal->Size(), 2u);
+  }
+  auto wal = std::move(FileWal::Open(path)).value();
+  ASSERT_EQ(wal->Size(), 2u);
+  EXPECT_EQ(wal->Scan()[0].participants.vec(), wide);
+  EXPECT_EQ(wal->Scan()[1].type, LogRecordType::kCommitReceived);
+  // Appends after the reopen land behind the wide record, not over it.
+  wal->Append({0, 6, LogRecordType::kReady, {}});
+  ASSERT_TRUE(wal->Flush().ok());
+  wal = std::move(FileWal::Open(path)).value();
+  EXPECT_EQ(wal->Size(), 3u);
 }
 
 TEST(FileWalTest, AppendsAfterReopenContinueLsns) {
@@ -126,7 +134,7 @@ TEST(FileWalTest, TornTailIsIgnored) {
     auto wal = std::move(FileWal::Open(path)).value();
     wal->Append({0, 5, LogRecordType::kReady, {}});
     wal->Append({0, 6, LogRecordType::kReady, {}});
-    ASSERT_TRUE(wal->Sync().ok());
+    ASSERT_TRUE(wal->Flush().ok());
   }
   // Append garbage (a torn write) at the end.
   std::FILE* f = std::fopen(path.c_str(), "ab");
@@ -189,15 +197,15 @@ TEST(FileWalTest, GroupCommitCrashLosesOnlyUnflushedSuffix) {
     wal->Append({0, 3, LogRecordType::kReady, {}});
     wal->Append({0, 4, LogRecordType::kReady, {}});
 
-    // Staged appends are visible to Scan/LastFor immediately — the engine
-    // reads its own writes before the group is flushed.
+    // Staged appends are visible to Scan immediately — the engine reads
+    // its own writes before the group is flushed.
     EXPECT_EQ(wal->Size(), 4u);
-    EXPECT_TRUE(wal->LastFor(4).has_value());
+    EXPECT_EQ(wal->Scan().back().txn, 4u);
     EXPECT_EQ(wal->group_flushes(), 1u);
 
     wal->DropUnflushed();  // crash: the unflushed group never hit disk
     EXPECT_EQ(wal->Size(), 2u);
-    EXPECT_FALSE(wal->LastFor(3).has_value());
+    EXPECT_EQ(wal->Scan().back().txn, 2u);
   }
   auto wal = std::move(FileWal::Open(path)).value();
   ASSERT_EQ(wal->Size(), 2u);  // recovery replays exactly the flushed prefix
@@ -208,7 +216,7 @@ TEST(FileWalTest, GroupCommitCrashLosesOnlyUnflushedSuffix) {
 
 TEST(FileWalTest, DestructorFlushesStagedAppends) {
   // Orderly shutdown is not a crash: staged records reach the file even
-  // without an explicit Flush/Sync.
+  // without an explicit Flush.
   const std::string path = TempPath("wal_dtor_flush.log");
   std::remove(path.c_str());
   {
