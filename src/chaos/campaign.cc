@@ -22,10 +22,7 @@ ClusterConfig MakeClusterConfig(const ChaosCaseConfig& cfg, uint64_t seed,
   cluster.clients_per_node = cfg.clients_per_node;
   cluster.protocol = cfg.protocol;
   cluster.seed = seed;
-  // The coordinator must be able to answer "what was decided?" after the
-  // decision record is trimmed from its in-memory map, and termination
-  // must survive rounds whose replies were all lost.
-  cluster.commit.keep_decision_ledger = true;
+  // Termination must survive rounds whose replies were all lost.
   cluster.commit.term_fruitless_retries = cfg.term_fruitless_retries;
   cluster.coalesce_transport = cfg.coalesce_transport;
   cluster.telemetry = cfg.telemetry;
@@ -44,7 +41,6 @@ ThreadClusterConfig MakeThreadConfig(const ChaosCaseConfig& cfg,
   tc.commit.timeout_us = 250'000;
   tc.commit.termination_window_us = 80'000;
   tc.commit.term_fruitless_retries = cfg.term_fruitless_retries;
-  tc.commit.keep_decision_ledger = true;
   tc.seed = seed;
   return tc;
 }

@@ -124,9 +124,8 @@ std::string EncodeChildConfig(const SocketClusterConfig& c, NodeId id,
       << " inflight=" << c.max_in_flight_per_node
       << " attempts=" << c.max_attempts << " rows=" << c.rows_per_partition
       << " ppt=" << c.partitions_per_txn << " theta=" << c.theta
-      << " telem=" << (c.telemetry ? 1 : 0) << " tint=" << c.telemetry_interval_us
-      << " restarted=" << (restarted ? 1 : 0)
-      << " acked=" << (c.track_acked ? 1 : 0);
+      << " telem=" << (c.telemetry ? 1 : 0)
+      << " restarted=" << (restarted ? 1 : 0);
   if (!c.wal_dir.empty()) out << " waldir=" << c.wal_dir;
   if (!c.telemetry_dir.empty()) out << " tdir=" << c.telemetry_dir;
   return out.str();
@@ -167,9 +166,7 @@ ChildSetup DecodeChildConfig(const std::string& blob) {
     else if (key == "ppt") c.partitions_per_txn = static_cast<uint32_t>(std::stoul(val));
     else if (key == "theta") c.theta = std::stod(val);
     else if (key == "telem") c.telemetry = val != "0";
-    else if (key == "tint") c.telemetry_interval_us = std::stoll(val);
     else if (key == "restarted") restarted = val != "0";
-    else if (key == "acked") c.track_acked = val != "0";
     else if (key == "waldir") c.wal_dir = val;
     else if (key == "tdir") tdir = val;
   }
@@ -177,13 +174,11 @@ ChildSetup DecodeChildConfig(const std::string& blob) {
   SocketNodeConfig& n = setup.node;
   n.id = id;
   n.restarted = restarted;
-  n.track_acked = c.track_acked;
   n.cluster.num_nodes = c.num_nodes;
   n.cluster.clients_per_node = c.clients_per_node;
   n.cluster.protocol = c.protocol;
   n.cluster.commit.timeout_us = c.timeout_us;
   n.cluster.commit.termination_window_us = c.termination_window_us;
-  n.cluster.commit.keep_decision_ledger = true;
   n.cluster.seed = c.seed;
   n.cluster.coalesce_transport = c.coalesce;
   n.cluster.wal_dir = c.wal_dir;
@@ -192,7 +187,6 @@ ChildSetup DecodeChildConfig(const std::string& blob) {
   n.cluster.open_loop.max_in_flight_per_node = c.max_in_flight_per_node;
   n.cluster.open_loop.max_attempts = c.max_attempts;
   n.cluster.telemetry.enabled = c.telemetry;
-  n.cluster.telemetry.sample_interval_us = c.telemetry_interval_us;
   n.ycsb.num_partitions = c.num_nodes;
   n.ycsb.rows_per_partition = c.rows_per_partition;
   n.ycsb.partitions_per_txn = c.partitions_per_txn;

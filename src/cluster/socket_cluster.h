@@ -50,10 +50,7 @@ struct SocketClusterConfig {
 
   // Per-process telemetry (JSONL + Prometheus files under telemetry_dir).
   bool telemetry = false;
-  Micros telemetry_interval_us = 100'000;
   std::string telemetry_dir;
-
-  bool track_acked = false;
 };
 
 /// One node process's end-of-run report: its registry snapshot, shipped

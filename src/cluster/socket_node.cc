@@ -725,7 +725,6 @@ void SocketNode::Start() {
   started_ = true;
   network_.StartIo();
   node_->Bootstrap();
-  if (config_.track_acked) node_->TrackAckedCommits(true);
   if (config_.restarted) {
     // A replacement process over the old WAL: run the crash/recover pair
     // so the worker's first loop iteration wipes the (empty) volatile

@@ -236,8 +236,6 @@ struct SocketNodeConfig {
   /// logged self-coordinated id before serving.
   bool restarted = false;
 
-  bool track_acked = false;
-
   /// Telemetry export paths written at Stop() ("" = skip). Per-process:
   /// each node exports its own JSONL/Prometheus files, tagged with its id.
   std::string telemetry_jsonl;

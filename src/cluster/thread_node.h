@@ -25,8 +25,7 @@ struct ThreadClusterConfig : NodeConfig {
     num_nodes = 4;
     clients_per_node = 4;
     commit = CommitEngineConfig{.timeout_us = 50'000,
-                                .termination_window_us = 20'000,
-                                .keep_decision_ledger = true};
+                                .termination_window_us = 20'000};
     backoff_base_us = 200;
   }
 

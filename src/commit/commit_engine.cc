@@ -113,12 +113,10 @@ void CommitEngine::StartCommit(TxnId txn, CowVector<NodeId> participants,
   // cohort timed out while our execution replies were delayed) — the
   // forwarded decision landed in the ledger. Honor it instead of running
   // the vote; re-deciding could contradict what cohorts already applied.
-  if (!decision_ledger_.empty()) {  // empty-check keeps the default path cold
-    const Decision* prior = decision_ledger_.Find(txn);
-    if (prior != nullptr) {
-      CoordinatorDecide(txn, rec, *prior);
-      return;
-    }
+  const Decision* prior = decision_ledger_.Find(txn);
+  if (prior != nullptr) {
+    CoordinatorDecide(txn, rec, *prior);
+    return;
   }
 
   // Cohorts are everyone in the list but us; iterated in place instead of
@@ -264,7 +262,7 @@ void CommitEngine::ExpectPrepare(TxnId txn, NodeId coordinator,
 }
 
 void CommitEngine::OnPrepare(const Message& msg) {
-  if (!decision_ledger_.empty() && Find(msg.txn) == nullptr) {
+  if (Find(msg.txn) == nullptr) {
     // Prepare for a transaction we already decided and cleaned up — e.g.
     // the unilateral no-Prepare timeout abort racing a delayed Prepare.
     // Creating a fresh record would re-run the vote and can contradict
@@ -474,7 +472,7 @@ void CommitEngine::ApplyAndLog(TxnId txn, TxnRecord& rec, Decision decision) {
   }
   SetState(txn, rec, decision == Decision::kCommit ? CohortState::kCommitted
                                                    : CohortState::kAborted);
-  if (config_.keep_decision_ledger) LedgerRecord(txn, decision);
+  LedgerRecord(txn, decision);
 }
 
 void CommitEngine::LedgerRecord(TxnId txn, Decision decision) {
@@ -664,10 +662,10 @@ void CommitEngine::OnTermElect(const Message& msg) {
         reply.txn = msg.txn;
         reply.forwarded = true;
         env_->Send(std::move(reply));
-      } else if (config_.keep_decision_ledger && !IsTwoPhaseFamily()) {
-        // Ledger regime: every decision this node ever reached is in the
-        // ledger (ApplyAndLog records it; recovery reseeds it from the
-        // WAL), and a node that durably voted READY has a WAL record that
+      } else if (!IsTwoPhaseFamily()) {
+        // Every decision this node ever reached is in the ledger
+        // (ApplyAndLog records it; recovery reseeds it from the WAL),
+        // and a node that durably voted READY has a WAL record that
         // recovery resurrects. No record and no ledger entry therefore
         // means this node never voted and never decided — it simply has
         // not (yet) heard of the transaction. Say so instead of staying
@@ -748,7 +746,7 @@ void CommitEngine::TerminationEvaluate(TxnId txn, TxnRecord& rec) {
   NodeId leader = env_->self();
   for (const auto& [node, reply] : rec.term_replies) {
     // An INITIAL reply means "I never entered the protocol for this
-    // transaction" (the ledger-regime answer for an unknown txn): that
+    // transaction" (the ledger's answer for an unknown txn): that
     // node has no record, no timer, and will never run an election, so
     // it cannot be deferred to.
     if (reply.term_state == CohortState::kInitial && !reply.has_decision) {
@@ -963,13 +961,12 @@ void CommitEngine::OnMessage(const Message& msg) {
 
   TxnRecord* rec = Find(msg.txn);
   if (rec == nullptr) {
-    // Cleaned up or never known. In the ledger regime a decision that
-    // reaches us for an unknown transaction must still bind us: a
-    // termination leader may abort a transaction before its coordinator
-    // even reaches StartCommit (the cohort's timer raced a delayed
-    // execution reply), and the coordinator must not later start the
-    // protocol fresh and decide commit. StartCommit and OnPrepare consult
-    // the ledger first.
+    // Cleaned up or never known. A decision that reaches us for an
+    // unknown transaction must still bind us: a termination leader may
+    // abort a transaction before its coordinator even reaches StartCommit
+    // (the cohort's timer raced a delayed execution reply), and the
+    // coordinator must not later start the protocol fresh and decide
+    // commit. StartCommit and OnPrepare consult the ledger first.
     if (msg.type == MsgType::kGlobalCommit ||
         msg.type == MsgType::kGlobalAbort) {
       // A decision reaching a node that unilaterally resolved (and
@@ -977,9 +974,6 @@ void CommitEngine::OnMessage(const Message& msg) {
       if (protocol_ == CommitProtocol::kPaxosCommit) {
         paxos_acceptors_.Erase(msg.txn);
       }
-    }
-    if (config_.keep_decision_ledger && (msg.type == MsgType::kGlobalCommit ||
-                                         msg.type == MsgType::kGlobalAbort)) {
       if (decision_ledger_.Contains(msg.txn)) {
         // Redundant copy of a decision already on record for a cleaned-up
         // transaction — the ledger-side twin of the decided-record fast

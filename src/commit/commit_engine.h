@@ -108,6 +108,9 @@ struct QuorumTxnState {
 /// (simulated or real) time. Timeouts must exceed the maximum round-trip
 /// message delay — the synchrony assumption under which the paper proves EC
 /// safe (Section 4 shows no commit protocol is safe under unbounded delay).
+/// Every engine keeps a decision ledger (capped at kDecisionLedgerCap) so
+/// late termination queries can be answered after cleanup;
+/// `term_fruitless_retries` is the one opt-in termination knob.
 struct CommitEngineConfig {
   /// How long a node waits for the message that drives its next state
   /// transition (votes at the coordinator, Prepare/decision at cohorts).
@@ -116,11 +119,6 @@ struct CommitEngineConfig {
   /// How long a termination-protocol initiator collects state replies
   /// before evaluating leadership.
   Micros termination_window_us = 5'000;
-
-  /// Keep a map of decided transactions so late termination queries (from
-  /// nodes that timed out after this node cleaned up) can still be
-  /// answered. Enabled by fault-injection tests; off for benchmarks.
-  bool keep_decision_ledger = false;
 
   /// Opt-in (0 = the paper's rule, proven for fail-stop): an EC/3PC
   /// termination leader that is missing state replies from one or more
@@ -228,6 +226,16 @@ class CommitEngine {
   void SeedDecision(TxnId txn, Decision decision) {
     LedgerRecord(txn, decision);
   }
+
+  /// Upper bound on decision-ledger entries. The ledger exists to answer
+  /// peers whose termination timers are still running, i.e. queries land
+  /// within a protocol-timeout window of the decision — a bounded FIFO
+  /// loses nothing as long as the cap outlives that window at peak
+  /// decision rate (this one gives >10x headroom at the throughput
+  /// benchmarks' rates). Left unbounded, a long throughput run grows the
+  /// map without limit and every insert walks colder and colder memory,
+  /// which measurably dominates the threaded-runtime profile.
+  static constexpr size_t kDecisionLedgerCap = 65'536;
 
   /// Recovery seeding for E3PC: restores the durable epoch pair from the
   /// last kQuorumState record. Call after ResumeAfterRecovery registered
@@ -393,16 +401,6 @@ class CommitEngine {
   void ApplyAndLog(TxnId txn, TxnRecord& rec, Decision decision);
   void MaybeCleanup(TxnId txn, TxnRecord& rec);
   void FinishCleanup(TxnId txn, TxnRecord& rec);
-
-  /// Upper bound on decision-ledger entries. The ledger exists to answer
-  /// peers whose termination timers are still running, i.e. queries land
-  /// within a protocol-timeout window of the decision — a bounded FIFO
-  /// loses nothing as long as the cap outlives that window at peak
-  /// decision rate (this one gives >10x headroom at the throughput
-  /// benchmarks' rates). Left unbounded, a long throughput run grows the
-  /// map without limit and every insert walks colder and colder memory,
-  /// which measurably dominates the threaded-runtime profile.
-  static constexpr size_t kDecisionLedgerCap = 65'536;
 
   /// Sole writer of the decision ledger: records (or overwrites) a
   /// decision and evicts the oldest entries FIFO once the ledger holds

@@ -166,25 +166,23 @@ void CommitEngine::OnQuorumElect(const Message& msg) {
       env_->Send(std::move(reply));
       return;
     }
-    if (config_.keep_decision_ledger) {
-      // Ledger regime (same soundness argument as OnTermElect's INITIAL
-      // reply): no record and no ledger entry proves this node never voted
-      // and never decided. Report attempt 0 so elections reach quorum even
-      // across cleaned-up or not-yet-started peers. The reply makes no
-      // durable promise — harmless, because a promise-less node also never
-      // *accepts* attempts, so it can never be part of the attempt quorum
-      // whose intersection the safety argument relies on.
-      Message reply;
-      reply.type = MsgType::kQuorumStateReply;
-      reply.src = env_->self();
-      reply.dst = msg.src;
-      reply.txn = msg.txn;
-      reply.quorum_epoch = msg.quorum_epoch;
-      reply.quorum_attempt = 0;
-      reply.term_state = CohortState::kInitial;
-      reply.has_decision = false;
-      env_->Send(std::move(reply));
-    }
+    // Same soundness argument as OnTermElect's INITIAL reply: no record
+    // and no ledger entry proves this node never voted and never decided.
+    // Report attempt 0 so elections reach quorum even across cleaned-up or
+    // not-yet-started peers. The reply makes no durable promise — harmless,
+    // because a promise-less node also never *accepts* attempts, so it can
+    // never be part of the attempt quorum whose intersection the safety
+    // argument relies on.
+    Message reply;
+    reply.type = MsgType::kQuorumStateReply;
+    reply.src = env_->self();
+    reply.dst = msg.src;
+    reply.txn = msg.txn;
+    reply.quorum_epoch = msg.quorum_epoch;
+    reply.quorum_attempt = 0;
+    reply.term_state = CohortState::kInitial;
+    reply.has_decision = false;
+    env_->Send(std::move(reply));
     return;
   }
   if (rec->decided) {

@@ -112,7 +112,6 @@ class ProtocolTestbed {
     config_.clients_per_node = 0;
     config_.protocol = protocol;
     config_.commit = commit;
-    config_.commit.keep_decision_ledger = true;
     ids_ = RegisterCoreMetrics(&registry_);
     registry_.Activate(1);
     for (NodeId id = 0; id < num_nodes; ++id) {

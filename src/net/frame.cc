@@ -50,16 +50,6 @@ uint32_t Fnv1a(const uint8_t* data, size_t size) {
 // The frame header carries src/dst once for every message inside — that
 // shared header (plus the single checksum) is the wire-level saving the
 // coalescing layer buys, so per-message encodings omit both.
-size_t EncodedMessageBytes(const Message& m) {
-  return 1 /*type*/ + 1 /*flags*/ + 1 /*term_state*/ + 1 /*decision*/ +
-         8 /*txn*/ + 8 /*trace_seq*/ +
-         (IsQuorumMsg(m.type)
-              ? 8 /*quorum_epoch*/ + 8 /*quorum_attempt*/ + 4 /*instance*/
-              : 0) +
-         4 + m.participants.size() * sizeof(NodeId) +
-         4 + m.ops.size() * (sizeof(TableId) + sizeof(Key) + 1 /*mode*/);
-}
-
 void EncodeMessage(const Message& m, std::vector<uint8_t>* out) {
   Put<uint8_t>(out, static_cast<uint8_t>(m.type));
   uint8_t flags = 0;
@@ -140,12 +130,6 @@ bool DecodeMessage(const uint8_t* data, size_t size, size_t* at, NodeId src,
 }
 
 }  // namespace
-
-size_t MessageFrame::WireBytes() const {
-  size_t bytes = kFrameHeaderBytes + kFrameChecksumBytes;
-  for (const Message& m : messages) bytes += EncodedMessageBytes(m);
-  return bytes;
-}
 
 void EncodeFrame(const MessageFrame& frame, std::vector<uint8_t>* out) {
   const size_t start = out->size();

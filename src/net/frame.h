@@ -19,10 +19,6 @@ struct MessageFrame {
   NodeId dst = kInvalidNode;
   std::vector<Message> messages;
 
-  /// Serialized size of the frame: header plus the per-message encodings,
-  /// i.e. the length EncodeFrame appends.
-  size_t WireBytes() const;
-
   void Clear() {
     src = kInvalidNode;
     dst = kInvalidNode;
@@ -33,7 +29,7 @@ struct MessageFrame {
 /// Serializes `frame` into `out` (appended; callers reuse the buffer). The
 /// in-memory transports hand Message structs around directly — this codec
 /// exists so the wire format is pinned by tests and available to a real
-/// socket transport, and so WireBytes() has a ground truth.
+/// socket transport.
 void EncodeFrame(const MessageFrame& frame, std::vector<uint8_t>* out);
 
 /// Parses one frame from `data`. Returns false (leaving `out` untouched

@@ -297,11 +297,11 @@ void ExpectPinnedRows(const ChaosCaseConfig& base,
 // The simulator's chaos tables, pinned row by row: any change to the
 // simulated protocols, crash recovery, fault applier or audit that moves a
 // single figure fails here. Same configuration as `chaos_run --seeds 8`
-// (CI's table over the seven protocols) and `chaos_run --seeds 8
-// --intensity heavy --txn-partitions 3 --protocols e3pc,paxos`. ROADMAP
-// item 8's planned golden re-record is the one change meant to move these
-// rows; it updates them deliberately, together with the determinism
-// goldens.
+// (CI's table over the seven protocols), the same with `--coalesce`, and
+// `chaos_run --seeds 8 --intensity heavy --txn-partitions 3 --protocols
+// e3pc,paxos`. ROADMAP item 8's planned golden re-record is the one change
+// meant to move these rows; it updates them deliberately, together with
+// the determinism goldens.
 TEST(ChaosCampaignTest, SmokeTablesMatchPinnedRows) {
   using P = CommitProtocol;
   ExpectPinnedRows(
@@ -320,6 +320,27 @@ TEST(ChaosCampaignTest, SmokeTablesMatchPinnedRows) {
           {P::kThreePhaseE3PC, 0, 0, 0, 0, 0, 75, 0, 8798, 2943, 106495, 229375, 56},
           {P::kPaxosCommit, 0, 0, 0, 0, 0, 71, 205, 12926, 1983, 94207,
            196607, 56},
+      });
+
+  ChaosCaseConfig coalesced;
+  coalesced.coalesce_transport = true;
+  ExpectPinnedRows(
+      coalesced,
+      {
+          {P::kEasyCommit, 0, 0, 0, 0, 0, 0, 0, 11602, 1983, 102399, 188415,
+           56},
+          {P::kThreePhase, 0, 0, 0, 0, 0, 0, 0, 8703, 2943, 110591, 212991,
+           56},
+          {P::kTwoPhase, 0, 0, 0, 0, 8, 0, 0, 10216, 1983, 106495, 180223,
+           56},
+          {P::kTwoPhasePresumedAbort, 0, 0, 0, 0, 6, 0, 0, 10207, 1983,
+           106495, 212991, 56},
+          {P::kTwoPhasePresumedCommit, 0, 0, 0, 0, 9, 0, 0, 11606, 1983,
+           90111, 180223, 56},
+          {P::kThreePhaseE3PC, 0, 0, 0, 0, 0, 75, 0, 8798, 2943, 106495,
+           229375, 56},
+          {P::kPaxosCommit, 0, 0, 0, 0, 0, 42, 135, 12967, 1983, 94207,
+           180223, 56},
       });
 
   ChaosCaseConfig heavy;
@@ -832,7 +853,6 @@ TEST(ThreadNetworkChaosTest, ThreadedAuditPassesQuorumProtocols) {
     cfg.seed = 91;
     cfg.commit.timeout_us = 250'000;
     cfg.commit.termination_window_us = 80'000;
-    cfg.commit.keep_decision_ledger = true;
 
     YcsbConfig ycsb;
     ycsb.num_partitions = 3;

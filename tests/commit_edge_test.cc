@@ -532,6 +532,43 @@ TEST(OrderingTest, ConcurrentTransactionsDoNotInterfere) {
   EXPECT_TRUE(bed.monitor().Violations().empty());
 }
 
+TEST(DecisionLedgerTest, EvictsOldestDecisionFirstPastTheCap) {
+  // The ledger keeps the last kDecisionLedgerCap decisions. One past the
+  // cap, the oldest is gone: a late query for it gets EC's "never heard
+  // of it" INITIAL reply, while the newest still gets its decision.
+  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3, QuietNet());
+  const size_t seeded = CommitEngine::kDecisionLedgerCap + 1;
+  for (uint64_t seq = 1; seq <= seeded; ++seq) {
+    bed.host(1).engine().SeedDecision(
+        MakeTxnId(0, seq),
+        seq == seeded ? Decision::kAbort : Decision::kCommit);
+  }
+
+  std::vector<Message> replies;
+  bed.network().SetDeliveryInterceptor([&](const Message& msg) {
+    if (msg.src == 1) replies.push_back(msg);
+    return false;
+  });
+  for (const uint64_t seq : {uint64_t{1}, uint64_t{seeded}}) {
+    Message elect;
+    elect.type = MsgType::kTermElect;
+    elect.src = 2;
+    elect.dst = 1;
+    elect.txn = MakeTxnId(0, seq);
+    bed.host(1).engine().OnMessage(elect);
+  }
+  bed.scheduler().RunUntil(10'000);
+
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].txn, MakeTxnId(0, 1));
+  EXPECT_EQ(replies[0].type, MsgType::kTermStateReply);
+  EXPECT_EQ(replies[0].term_state, CohortState::kInitial);
+  EXPECT_FALSE(replies[0].has_decision);
+  EXPECT_EQ(replies[1].txn, MakeTxnId(0, seeded));
+  EXPECT_EQ(replies[1].type, MsgType::kGlobalAbort);
+  EXPECT_TRUE(replies[1].forwarded);
+}
+
 }  // namespace
 }  // namespace testing
 }  // namespace ecdb

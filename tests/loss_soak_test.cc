@@ -46,10 +46,8 @@ TEST_P(LossSoakTest, AckedCommitsSurviveSustainedLoss) {
   config.protocol = param.protocol;
   config.seed = 20180326;
   config.network.drop_probability = param.drop_probability;
-  // Loss hardening (see CommitEngineConfig): keep decisions answerable
-  // forever and re-run elections whose replies were all lost instead of
-  // deciding from silence.
-  config.commit.keep_decision_ledger = true;
+  // Loss hardening (see CommitEngineConfig): re-run elections whose
+  // replies were all lost instead of deciding from silence.
   config.commit.term_fruitless_retries = 8;
 
   YcsbConfig ycsb;

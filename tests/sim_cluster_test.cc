@@ -209,9 +209,8 @@ TEST(SimClusterTest, TpccRunsEndToEnd) {
 // ---------------------------------------------------------------------------
 
 TEST(SimClusterFailureTest, EasyCommitSurvivesCoordinatorCrash) {
-  ClusterConfig cfg = SmallCluster(CommitProtocol::kEasyCommit);
-  cfg.commit.keep_decision_ledger = true;
-  SimCluster cluster(cfg, std::make_unique<YcsbWorkload>(SmallYcsb(4)));
+  SimCluster cluster(SmallCluster(CommitProtocol::kEasyCommit),
+                     std::make_unique<YcsbWorkload>(SmallYcsb(4)));
   cluster.Start();
   cluster.RunFor(0.2);
   cluster.CrashNode(0);
@@ -231,7 +230,6 @@ TEST(SimClusterFailureTest, EasyCommitSurvivesCoordinatorCrash) {
 
 TEST(SimClusterFailureTest, TwoPhaseCommitCanBlockOnDoubleCrash) {
   ClusterConfig cfg = SmallCluster(CommitProtocol::kTwoPhase);
-  cfg.commit.keep_decision_ledger = true;
   cfg.num_nodes = 4;
   SimCluster cluster(cfg, std::make_unique<YcsbWorkload>(SmallYcsb(4)));
   cluster.Start();
@@ -247,9 +245,8 @@ TEST(SimClusterFailureTest, TwoPhaseCommitCanBlockOnDoubleCrash) {
 }
 
 TEST(SimClusterFailureTest, CrashedNodeRecoversAndResolvesInFlight) {
-  ClusterConfig cfg = SmallCluster(CommitProtocol::kEasyCommit);
-  cfg.commit.keep_decision_ledger = true;
-  SimCluster cluster(cfg, std::make_unique<YcsbWorkload>(SmallYcsb(4)));
+  SimCluster cluster(SmallCluster(CommitProtocol::kEasyCommit),
+                     std::make_unique<YcsbWorkload>(SmallYcsb(4)));
   cluster.Start();
   cluster.RunFor(0.2);
   cluster.CrashNode(2);
@@ -289,9 +286,8 @@ TEST(SimClusterFailureTest, ProtocolCountersNeverRunBackwardsAcrossCrashes) {
 }
 
 TEST(SimClusterFailureTest, ClusterKeepsCommittingAfterRecovery) {
-  ClusterConfig cfg = SmallCluster(CommitProtocol::kEasyCommit);
-  cfg.commit.keep_decision_ledger = true;
-  SimCluster cluster(cfg, std::make_unique<YcsbWorkload>(SmallYcsb(4)));
+  SimCluster cluster(SmallCluster(CommitProtocol::kEasyCommit),
+                     std::make_unique<YcsbWorkload>(SmallYcsb(4)));
   cluster.Start();
   cluster.RunFor(0.2);
   cluster.CrashNode(3);

@@ -257,9 +257,8 @@ TEST(SimNodeTest, CrashClearsVolatileStateKeepsWal) {
 }
 
 TEST(SimNodeTest, RecoveryFinalizesInFlightTxnsInWal) {
-  ClusterConfig cfg = BaseConfig();
-  cfg.commit.keep_decision_ledger = true;
-  SimCluster cluster(cfg, std::make_unique<YcsbWorkload>(BaseYcsb()));
+  SimCluster cluster(BaseConfig(),
+                     std::make_unique<YcsbWorkload>(BaseYcsb()));
   cluster.Start();
   cluster.RunFor(0.3);
   cluster.CrashNode(1);

@@ -36,7 +36,6 @@ TEST_P(CrashStressTest, RandomCrashRecoverScheduleKeepsInvariants) {
   cfg.num_nodes = 4;
   cfg.clients_per_node = 8;
   cfg.protocol = param.protocol;
-  cfg.commit.keep_decision_ledger = true;
   cfg.seed = param.seed;
   YcsbConfig ycsb;
   ycsb.num_partitions = 4;
@@ -117,7 +116,6 @@ TEST(NetworkChaosTest, RandomLinkCutsStaySafe) {
   cfg.num_nodes = 4;
   cfg.clients_per_node = 8;
   cfg.protocol = CommitProtocol::kEasyCommit;
-  cfg.commit.keep_decision_ledger = true;
   YcsbConfig ycsb;
   ycsb.num_partitions = 4;
   ycsb.rows_per_partition = 4096;
