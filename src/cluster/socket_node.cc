@@ -155,40 +155,26 @@ SocketIoStats SocketNetwork::io_stats() const {
 // Send side (worker thread)
 // --------------------------------------------------------------------------
 
-void SocketNetwork::Send(Message msg) {
-  if (msg.dst == self_ || msg.dst >= n_) {
-    // Self-addressed traffic (and out-of-range drops) keep the in-process
-    // semantics: the base class routes into the local mailbox with the
-    // usual crash checks.
-    ThreadNetwork::Send(std::move(msg));
-    return;
-  }
-  frame_scratch_.messages.clear();
-  frame_scratch_.messages.push_back(std::move(msg));
-  StageFrame(frame_scratch_.messages[0].dst, frame_scratch_.messages);
-}
-
 void SocketNetwork::SendBatch(NodeId src, NodeId dst,
                               std::vector<Message>* msgs) {
   if (dst == self_ || dst >= n_) {
+    // Self-addressed traffic (and out-of-range drops) keep the in-process
+    // semantics: the base class routes into the local mailbox with the
+    // usual crash checks.
     ThreadNetwork::SendBatch(src, dst, msgs);
     return;
   }
   if (msgs->empty()) return;
-  StageFrame(dst, *msgs);
-  msgs->clear();
-}
-
-void SocketNetwork::StageFrame(NodeId dst, const std::vector<Message>& msgs) {
   // One frame per send call: ThreadNode ships one per destination per
   // event-loop iteration, or one per message at a frame cap of one.
   frame_scratch_.src = self_;
   frame_scratch_.dst = dst;
-  if (&msgs != &frame_scratch_.messages) {
-    frame_scratch_.messages.assign(msgs.begin(), msgs.end());
-  }
+  frame_scratch_.messages.swap(*msgs);  // both buffers keep their capacity
+  msgs->clear();
   encode_scratch_.clear();
   EncodeFrameToStream(frame_scratch_, &encode_scratch_);
+  const size_t count = frame_scratch_.messages.size();
+  frame_scratch_.messages.clear();
   Peer& p = *peers_[dst];
   {
     std::lock_guard<std::mutex> lock(p.mu);
@@ -200,7 +186,7 @@ void SocketNetwork::StageFrame(NodeId dst, const std::vector<Message>& msgs) {
                     encode_scratch_.end());
   }
   frames_out_.fetch_add(1, std::memory_order_relaxed);
-  messages_out_.fetch_add(msgs.size(), std::memory_order_relaxed);
+  messages_out_.fetch_add(count, std::memory_order_relaxed);
   // One wake per send call. This syscall is exactly what the coalescing
   // knob amortizes: a whole iteration's frame costs one wake instead of
   // one per message.
@@ -467,156 +453,76 @@ void SocketNetwork::Disconnect(NodeId id, bool count_drop) {
 }
 
 void SocketNetwork::FlushPeer(NodeId id) {
-  if (!batch_writes_) {
-    FlushPeerPerFrame(id);
-    return;
-  }
   Peer& p = *peers_[id];
   if (p.fd < 0 || !p.connected) return;
-  // Swap the staged buffer out behind the partially-written tail and ship
-  // both as one gather write.
-  if (p.fresh.empty()) {
+  {
     std::lock_guard<std::mutex> lock(p.mu);
     p.staged.swap(p.fresh);
   }
-  const size_t tail = p.pending.size() - p.pending_off;
-  if (tail == 0 && p.fresh.empty()) return;
-  iovec iov[2];
-  int iovcnt = 0;
-  if (tail > 0) {
-    iov[iovcnt++] = {p.pending.data() + p.pending_off, tail};
-  }
-  if (!p.fresh.empty()) {
-    iov[iovcnt++] = {p.fresh.data(), p.fresh.size()};
-  }
-  const ssize_t wrote = writev(p.fd, iov, iovcnt);
-  writev_calls_.fetch_add(1, std::memory_order_relaxed);
-  if (wrote < 0) {
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      eagain_stalls_.fetch_add(1, std::memory_order_relaxed);
-      // Park everything in pending and arm EPOLLOUT.
-      if (p.pending_off > 0) {
-        p.pending.erase(p.pending.begin(),
-                        p.pending.begin() +
-                            static_cast<ptrdiff_t>(p.pending_off));
-        p.pending_off = 0;
-      }
-      p.pending.insert(p.pending.end(), p.fresh.begin(), p.fresh.end());
-      p.fresh.clear();
-      if (!p.want_write) {
-        p.want_write = true;
-        UpdateEpoll(p.fd, EPOLLIN | EPOLLOUT);
-      }
-      return;
-    }
-    Disconnect(id, /*count_drop=*/true);
-    return;
-  }
-  bytes_out_.fetch_add(static_cast<uint64_t>(wrote),
-                       std::memory_order_relaxed);
-  size_t left = static_cast<size_t>(wrote);
-  const size_t offered = tail + p.fresh.size();
-  if (left < offered) {
-    partial_writes_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Consume from the tail first, then from fresh.
-  const size_t from_tail = std::min(left, tail);
-  p.pending_off += from_tail;
-  left -= from_tail;
-  if (p.pending_off == p.pending.size()) {
-    p.pending.clear();
-    p.pending_off = 0;
-  }
-  if (left >= p.fresh.size()) {
-    p.fresh.clear();
-  } else if (left > 0 || !p.fresh.empty()) {
-    // Unwritten fresh bytes become the new tail.
-    p.pending.insert(p.pending.end(), p.fresh.begin() + left, p.fresh.end());
-    p.fresh.clear();
-  }
-  const bool blocked = !p.pending.empty();
-  if (blocked != p.want_write) {
-    p.want_write = blocked;
-    UpdateEpoll(p.fd, blocked ? (EPOLLIN | EPOLLOUT) : EPOLLIN);
-  }
-}
-
-void SocketNetwork::FlushPeerPerFrame(NodeId id) {
-  // Ablation baseline (SetWritevBatching(false)): one write syscall per
-  // staged frame, never a gather. At a frame cap of one each frame is one
-  // message, so this is the per-message-send cost the batched path
-  // exists to amortize — one packet's worth of TCP/IP work per message on
-  // both ends of the loopback.
-  Peer& p = *peers_[id];
-  if (p.fd < 0 || !p.connected) return;
-  if (p.fresh.empty()) {
-    std::lock_guard<std::mutex> lock(p.mu);
-    p.staged.swap(p.fresh);
-  }
-  // A previously unfinished write's remainder goes first; the stream must
-  // stay in order.
-  while (p.pending_off < p.pending.size()) {
+  // The unit of one write syscall: batched, the partially-written tail and
+  // everything staged as one gather write; in the ablation
+  // (SetWritevBatching(false)) the tail alone, then one staged frame per
+  // write. At a frame cap of one that frame is one message, so the
+  // ablation pays the per-message-send cost the batched path amortizes
+  // away: one packet's worth of TCP/IP work per message on both ends of
+  // the loopback. Either way a short write or EAGAIN ends the flush.
+  size_t off = 0;  // bytes of `fresh` written
+  for (;;) {
     const size_t tail = p.pending.size() - p.pending_off;
-    const ssize_t wrote = write(p.fd, p.pending.data() + p.pending_off, tail);
-    writev_calls_.fetch_add(1, std::memory_order_relaxed);
-    if (wrote < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        eagain_stalls_.fetch_add(1, std::memory_order_relaxed);
-        if (!p.want_write) {
-          p.want_write = true;
-          UpdateEpoll(p.fd, EPOLLIN | EPOLLOUT);
-        }
-        return;
+    const size_t rest = p.fresh.size() - off;
+    if (tail == 0 && rest == 0) break;
+    iovec iov[2];
+    int iovcnt = 0;
+    if (tail > 0) iov[iovcnt++] = {p.pending.data() + p.pending_off, tail};
+    if (rest > 0 && (batch_writes_ || tail == 0)) {
+      size_t unit = rest;
+      if (!batch_writes_ && unit >= 4) {
+        // Each staged unit is a length-prefixed frame; the prefix tells
+        // where this write must stop.
+        uint32_t frame_len = 0;
+        std::memcpy(&frame_len, p.fresh.data() + off, 4);
+        unit = std::min<size_t>(unit, 4u + frame_len);
       }
-      if (errno == EINTR) continue;
-      Disconnect(id, /*count_drop=*/true);
-      return;
+      iov[iovcnt++] = {p.fresh.data() + off, unit};
     }
-    bytes_out_.fetch_add(static_cast<uint64_t>(wrote),
-                         std::memory_order_relaxed);
-    if (static_cast<size_t>(wrote) < tail) {
-      partial_writes_.fetch_add(1, std::memory_order_relaxed);
-    }
-    p.pending_off += static_cast<size_t>(wrote);
-  }
-  p.pending.clear();
-  p.pending_off = 0;
-  size_t off = 0;
-  while (off < p.fresh.size()) {
-    // Each staged unit is a length-prefixed frame; the prefix tells us
-    // where this write must stop.
-    uint32_t frame_len = 0;
-    size_t unit = p.fresh.size() - off;
-    if (unit >= 4) {
-      std::memcpy(&frame_len, p.fresh.data() + off, 4);
-      unit = std::min<size_t>(unit, 4u + frame_len);
-    }
-    const ssize_t wrote = write(p.fd, p.fresh.data() + off, unit);
+    const size_t offered =
+        iov[0].iov_len + (iovcnt == 2 ? iov[1].iov_len : 0);
+    const ssize_t wrote = writev(p.fd, iov, iovcnt);
     writev_calls_.fetch_add(1, std::memory_order_relaxed);
-    if (wrote < 0 && errno == EINTR) continue;
     if (wrote < 0) {
+      if (errno == EINTR) continue;
       if (errno != EAGAIN && errno != EWOULDBLOCK) {
         Disconnect(id, /*count_drop=*/true);
         return;
       }
       eagain_stalls_.fetch_add(1, std::memory_order_relaxed);
-      break;  // park the rest below; EPOLLOUT armed by the blocked check
+      break;
     }
     bytes_out_.fetch_add(static_cast<uint64_t>(wrote),
                          std::memory_order_relaxed);
-    if (static_cast<size_t>(wrote) < unit) {
+    // Consume from the tail first, then from fresh.
+    const size_t from_tail = std::min(static_cast<size_t>(wrote), tail);
+    p.pending_off += from_tail;
+    off += static_cast<size_t>(wrote) - from_tail;
+    if (static_cast<size_t>(wrote) < offered) {
       partial_writes_.fetch_add(1, std::memory_order_relaxed);
-      off += static_cast<size_t>(wrote);
       break;
     }
-    off += unit;
+    if (batch_writes_) break;
+  }
+  if (p.pending_off == p.pending.size()) {
+    p.pending.clear();
+    p.pending_off = 0;
   }
   if (off < p.fresh.size()) {
-    // Park the unwritten remainder (stream order preserved) and wait for
-    // writability.
-    p.pending.assign(p.fresh.begin() + static_cast<ptrdiff_t>(off),
-                     p.fresh.end());
+    // Park the unwritten remainder behind the tail (stream order
+    // preserved) and wait for writability.
+    p.pending.erase(p.pending.begin(),
+                    p.pending.begin() + static_cast<ptrdiff_t>(p.pending_off));
     p.pending_off = 0;
+    p.pending.insert(p.pending.end(),
+                     p.fresh.begin() + static_cast<ptrdiff_t>(off),
+                     p.fresh.end());
   }
   p.fresh.clear();
   const bool blocked = !p.pending.empty();

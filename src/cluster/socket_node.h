@@ -134,8 +134,7 @@ class SocketNetwork : public ThreadNetwork {
   /// Stops and joins the I/O thread and closes every socket.
   void StopIo();
 
-  // --- ThreadNetwork overrides: the wire hook ---
-  void Send(Message msg) override;
+  // --- ThreadNetwork override: the wire hook ---
   void SendBatch(NodeId src, NodeId dst, std::vector<Message>* msgs) override;
 
   SocketIoStats io_stats() const;
@@ -171,13 +170,11 @@ class SocketNetwork : public ThreadNetwork {
     size_t have = 0;
   };
 
-  void StageFrame(NodeId dst, const std::vector<Message>& msgs);
   void WakeIo();
 
   // I/O thread internals.
   void IoLoop();
   void FlushPeer(NodeId id);
-  void FlushPeerPerFrame(NodeId id);
   void ReadPeer(NodeId id);
   void Disconnect(NodeId id, bool count_drop);
   void TryConnect(NodeId id);

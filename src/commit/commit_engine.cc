@@ -663,11 +663,13 @@ void CommitEngine::OnTermElect(const Message& msg) {
         reply.forwarded = true;
         env_->Send(std::move(reply));
       } else if (!IsTwoPhaseFamily()) {
-        // Every decision this node ever reached is in the ledger
-        // (ApplyAndLog records it; recovery reseeds it from the WAL),
+        // The ledger holds this node's last kDecisionLedgerCap decisions
+        // (ApplyAndLog records each; recovery reseeds it from the WAL),
         // and a node that durably voted READY has a WAL record that
-        // recovery resurrects. No record and no ledger entry therefore
-        // means this node never voted and never decided — it simply has
+        // recovery resurrects. Assuming every termination query arrives
+        // before that many later decisions evict the one it asks about
+        // (docs/PROTOCOL.md, "Decision ledger"), no record and no ledger
+        // entry means this node never voted and never decided — it has
         // not (yet) heard of the transaction. Say so instead of staying
         // silent, so elections can reach complete information: INITIAL is
         // exactly "I have not voted". Deliberately NOT an abort reply —
@@ -1039,14 +1041,6 @@ std::optional<CommitTxnStatus> CommitEngine::StatusOf(TxnId txn) const {
   status.done = false;
   status.in_termination = rec.in_termination;
   return status;
-}
-
-std::vector<TxnId> CommitEngine::BlockedTxns() const {
-  std::vector<TxnId> blocked;
-  for (const auto& slot : index_) {
-    if (pool_[slot.value].blocked) blocked.push_back(slot.key);
-  }
-  return blocked;
 }
 
 std::vector<std::pair<TxnId, bool>> CommitEngine::UnresolvedTxns() const {

@@ -210,9 +210,6 @@ class CommitEngine {
   /// Status of `txn` on this node, if the engine still tracks it.
   std::optional<CommitTxnStatus> StatusOf(TxnId txn) const;
 
-  /// Transactions currently marked blocked (2PC only).
-  std::vector<TxnId> BlockedTxns() const;
-
   /// Transactions still tracked without an applied decision, paired with
   /// their blocked flag. After a run has drained, a non-blocked entry here
   /// is a liveness violation (the consistency audit's check c); blocked

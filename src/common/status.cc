@@ -24,12 +24,8 @@ const char* CodeName(Code code) {
       return "InvalidArgument";
     case Code::kIOError:
       return "IOError";
-    case Code::kCorruption:
-      return "Corruption";
     case Code::kUnavailable:
       return "Unavailable";
-    case Code::kNotSupported:
-      return "NotSupported";
     case Code::kInternal:
       return "Internal";
   }

@@ -20,9 +20,7 @@ enum class Code : uint8_t {
   kTimedOut,
   kInvalidArgument,
   kIOError,
-  kCorruption,
   kUnavailable,    // node crashed or unreachable
-  kNotSupported,
   kInternal,
 };
 
@@ -58,14 +56,8 @@ class Status {
   static Status IOError(std::string msg = "") {
     return Status(Code::kIOError, std::move(msg));
   }
-  static Status Corruption(std::string msg = "") {
-    return Status(Code::kCorruption, std::move(msg));
-  }
   static Status Unavailable(std::string msg = "") {
     return Status(Code::kUnavailable, std::move(msg));
-  }
-  static Status NotSupported(std::string msg = "") {
-    return Status(Code::kNotSupported, std::move(msg));
   }
   static Status Internal(std::string msg = "") {
     return Status(Code::kInternal, std::move(msg));

@@ -96,20 +96,11 @@ ThreadNetwork::ThreadNetwork(size_t num_nodes, size_t num_mailboxes)
 ThreadNetwork::~ThreadNetwork() { Shutdown(); }
 
 void ThreadNetwork::Send(Message msg) {
-  if (msg.dst >= crashed_.size()) return;
-  if (crashed_[msg.src].load(std::memory_order_relaxed)) {
-    from_crashed_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (faults_armed_.load(std::memory_order_acquire)) {
-    FaultSend(std::move(msg));
-    return;
-  }
-  if (crashed_[msg.dst].load(std::memory_order_relaxed)) {
-    to_crashed_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  MailboxFor(msg.dst).Push(std::move(msg));
+  const NodeId src = msg.src;
+  const NodeId dst = msg.dst;
+  std::vector<Message> frame;
+  frame.push_back(std::move(msg));
+  SendBatch(src, dst, &frame);
 }
 
 void ThreadNetwork::SendBatch(NodeId src, NodeId dst,

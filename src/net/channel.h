@@ -64,7 +64,7 @@ class MessageChannel {
 };
 
 /// Message router for the threaded in-process runtime: one mailbox per
-/// *worker* (the shard-per-core pool), `Send` routes by destination id
+/// *worker* (the shard-per-core pool), `SendBatch` routes by destination id
 /// modulo the mailbox count — the hosting worker demuxes per node. With
 /// `num_mailboxes` omitted (or equal to num_nodes) this degenerates to the
 /// historical one-mailbox-per-node shape. Crash state stays per *node*:
@@ -79,19 +79,19 @@ class ThreadNetwork {
   ThreadNetwork(const ThreadNetwork&) = delete;
   ThreadNetwork& operator=(const ThreadNetwork&) = delete;
 
-  /// Routes `msg` to the mailbox of `msg.dst`. Messages involving crashed
-  /// nodes are dropped (fail-stop) and counted in `messages_from_crashed`
-  /// / `messages_to_crashed`, mirroring the simulator's NetworkStats.
-  /// Virtual so the socket runtime can route remote destinations onto the
-  /// wire while local traffic keeps the in-process mailbox fast path.
-  virtual void Send(Message msg);
+  /// Sends `msg` as a frame of one through SendBatch.
+  void Send(Message msg);
 
-  /// Routes a coalesced frame: every message in `msgs` travels src -> dst
-  /// as one PushBatch (one lock, at most one wake) instead of one Push per
-  /// message. Crash checks are evaluated once per frame and counted per
-  /// message; when the fault path is armed the frame decays to per-message
-  /// FaultSend so loss/link/delay semantics match un-coalesced sends.
-  /// `msgs` is drained (capacity kept) so the caller recycles its buffer.
+  /// Routes a frame: every message in `msgs` travels src -> dst as one
+  /// PushBatch (one lock, at most one wake) instead of one Push per
+  /// message. Messages involving crashed nodes are dropped (fail-stop) and
+  /// counted in `messages_from_crashed` / `messages_to_crashed`, mirroring
+  /// the simulator's NetworkStats; the checks are evaluated once per frame
+  /// and counted per message. When the fault path is armed the frame
+  /// decays to per-message FaultSend so loss/link/delay semantics stay per
+  /// message. `msgs` is drained (capacity kept) so the caller recycles its
+  /// buffer. Virtual so the socket runtime can route remote destinations
+  /// onto the wire while local traffic keeps the in-process mailbox.
   virtual void SendBatch(NodeId src, NodeId dst, std::vector<Message>* msgs);
 
   /// The receiving mailbox of `node` (shared with every node whose id is
@@ -105,7 +105,7 @@ class ThreadNetwork {
 
   /// True once any fault setter armed the loss/link/delay path. The
   /// same-worker fast path checks this: with faults armed every message
-  /// must travel through Send so drops are sampled uniformly.
+  /// must travel through the network so drops are sampled uniformly.
   bool FaultsArmed() const {
     return faults_armed_.load(std::memory_order_acquire);
   }
@@ -118,7 +118,8 @@ class ThreadNetwork {
   //
   // All setters are thread-safe and may race with Send. The first setter
   // call arms the fault path *and* the NetworkStats counters; until then
-  // Send keeps its original two-load fast path and `stats()` reads zero.
+  // SendBatch keeps its two-load fast path and the sent, delivered,
+  // dropped and bytes counters read zero.
   // Loss sampling hashes a per-network seed with a send counter, so a
   // fixed seed gives a reproducible drop *rate* (not a reproducible drop
   // *set* — thread interleaving orders the counter).

@@ -56,38 +56,11 @@ void SimNetwork::Send(Message msg) {
     return;
   }
 
-  if (coalesce_) {
-    // Loss and latency are per-frame decisions: drawn at flush time, once
-    // per frame, so they move to FlushCoalesced.
-    AppendToFrame(std::move(msg));
-    return;
-  }
-
-  if (config_.drop_probability > 0.0 &&
-      rng_.NextBernoulli(config_.drop_probability)) {
-    stats_.messages_dropped++;
-    return;
-  }
-
-  const Micros latency = SampleLatency(msg.src, msg.dst);
-  scheduler_->ScheduleAfter(latency, [this, m = std::move(msg)]() {
-    // Crash state is evaluated at delivery time: messages in flight toward
-    // a node that crashes meanwhile are lost, matching fail-stop semantics.
-    if (IsCrashed(m.dst)) {
-      stats_.messages_to_crashed++;
-      return;
-    }
-    if (interceptor_ && !interceptor_(m)) {
-      stats_.messages_dropped++;
-      return;
-    }
-    if (m.dst >= handlers_.size() || !handlers_[m.dst]) {
-      ECDB_LOG(kWarn, "message to unregistered node %u dropped", m.dst);
-      return;
-    }
-    stats_.messages_delivered++;
-    handlers_[m.dst](m);
-  });
+  // Every message travels in a frame; loss and latency are drawn once per
+  // frame when it is flushed. Without coalescing the frame closes at its
+  // first message, so it leaves at once, as a frame of one.
+  AppendToFrame(std::move(msg));
+  if (!coalesce_) FlushCoalesced();
 }
 
 void SimNetwork::EnableCoalescing(bool on) {
@@ -102,18 +75,21 @@ void SimNetwork::EnableCoalescing(bool on) {
 }
 
 void SimNetwork::AppendToFrame(Message msg) {
-  // One hash probe per message: an existing live entry means this step
-  // already opened a frame on the link. The table holds only links that
-  // ever carried coalesced traffic — O(active links), not O(n^2) — and a
-  // flush invalidates all entries at once via the epoch stamp.
-  LinkSlot& slot = slot_by_link_[LinkKey(msg.src, msg.dst)];
-  if (slot.epoch == flush_epoch_) {
-    open_frames_[slot.idx].frame.messages.push_back(std::move(msg));
-    return;
+  // One hash probe per coalesced message: an existing live entry means
+  // this step already opened a frame on the link. The table holds only
+  // links that ever carried coalesced traffic — O(active links), not
+  // O(n^2) — and a flush invalidates all entries at once via the epoch
+  // stamp. Without coalescing no frame is open yet, so there is no probe.
+  if (coalesce_) {
+    LinkSlot& slot = slot_by_link_[LinkKey(msg.src, msg.dst)];
+    if (slot.epoch == flush_epoch_) {
+      open_frames_[slot.idx].frame.messages.push_back(std::move(msg));
+      return;
+    }
+    slot.epoch = flush_epoch_;
+    slot.idx = static_cast<uint32_t>(num_open_);
   }
   if (num_open_ == open_frames_.size()) open_frames_.emplace_back();
-  slot.epoch = flush_epoch_;
-  slot.idx = static_cast<uint32_t>(num_open_);
   OpenFrame& of = open_frames_[num_open_++];
   of.frame.src = msg.src;
   of.frame.dst = msg.dst;
@@ -176,13 +152,15 @@ void SimNetwork::FlushCoalesced() {
 }
 
 void SimNetwork::DeliverBatch(uint32_t batch_idx) {
-  FlightBatch& batch = flight_[batch_idx];
-  for (size_t i = 0; i < batch.used; ++i) {
-    MessageFrame& frame = batch.frames[i];
+  // Indexed, not held by reference: without coalescing a handler's send
+  // flushes at once and may grow `flight_`. This batch's frames stay put,
+  // as no one else touches a batch until it is freed below.
+  for (size_t i = 0; i < flight_[batch_idx].used; ++i) {
+    MessageFrame& frame = flight_[batch_idx].frames[i];
     for (Message& m : frame.messages) {
-      // Per-message delivery checks, matching the uncoalesced path: the
-      // interceptor may crash the destination mid-frame, so crash state is
-      // re-read for every message.
+      // Per-message delivery checks: the interceptor may crash the
+      // destination mid-frame, so crash state is re-read for every
+      // message.
       if (IsCrashed(frame.dst)) {
         stats_.messages_to_crashed++;
         continue;
@@ -200,7 +178,7 @@ void SimNetwork::DeliverBatch(uint32_t batch_idx) {
     }
     frame.messages.clear();
   }
-  batch.used = 0;
+  flight_[batch_idx].used = 0;
   free_flight_.push_back(batch_idx);
 }
 

@@ -68,10 +68,12 @@ struct NetworkStats {
   uint64_t messages_from_crashed = 0;  // source was down at send time
   uint64_t bytes_sent = 0;
 
-  /// Coalescing layer: frames put on the wire and the sends they saved
-  /// (messages that rode in a frame behind an earlier one). Zero when
-  /// coalescing is off; `messages_sent - messages_coalesced == frames_sent`
-  /// over any window where every open frame has been flushed.
+  /// Frames put on the wire and the sends they saved (messages that rode
+  /// in a frame behind an earlier one). Every message travels in a frame,
+  /// so with coalescing off each one is a frame of one and
+  /// `messages_coalesced` stays zero; `messages_sent - messages_coalesced
+  /// == frames_sent` over any window where every open frame has been
+  /// flushed.
   uint64_t frames_sent = 0;
   uint64_t messages_coalesced = 0;
 
@@ -79,8 +81,8 @@ struct NetworkStats {
 };
 
 /// Simulated message-passing network. Delivery is asynchronous: `Send`
-/// schedules a delivery event on the shared `Scheduler` after a sampled
-/// latency. Fault injection covers the failure models discussed in the
+/// puts the message in a frame, and a flushed frame is delivered by an
+/// event on the shared `Scheduler` after a sampled latency. Fault injection covers the failure models discussed in the
 /// paper: node crashes (fail-stop), recovery, message loss, link cuts and
 /// targeted per-link delays (the Section 4 message-delay scenario).
 class SimNetwork {
@@ -144,18 +146,19 @@ class SimNetwork {
   /// affects messages sent after the call; in-flight deliveries stand.
   void SetDropProbability(double p) { config_.drop_probability = p; }
 
-  /// Transport-level coalescing: when on, Send() appends to a per-(src,dst)
-  /// open frame instead of scheduling a delivery event per message, and the
-  /// scheduler's post-step hook flushes every open frame at the end of the
-  /// step that produced it. Flushing draws one loss coin and one jitter
-  /// sample per *frame* (a dropped frame loses every message inside it) and
-  /// collapses frames with the same arrival time into a single delivery
-  /// event — EasyCommit's O(n^2) transmit phase becomes O(n) frames and,
-  /// on a jitter-free network, O(1) scheduler events per step. Per-message
-  /// semantics preserved at the edges: send filter, crashed-source, link
-  /// cuts and byte accounting still apply at Send() time; crashed-dest and
-  /// the delivery interceptor at delivery time. Turning it off flushes any
-  /// open frames first.
+  /// Transport-level coalescing decides only when a frame closes. Off, a
+  /// frame closes at its first message and is flushed inside Send(). On,
+  /// Send() appends to a per-(src,dst) open frame and the scheduler's
+  /// post-step hook flushes every open frame at the end of the step that
+  /// produced it. Flushing draws one loss coin and one jitter sample per
+  /// *frame* (a dropped frame loses every message inside it) and collapses
+  /// frames with the same arrival time into a single delivery event —
+  /// EasyCommit's O(n^2) transmit phase becomes O(n) frames and, on a
+  /// jitter-free network, O(1) scheduler events per step. Per-message
+  /// semantics are preserved at the edges: send filter, crashed-source,
+  /// link cuts and byte accounting still apply at Send() time;
+  /// crashed-dest and the delivery interceptor at delivery time. Turning
+  /// it off flushes any open frames first.
   void EnableCoalescing(bool on);
   bool coalescing() const { return coalesce_; }
 
@@ -194,9 +197,8 @@ class SimNetwork {
     size_t used = 0;
   };
 
-  /// One delivery's latency on the `src` -> `dst` link: base, jitter and
-  /// any injected extra delay. Drawn once per message, or once per frame
-  /// under coalescing.
+  /// One frame's latency on the `src` -> `dst` link: base, jitter and
+  /// any injected extra delay.
   Micros SampleLatency(NodeId src, NodeId dst);
   bool LinkDown(NodeId a, NodeId b) const;
   void AppendToFrame(Message msg);

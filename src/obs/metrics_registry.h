@@ -25,10 +25,6 @@ struct TelemetryConfig {
   /// is a scheduler event chain, byte-deterministic); on the threaded
   /// runtime it is wall time on a dedicated sampler thread.
   Micros sample_interval_us = 100'000;
-
-  /// Bounded ring of timeslices: when more intervals elapse than this,
-  /// the oldest slices are discarded and counted in slices_dropped().
-  size_t max_slices = 4096;
 };
 
 /// Typed metric handles. Separate id spaces per kind so the record path

@@ -39,7 +39,7 @@ void TelemetrySampler::Sample(Micros now_us) {
   }
 
   slices_.push_back(std::move(slice));
-  while (slices_.size() > config_.max_slices) {
+  while (slices_.size() > kMaxSlices) {
     slices_.pop_front();
     slices_dropped_++;
   }

@@ -61,6 +61,10 @@ struct Timeslice {
 /// timeslice stream.
 class TelemetrySampler {
  public:
+  /// Bounded ring of timeslices: when more intervals elapse than this,
+  /// the oldest slices are discarded and counted in slices_dropped().
+  static constexpr size_t kMaxSlices = 4096;
+
   TelemetrySampler(MetricsRegistry* registry, TelemetryConfig config)
       : registry_(registry), config_(config) {}
 
@@ -72,7 +76,7 @@ class TelemetrySampler {
 
   /// Closes the interval [prev, now_us): runs the poll hook, snapshots the
   /// registry, and appends the delta slice. Oldest slices fall off once
-  /// the ring holds config.max_slices.
+  /// the ring holds kMaxSlices.
   void Sample(Micros now_us);
 
   const std::deque<Timeslice>& slices() const { return slices_; }

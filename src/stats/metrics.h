@@ -107,15 +107,15 @@ struct ClusterStats {
   uint64_t net_messages_to_crashed = 0;
 
   /// Transport coalescing + group commit accounting.
-  /// `net_frames_sent` counts framed batches put on the wire: zero on the
-  /// simulator with the coalescing knob off; on the threaded host, one per
-  /// destination per loop iteration coalesced, one per message at a frame
-  /// cap of one (same-worker deliveries bypass the network and count in
-  /// neither). `net_messages_coalesced` counts the messages that rode
-  /// behind another in the same frame — their ratio is the effective
-  /// batch factor. `duplicate_decisions_suppressed` counts Global-*
-  /// receipts short-circuited because the transaction was already decided
-  /// locally (EC's O(n^2) redundancy; counted regardless of the knob).
+  /// `net_frames_sent` counts framed batches put on the wire: one per
+  /// destination per step (simulator) or loop iteration (threaded host)
+  /// coalesced, one per message at a frame cap of one, on every host
+  /// (same-worker deliveries bypass the network and count in neither).
+  /// `net_messages_coalesced` counts the messages that rode behind another
+  /// in the same frame — their ratio is the effective batch factor.
+  /// `duplicate_decisions_suppressed` counts Global-* receipts
+  /// short-circuited because the transaction was already decided locally
+  /// (EC's O(n^2) redundancy; counted regardless of the knob).
   /// `wal_group_flushes` counts WAL flushes that covered pending records —
   /// each one stands in for the per-append syncs group commit amortized
   /// away (zero on the simulator, whose log needs no flush).

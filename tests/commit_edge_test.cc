@@ -11,7 +11,7 @@
 
 #include "commit/quorum.h"
 #include "commit/recovery.h"
-#include "protocol_harness.h"
+#include "commit/testbed.h"
 
 namespace ecdb {
 namespace testing {
@@ -32,7 +32,7 @@ TEST(MessageDelayTest, ThreePcIsUnsafeUnderSevereDelays) {
   // The paper's scenario: C reaches PRE-COMMIT, then every link touching C
   // (and the paths to X) suffers unbounded delay. C proceeds to commit
   // while X, Y, Z see "multiple failures" and abort.
-  ProtocolTestbed bed(CommitProtocol::kThreePhase, 4, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kThreePhase, 4, QuietNet());
   const TxnId txn = MakeTxnId(0, 1);
   std::vector<NodeId> participants{0, 1, 2, 3};
   for (NodeId id = 1; id < 4; ++id) {
@@ -67,7 +67,7 @@ TEST(MessageDelayTest, EasyCommitIsUnsafeWhenDecisionOutrunsTimeouts) {
   // coordinator and X commit. The paper concedes exactly this (Section
   // 4.1); the monitor must flag it.
   NetworkConfig net = QuietNet();
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 4, net);
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 4, net);
   const TxnId txn = MakeTxnId(0, 1);
   std::vector<NodeId> participants{0, 1, 2, 3};
   for (NodeId id = 1; id < 4; ++id) {
@@ -104,7 +104,7 @@ TEST(MessageLossTest, EasyCommitIsUnsafeUnderTargetedLoss) {
   // Message loss (= true network partitioning per the paper): drop every
   // decision-bearing message to Y/Z. They abort via termination while the
   // coordinator and X commit.
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 4, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 4, QuietNet());
   const TxnId txn = MakeTxnId(0, 1);
   std::vector<NodeId> participants{0, 1, 2, 3};
   for (NodeId id = 1; id < 4; ++id) {
@@ -125,7 +125,7 @@ TEST(MessageLossTest, EasyCommitIsUnsafeUnderTargetedLoss) {
 TEST(MessageLossTest, TwoPcIsUnsafeUnderTargetedLoss) {
   // 2PC under loss: cohort X receives the commit, the others lose it AND
   // the coordinator is cut off from their termination queries.
-  ProtocolTestbed bed(CommitProtocol::kTwoPhase, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kTwoPhase, 3, QuietNet());
   const TxnId txn = MakeTxnId(0, 1);
   std::vector<NodeId> participants{0, 1, 2};
   for (NodeId id = 1; id < 3; ++id) {
@@ -159,7 +159,7 @@ TEST(MessageLossTest, TwoPcIsUnsafeUnderTargetedLoss) {
 TEST(OrderingTest, DecisionArrivingBeforePrepareIsAdopted) {
   // A forwarded decision can overtake the (re)transmitted Prepare. A cohort
   // in INITIAL must adopt it rather than get stuck.
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3, QuietNet());
   const TxnId txn = MakeTxnId(0, 1);
   std::vector<NodeId> participants{0, 1, 2};
   bed.host(2).engine().ExpectPrepare(txn, 0, participants);
@@ -184,7 +184,7 @@ TEST(OrderingTest, CoordinatorAdoptsTerminationDecisionWhileInWait) {
   CommitEngineConfig slow_coord;
   slow_coord.timeout_us = 200'000;  // coordinator patient
   slow_coord.termination_window_us = 5'000;
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3, QuietNet(),
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3, QuietNet(),
                       slow_coord);
   const TxnId txn = MakeTxnId(0, 1);
   // Every vote from cohort 2 vanishes (it is crashed from the start).
@@ -205,7 +205,7 @@ TEST(OrderingTest, ThreePcCoordinatorCommitsWhenPreCommitAckMissing) {
   // A cohort crashes after voting commit but before acking PreCommit; the
   // coordinator proceeds to commit after its timeout (standard 3PC: the
   // crashed cohort recovers into PRE-COMMIT and commits via its log).
-  ProtocolTestbed bed(CommitProtocol::kThreePhase, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kThreePhase, 3, QuietNet());
   bed.network().SetDeliveryInterceptor([&](const Message& msg) {
     if (msg.type == MsgType::kPreCommit && msg.dst == 2) {
       bed.network().CrashNode(2);
@@ -223,7 +223,7 @@ TEST(OrderingTest, ThreePcCoordinatorCommitsWhenPreCommitAckMissing) {
 TEST(OrderingTest, LatePrepareAfterTerminationAbortIsHarmless) {
   // Cohort terminates a transaction (abort), then a delayed duplicate
   // Prepare arrives. It must not restart the protocol.
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3, QuietNet());
   const TxnId txn = MakeTxnId(0, 1);
   std::vector<NodeId> participants{0, 1, 2};
   bed.host(1).engine().ExpectPrepare(txn, 0, participants);
@@ -247,7 +247,7 @@ TEST(OrderingTest, LatePrepareAfterTerminationAbortIsHarmless) {
 TEST(OrderingTest, EcTwoNodeClusterTerminationAfterCoordinatorCrash) {
   // Minimal cluster: coordinator + one cohort. Coordinator dies before
   // the decision; the lone cohort must still terminate (abort).
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 2, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 2, QuietNet());
   const TxnId txn = MakeTxnId(0, 1);
   bed.network().SetDeliveryInterceptor([&](const Message& msg) {
     if (msg.type == MsgType::kVoteCommit) {
@@ -273,10 +273,11 @@ TEST(OrderingTest, EcTwoNodeClusterTerminationAfterCoordinatorCrash) {
 /// the coordinator reaches PRE-COMMIT, then a two-cell partition strands
 /// a majority of READY cohorts on the far side. Returns the testbed after
 /// the partitioned phase has settled; `txn` receives the transaction id.
-std::unique_ptr<ProtocolTestbed> RunMultiCohortPartition(
+std::unique_ptr<testbed::ProtocolTestbed> RunMultiCohortPartition(
     CommitProtocol protocol, TxnId* txn) {
-  auto bed = std::make_unique<ProtocolTestbed>(protocol, 4, QuietNet());
-  ProtocolTestbed& b = *bed;
+  auto bed =
+      std::make_unique<testbed::ProtocolTestbed>(protocol, 4, QuietNet());
+  testbed::ProtocolTestbed& b = *bed;
   b.network().SetDeliveryInterceptor([&b](const Message& msg) {
     if (msg.type == MsgType::kPreCommit &&
         (msg.dst == 2 || msg.dst == 3)) {
@@ -340,7 +341,7 @@ TEST(QuorumTest, E3pcElectionEpochsAreMonotonic) {
   // carry minted <last_elected, last_attempt> epochs, and the durable
   // kQuorumState trail at each cohort must never step backwards —
   // regression guard for the promise rule (log before reply).
-  ProtocolTestbed bed(CommitProtocol::kThreePhaseE3PC, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kThreePhaseE3PC, 3, QuietNet());
   bed.network().SetDeliveryInterceptor([&](const Message& msg) {
     if (msg.type == MsgType::kPreCommit) {
       bed.network().CrashNode(0);
@@ -387,7 +388,7 @@ TEST(QuorumTest, E3pcElectReplyEncodesRecoveredAbortAttempt) {
   // field — encoding the volatile READY state instead would let the
   // initiator's max-attempt rule treat the abort-valued attempt as
   // committable and decide commit against a quorum that aborted.
-  ProtocolTestbed bed(CommitProtocol::kThreePhaseE3PC, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kThreePhaseE3PC, 3, QuietNet());
   const TxnId txn = MakeTxnId(0, 1);
   std::vector<NodeId> participants{0, 1, 2};
   bed.host(1).engine().ExpectPrepare(txn, 0, participants);
@@ -434,7 +435,7 @@ TEST(QuorumTest, PaxosConflictingBallotZeroAcceptDoesNotCount) {
   // with a promoted ballot) is dropped, not tallied. Forge an abort-valued
   // accept ahead of each acceptor's genuine commit-valued one — the
   // decision must still be commit everywhere.
-  ProtocolTestbed bed(CommitProtocol::kPaxosCommit, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kPaxosCommit, 3, QuietNet());
   bool forged = false;
   bed.network().SetDeliveryInterceptor([&](const Message& msg) {
     if (!forged && msg.type == MsgType::kPaxosAccepted && msg.dst == 0 &&
@@ -462,7 +463,7 @@ TEST(QuorumTest, PaxosCommitToleratesFAcceptorCrashes) {
   // three surviving acceptors, crashing the other two (dropping their
   // accept replies with them) must not stop the commit — each instance
   // still assembles a 3-of-5 quorum.
-  ProtocolTestbed bed(CommitProtocol::kPaxosCommit, 5, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kPaxosCommit, 5, QuietNet());
   int votes_from_3 = 0, votes_from_4 = 0;
   bool crashed = false;
   bed.network().SetDeliveryInterceptor([&](const Message& msg) {
@@ -497,7 +498,7 @@ TEST(QuorumTest, PaxosPromotionAbortsUnvotedInstanceWithFreeValue) {
   // survivors abort, none blocks. (Merely *losing* the vote messages is
   // not enough: the RM's own acceptor keeps the value and any later
   // promotion it joins would, correctly, resurrect Commit.)
-  ProtocolTestbed bed(CommitProtocol::kPaxosCommit, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kPaxosCommit, 3, QuietNet());
   bed.network().SetDeliveryInterceptor([&](const Message& msg) {
     if (msg.type == MsgType::kPrepare && msg.dst == 2) {
       bed.network().CrashNode(2);
@@ -519,7 +520,7 @@ TEST(QuorumTest, PaxosPromotionAbortsUnvotedInstanceWithFreeValue) {
 
 TEST(OrderingTest, ConcurrentTransactionsDoNotInterfere) {
   // Several transactions in flight at once through the same engines.
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 4, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 4, QuietNet());
   std::vector<TxnId> txns;
   for (int i = 0; i < 10; ++i) txns.push_back(bed.StartAll());
   bed.Settle();
@@ -536,7 +537,7 @@ TEST(DecisionLedgerTest, EvictsOldestDecisionFirstPastTheCap) {
   // The ledger keeps the last kDecisionLedgerCap decisions. One past the
   // cap, the oldest is gone: a late query for it gets EC's "never heard
   // of it" INITIAL reply, while the newest still gets its decision.
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3, QuietNet());
   const size_t seeded = CommitEngine::kDecisionLedgerCap + 1;
   for (uint64_t seq = 1; seq <= seeded; ++seq) {
     bed.host(1).engine().SeedDecision(

@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "protocol_harness.h"
+#include "commit/testbed.h"
 
 namespace ecdb {
 namespace testing {
@@ -30,7 +30,7 @@ class CommitHappyPathTest
     : public ::testing::TestWithParam<CommitProtocol> {};
 
 TEST_P(CommitHappyPathTest, AllNodesCommit) {
-  ProtocolTestbed bed(GetParam(), 4, QuietNet());
+  testbed::ProtocolTestbed bed(GetParam(), 4, QuietNet());
   const TxnId txn = bed.StartAll();
   bed.Settle();
   for (NodeId id = 0; id < 4; ++id) {
@@ -43,7 +43,7 @@ TEST_P(CommitHappyPathTest, AllNodesCommit) {
 }
 
 TEST_P(CommitHappyPathTest, CoordinatorAbortVoteAbortsEverywhere) {
-  ProtocolTestbed bed(GetParam(), 3, QuietNet());
+  testbed::ProtocolTestbed bed(GetParam(), 3, QuietNet());
   const TxnId txn = bed.StartAll(Decision::kAbort);
   bed.Settle();
   for (NodeId id = 0; id < 3; ++id) {
@@ -53,7 +53,7 @@ TEST_P(CommitHappyPathTest, CoordinatorAbortVoteAbortsEverywhere) {
 }
 
 TEST_P(CommitHappyPathTest, ParticipantVoteAbortAbortsEverywhere) {
-  ProtocolTestbed bed(GetParam(), 4, QuietNet());
+  testbed::ProtocolTestbed bed(GetParam(), 4, QuietNet());
   bed.host(2).set_vote(Decision::kAbort);
   const TxnId txn = bed.StartAll();
   bed.Settle();
@@ -65,7 +65,7 @@ TEST_P(CommitHappyPathTest, ParticipantVoteAbortAbortsEverywhere) {
 }
 
 TEST_P(CommitHappyPathTest, TwoNodeTransactionCommits) {
-  ProtocolTestbed bed(GetParam(), 2, QuietNet());
+  testbed::ProtocolTestbed bed(GetParam(), 2, QuietNet());
   const TxnId txn = bed.StartAll();
   bed.Settle();
   EXPECT_EQ(*bed.host(0).applied(txn), Decision::kCommit);
@@ -73,7 +73,7 @@ TEST_P(CommitHappyPathTest, TwoNodeTransactionCommits) {
 }
 
 TEST_P(CommitHappyPathTest, EngineStateIsReleasedAfterCleanup) {
-  ProtocolTestbed bed(GetParam(), 3, QuietNet());
+  testbed::ProtocolTestbed bed(GetParam(), 3, QuietNet());
   const TxnId txn = bed.StartAll();
   bed.Settle();
   for (NodeId id = 0; id < 3; ++id) {
@@ -83,7 +83,7 @@ TEST_P(CommitHappyPathTest, EngineStateIsReleasedAfterCleanup) {
 }
 
 TEST_P(CommitHappyPathTest, ManySequentialTransactions) {
-  ProtocolTestbed bed(GetParam(), 3, QuietNet());
+  testbed::ProtocolTestbed bed(GetParam(), 3, QuietNet());
   for (int i = 0; i < 20; ++i) {
     const TxnId txn = bed.StartAll();
     bed.Settle();
@@ -104,7 +104,8 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, CommitHappyPathTest,
 // ---------------------------------------------------------------------------
 
 TEST(CommitLogTest, TwoPcCoordinatorLogSequence) {
-  ProtocolTestbed bed(CommitProtocol::kTwoPhase, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kTwoPhase, 3,
+                               QuietNet());
   const TxnId txn = bed.StartAll();
   bed.Settle();
   EXPECT_EQ(bed.host(0).LogTypes(txn),
@@ -114,7 +115,8 @@ TEST(CommitLogTest, TwoPcCoordinatorLogSequence) {
 }
 
 TEST(CommitLogTest, TwoPcParticipantLogSequence) {
-  ProtocolTestbed bed(CommitProtocol::kTwoPhase, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kTwoPhase, 3,
+                               QuietNet());
   const TxnId txn = bed.StartAll();
   bed.Settle();
   EXPECT_EQ(bed.host(1).LogTypes(txn),
@@ -123,7 +125,8 @@ TEST(CommitLogTest, TwoPcParticipantLogSequence) {
 }
 
 TEST(CommitLogTest, ThreePcLogsPreCommitOnBothSides) {
-  ProtocolTestbed bed(CommitProtocol::kThreePhase, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kThreePhase, 3,
+                               QuietNet());
   const TxnId txn = bed.StartAll();
   bed.Settle();
   EXPECT_EQ(bed.host(0).LogTypes(txn),
@@ -139,7 +142,8 @@ TEST(CommitLogTest, ThreePcLogsPreCommitOnBothSides) {
 
 TEST(CommitLogTest, EasyCommitParticipantLogsReceivedBeforeCommit) {
   // Figure 5b: ready -> global-commit-received -> transaction-commit.
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3,
+                               QuietNet());
   const TxnId txn = bed.StartAll();
   bed.Settle();
   EXPECT_EQ(bed.host(1).LogTypes(txn),
@@ -149,7 +153,8 @@ TEST(CommitLogTest, EasyCommitParticipantLogsReceivedBeforeCommit) {
 }
 
 TEST(CommitLogTest, EasyCommitAbortPathLogsAbortReceived) {
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3,
+                               QuietNet());
   bed.host(1).set_vote(Decision::kAbort);
   const TxnId txn = bed.StartAll();
   bed.Settle();
@@ -163,7 +168,8 @@ TEST(CommitLogTest, EasyCommitAbortPathLogsAbortReceived) {
 
 TEST(CommitLogTest, TwoPcAbortVoterSkipsReadyState) {
   // In 2PC (unlike EC) an abort-voting cohort moves INITIAL -> ABORT.
-  ProtocolTestbed bed(CommitProtocol::kTwoPhase, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kTwoPhase, 3,
+                               QuietNet());
   bed.host(1).set_vote(Decision::kAbort);
   const TxnId txn = bed.StartAll();
   bed.Settle();
@@ -179,7 +185,7 @@ TEST(CommitMessageTest, EasyCommitForwardsDecisionQuadratically) {
   // n participants: coordinator sends n-1 decisions, every cohort forwards
   // to the n-1 others => (n-1) + (n-1)^2 Global-* messages.
   for (uint32_t n : {2u, 3u, 4u, 5u}) {
-    ProtocolTestbed bed(CommitProtocol::kEasyCommit, n, QuietNet());
+    testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, n, QuietNet());
     bed.StartAll();
     bed.Settle();
     const auto& per_type = bed.network().stats().per_type;
@@ -192,7 +198,7 @@ TEST(CommitMessageTest, EasyCommitForwardsDecisionQuadratically) {
 
 TEST(CommitMessageTest, TwoPcDecisionMessagesAreLinear) {
   for (uint32_t n : {2u, 3u, 4u, 5u}) {
-    ProtocolTestbed bed(CommitProtocol::kTwoPhase, n, QuietNet());
+    testbed::ProtocolTestbed bed(CommitProtocol::kTwoPhase, n, QuietNet());
     bed.StartAll();
     bed.Settle();
     const auto& per_type = bed.network().stats().per_type;
@@ -202,7 +208,8 @@ TEST(CommitMessageTest, TwoPcDecisionMessagesAreLinear) {
 }
 
 TEST(CommitMessageTest, ThreePcAddsPreCommitRound) {
-  ProtocolTestbed bed(CommitProtocol::kThreePhase, 4, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kThreePhase, 4,
+                               QuietNet());
   bed.StartAll();
   bed.Settle();
   const auto& per_type = bed.network().stats().per_type;
@@ -212,14 +219,16 @@ TEST(CommitMessageTest, ThreePcAddsPreCommitRound) {
 }
 
 TEST(CommitMessageTest, EasyCommitSendsNoAcks) {
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 4, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 4,
+                               QuietNet());
   bed.StartAll();
   bed.Settle();
   EXPECT_EQ(bed.network().stats().per_type.count(MsgType::kAck), 0u);
 }
 
 TEST(CommitMessageTest, NoForwardAblationSendsLinearDecisions) {
-  ProtocolTestbed bed(CommitProtocol::kEasyCommitNoForward, 4, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommitNoForward, 4,
+                               QuietNet());
   bed.StartAll();
   bed.Settle();
   EXPECT_EQ(bed.network().stats().per_type.at(MsgType::kGlobalCommit), 3u);
@@ -256,7 +265,7 @@ TEST(CommitMessageTest, MessagesPerFailureFreeRound) {
   net.base_latency_us = 1;
   net.jitter_us = 0;
   for (const Row& row : rows) {
-    ProtocolTestbed bed(row.protocol, row.n, net);
+    testbed::ProtocolTestbed bed(row.protocol, row.n, net);
     bed.network().EnableCoalescing(true);
     const TxnId txn = bed.StartAll();
     bed.Settle();
@@ -275,7 +284,8 @@ TEST(CommitMessageTest, MessagesPerFailureFreeRound) {
 
 TEST(CommitTimeoutTest, CoordinatorTimeoutInWaitAborts) {
   // Case A: a cohort never votes; the coordinator aborts.
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3,
+                               QuietNet());
   bed.network().CrashNode(2);  // silent cohort
   const TxnId txn = bed.StartAll();
   bed.Settle();
@@ -287,7 +297,8 @@ TEST(CommitTimeoutTest, CoordinatorTimeoutInWaitAborts) {
 TEST(CommitTimeoutTest, EcCohortTimeoutInInitialRunsTermination) {
   // Case B: the coordinator dies before sending any Prepare; EC cohorts
   // consult each other and abort together.
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3,
+                               QuietNet());
   const TxnId txn = MakeTxnId(0, 1);
   std::vector<NodeId> participants{0, 1, 2};
   bed.host(1).engine().ExpectPrepare(txn, 0, participants);
@@ -300,7 +311,8 @@ TEST(CommitTimeoutTest, EcCohortTimeoutInInitialRunsTermination) {
 }
 
 TEST(CommitTimeoutTest, TwoPcCohortTimeoutInInitialAbortsUnilaterally) {
-  ProtocolTestbed bed(CommitProtocol::kTwoPhase, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kTwoPhase, 3,
+                               QuietNet());
   const TxnId txn = MakeTxnId(0, 1);
   bed.host(1).engine().ExpectPrepare(txn, 0, {0, 1, 2});
   bed.network().CrashNode(0);
@@ -313,7 +325,8 @@ TEST(CommitTimeoutTest, TwoPcCohortTimeoutInInitialAbortsUnilaterally) {
 TEST(CommitTimeoutTest, CohortLearnsDecisionFromPeerViaTermination) {
   // Coordinator's decision reaches cohort 1 but the message to cohort 2 is
   // dropped; cohort 2 times out, consults, and learns commit from a peer.
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3,
+                               QuietNet());
   const TxnId txn = MakeTxnId(0, 1);
   bed.network().SetDeliveryInterceptor([&](const Message& msg) {
     // Drop only the coordinator's original decision (and EC forward) to 2
@@ -332,7 +345,8 @@ TEST(CommitTimeoutTest, CohortLearnsDecisionFromPeerViaTermination) {
 
 TEST(CommitTimeoutTest, TerminationLeaderIsLowestActiveNode) {
   // Coordinator 0 dies pre-Prepare; among cohorts {1, 2, 3} node 1 leads.
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 4, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 4,
+                               QuietNet());
   const TxnId txn = MakeTxnId(0, 1);
   std::vector<NodeId> participants{0, 1, 2, 3};
   for (NodeId id = 1; id < 4; ++id) {
@@ -355,7 +369,8 @@ TEST(CommitTimeoutTest, TerminationLeaderIsLowestActiveNode) {
 TEST(CommitTimeoutTest, TerminationIsReentrantWhenLeaderDies) {
   // Coordinator dies; leader-elect (node 1) dies mid-termination; node 2
   // must still terminate the transaction.
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 4, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 4,
+                               QuietNet());
   const TxnId txn = MakeTxnId(0, 1);
   std::vector<NodeId> participants{0, 1, 2, 3};
   for (NodeId id = 1; id < 4; ++id) {
@@ -442,11 +457,11 @@ class MotivatingScenario {
     bed_.Settle();
   }
 
-  ProtocolTestbed& bed() { return bed_; }
+  testbed::ProtocolTestbed& bed() { return bed_; }
   TxnId txn() const { return txn_; }
 
  private:
-  ProtocolTestbed bed_;
+  testbed::ProtocolTestbed bed_;
   TxnId txn_;
   bool x_got_decision_ = false;
   bool x_crashed_ = false;
@@ -507,7 +522,8 @@ TEST(MotivatingScenarioTest, ThreePhaseCommitDoesNotBlock) {
 // ---------------------------------------------------------------------------
 
 TEST(CommitRobustnessTest, DuplicateDecisionMessagesAreIdempotent) {
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3,
+                               QuietNet());
   const TxnId txn = bed.StartAll();
   bed.Settle();
   // Re-deliver a decision after cleanup; must be ignored without effect.
@@ -523,7 +539,8 @@ TEST(CommitRobustnessTest, DuplicateDecisionMessagesAreIdempotent) {
 }
 
 TEST(CommitRobustnessTest, SpuriousTimeoutAfterCleanupIsIgnored) {
-  ProtocolTestbed bed(CommitProtocol::kTwoPhase, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kTwoPhase, 3,
+                               QuietNet());
   const TxnId txn = bed.StartAll();
   bed.Settle();
   bed.host(0).engine().OnTimeout(txn);  // nothing should happen
@@ -531,7 +548,8 @@ TEST(CommitRobustnessTest, SpuriousTimeoutAfterCleanupIsIgnored) {
 }
 
 TEST(CommitRobustnessTest, MessagesForUnknownTxnAreIgnored) {
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 2, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 2,
+                               QuietNet());
   Message msg;
   msg.type = MsgType::kVoteCommit;
   msg.src = 1;
@@ -542,7 +560,8 @@ TEST(CommitRobustnessTest, MessagesForUnknownTxnAreIgnored) {
 }
 
 TEST(CommitRobustnessTest, ForgetDropsStateWithoutCallbacks) {
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 2, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 2,
+                               QuietNet());
   const TxnId txn = MakeTxnId(0, 1);
   bed.host(1).engine().ExpectPrepare(txn, 0, {0, 1});
   EXPECT_EQ(bed.host(1).engine().ActiveCount(), 1u);
@@ -553,7 +572,8 @@ TEST(CommitRobustnessTest, ForgetDropsStateWithoutCallbacks) {
 }
 
 TEST(CommitRobustnessTest, DecisionLedgerAnswersLateQueries) {
-  ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kEasyCommit, 3,
+                               QuietNet());
   const TxnId txn = bed.StartAll();
   bed.Settle();
   ASSERT_TRUE(bed.host(0).cleaned(txn));

@@ -3,6 +3,7 @@
 
 #include "net/network.h"
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -504,6 +505,111 @@ TEST_F(CoalescingTest, InterceptorSeesEveryCoalescedMessage) {
   sched_.RunAll();
   EXPECT_EQ(intercepted, 3u);
   EXPECT_EQ(received_.size(), 3u);
+}
+
+// Every message travels in a frame: with coalescing off each one is a
+// frame of one, flushed inside Send. A handler's send therefore flushes
+// (and takes a flight batch) in the middle of DeliverBatch; here 256 of
+// them grow the flight pool while the batch being delivered is in use.
+TEST(SimNetworkFrameOfOneTest, HandlerSendsMayGrowTheFlightPool) {
+  Scheduler sched;
+  NetworkConfig cfg;
+  cfg.jitter_us = 0;  // equal latencies: replies arrive in send order
+  SimNetwork net(&sched, cfg, 1);
+  std::vector<TxnId> got;
+  net.RegisterNode(0, [&](const Message& m) { got.push_back(m.txn); });
+  net.RegisterNode(1, [&](const Message&) {
+    for (uint64_t i = 1; i <= 256; ++i) {
+      Message reply = Make(1, 0);
+      reply.txn = MakeTxnId(1, i);
+      net.Send(std::move(reply));
+    }
+  });
+  net.Send(Make(0, 1));
+  sched.RunAll();
+  ASSERT_EQ(got.size(), 256u);
+  for (uint64_t i = 1; i <= 256; ++i) EXPECT_EQ(got[i - 1], MakeTxnId(1, i));
+  EXPECT_EQ(net.stats().messages_delivered, 257u);
+  EXPECT_EQ(net.stats().frames_sent, 257u);
+  EXPECT_EQ(net.stats().messages_coalesced, 0u);
+}
+
+// The uncoalesced simulator under every fault it models: 20% loss,
+// jitter, a cut link, an interceptor drop and a crash in the middle of
+// the run, with replies sent from inside deliveries. Each row of the log
+// is time, link, type, txn and outcome. The pinned digest and counters
+// were recorded with a per-message send path that drew its own loss coin
+// and latency and scheduled its own delivery; the frame-of-one path must
+// keep every draw and event in the same order.
+TEST(SimNetworkFrameOfOneTest, UncoalescedDeliveryLogIsPinned) {
+  Scheduler sched;
+  NetworkConfig cfg;
+  cfg.base_latency_us = 400;
+  cfg.jitter_us = 100;
+  cfg.drop_probability = 0.2;
+  SimNetwork net(&sched, cfg, 2024);
+  std::string log;
+  size_t rows = 0;
+  const auto row = [&](const Message& m, const char* outcome) {
+    log += std::to_string(sched.Now()) + " " + std::to_string(m.src) + ">" +
+           std::to_string(m.dst) + " " + ToString(m.type) + " " +
+           std::to_string(m.txn) + " " + outcome + "\n";
+    rows++;
+  };
+  for (NodeId id = 0; id < 3; ++id) {
+    net.RegisterNode(id, [&, id](const Message& m) {
+      row(m, "delivered");
+      if (m.type != MsgType::kPrepare) return;
+      Message reply = Make(id, m.src, MsgType::kVoteCommit);
+      reply.txn = m.txn;
+      net.Send(std::move(reply));
+    });
+  }
+  net.SetLinkDown(0, 2, true);
+  net.SetDeliveryInterceptor([&](const Message& m) {
+    if (m.txn % 7 != 3) return true;
+    row(m, "intercepted");
+    return false;
+  });
+  uint64_t seq = 0;
+  const auto wave = [&] {
+    for (NodeId src = 0; src < 3; ++src) {
+      for (NodeId dst = 0; dst < 3; ++dst) {
+        for (int i = 0; src != dst && i < 10; ++i) {
+          Message m = Make(src, dst);
+          m.txn = MakeTxnId(src, ++seq);
+          net.Send(std::move(m));
+        }
+      }
+    }
+  };
+  wave();
+  sched.ScheduleAt(450, [&] {
+    net.CrashNode(1);  // replies in flight to node 1 are lost
+    wave();
+  });
+  sched.ScheduleAt(1500, [&] {
+    net.RecoverNode(1);
+    wave();
+  });
+  sched.RunAll();
+
+  uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a
+  for (const char c : log) {
+    digest = (digest ^ static_cast<uint8_t>(c)) * 0x100000001b3ULL;
+  }
+  const NetworkStats& st = net.stats();
+  EXPECT_EQ(rows, 84u);  // 75 delivered, 9 intercepted
+  EXPECT_EQ(digest, 3109414687654884515ULL);
+  EXPECT_EQ(st.messages_sent, 206u);
+  EXPECT_EQ(st.messages_delivered, 75u);
+  EXPECT_EQ(st.messages_dropped, 101u);  // 60 cut, 9 intercepted, 32 lost
+  EXPECT_EQ(st.messages_to_crashed, 30u);
+  EXPECT_EQ(st.messages_from_crashed, 20u);
+  EXPECT_EQ(sched.Now(), 2463u);
+  // One frame per message that got past the cut link (20 prepares a wave).
+  EXPECT_EQ(st.frames_sent, st.messages_sent - 60);
+  EXPECT_EQ(st.messages_coalesced, 0u);
 }
 
 TEST(NetworkMessageTest, ToStringCoversAllTypes) {

@@ -171,14 +171,15 @@ TEST(TelemetrySamplerTest, RingIsBoundedAndCountsDrops) {
   reg.Activate(1);
   TelemetryConfig cfg;
   cfg.enabled = true;
-  cfg.max_slices = 2;
   TelemetrySampler sampler(&reg, cfg);
   sampler.Reset(0);
-  for (Micros t = 1; t <= 5; ++t) sampler.Sample(t * 1000);
-  EXPECT_EQ(sampler.slices().size(), 2u);
+  const Micros samples = TelemetrySampler::kMaxSlices + 3;
+  for (Micros t = 1; t <= samples; ++t) sampler.Sample(t * 1000);
+  EXPECT_EQ(sampler.slices().size(), TelemetrySampler::kMaxSlices);
   EXPECT_EQ(sampler.slices_dropped(), 3u);
   // The survivors are the newest slices.
-  EXPECT_EQ(sampler.slices().back().end_us, 5000u);
+  EXPECT_EQ(sampler.slices().front().end_us, 4000u);
+  EXPECT_EQ(sampler.slices().back().end_us, samples * 1000);
 }
 
 TEST(TelemetrySamplerTest, BucketPercentileMatchesHistogram) {

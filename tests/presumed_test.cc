@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "protocol_harness.h"
+#include "commit/testbed.h"
 
 namespace ecdb {
 namespace testing {
@@ -24,7 +24,8 @@ NetworkConfig QuietNet() {
 // ---------------------------------------------------------------------------
 
 TEST(PresumedAbortTest, CommitPathMatchesTwoPc) {
-  ProtocolTestbed bed(CommitProtocol::kTwoPhasePresumedAbort, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kTwoPhasePresumedAbort, 3,
+                               QuietNet());
   const TxnId txn = bed.StartAll();
   bed.Settle();
   for (NodeId id = 0; id < 3; ++id) {
@@ -35,7 +36,8 @@ TEST(PresumedAbortTest, CommitPathMatchesTwoPc) {
 }
 
 TEST(PresumedAbortTest, AbortPathWritesNoLogRecords) {
-  ProtocolTestbed bed(CommitProtocol::kTwoPhasePresumedAbort, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kTwoPhasePresumedAbort, 3,
+                               QuietNet());
   bed.host(1).set_vote(Decision::kAbort);
   const TxnId txn = bed.StartAll();
   bed.Settle();
@@ -54,7 +56,8 @@ TEST(PresumedAbortTest, AbortPathWritesNoLogRecords) {
 }
 
 TEST(PresumedAbortTest, CommitStillLogsEverywhere) {
-  ProtocolTestbed bed(CommitProtocol::kTwoPhasePresumedAbort, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kTwoPhasePresumedAbort, 3,
+                               QuietNet());
   const TxnId txn = bed.StartAll();
   bed.Settle();
   EXPECT_EQ(bed.host(0).LogTypes(txn),
@@ -69,7 +72,8 @@ TEST(PresumedAbortTest, UnknownTxnQueriesAreAnsweredAbort) {
   // A cohort stuck in READY asks about a transaction nobody has a record
   // of: under PA the *absence* of a record is the answer (abort), so the
   // cohort unblocks — plain 2PC would block on the same schedule.
-  ProtocolTestbed bed(CommitProtocol::kTwoPhasePresumedAbort, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kTwoPhasePresumedAbort, 3,
+                               QuietNet());
   const TxnId txn = MakeTxnId(0, 424242);  // no coordinator state exists
   bed.host(1).engine().ExpectPrepare(txn, 0, {0, 1, 2});
   Message prepare;
@@ -85,7 +89,7 @@ TEST(PresumedAbortTest, UnknownTxnQueriesAreAnsweredAbort) {
   EXPECT_EQ(bed.host(1).blocked_count(), 0u);
 
   // Contrast: plain 2PC blocks on the identical schedule.
-  ProtocolTestbed bed2(CommitProtocol::kTwoPhase, 3, QuietNet());
+  testbed::ProtocolTestbed bed2(CommitProtocol::kTwoPhase, 3, QuietNet());
   bed2.host(1).engine().ExpectPrepare(txn, 0, {0, 1, 2});
   prepare.participants = {0, 1, 2};
   bed2.host(1).engine().OnMessage(prepare);
@@ -98,7 +102,7 @@ TEST(PresumedAbortTest, SafeUnderSingleCrashSweep) {
   // Same sweep the plain protocols get: crash each node at each delivery.
   for (NodeId node = 0; node < 3; ++node) {
     for (uint64_t at = 1; at <= 20; ++at) {
-      ProtocolTestbed bed(CommitProtocol::kTwoPhasePresumedAbort, 3,
+      testbed::ProtocolTestbed bed(CommitProtocol::kTwoPhasePresumedAbort, 3,
                           QuietNet());
       uint64_t counter = 0;
       bed.network().SetDeliveryInterceptor([&](const Message& msg) {
@@ -122,7 +126,8 @@ TEST(PresumedAbortTest, SafeUnderSingleCrashSweep) {
 // ---------------------------------------------------------------------------
 
 TEST(PresumedCommitTest, CommitPathSkipsAcks) {
-  ProtocolTestbed bed(CommitProtocol::kTwoPhasePresumedCommit, 4, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kTwoPhasePresumedCommit, 4,
+                               QuietNet());
   const TxnId txn = bed.StartAll();
   bed.Settle();
   for (NodeId id = 0; id < 4; ++id) {
@@ -134,7 +139,8 @@ TEST(PresumedCommitTest, CommitPathSkipsAcks) {
 }
 
 TEST(PresumedCommitTest, AbortPathStillAcks) {
-  ProtocolTestbed bed(CommitProtocol::kTwoPhasePresumedCommit, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kTwoPhasePresumedCommit, 3,
+                               QuietNet());
   bed.host(2).set_vote(Decision::kAbort);
   const TxnId txn = bed.StartAll();
   bed.Settle();
@@ -148,7 +154,8 @@ TEST(PresumedCommitTest, AbortPathStillAcks) {
 TEST(PresumedCommitTest, CoordinatorLogsCollectingRecord) {
   // PC soundness requires the coordinator to persist the participant set
   // *before* preparing (the begin_commit record).
-  ProtocolTestbed bed(CommitProtocol::kTwoPhasePresumedCommit, 3, QuietNet());
+  testbed::ProtocolTestbed bed(CommitProtocol::kTwoPhasePresumedCommit, 3,
+                               QuietNet());
   const TxnId txn = bed.StartAll();
   bed.Settle();
   const auto log = bed.host(0).LogTypes(txn);
@@ -159,7 +166,7 @@ TEST(PresumedCommitTest, CoordinatorLogsCollectingRecord) {
 TEST(PresumedCommitTest, SafeUnderSingleCrashSweep) {
   for (NodeId node = 0; node < 3; ++node) {
     for (uint64_t at = 1; at <= 20; ++at) {
-      ProtocolTestbed bed(CommitProtocol::kTwoPhasePresumedCommit, 3,
+      testbed::ProtocolTestbed bed(CommitProtocol::kTwoPhasePresumedCommit, 3,
                           QuietNet());
       uint64_t counter = 0;
       bed.network().SetDeliveryInterceptor([&](const Message& msg) {
@@ -183,7 +190,7 @@ TEST(PresumedVariantsTest, BothStillBlockLikeTwoPc) {
   // blocking problem — the paper's motivation stands against them too.
   for (CommitProtocol protocol : {CommitProtocol::kTwoPhasePresumedAbort,
                                   CommitProtocol::kTwoPhasePresumedCommit}) {
-    ProtocolTestbed bed(protocol, 4, QuietNet());
+    testbed::ProtocolTestbed bed(protocol, 4, QuietNet());
     const TxnId txn = MakeTxnId(0, 1);
     std::vector<NodeId> participants{0, 1, 2, 3};
     for (NodeId id = 1; id < 4; ++id) {

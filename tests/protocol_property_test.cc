@@ -16,7 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include "protocol_harness.h"
+#include "commit/testbed.h"
 
 namespace ecdb {
 namespace testing {
@@ -54,7 +54,7 @@ struct RunResult {
 RunResult RunOnce(CommitProtocol protocol, uint32_t n, CrashOn mode,
                   const std::vector<CrashPoint>& crashes,
                   Decision last_cohort_vote) {
-  ProtocolTestbed bed(protocol, n, SweepNet());
+  testbed::ProtocolTestbed bed(protocol, n, SweepNet());
   bed.host(n - 1).set_vote(last_cohort_vote);
 
   uint64_t counter = 0;
@@ -104,7 +104,7 @@ RunResult RunOnce(CommitProtocol protocol, uint32_t n, CrashOn mode,
 /// Counts the fault-free event total so the sweep knows its range.
 uint64_t BaselineEvents(CommitProtocol protocol, uint32_t n, CrashOn mode,
                         Decision last_vote) {
-  ProtocolTestbed bed(protocol, n, SweepNet());
+  testbed::ProtocolTestbed bed(protocol, n, SweepNet());
   bed.host(n - 1).set_vote(last_vote);
   uint64_t counter = 0;
   auto count_hook = [&](const Message&) {
@@ -362,7 +362,7 @@ uint64_t CrashAfterApplySweep(CommitProtocol protocol, uint32_t n,
   uint64_t violations = 0;
   uint64_t blocked = 0;
   for (NodeId x = 1; x < n; ++x) {
-    ProtocolTestbed bed(protocol, n, SweepNet());
+    testbed::ProtocolTestbed bed(protocol, n, SweepNet());
     bed.host(x).set_crash_after_apply(true);
     bed.network().SetSendFilter([&](const Message& msg) {
       const bool decision = msg.type == MsgType::kGlobalCommit ||

@@ -8,6 +8,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <stdlib.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -314,6 +315,97 @@ TEST(SocketNetworkTest, DropsFramesFromAForeignSender) {
   EXPECT_EQ(net.io_stats().frames_in, 1u);
   close(fd);
   net.StopIo();
+}
+
+bool WaitReadable(int fd, int timeout_ms) {
+  pollfd pfd{fd, POLLIN, 0};
+  return poll(&pfd, 1, timeout_ms) == 1;
+}
+
+// The socket writer under backpressure. The test plays node 1 with a
+// 4 KiB receive buffer and stops reading after node 0's hello, so node 0's
+// writes hit EAGAIN and short writes and park an unsent tail; once the
+// test reads again, every message must arrive once and in order.
+void CheckWriterUnderBackpressure(bool batched) {
+  SocketNetwork net(/*self=*/0, /*num_nodes=*/2);
+  net.SetWritevBatching(batched);
+  net.Listen();
+  const int listen_fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  // Set before listen() so the accepted socket inherits it.
+  const int rcvbuf = 4096;
+  setsockopt(listen_fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(listen(listen_fd, 1), 0);
+  ASSERT_EQ(getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  net.SetPeerPort(1, ntohs(addr.sin_port));
+  net.StartIo();
+  ASSERT_TRUE(WaitReadable(listen_fd, 5000));
+  const int fd = accept(listen_fd, nullptr, nullptr);
+  ASSERT_GE(fd, 0);
+  uint8_t hello[8];
+  size_t have = 0;
+  while (have < sizeof(hello) && WaitReadable(fd, 5000)) {
+    const ssize_t got = read(fd, hello + have, sizeof(hello) - have);
+    if (got <= 0) break;
+    have += static_cast<size_t>(got);
+  }
+  ASSERT_EQ(have, sizeof(hello));
+
+  // Send until the writer stalls; a message's txn id carries its number.
+  uint64_t sent = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (net.io_stats().eagain_stalls == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    for (int i = 0; i < 64; ++i) {
+      Message msg;
+      msg.src = 0;
+      msg.dst = 1;
+      msg.txn = MakeTxnId(0, ++sent);
+      net.Send(std::move(msg));
+    }
+  }
+  ASSERT_GT(net.io_stats().eagain_stalls, 0u);
+
+  FrameStreamDecoder decoder;
+  MessageFrame frame;
+  std::vector<uint8_t> buf(64 * 1024);
+  uint64_t next = 0;
+  bool in_order = true;
+  while (next < sent && WaitReadable(fd, 5000)) {
+    const ssize_t got = read(fd, buf.data(), buf.size());
+    if (got <= 0) break;
+    decoder.Feed(buf.data(), static_cast<size_t>(got));
+    while (decoder.Next(&frame)) {
+      for (const Message& m : frame.messages) {
+        in_order = in_order && m.txn == MakeTxnId(0, ++next);
+      }
+    }
+  }
+  EXPECT_FALSE(decoder.corrupt());
+  EXPECT_TRUE(in_order);
+  EXPECT_EQ(next, sent);
+  EXPECT_EQ(decoder.buffered_bytes(), 0u);
+  const SocketIoStats io = net.io_stats();
+  EXPECT_EQ(io.overflow_drops, 0u);
+  EXPECT_EQ(io.messages_out, sent);
+  close(fd);
+  close(listen_fd);
+  net.StopIo();
+}
+
+TEST(SocketNetworkTest, BatchedWriterSurvivesBackpressure) {
+  CheckWriterUnderBackpressure(/*batched=*/true);
+}
+
+TEST(SocketNetworkTest, PerFrameWriterSurvivesBackpressure) {
+  CheckWriterUnderBackpressure(/*batched=*/false);
 }
 
 }  // namespace
