@@ -8,6 +8,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -110,8 +112,8 @@ std::string ExePath() {
 }
 
 /// key=value (space-separated) serialization of the fan-out config. Paths
-/// must not contain spaces — every path the runtime generates is a temp or
-/// build-tree path, which never does.
+/// go in unquoted: SocketCluster::Start refuses any with whitespace
+/// (PathsFitChildConfig).
 std::string EncodeChildConfig(const SocketClusterConfig& c, NodeId id,
                               uint16_t ctl_port, bool restarted) {
   std::ostringstream out;
@@ -445,8 +447,18 @@ void SocketCluster::ReapChild(NodeId id) {
   c.port = 0;
 }
 
+bool PathsFitChildConfig(const SocketClusterConfig& config) {
+  const auto no_space = [](const std::string& path) {
+    return std::none_of(path.begin(), path.end(), [](unsigned char c) {
+      return std::isspace(c) != 0;
+    });
+  };
+  return no_space(config.wal_dir) && no_space(config.telemetry_dir);
+}
+
 bool SocketCluster::Start() {
   started_ = true;
+  if (!PathsFitChildConfig(config_)) return false;
   ctl_listen_ = ListenLoopback(&ctl_port_);
   if (ctl_listen_ < 0) return false;
   SetRecvTimeout(ctl_listen_, kCtlTimeoutSec);  // bounds accept() too

@@ -164,6 +164,12 @@ class SocketCluster {
   bool stopped_ = false;
 };
 
+/// True when `config`'s paths can reach the node processes. The fan-out
+/// config is one line of space-separated key=value pairs, so `wal_dir` and
+/// `telemetry_dir` must hold no whitespace; SocketCluster::Start refuses a
+/// config that fails this.
+bool PathsFitChildConfig(const SocketClusterConfig& config);
+
 /// Child-process entry hook. Every binary that supervises socket clusters
 /// (tools/socket_cluster, ecbench, the socket tests) calls this first
 /// in main(): when the process was exec'd with the `--ecdb-socket-node=`

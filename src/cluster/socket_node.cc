@@ -6,7 +6,6 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -18,19 +17,29 @@
 namespace ecdb {
 namespace {
 
-// Bound on one peer's un-flushed outbound bytes (staged + pending). A peer
-// that stops reading (or died and nobody noticed yet) must not absorb
-// unbounded memory; whole frames past the cap are dropped and counted,
-// which the commit protocols tolerate exactly like message loss.
+// Bound on one peer's staged bytes. The I/O thread's `out` holds at most
+// one earlier staged buffer, so a peer that stops reading (or died and
+// nobody noticed yet) holds at most twice this; whole frames past the cap
+// are dropped and counted, which the commit protocols tolerate exactly like
+// message loss.
 constexpr size_t kMaxQueuedBytes = 4u << 20;
 
 // 8-byte data-connection hello: [magic u32][node id u32], sent by the
 // initiating (lower-id) side so the acceptor knows which peer this is.
 constexpr uint32_t kHelloMagic = 0xEC5C1A10;
 
-constexpr uint64_t kEventFdTag = ~0ull;        // epoll user-data sentinels
+// epoll user data: a peer id, an accepted fd awaiting its hello
+// (kAcceptTagBase + fd), or a sentinel.
+constexpr uint64_t kEventFdTag = ~0ull;
 constexpr uint64_t kListenFdTag = ~0ull - 1;
 constexpr uint64_t kAcceptTagBase = 1ull << 32;
+
+void Watch(int epoll_fd, int op, int fd, uint32_t events, uint64_t tag) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = tag;
+  epoll_ctl(epoll_fd, op, fd, &ev);
+}
 
 void SetNoDelay(int fd) {
   int one = 1;
@@ -50,13 +59,9 @@ sockaddr_in LoopbackAddr(uint16_t port) {
 SocketNetwork::SocketNetwork(NodeId self, uint32_t num_nodes)
     : ThreadNetwork(num_nodes, num_nodes),
       self_(self),
-      n_(num_nodes),
-      connected_flags_(num_nodes) {
+      n_(num_nodes) {
   peers_.reserve(n_);
-  for (uint32_t i = 0; i < n_; ++i) {
-    peers_.push_back(std::make_unique<Peer>());
-    connected_flags_[i].store(false, std::memory_order_relaxed);
-  }
+  for (uint32_t i = 0; i < n_; ++i) peers_.push_back(std::make_unique<Peer>());
   read_buf_.resize(64 * 1024);
 }
 
@@ -97,12 +102,8 @@ void SocketNetwork::StartIo() {
   ECDB_CHECK(epoll_fd_ >= 0);
   event_fd_ = eventfd(0, EFD_NONBLOCK);
   ECDB_CHECK(event_fd_ >= 0);
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kEventFdTag;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
-  ev.data.u64 = kListenFdTag;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
+  Watch(epoll_fd_, EPOLL_CTL_ADD, event_fd_, EPOLLIN, kEventFdTag);
+  Watch(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, EPOLLIN, kListenFdTag);
   io_running_.store(true, std::memory_order_release);
   io_thread_ = std::thread([this] { IoLoop(); });
 }
@@ -116,10 +117,10 @@ void SocketNetwork::StopIo() {
     Peer& p = *peers_[i];
     if (p.fd >= 0) close(p.fd);
     p.fd = -1;
-    p.connected = p.connecting = false;
-    connected_flags_[i].store(false, std::memory_order_relaxed);
+    p.connecting = false;
+    p.connected.store(false, std::memory_order_release);
   }
-  for (PendingAccept& a : accepts_) close(a.fd);
+  for (const auto& accepted : accepts_) close(accepted.first);
   accepts_.clear();
   if (event_fd_ >= 0) close(event_fd_);
   if (epoll_fd_ >= 0) close(epoll_fd_);
@@ -128,7 +129,7 @@ void SocketNetwork::StopIo() {
 }
 
 bool SocketNetwork::Connected(NodeId node) const {
-  return node < n_ && connected_flags_[node].load(std::memory_order_acquire);
+  return node < n_ && peers_[node]->connected.load(std::memory_order_acquire);
 }
 
 SocketIoStats SocketNetwork::io_stats() const {
@@ -204,22 +205,6 @@ void SocketNetwork::WakeIo() {
 // I/O thread
 // --------------------------------------------------------------------------
 
-void SocketNetwork::UpdateEpoll(int fd, uint32_t events) {
-  epoll_event ev{};
-  ev.events = events;
-  ev.data.u64 = 0;
-  // Data fds are identified by scanning peers_ (n is small); only the
-  // sentinels ride in data.u64. Re-derive the tag so accept-pending fds
-  // keep theirs.
-  for (size_t i = 0; i < accepts_.size(); ++i) {
-    if (accepts_[i].fd == fd) ev.data.u64 = kAcceptTagBase + i;
-  }
-  for (uint32_t i = 0; i < n_; ++i) {
-    if (peers_[i]->fd == fd) ev.data.u64 = i;
-  }
-  epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
-}
-
 void SocketNetwork::IoLoop() {
   epoll_event events[64];
   while (io_running_.load(std::memory_order_acquire)) {
@@ -252,7 +237,7 @@ void SocketNetwork::IoLoop() {
         continue;
       }
       if (tag >= kAcceptTagBase) {
-        ReadHello(static_cast<size_t>(tag - kAcceptTagBase));
+        ReadHello(static_cast<int>(tag - kAcceptTagBase));
         continue;
       }
       const NodeId id = static_cast<NodeId>(tag);
@@ -267,10 +252,10 @@ void SocketNetwork::IoLoop() {
         continue;
       }
       if (flags & EPOLLIN) ReadPeer(id);
-      if (peers_[id]->fd >= 0 && (flags & EPOLLOUT)) FlushPeer(id);
+      if (flags & EPOLLOUT) FlushPeer(id);
     }
-    // Initiate/retry due connections, then flush every peer with staged or
-    // pending output — one writev per destination per loop turn.
+    // Initiate/retry due connections, then flush every peer that is not
+    // waiting for EPOLLOUT — one write per destination per loop turn.
     const auto after = std::chrono::steady_clock::now();
     for (uint32_t i = 0; i < n_; ++i) {
       if (i == self_) continue;
@@ -279,7 +264,7 @@ void SocketNetwork::IoLoop() {
           after >= p.next_connect) {
         TryConnect(i);
       }
-      if (p.connected) FlushPeer(i);
+      if (!p.want_write) FlushPeer(i);
     }
   }
 }
@@ -289,26 +274,20 @@ void SocketNetwork::AcceptAll() {
     int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
     if (fd < 0) return;
     SetNoDelay(fd);
-    PendingAccept a;
-    a.fd = fd;
-    accepts_.push_back(a);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = kAcceptTagBase + (accepts_.size() - 1);
-    epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+    accepts_[fd] = PendingAccept{};
+    Watch(epoll_fd_, EPOLL_CTL_ADD, fd, EPOLLIN, kAcceptTagBase + fd);
   }
 }
 
-void SocketNetwork::ReadHello(size_t pending_index) {
-  if (pending_index >= accepts_.size()) return;
-  PendingAccept& a = accepts_[pending_index];
-  if (a.fd < 0) return;
-  const ssize_t got =
-      read(a.fd, a.hello + a.have, sizeof(a.hello) - a.have);
+void SocketNetwork::ReadHello(int fd) {
+  const auto it = accepts_.find(fd);
+  if (it == accepts_.end()) return;
+  PendingAccept& a = it->second;
+  const ssize_t got = read(fd, a.hello + a.have, sizeof(a.hello) - a.have);
   if (got <= 0) {
     if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    close(a.fd);
-    a.fd = -1;
+    close(fd);
+    accepts_.erase(it);
     return;
   }
   a.have += static_cast<size_t>(got);
@@ -316,8 +295,7 @@ void SocketNetwork::ReadHello(size_t pending_index) {
   uint32_t magic, id;
   std::memcpy(&magic, a.hello, 4);
   std::memcpy(&id, a.hello + 4, 4);
-  const int fd = a.fd;
-  a.fd = -1;  // consumed (slot stays; indices are positional tags)
+  accepts_.erase(it);
   // The lower id always initiates, so a legitimate hello names a peer with
   // a smaller id than ours; anything else is a stray connection.
   if (magic != kHelloMagic || id >= self_) {
@@ -336,22 +314,17 @@ void SocketNetwork::AttachPeer(NodeId id, int fd) {
     close(p.fd);
   }
   p.fd = fd;
-  p.connected = true;
   p.connecting = false;
   p.want_write = false;
-  p.pending.clear();
-  p.pending_off = 0;
-  p.fresh.clear();
+  p.out.clear();
+  p.out_off = p.frame_end = 0;
   p.decoder.Reset();
   p.backoff_ms = 1;
-  connected_flags_[id].store(true, std::memory_order_release);
+  p.connected.store(true, std::memory_order_release);
   reconnects_.fetch_add(1, std::memory_order_relaxed);
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = id;
-  if (epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) {
-    epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-  }
+  // The fd is already in the epoll set: under its accept tag, or watched
+  // for connect completion.
+  Watch(epoll_fd_, EPOLL_CTL_MOD, fd, EPOLLIN, id);
 }
 
 void SocketNetwork::TryConnect(NodeId id) {
@@ -361,36 +334,22 @@ void SocketNetwork::TryConnect(NodeId id) {
     std::lock_guard<std::mutex> lock(p.mu);
     port = p.port;
   }
-  const auto backoff = [&] {
-    p.next_connect = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(p.backoff_ms);
-    p.backoff_ms = std::min<uint32_t>(p.backoff_ms * 2, 200);
-  };
-  if (port == 0) {
-    backoff();
+  p.fd = port == 0 ? -1 : socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (p.fd < 0) {
+    RetryLater(id);
     return;
   }
-  int fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-  if (fd < 0) {
-    backoff();
-    return;
-  }
-  SetNoDelay(fd);
+  SetNoDelay(p.fd);
   sockaddr_in addr = LoopbackAddr(port);
   const int rc =
-      connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  if (rc == 0 || errno == EINPROGRESS) {
-    p.fd = fd;
-    p.connecting = true;
-    epoll_event ev{};
-    ev.events = EPOLLOUT;
-    ev.data.u64 = id;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    if (rc == 0) FinishConnect(id);
+      connect(p.fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  if (rc != 0 && errno != EINPROGRESS) {
+    RetryLater(id);
     return;
   }
-  close(fd);
-  backoff();
+  p.connecting = true;
+  Watch(epoll_fd_, EPOLL_CTL_ADD, p.fd, EPOLLOUT, id);
+  if (rc == 0) FinishConnect(id);
 }
 
 void SocketNetwork::FinishConnect(NodeId id) {
@@ -398,45 +357,43 @@ void SocketNetwork::FinishConnect(NodeId id) {
   int err = 0;
   socklen_t len = sizeof(err);
   getsockopt(p.fd, SOL_SOCKET, SO_ERROR, &err, &len);
-  if (err != 0) {
-    epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, p.fd, nullptr);
-    close(p.fd);
-    p.fd = -1;
-    p.connecting = false;
-    p.next_connect = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(p.backoff_ms);
-    p.backoff_ms = std::min<uint32_t>(p.backoff_ms * 2, 200);
+  // The hello is the connection's first eight bytes. A fresh socket's send
+  // buffer is empty, so one write takes them all; a short one is a failed
+  // connect.
+  uint8_t hello[8];
+  std::memcpy(hello, &kHelloMagic, 4);
+  std::memcpy(hello + 4, &self_, 4);
+  if (err != 0 || write(p.fd, hello, sizeof(hello)) != sizeof(hello)) {
+    RetryLater(id);
     return;
   }
-  // The hello rides the normal pending-buffer path: it is just the first
-  // eight bytes of the connection's byte stream.
   const int fd = p.fd;
   p.fd = -1;  // AttachPeer treats an existing fd as stale; avoid closing fd
   AttachPeer(id, fd);
-  Peer& q = *peers_[id];
-  q.pending.resize(8);
-  std::memcpy(q.pending.data(), &kHelloMagic, 4);
-  std::memcpy(q.pending.data() + 4, &self_, 4);
-  FlushPeer(id);
 }
 
-void SocketNetwork::Disconnect(NodeId id, bool count_drop) {
+void SocketNetwork::RetryLater(NodeId id) {
   Peer& p = *peers_[id];
   if (p.fd >= 0) {
     epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, p.fd, nullptr);
     close(p.fd);
   }
   p.fd = -1;
-  p.connected = false;
   p.connecting = false;
+  p.next_connect = std::chrono::steady_clock::now() +
+                   std::chrono::milliseconds(p.backoff_ms);
+  p.backoff_ms = std::min<uint32_t>(p.backoff_ms * 2, 200);
+}
+
+void SocketNetwork::Disconnect(NodeId id, bool count_drop) {
+  Peer& p = *peers_[id];
   p.want_write = false;
-  connected_flags_[id].store(false, std::memory_order_release);
+  p.connected.store(false, std::memory_order_release);
   // Everything buffered toward (or half-read from) the dead connection is
   // lost, exactly like a TCP reset: a fresh connection must start at a
   // frame boundary on both sides.
-  p.pending.clear();
-  p.pending_off = 0;
-  p.fresh.clear();
+  p.out.clear();
+  p.out_off = p.frame_end = 0;
   {
     std::lock_guard<std::mutex> lock(p.mu);
     if (!p.staged.empty()) {
@@ -448,46 +405,36 @@ void SocketNetwork::Disconnect(NodeId id, bool count_drop) {
   // Initiator side retries (a restarted peer announces a new port via
   // SetPeerPort; until then attempts fail fast and back off).
   p.backoff_ms = 1;
-  p.next_connect =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+  RetryLater(id);
 }
 
 void SocketNetwork::FlushPeer(NodeId id) {
   Peer& p = *peers_[id];
-  if (p.fd < 0 || !p.connected) return;
-  {
+  if (!p.connected) return;
+  if (p.out_off == p.out.size()) {
+    // `out` is fully written: it takes everything staged since.
+    p.out.clear();
+    p.out_off = p.frame_end = 0;
     std::lock_guard<std::mutex> lock(p.mu);
-    p.staged.swap(p.fresh);
+    p.out.swap(p.staged);
   }
-  // The unit of one write syscall: batched, the partially-written tail and
-  // everything staged as one gather write; in the ablation
-  // (SetWritevBatching(false)) the tail alone, then one staged frame per
+  // The unit of one write syscall: batched, all of `out` that is unsent;
+  // in the ablation (SetWritevBatching(false)) the rest of one frame per
   // write. At a frame cap of one that frame is one message, so the
   // ablation pays the per-message-send cost the batched path amortizes
   // away: one packet's worth of TCP/IP work per message on both ends of
   // the loopback. Either way a short write or EAGAIN ends the flush.
-  size_t off = 0;  // bytes of `fresh` written
-  for (;;) {
-    const size_t tail = p.pending.size() - p.pending_off;
-    const size_t rest = p.fresh.size() - off;
-    if (tail == 0 && rest == 0) break;
-    iovec iov[2];
-    int iovcnt = 0;
-    if (tail > 0) iov[iovcnt++] = {p.pending.data() + p.pending_off, tail};
-    if (rest > 0 && (batch_writes_ || tail == 0)) {
-      size_t unit = rest;
-      if (!batch_writes_ && unit >= 4) {
-        // Each staged unit is a length-prefixed frame; the prefix tells
-        // where this write must stop.
-        uint32_t frame_len = 0;
-        std::memcpy(&frame_len, p.fresh.data() + off, 4);
-        unit = std::min<size_t>(unit, 4u + frame_len);
-      }
-      iov[iovcnt++] = {p.fresh.data() + off, unit};
+  while (p.out_off < p.out.size()) {
+    if (!batch_writes_ && p.out_off == p.frame_end) {
+      // `out` holds whole length-prefixed frames; the prefix tells where
+      // this write must stop.
+      uint32_t frame_len = 0;
+      std::memcpy(&frame_len, p.out.data() + p.out_off, 4);
+      p.frame_end = std::min<size_t>(p.out.size(), p.out_off + 4 + frame_len);
     }
-    const size_t offered =
-        iov[0].iov_len + (iovcnt == 2 ? iov[1].iov_len : 0);
-    const ssize_t wrote = writev(p.fd, iov, iovcnt);
+    const size_t offered = (batch_writes_ ? p.out.size() : p.frame_end) -
+                           p.out_off;
+    const ssize_t wrote = write(p.fd, p.out.data() + p.out_off, offered);
     writev_calls_.fetch_add(1, std::memory_order_relaxed);
     if (wrote < 0) {
       if (errno == EINTR) continue;
@@ -500,35 +447,20 @@ void SocketNetwork::FlushPeer(NodeId id) {
     }
     bytes_out_.fetch_add(static_cast<uint64_t>(wrote),
                          std::memory_order_relaxed);
-    // Consume from the tail first, then from fresh.
-    const size_t from_tail = std::min(static_cast<size_t>(wrote), tail);
-    p.pending_off += from_tail;
-    off += static_cast<size_t>(wrote) - from_tail;
+    p.out_off += static_cast<size_t>(wrote);
     if (static_cast<size_t>(wrote) < offered) {
       partial_writes_.fetch_add(1, std::memory_order_relaxed);
       break;
     }
     if (batch_writes_) break;
   }
-  if (p.pending_off == p.pending.size()) {
-    p.pending.clear();
-    p.pending_off = 0;
-  }
-  if (off < p.fresh.size()) {
-    // Park the unwritten remainder behind the tail (stream order
-    // preserved) and wait for writability.
-    p.pending.erase(p.pending.begin(),
-                    p.pending.begin() + static_cast<ptrdiff_t>(p.pending_off));
-    p.pending_off = 0;
-    p.pending.insert(p.pending.end(),
-                     p.fresh.begin() + static_cast<ptrdiff_t>(off),
-                     p.fresh.end());
-  }
-  p.fresh.clear();
-  const bool blocked = !p.pending.empty();
+  // Unsent bytes wait for the kernel to report the socket writable; until
+  // then only `staged` grows, under its cap.
+  const bool blocked = p.out_off < p.out.size();
   if (blocked != p.want_write) {
     p.want_write = blocked;
-    UpdateEpoll(p.fd, blocked ? (EPOLLIN | EPOLLOUT) : EPOLLIN);
+    Watch(epoll_fd_, EPOLL_CTL_MOD, p.fd,
+          blocked ? (EPOLLIN | EPOLLOUT) : EPOLLIN, id);
   }
 }
 

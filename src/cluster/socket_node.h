@@ -9,6 +9,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/thread_node.h"
@@ -30,9 +31,9 @@ struct SocketIoStats {
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
   uint64_t read_calls = 0;
-  uint64_t writev_calls = 0;
-  uint64_t partial_writes = 0;   ///< writev consumed less than offered
-  uint64_t eagain_stalls = 0;    ///< writev hit EAGAIN; EPOLLOUT armed
+  uint64_t writev_calls = 0;     ///< write syscalls on data connections
+  uint64_t partial_writes = 0;   ///< a write came up short; EPOLLOUT armed
+  uint64_t eagain_stalls = 0;    ///< a write hit EAGAIN; EPOLLOUT armed
   uint64_t epoll_waits = 0;
   uint64_t eventfd_wakes = 0;    ///< sender-side wake syscalls issued
   uint64_t reconnects = 0;       ///< connections (re)established, either side
@@ -91,11 +92,14 @@ inline constexpr SocketIoGauge kSocketIoGauges[] = {
 ///    wake. Coalescing therefore amortizes the mutex, the frame header,
 ///    the checksum and the wake over the batch; with it off every message
 ///    pays all four (the bench's ablation).
-///  - The I/O thread runs level-triggered epoll. Each loop it swaps every
-///    peer's staged buffer (bounded, drop-on-overflow) behind the
-///    partially-written tail and flushes both as one writev — Nagle is
-///    disabled (TCP_NODELAY) and this explicit batching replaces it. Short
-///    writes keep the tail and arm EPOLLOUT.
+///  - The I/O thread runs level-triggered epoll and owns one outbound
+///    buffer per peer. Once that buffer is fully written it takes the
+///    staged bytes whole (a swap) and writes them with one write — Nagle
+///    is disabled (TCP_NODELAY) and this explicit batching replaces it.
+///    A short write arms EPOLLOUT, and from then on the peer is written
+///    only when the kernel reports it writable: a stalled peer costs no
+///    syscalls, and only its staged buffer grows, up to a cap past which
+///    whole frames are dropped.
 ///  - Reads go through one reusable 64 KiB buffer into a per-peer
 ///    FrameStreamDecoder; every reassembled frame's messages are pushed
 ///    into the local mailbox as one batch (one lock, at most one wake),
@@ -122,7 +126,7 @@ class SocketNetwork : public ThreadNetwork {
   /// resets the peer's reconnect backoff so the new port is tried soon.
   void SetPeerPort(NodeId node, uint16_t port);
 
-  /// Writev gather batching (on by default). Off is the bench's ablation
+  /// Write batching (on by default). Off is the bench's ablation
   /// baseline: the I/O thread issues one write syscall per staged frame —
   /// at a frame cap of one, that is one syscall per message,
   /// the cost the batched path amortizes away. Call before StartIo().
@@ -149,15 +153,17 @@ class SocketNetwork : public ThreadNetwork {
     std::mutex mu;
     std::vector<uint8_t> staged;  // complete length-prefixed frames
     uint16_t port = 0;            // latest announced data port
+    // Hello done (accept) / connect done. Written by the I/O thread only;
+    // Connected() reads it from any thread.
+    std::atomic<bool> connected{false};
 
     // -- I/O thread only --
     int fd = -1;
-    bool connected = false;        // hello done (accept) / connect done
     bool connecting = false;       // non-blocking connect in flight
-    bool want_write = false;       // EPOLLOUT armed
-    std::vector<uint8_t> pending;  // partially written tail
-    size_t pending_off = 0;
-    std::vector<uint8_t> fresh;    // swap target for staged
+    bool want_write = false;       // `out` has unsent bytes; EPOLLOUT armed
+    std::vector<uint8_t> out;      // the bytes being written: one staged swap
+    size_t out_off = 0;            // bytes of `out` written
+    size_t frame_end = 0;          // per-frame writes: end of the current frame
     FrameStreamDecoder decoder;
     std::chrono::steady_clock::time_point next_connect{};
     uint32_t backoff_ms = 1;
@@ -165,7 +171,6 @@ class SocketNetwork : public ThreadNetwork {
 
   /// A freshly accepted connection whose hello has not fully arrived.
   struct PendingAccept {
-    int fd = -1;
     uint8_t hello[8];
     size_t have = 0;
   };
@@ -179,10 +184,10 @@ class SocketNetwork : public ThreadNetwork {
   void Disconnect(NodeId id, bool count_drop);
   void TryConnect(NodeId id);
   void FinishConnect(NodeId id);
+  void RetryLater(NodeId id);
   void AcceptAll();
-  void ReadHello(size_t pending_index);
+  void ReadHello(int fd);
   void AttachPeer(NodeId id, int fd);
-  void UpdateEpoll(int fd, uint32_t events);
 
   const NodeId self_;
   const uint32_t n_;
@@ -191,7 +196,7 @@ class SocketNetwork : public ThreadNetwork {
   int epoll_fd_ = -1;
   int event_fd_ = -1;
   int listen_fd_ = -1;
-  std::vector<PendingAccept> accepts_;  // I/O thread only
+  std::unordered_map<int, PendingAccept> accepts_;  // by fd; I/O thread only
   std::thread io_thread_;
   std::atomic<bool> io_running_{false};
   bool batch_writes_ = true;
@@ -215,7 +220,6 @@ class SocketNetwork : public ThreadNetwork {
   std::atomic<uint64_t> frames_out_{0}, messages_out_{0};
   std::atomic<uint64_t> frames_in_{0}, messages_in_{0};
   std::atomic<uint64_t> overflow_drops_{0}, corrupt_resets_{0};
-  std::vector<std::atomic<bool>> connected_flags_;
 };
 
 /// Per-process host configuration: the node's identity plus the same

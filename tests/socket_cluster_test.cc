@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -268,6 +269,26 @@ TEST(SocketClusterTest, UncoalescedPathStillConverges) {
   EXPECT_EQ(io.corrupt_resets, 0u);
 }
 
+TEST(SocketClusterTest, RejectsPathsWithWhitespace) {
+  // The fan-out config is one space-separated line, so a path with
+  // whitespace would reach the node processes cut short. Start refuses it
+  // before forking anything.
+  for (const bool wal : {true, false}) {
+    SocketClusterConfig cfg;
+    cfg.num_nodes = 2;
+    (wal ? cfg.wal_dir : cfg.telemetry_dir) = "/tmp/ecdb socket test";
+    cfg.telemetry = !wal;
+    EXPECT_FALSE(PathsFitChildConfig(cfg));
+    SocketCluster cluster(cfg);
+    EXPECT_FALSE(cluster.Start()) << (wal ? "wal_dir" : "telemetry_dir");
+    EXPECT_TRUE(cluster.Stop().nodes.empty());
+  }
+  SocketClusterConfig tab;
+  tab.wal_dir = "/tmp/ecdb\tsocket";
+  EXPECT_FALSE(PathsFitChildConfig(tab));
+  EXPECT_TRUE(PathsFitChildConfig(SocketClusterConfig{}));
+}
+
 MessageFrame FrameFrom(NodeId src, NodeId dst) {
   MessageFrame frame;
   frame.src = src;
@@ -322,81 +343,131 @@ bool WaitReadable(int fd, int timeout_ms) {
   return poll(&pfd, 1, timeout_ms) == 1;
 }
 
-// The socket writer under backpressure. The test plays node 1 with a
-// 4 KiB receive buffer and stops reading after node 0's hello, so node 0's
-// writes hit EAGAIN and short writes and park an unsent tail; once the
-// test reads again, every message must arrive once and in order.
-void CheckWriterUnderBackpressure(bool batched) {
-  SocketNetwork net(/*self=*/0, /*num_nodes=*/2);
-  net.SetWritevBatching(batched);
-  net.Listen();
-  const int listen_fd = socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listen_fd, 0);
+// The test plays node 1 to a SocketNetwork playing node 0: a listener with
+// a 4 KiB receive buffer whose accepted connection has read node 0's hello
+// and reads nothing more until the test says so.
+struct SlowReader {
+  int listen_fd = -1;
+  int fd = -1;
+  ~SlowReader() {
+    if (fd >= 0) close(fd);
+    if (listen_fd >= 0) close(listen_fd);
+  }
+};
+
+void ConnectSlowReader(SocketNetwork* net, SlowReader* reader) {
+  net->Listen();
+  reader->listen_fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(reader->listen_fd, 0);
   // Set before listen() so the accepted socket inherits it.
   const int rcvbuf = 4096;
-  setsockopt(listen_fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  setsockopt(reader->listen_fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+             sizeof(rcvbuf));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   socklen_t len = sizeof(addr);
-  ASSERT_EQ(bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), len), 0);
-  ASSERT_EQ(listen(listen_fd, 1), 0);
-  ASSERT_EQ(getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len),
+  ASSERT_EQ(bind(reader->listen_fd, reinterpret_cast<sockaddr*>(&addr), len),
             0);
-  net.SetPeerPort(1, ntohs(addr.sin_port));
-  net.StartIo();
-  ASSERT_TRUE(WaitReadable(listen_fd, 5000));
-  const int fd = accept(listen_fd, nullptr, nullptr);
-  ASSERT_GE(fd, 0);
+  ASSERT_EQ(listen(reader->listen_fd, 1), 0);
+  ASSERT_EQ(getsockname(reader->listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                        &len),
+            0);
+  net->SetPeerPort(1, ntohs(addr.sin_port));
+  net->StartIo();
+  ASSERT_TRUE(WaitReadable(reader->listen_fd, 5000));
+  reader->fd = accept(reader->listen_fd, nullptr, nullptr);
+  ASSERT_GE(reader->fd, 0);
   uint8_t hello[8];
   size_t have = 0;
-  while (have < sizeof(hello) && WaitReadable(fd, 5000)) {
-    const ssize_t got = read(fd, hello + have, sizeof(hello) - have);
+  while (have < sizeof(hello) && WaitReadable(reader->fd, 5000)) {
+    const ssize_t got = read(reader->fd, hello + have, sizeof(hello) - have);
     if (got <= 0) break;
     have += static_cast<size_t>(got);
   }
   ASSERT_EQ(have, sizeof(hello));
+}
 
-  // Send until the writer stalls; a message's txn id carries its number.
+// Sends one one-message frame toward node 1; its txn id carries its number.
+void SendNumbered(SocketNetwork* net, uint64_t number) {
+  Message msg;
+  msg.src = 0;
+  msg.dst = 1;
+  msg.txn = MakeTxnId(0, number);
+  net->Send(std::move(msg));
+}
+
+uint64_t Stalls(const SocketNetwork& net) {
+  const SocketIoStats io = net.io_stats();
+  return io.eagain_stalls + io.partial_writes;
+}
+
+// Sends until the writer is left with unsent bytes (a short write or an
+// EAGAIN, after which it waits for EPOLLOUT) or 30 s pass. Returns how many
+// it sent.
+uint64_t SendUntilStalled(SocketNetwork* net) {
   uint64_t sent = 0;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (net.io_stats().eagain_stalls == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    for (int i = 0; i < 64; ++i) {
-      Message msg;
-      msg.src = 0;
-      msg.dst = 1;
-      msg.txn = MakeTxnId(0, ++sent);
-      net.Send(std::move(msg));
-    }
+  while (Stalls(*net) == 0 && std::chrono::steady_clock::now() < deadline) {
+    for (int i = 0; i < 64; ++i) SendNumbered(net, ++sent);
   }
-  ASSERT_GT(net.io_stats().eagain_stalls, 0u);
+  return sent;
+}
 
+struct Received {
+  uint64_t messages = 0;
+  bool increasing = true;  // txn numbers strictly increase
+  bool consecutive = true;  // ... and each is its predecessor + 1
+  bool corrupt = false;
+  size_t buffered_bytes = 0;
+};
+
+// Reads until `expect` messages have arrived or the connection goes quiet.
+Received ReadNumbered(int fd, uint64_t expect) {
+  Received r;
   FrameStreamDecoder decoder;
   MessageFrame frame;
   std::vector<uint8_t> buf(64 * 1024);
-  uint64_t next = 0;
-  bool in_order = true;
-  while (next < sent && WaitReadable(fd, 5000)) {
+  uint64_t last = 0;
+  while (r.messages < expect && WaitReadable(fd, 5000)) {
     const ssize_t got = read(fd, buf.data(), buf.size());
     if (got <= 0) break;
     decoder.Feed(buf.data(), static_cast<size_t>(got));
     while (decoder.Next(&frame)) {
       for (const Message& m : frame.messages) {
-        in_order = in_order && m.txn == MakeTxnId(0, ++next);
+        const uint64_t number = TxnSequence(m.txn);
+        r.increasing = r.increasing && number > last;
+        r.consecutive = r.consecutive && number == last + 1;
+        last = number;
+        ++r.messages;
       }
     }
   }
-  EXPECT_FALSE(decoder.corrupt());
-  EXPECT_TRUE(in_order);
-  EXPECT_EQ(next, sent);
-  EXPECT_EQ(decoder.buffered_bytes(), 0u);
+  r.corrupt = decoder.corrupt();
+  r.buffered_bytes = decoder.buffered_bytes();
+  return r;
+}
+
+// The socket writer under backpressure: node 1 stops reading after the
+// hello, so node 0's writes come up short and park unsent bytes; once the
+// test reads again, every message must arrive once and in order.
+void CheckWriterUnderBackpressure(bool batched) {
+  SocketNetwork net(/*self=*/0, /*num_nodes=*/2);
+  net.SetWritevBatching(batched);
+  SlowReader reader;
+  ASSERT_NO_FATAL_FAILURE(ConnectSlowReader(&net, &reader));
+  const uint64_t sent = SendUntilStalled(&net);
+  ASSERT_GT(Stalls(net), 0u);
+
+  const Received got = ReadNumbered(reader.fd, sent);
+  EXPECT_FALSE(got.corrupt);
+  EXPECT_TRUE(got.consecutive);
+  EXPECT_EQ(got.messages, sent);
+  EXPECT_EQ(got.buffered_bytes, 0u);
   const SocketIoStats io = net.io_stats();
   EXPECT_EQ(io.overflow_drops, 0u);
   EXPECT_EQ(io.messages_out, sent);
-  close(fd);
-  close(listen_fd);
   net.StopIo();
 }
 
@@ -406,6 +477,41 @@ TEST(SocketNetworkTest, BatchedWriterSurvivesBackpressure) {
 
 TEST(SocketNetworkTest, PerFrameWriterSurvivesBackpressure) {
   CheckWriterUnderBackpressure(/*batched=*/false);
+}
+
+// A peer that stops reading costs its sender no syscalls and bounded
+// memory: once the writer has parked bytes it issues no write until the
+// kernel reports the socket writable, and frames past the per-peer cap are
+// dropped whole. The frames that were kept arrive intact and in order.
+void CheckStalledPeerIsBounded(bool batched) {
+  SocketNetwork net(/*self=*/0, /*num_nodes=*/2);
+  net.SetWritevBatching(batched);
+  SlowReader reader;
+  ASSERT_NO_FATAL_FAILURE(ConnectSlowReader(&net, &reader));
+  uint64_t sent = SendUntilStalled(&net);
+  ASSERT_GT(Stalls(net), 0u);
+  // Let the writes already in flight settle before taking the baseline.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const uint64_t writes_at_stall = net.io_stats().writev_calls;
+
+  // 256k one-message frames, several times the per-peer cap.
+  for (int i = 0; i < 256 * 1024; ++i) SendNumbered(&net, ++sent);
+  const SocketIoStats stalled = net.io_stats();
+  EXPECT_EQ(stalled.writev_calls, writes_at_stall);
+  EXPECT_GT(stalled.overflow_drops, 0u);
+
+  const Received got = ReadNumbered(reader.fd, stalled.messages_out);
+  EXPECT_FALSE(got.corrupt);
+  EXPECT_TRUE(got.increasing);
+  EXPECT_EQ(got.messages, stalled.messages_out);
+  net.StopIo();
+}
+
+TEST(SocketNetworkTest, StalledPeerIsBoundedAndLeftAlone) {
+  for (const bool batched : {true, false}) {
+    SCOPED_TRACE(batched ? "batched" : "per-frame");
+    CheckStalledPeerIsBounded(batched);
+  }
 }
 
 }  // namespace

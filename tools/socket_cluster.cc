@@ -132,6 +132,11 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (!PathsFitChildConfig(cfg)) {
+    std::fprintf(stderr,
+                 "--wal-dir and --telemetry-dir must not contain whitespace\n");
+    return Usage(argv[0]);
+  }
   if (cfg.num_nodes < 2 || seconds <= 0) {
     std::fprintf(stderr, "need --nodes >= 2 and --seconds > 0\n");
     return 2;
