@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-shot reproduction driver: configure, build, run the full test suite
-# and regenerate every paper exhibit. Outputs land in test_output.txt and
-# bench_output.txt at the repository root.
+# and regenerate every paper exhibit into EXPERIMENTS.md's tables (see
+# scripts/exhibits.py; `git diff EXPERIMENTS.md` shows what moved). The
+# test log lands in test_output.txt at the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,10 +11,4 @@ cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
-{
-  for b in build/bench/*; do
-    echo "############ $b"
-    "$b"
-    echo
-  done
-} 2>&1 | tee bench_output.txt
+python3 scripts/exhibits.py

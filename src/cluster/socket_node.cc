@@ -90,8 +90,8 @@ void SocketNetwork::SetPeerPort(NodeId node, uint16_t port) {
     std::lock_guard<std::mutex> lock(p.mu);
     p.port = port;
   }
-  // A fresh port usually means the peer restarted: wake the I/O thread so
-  // the initiator side retries promptly instead of riding out its backoff.
+  // A fresh port usually means the peer restarted: wake the I/O thread,
+  // which dials a port it has not dialed yet at once (IoLoop).
   if (io_running_.load(std::memory_order_acquire)) WakeIo();
 }
 
@@ -260,9 +260,16 @@ void SocketNetwork::IoLoop() {
     for (uint32_t i = 0; i < n_; ++i) {
       if (i == self_) continue;
       Peer& p = *peers_[i];
-      if (self_ < i && !p.connected && !p.connecting &&
-          after >= p.next_connect) {
-        TryConnect(i);
+      if (self_ < i && !p.connected && !p.connecting) {
+        bool new_port;
+        {
+          std::lock_guard<std::mutex> lock(p.mu);
+          new_port = p.port != p.dialed_port;
+        }
+        // A new port means the peer restarted: dial it now, not after the
+        // backoff the old port earned.
+        if (new_port) p.backoff_ms = 1;
+        if (new_port || after >= p.next_connect) TryConnect(i);
       }
       if (!p.want_write) FlushPeer(i);
     }
@@ -334,6 +341,7 @@ void SocketNetwork::TryConnect(NodeId id) {
     std::lock_guard<std::mutex> lock(p.mu);
     port = p.port;
   }
+  p.dialed_port = port;
   p.fd = port == 0 ? -1 : socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (p.fd < 0) {
     RetryLater(id);

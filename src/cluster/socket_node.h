@@ -122,8 +122,9 @@ class SocketNetwork : public ThreadNetwork {
   uint16_t Listen();
 
   /// Installs/updates a peer's data port (supervisor PEERS lines; may
-  /// arrive again after a peer restart with a fresh port). Thread-safe;
-  /// resets the peer's reconnect backoff so the new port is tried soon.
+  /// arrive again after a peer restart with a fresh port). Thread-safe.
+  /// The I/O thread dials a port that differs from the one it last dialed
+  /// at once, with the reconnect backoff reset.
   void SetPeerPort(NodeId node, uint16_t port);
 
   /// Write batching (on by default). Off is the bench's ablation
@@ -167,6 +168,7 @@ class SocketNetwork : public ThreadNetwork {
     FrameStreamDecoder decoder;
     std::chrono::steady_clock::time_point next_connect{};
     uint32_t backoff_ms = 1;
+    uint16_t dialed_port = 0;  // the port TryConnect last dialed
   };
 
   /// A freshly accepted connection whose hello has not fully arrived.

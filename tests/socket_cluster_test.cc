@@ -153,6 +153,7 @@ TEST(SocketClusterTest, CrashDuringDecisionFloodAndRecovery) {
   // TCP kept the byte streams intact through resets: every connection
   // either delivered whole frames or died cleanly — no framing damage.
   EXPECT_EQ(io.corrupt_resets, 0u);
+  std::filesystem::remove_all(wal_dir);
 }
 
 TEST(SocketClusterTest, UncoalescedRestartReplaysPreKillLog) {
@@ -511,6 +512,63 @@ TEST(SocketNetworkTest, StalledPeerIsBoundedAndLeftAlone) {
   for (const bool batched : {true, false}) {
     SCOPED_TRACE(batched ? "batched" : "per-frame");
     CheckStalledPeerIsBounded(batched);
+  }
+}
+
+// A socket bound to a loopback port (listening or not) and that port.
+int BindLoopback(uint16_t* port) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  if (fd < 0) return -1;
+  if (bind(fd, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
+      getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    close(fd);
+    return -1;
+  }
+  *port = ntohs(addr.sin_port);
+  return fd;
+}
+
+// A restarted peer's new port is dialed as soon as it is announced, not
+// after the backoff that node 0 earned against the dead one (up to 200 ms).
+TEST(SocketNetworkTest, NewPeerPortIsDialedWithoutBackoff) {
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE(round);
+    SocketNetwork net(/*self=*/0, /*num_nodes=*/2);
+    net.Listen();
+    // Bound but not listening: every dial is refused.
+    uint16_t dead_port = 0;
+    const int dead = BindLoopback(&dead_port);
+    ASSERT_GE(dead, 0);
+    net.SetPeerPort(1, dead_port);
+    net.StartIo();
+    // The backoff doubles from 1 ms and reaches its 200 ms cap after
+    // 255 ms of refused dials. The rounds announce the live port at five
+    // points spread over one 200 ms retry cycle: waiting out the backoff,
+    // some of them would wait 100-200 ms for the next dial.
+    std::this_thread::sleep_for(std::chrono::milliseconds(400 + 40 * round));
+    ASSERT_FALSE(net.Connected(1));
+
+    uint16_t live_port = 0;
+    const int live = BindLoopback(&live_port);
+    ASSERT_GE(live, 0);
+    ASSERT_EQ(listen(live, 1), 0);
+    const auto announced = std::chrono::steady_clock::now();
+    net.SetPeerPort(1, live_port);
+    while (!net.Connected(1) &&
+           std::chrono::steady_clock::now() - announced <
+               std::chrono::seconds(1)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const auto waited = std::chrono::steady_clock::now() - announced;
+    EXPECT_TRUE(net.Connected(1));
+    EXPECT_LT(waited, std::chrono::milliseconds(100));
+    net.StopIo();
+    close(live);
+    close(dead);
   }
 }
 

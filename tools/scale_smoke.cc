@@ -1,7 +1,7 @@
 // scale_smoke: budgeted large-cluster commit rounds for CI.
 //
 //   scale_smoke [--nodes N] [--participants K] [--rounds R]
-//               [--protocol ec|3pc|2pc]
+//               [--protocol ec|ecnf|2pc|2pc-pa|2pc-pc|3pc|e3pc|paxos]
 //               [--max-rss-mb MB] [--max-seconds S]
 //               [--open-loop [--rate R] [--sim-seconds S]
 //                            [--parts-per-txn P] [--max-in-flight M]
@@ -73,7 +73,8 @@ double PeakRssMb() {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--nodes N] [--participants K] [--rounds R]\n"
-               "          [--protocol ec|3pc|2pc]\n"
+               "          [--protocol ec|ecnf|2pc|2pc-pa|2pc-pc|3pc|e3pc|"
+               "paxos]\n"
                "          [--max-rss-mb MB] [--max-seconds S]\n"
                "          [--open-loop [--rate R] [--sim-seconds S]\n"
                "                       [--parts-per-txn P] "
@@ -275,17 +276,13 @@ int main(int argc, char** argv) {
       rounds =
           static_cast<uint32_t>(std::strtoul(next("--rounds"), nullptr, 10));
     } else if (arg == "--protocol") {
-      const std::string name = next("--protocol");
-      if (name == "ec") {
-        protocol = CommitProtocol::kEasyCommit;
-      } else if (name == "3pc") {
-        protocol = CommitProtocol::kThreePhase;
-      } else if (name == "2pc") {
-        protocol = CommitProtocol::kTwoPhase;
-      } else {
-        std::fprintf(stderr, "unknown protocol '%s'\n", name.c_str());
+      const char* name = next("--protocol");
+      const auto parsed = ParseProtocol(name);
+      if (!parsed) {
+        std::fprintf(stderr, "unknown protocol '%s'\n", name);
         return 2;
       }
+      protocol = *parsed;
     } else if (arg == "--max-rss-mb") {
       max_rss_mb = std::strtod(next("--max-rss-mb"), nullptr);
     } else if (arg == "--max-seconds") {

@@ -18,7 +18,8 @@
 // node's process at --kill-at seconds (peers see a real TCP reset);
 // --restart-at replaces it with a fresh process over the same WAL, which
 // replays recovery before serving. A kill/restart schedule requires a
-// file-backed WAL; --wal-dir defaults to a fresh temp directory.
+// file-backed WAL; --wal-dir defaults to a fresh temp directory, removed
+// on exit.
 //
 // --assert-conservation enforces the open-loop conservation law over the
 // aggregated ledger (exit 1 on violation; only valid for kill-free runs —
@@ -31,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 
 #include <stdlib.h>  // mkdtemp
@@ -159,6 +161,14 @@ int main(int argc, char** argv) {
                  "--assert-conservation needs --rate and no kill schedule\n");
     return 2;
   }
+  // The WAL directory made here for a kill schedule is removed on every
+  // exit; a user's --wal-dir is left alone.
+  struct TempDir {
+    std::string path;
+    ~TempDir() {
+      if (!path.empty()) std::filesystem::remove_all(path);
+    }
+  } temp_wal_dir;
   if (has_kill && cfg.wal_dir.empty()) {
     char tmpl[] = "/tmp/ecdb_socket_XXXXXX";
     const char* dir = mkdtemp(tmpl);
@@ -166,7 +176,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "mkdtemp failed\n");
       return 1;
     }
-    cfg.wal_dir = dir;
+    cfg.wal_dir = temp_wal_dir.path = dir;
     std::printf("socket_cluster: wal-dir %s\n", dir);
   }
 
