@@ -509,21 +509,26 @@ struct ForwardingOutcome {
 };
 
 // The motivating failure shape, for every cohort x: the coordinator's
-// decision broadcast reaches only x, and x fail-stops right after
-// applying it.
+// decision broadcast reaches only x, wherever x sits in the send order,
+// the coordinator crashes as soon as the broadcast is out, and x
+// fail-stops right after applying the decision.
 ForwardingOutcome RunForwardingScenario(CommitProtocol protocol, uint32_t n) {
   ForwardingOutcome outcome;
   for (NodeId x = 1; x < n; ++x) {
+    bool crash_armed = false;  // outlives the filter that sets it
     ProtocolTestbed bed(protocol, n, TestbedNetwork(7));
     bed.host(x).set_crash_after_apply(true);
-    bed.network().SetSendFilter([&bed, x](const Message& msg) {
+    bed.network().SetSendFilter([&bed, &crash_armed, x](const Message& msg) {
       const bool decision = msg.type == MsgType::kGlobalCommit ||
                             msg.type == MsgType::kGlobalAbort;
-      if (decision && msg.src == 0 && !msg.forwarded && msg.dst != x) {
-        bed.network().CrashNode(0);
-        return false;
+      if (!decision || msg.src != 0 || msg.forwarded) return true;
+      if (!crash_armed) {
+        // Runs after the broadcast's event, before anything it sent lands.
+        crash_armed = true;
+        bed.scheduler().ScheduleAfter(0,
+                                      [&bed] { bed.network().CrashNode(0); });
       }
-      return true;
+      return msg.dst == x;
     });
     const TxnId txn = bed.StartAll();
     bed.Settle(200'000);

@@ -373,12 +373,11 @@ void NodeCore::HandleRemoteExec(const Message& msg) {
   Message reply;
   reply.txn = msg.txn;
   reply.dst = msg.src;
-  if (ExecOps(msg.txn, msg.ops.vec(), &undo)) {
+  if (ExecOps(msg.txn, {msg.ops.begin(), msg.ops.end()}, &undo)) {
     FragmentState frag;
     frag.txn = msg.txn;
     frag.coordinator = msg.src;
     frag.participants = msg.participants;
-    frag.ops = msg.ops;
     frag.undo = std::move(undo);
     fragments_[msg.txn] = std::move(frag);
     if (msg.txn_has_writes) {
@@ -479,12 +478,9 @@ void NodeCore::StartAttempt(uint32_t slot) {
             [](const RemoteFragment& a, const RemoteFragment& b) {
               return a.node < b.node;
             });
-  {
-    std::vector<NodeId>& parts = attempt.participants.Mutable();
-    parts.push_back(id_);
-    for (size_t i = 0; i < attempt.num_remotes; ++i) {
-      parts.push_back(attempt.remotes[i].node);
-    }
+  attempt.participants.push_back(id_);
+  for (size_t i = 0; i < attempt.num_remotes; ++i) {
+    attempt.participants.push_back(attempt.remotes[i].node);
   }
   Run({WorkKind::kExecute, static_cast<uint32_t>(attempt.local_ops.size())},
       [this, txn]() { RunLocalExec(txn); });
@@ -649,7 +645,7 @@ void NodeCore::CancelExecTimer(AttemptState& attempt) {
 // Execution engine
 // --------------------------------------------------------------------------
 
-bool NodeCore::ExecOps(TxnId txn, const std::vector<Operation>& ops,
+bool NodeCore::ExecOps(TxnId txn, std::span<const Operation> ops,
                        std::vector<UndoRecord>* undo) {
   for (const Operation& op : ops) {
     const LockMode mode =

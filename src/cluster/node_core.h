@@ -5,6 +5,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cc/lock_table.h"
@@ -239,8 +240,9 @@ class NodeCore : public CommitEnv {
     size_t next_remote = 0;  // dispatch cursor into remotes
     NodeId pending_remote = kInvalidNode;
     std::vector<UndoRecord> local_undo;
-    // Copy-on-write: one buffer, shared by every fragment message, the
-    // engine's record, and the begin-commit/ready WAL entries.
+    // Copied onto every fragment message, the engine's record and the
+    // begin-commit/ready WAL entries: by value for two ids, else sharing
+    // one buffer.
     CowVector<NodeId> participants;
     TimerId exec_timer = 0;
     bool has_writes = false;
@@ -291,7 +293,7 @@ class NodeCore : public CommitEnv {
   // Execution engine: lock + apply each op under NO_WAIT. On the first
   // refused lock or missing row, undoes `undo`, releases `txn`'s locks and
   // returns false.
-  bool ExecOps(TxnId txn, const std::vector<Operation>& ops,
+  bool ExecOps(TxnId txn, std::span<const Operation> ops,
                std::vector<UndoRecord>* undo);
   bool ApplyOp(const Operation& op, std::vector<UndoRecord>* undo);
   void UndoWrites(const std::vector<UndoRecord>& undo);

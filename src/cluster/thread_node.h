@@ -182,7 +182,7 @@ class ThreadCluster {
   ThreadClusterConfig config_;
   std::unique_ptr<ThreadNetwork> network_;
   std::unique_ptr<Workload> workload_;
-  SafetyMonitor monitor_;  // guarded by monitor_mu_ inside nodes
+  SafetyMonitor monitor_;  // each node records into its own log in it
 
   // One registry shard per worker, recorded by the worker and the nodes it
   // hosts. The wall-clock sampler thread (config_.telemetry.enabled) only

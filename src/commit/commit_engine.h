@@ -175,9 +175,9 @@ class CommitEngine {
 
   /// Coordinator entry point. `participants` lists every node touching the
   /// transaction with the coordinator (this node) first. `own_vote` is the
-  /// local fragment's vote. Copy-on-write: a host that already holds the
-  /// list in a CowVector hands over a reference-counted view; plain
-  /// std::vector arguments convert (one copy) at the call site.
+  /// local fragment's vote. A CowVector copies a two-id list by value and
+  /// shares a longer one's buffer; plain std::vector arguments convert (one
+  /// copy) at the call site.
   void StartCommit(TxnId txn, CowVector<NodeId> participants,
                    Decision own_vote);
 
@@ -262,9 +262,10 @@ class CommitEngine {
   struct TxnRecord {
     bool is_coordinator = false;
     NodeId coordinator = kInvalidNode;
-    // Coordinator first; empty until known. Copy-on-write: stamping the
-    // list onto every outgoing Prepare/Global-* message shares one buffer
-    // with the record instead of deep-copying per recipient.
+    // Coordinator first; empty until known. Stamping the list onto every
+    // outgoing Prepare/Global-* message copies it by value (two ids) or
+    // shares one buffer with the record, never deep-copying a long list
+    // per recipient.
     CowVector<NodeId> participants;
     CohortState state = CohortState::kInitial;
     Decision own_vote = Decision::kCommit;

@@ -1,7 +1,8 @@
 #include "commit/invariants.h"
 
-#include <algorithm>
 #include <optional>
+
+#include "common/logging.h"
 
 namespace ecdb {
 
@@ -39,64 +40,105 @@ bool CanCoexist(StateClass a, StateClass b) {
   return kTable[static_cast<int>(a)][static_cast<int>(b)];
 }
 
-void SafetyMonitor::RecordApplied(TxnId txn, NodeId node, Decision decision) {
-  Stripe& stripe = StripeFor(txn);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  PerTxn& per = stripe.txns[txn];
-  bool found = false;
-  for (Applier& applier : per.applied) {
-    if (applier.node == node) {
-      applier.decision = decision;
-      found = true;
-    } else if (applier.decision != decision) {
-      per.conflict = true;
+SafetyMonitor::~SafetyMonitor() {
+  for (std::atomic<Chunk*>& chunk : chunks_) {
+    delete chunk.load(std::memory_order_relaxed);
+  }
+}
+
+SafetyMonitor::NodeLog& SafetyMonitor::LogOf(NodeId node) {
+  ECDB_CHECK(node < kChunks * kLogsPerChunk);  // txn ids hold 16-bit ids
+  std::atomic<Chunk*>& slot = chunks_[node / kLogsPerChunk];
+  Chunk* chunk = slot.load(std::memory_order_acquire);
+  if (chunk == nullptr) {
+    Chunk* created = new Chunk;
+    if (slot.compare_exchange_strong(chunk, created,
+                                     std::memory_order_acq_rel)) {
+      chunk = created;
+    } else {
+      delete created;  // another thread created it first, now in `chunk`
     }
   }
-  if (!found) per.applied.push_back(Applier{node, decision});
+  return chunk->logs[node % kLogsPerChunk];
+}
+
+void SafetyMonitor::RecordApplied(TxnId txn, NodeId node, Decision decision) {
+  NodeLog& log = LogOf(node);
+  std::lock_guard<std::mutex> lock(log.mu);
+  log.records.push_back(Record{txn, decision, /*blocked=*/false});
 }
 
 void SafetyMonitor::RecordBlocked(TxnId txn, NodeId node) {
-  (void)node;
-  Stripe& stripe = StripeFor(txn);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  stripe.blocked_reports++;
-  stripe.blocked[txn]++;
+  NodeLog& log = LogOf(node);
+  std::lock_guard<std::mutex> lock(log.mu);
+  log.records.push_back(Record{txn, Decision::kAbort, /*blocked=*/true});
+}
+
+void SafetyMonitor::Fold() const {
+  for (const std::atomic<Chunk*>& slot : chunks_) {
+    Chunk* chunk = slot.load(std::memory_order_acquire);
+    if (chunk == nullptr) continue;
+    for (size_t i = 0; i < kLogsPerChunk; ++i) {
+      std::vector<Record> records;
+      {
+        NodeLog& log = chunk->logs[i];
+        std::lock_guard<std::mutex> lock(log.mu);
+        records.swap(log.records);
+      }
+      const NodeId node =
+          static_cast<NodeId>(&slot - chunks_.data()) * kLogsPerChunk + i;
+      for (const Record& r : records) {
+        if (r.blocked) {
+          blocked_reports_++;
+          blocked_[r.txn]++;
+          continue;
+        }
+        // Until the first record that disagrees with the first one, every
+        // applier holds the first one's decision, so comparing with the
+        // appliers flags exactly the transactions whose records hold both
+        // decisions, in whatever order the logs are folded.
+        PerTxn& per = txns_[r.txn];
+        bool found = false;
+        for (Applier& applier : per.applied) {
+          if (applier.decision != r.decision) per.conflict = true;
+          if (applier.node == node) {
+            applier.decision = r.decision;  // the node's last record wins
+            found = true;
+          }
+        }
+        if (!found) per.applied.push_back(Applier{node, r.decision});
+      }
+    }
+  }
 }
 
 std::vector<TxnId> SafetyMonitor::Violations() const {
+  std::lock_guard<std::mutex> lock(index_mu_);
+  Fold();
   std::vector<TxnId> out;
-  for (const Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    for (const auto& slot : stripe.txns) {
-      if (slot.value.conflict) out.push_back(slot.key);
-    }
+  for (const auto& slot : txns_) {
+    if (slot.value.conflict) out.push_back(slot.key);
   }
   return out;
 }
 
 uint64_t SafetyMonitor::blocked_reports() const {
-  uint64_t total = 0;
-  for (const Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    total += stripe.blocked_reports;
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(index_mu_);
+  Fold();
+  return blocked_reports_;
 }
 
 size_t SafetyMonitor::BlockedTxnCount() const {
-  size_t total = 0;
-  for (const Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    total += stripe.blocked.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(index_mu_);
+  Fold();
+  return blocked_.size();
 }
 
 std::optional<Decision> SafetyMonitor::DecisionOf(TxnId txn,
                                                   NodeId node) const {
-  const Stripe& stripe = StripeFor(txn);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  const PerTxn* per = stripe.txns.Find(txn);
+  std::lock_guard<std::mutex> lock(index_mu_);
+  Fold();
+  const PerTxn* per = txns_.Find(txn);
   if (per == nullptr) return std::nullopt;
   for (const Applier& applier : per->applied) {
     if (applier.node == node) return applier.decision;
@@ -106,9 +148,9 @@ std::optional<Decision> SafetyMonitor::DecisionOf(TxnId txn,
 
 std::vector<std::pair<NodeId, Decision>> SafetyMonitor::AppliedFor(
     TxnId txn) const {
-  const Stripe& stripe = StripeFor(txn);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  const PerTxn* per = stripe.txns.Find(txn);
+  std::lock_guard<std::mutex> lock(index_mu_);
+  Fold();
+  const PerTxn* per = txns_.Find(txn);
   std::vector<std::pair<NodeId, Decision>> out;
   if (per == nullptr) return out;
   for (const Applier& applier : per->applied) {

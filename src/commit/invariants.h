@@ -2,6 +2,7 @@
 #define ECDB_COMMIT_INVARIANTS_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -38,20 +39,23 @@ bool CanCoexist(StateClass a, StateClass b);
 /// flags conflicts (one node commits while another aborts — the safety
 /// violation Theorem 3.1 rules out for EC). Fault-injection tests and the
 /// forwarding ablation feed this monitor; any violation under plain
-/// EC/2PC/3PC with node failures is a bug. Thread-safe: the threaded
-/// runtime records from every node thread concurrently.
+/// EC/2PC/3PC with node failures is a bug.
 ///
-/// Striped by transaction id: each node's lock table and commit engine are
-/// single-thread-owned (one OS thread per node), so this monitor is the
-/// one structure every node thread writes on every applied decision — the
-/// actual cross-thread serialization point of the threaded runtime. One
-/// global mutex here put every committing thread in one convoy; hashing
-/// the txn id onto independent stripes lets decisions for different
-/// transactions record in parallel, while both appliers of the *same*
-/// transaction still land on one stripe — which is exactly the pair the
-/// conflict check must observe together.
+/// Thread-safe, and built so that recording costs a committing worker
+/// nothing another worker writes: each node appends its (txn, decision)
+/// records to a log of its own, whose lock only a reader ever contends.
+/// Readers fold the pending records of every log into one index under a
+/// readers-only lock, so the commit path never touches the index. The fold
+/// does not depend on the order in which it meets different nodes' logs:
+/// a transaction is a violation iff its records hold both a commit and an
+/// abort, whether two nodes disagree or one node changes its own decision.
 class SafetyMonitor {
  public:
+  SafetyMonitor() = default;
+  ~SafetyMonitor();
+  SafetyMonitor(const SafetyMonitor&) = delete;
+  SafetyMonitor& operator=(const SafetyMonitor&) = delete;
+
   /// Reports that `node` applied `decision` for `txn`.
   void RecordApplied(TxnId txn, NodeId node, Decision decision);
 
@@ -67,13 +71,36 @@ class SafetyMonitor {
   /// Distinct transactions with at least one blocked node.
   size_t BlockedTxnCount() const;
 
-  /// Decision applied by `node` for `txn`, if recorded.
+  /// The decision `node` last recorded for `txn`, if any.
   std::optional<Decision> DecisionOf(TxnId txn, NodeId node) const;
 
-  /// All (node, decision) pairs recorded for `txn`.
+  /// All (node, decision) pairs recorded for `txn`, one per node, each with
+  /// that node's last decision.
   std::vector<std::pair<NodeId, Decision>> AppliedFor(TxnId txn) const;
 
  private:
+  friend class SafetyMonitorTestPeer;
+
+  struct Record {
+    TxnId txn;
+    Decision decision;
+    bool blocked;  // a RecordBlocked report; `decision` is unused
+  };
+  // One node's pending records. A cache line of its own, so two nodes'
+  // appends never write the same line.
+  struct alignas(64) NodeLog {
+    std::mutex mu;
+    std::vector<Record> records;
+  };
+  // Logs are created on a node's first record, kLogsPerChunk at a time,
+  // behind a fixed directory of atomic pointers: finding a node's log
+  // reads one pointer that is written once, when its chunk is created.
+  static constexpr size_t kLogsPerChunk = 64;
+  static constexpr size_t kChunks = (size_t{1} << 16) / kLogsPerChunk;
+  struct Chunk {
+    std::array<NodeLog, kLogsPerChunk> logs;
+  };
+
   struct Applier {
     NodeId node;
     Decision decision;
@@ -82,30 +109,24 @@ class SafetyMonitor {
     // A transaction has tens of appliers at most, so a flat list keyed by
     // linear scan beats a per-txn hash map. The first two (both
     // participants of the evaluation's two-partition transactions) sit
-    // inline, so recording their decisions does not allocate. Two, not
-    // more: the monitor keeps a slot for every transaction ever decided,
-    // so its size is resident memory.
+    // inline, so folding their decisions does not allocate.
     InlineVector<Applier, 2> applied;
     bool conflict = false;
   };
 
-  struct Stripe {
-    mutable std::mutex mu;
-    FlatMap<TxnId, PerTxn> txns;
-    FlatMap<TxnId, uint64_t> blocked;
-    uint64_t blocked_reports = 0;
-  };
+  NodeLog& LogOf(NodeId node);
 
-  static constexpr size_t kStripes = 16;  // power of two, masks cheaply
+  // Moves every log's pending records into the index. Caller holds
+  // index_mu_.
+  void Fold() const;
 
-  const Stripe& StripeFor(TxnId txn) const {
-    return stripes_[FlatHash<TxnId>{}(txn) & (kStripes - 1)];
-  }
-  Stripe& StripeFor(TxnId txn) {
-    return stripes_[FlatHash<TxnId>{}(txn) & (kStripes - 1)];
-  }
+  std::array<std::atomic<Chunk*>, kChunks> chunks_{};
 
-  std::array<Stripe, kStripes> stripes_;
+  // The index, read and written only by readers.
+  mutable std::mutex index_mu_;
+  mutable FlatMap<TxnId, PerTxn> txns_;
+  mutable FlatMap<TxnId, uint64_t> blocked_;
+  mutable uint64_t blocked_reports_ = 0;
 };
 
 }  // namespace ecdb

@@ -85,12 +85,12 @@ struct PaxosAcceptorState {
 // must not crash recovery.
 // ---------------------------------------------------------------------------
 
-inline void PackU64(std::vector<NodeId>* out, uint64_t v) {
+inline void PackU64(CowVector<NodeId>* out, uint64_t v) {
   out->push_back(static_cast<NodeId>(v & 0xFFFFFFFFu));
   out->push_back(static_cast<NodeId>(v >> 32));
 }
 
-inline bool UnpackU64(const std::vector<NodeId>& in, size_t* pos,
+inline bool UnpackU64(const CowVector<NodeId>& in, size_t* pos,
                       uint64_t* v) {
   if (*pos + 2 > in.size()) return false;
   *v = static_cast<uint64_t>(in[*pos]) |
@@ -105,10 +105,9 @@ inline CowVector<NodeId> PackQuorumState(QuorumEpoch last_elected,
                                          QuorumEpoch last_attempt,
                                          bool attempt_pre_abort) {
   CowVector<NodeId> payload;
-  std::vector<NodeId>& v = payload.Mutable();
-  PackU64(&v, last_elected);
-  PackU64(&v, last_attempt);
-  v.push_back(attempt_pre_abort ? 1u : 0u);
+  PackU64(&payload, last_elected);
+  PackU64(&payload, last_attempt);
+  payload.push_back(attempt_pre_abort ? 1u : 0u);
   return payload;
 }
 
@@ -116,12 +115,11 @@ inline bool UnpackQuorumState(const CowVector<NodeId>& payload,
                               QuorumEpoch* last_elected,
                               QuorumEpoch* last_attempt,
                               bool* attempt_pre_abort) {
-  const std::vector<NodeId>& v = payload.vec();
   size_t pos = 0;
-  if (!UnpackU64(v, &pos, last_elected)) return false;
-  if (!UnpackU64(v, &pos, last_attempt)) return false;
-  if (pos >= v.size()) return false;
-  *attempt_pre_abort = (v[pos] & 1u) != 0;
+  if (!UnpackU64(payload, &pos, last_elected)) return false;
+  if (!UnpackU64(payload, &pos, last_attempt)) return false;
+  if (pos >= payload.size()) return false;
+  *attempt_pre_abort = (payload[pos] & 1u) != 0;
   return true;
 }
 
@@ -132,13 +130,12 @@ inline bool UnpackQuorumState(const CowVector<NodeId>& payload,
 inline CowVector<NodeId> PackPaxosState(
     QuorumEpoch promised, const std::vector<PaxosAccepted>& accepted) {
   CowVector<NodeId> payload;
-  std::vector<NodeId>& v = payload.Mutable();
-  PackU64(&v, promised);
-  v.push_back(static_cast<NodeId>(accepted.size()));
+  PackU64(&payload, promised);
+  payload.push_back(static_cast<NodeId>(accepted.size()));
   for (const PaxosAccepted& a : accepted) {
-    v.push_back(a.instance);
-    PackU64(&v, a.ballot);
-    v.push_back(a.value == Decision::kAbort ? 1u : 0u);
+    payload.push_back(a.instance);
+    PackU64(&payload, a.ballot);
+    payload.push_back(a.value == Decision::kAbort ? 1u : 0u);
   }
   return payload;
 }
@@ -146,21 +143,20 @@ inline CowVector<NodeId> PackPaxosState(
 inline bool UnpackPaxosState(const CowVector<NodeId>& payload,
                              QuorumEpoch* promised,
                              std::vector<PaxosAccepted>* accepted) {
-  const std::vector<NodeId>& v = payload.vec();
   size_t pos = 0;
-  if (!UnpackU64(v, &pos, promised)) return false;
-  if (pos >= v.size()) return false;
-  const size_t n = v[pos++];
+  if (!UnpackU64(payload, &pos, promised)) return false;
+  if (pos >= payload.size()) return false;
+  const size_t n = payload[pos++];
   accepted->clear();
   for (size_t i = 0; i < n; ++i) {
     PaxosAccepted a;
-    if (pos >= v.size()) return false;
-    a.instance = v[pos++];
+    if (pos >= payload.size()) return false;
+    a.instance = payload[pos++];
     uint64_t ballot = 0;
-    if (!UnpackU64(v, &pos, &ballot)) return false;
+    if (!UnpackU64(payload, &pos, &ballot)) return false;
     a.ballot = ballot;
-    if (pos >= v.size()) return false;
-    a.value = (v[pos++] & 1u) ? Decision::kAbort : Decision::kCommit;
+    if (pos >= payload.size()) return false;
+    a.value = (payload[pos++] & 1u) ? Decision::kAbort : Decision::kCommit;
     accepted->push_back(a);
   }
   return true;

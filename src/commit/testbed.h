@@ -125,13 +125,10 @@ class ProtocolTestbed {
   /// coordinated by node 0. Returns the txn id.
   TxnId StartAll(Decision coordinator_vote = Decision::kCommit) {
     const TxnId txn = MakeTxnId(0, ++seq_);
-    // One copy-on-write buffer, shared by all n engine records — at large
+    // One shared buffer for all n engine records — at large
     // n a per-host deep copy would be O(n^2) bytes per round.
     CowVector<NodeId> participants;
-    {
-      std::vector<NodeId>& p = participants.Mutable();
-      for (NodeId id = 0; id < hosts_.size(); ++id) p.push_back(id);
-    }
+    for (NodeId id = 0; id < hosts_.size(); ++id) participants.push_back(id);
     for (NodeId id = 1; id < hosts_.size(); ++id) {
       hosts_[id]->engine().ExpectPrepare(txn, 0, participants);
     }

@@ -94,7 +94,8 @@ struct Message {
   /// to forward the decision to (Section 5.3); we also piggyback it on
   /// Prepare so cohorts can run the termination protocol.
   ///
-  /// Copy-on-write: copying a Message shares this list, so broadcasting a
+  /// A CowVector: a list of up to two ids rides inside the message and is
+  /// copied by value; a longer one is one shared buffer, so broadcasting a
   /// decision to n cohorts (and EC's n^2 cohort re-broadcast) performs one
   /// allocation total, not one deep copy per recipient.
   CowVector<NodeId> participants;
@@ -109,7 +110,8 @@ struct Message {
   bool has_decision = false;
   Decision decision = Decision::kAbort;
 
-  /// Execution payload for kRemoteExec. Copy-on-write, like participants.
+  /// Execution payload for kRemoteExec: always one shared buffer
+  /// (an Operation is too wide for the inline slots).
   CowVector<Operation> ops;
 
   /// kRemoteExec: whether the whole transaction performs writes anywhere

@@ -21,16 +21,13 @@ struct UndoRecord {
   uint64_t old_version = 0;
 };
 
-/// Participant-side state for a remote fragment: the operations executed on
-/// behalf of a coordinator plus undo information for rollback. The
-/// participant list and operations arrive on a kRemoteExec message; storing
-/// them as copy-on-write vectors shares the message's buffers instead of
-/// deep-copying them into every fragment.
+/// Participant-side state for a remote fragment: its coordinator, the
+/// participant list that arrived on the kRemoteExec message, and undo
+/// information for rollback.
 struct FragmentState {
   TxnId txn = kInvalidTxn;
   NodeId coordinator = kInvalidNode;
   CowVector<NodeId> participants;
-  CowVector<Operation> ops;
   std::vector<UndoRecord> undo;
 };
 

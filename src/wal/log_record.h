@@ -66,9 +66,8 @@ struct LogRecord {
   /// Participant list (coordinator first), recorded with begin_commit and
   /// ready entries so a recovering node in the consult-peers case knows
   /// whom to ask (Section 4.2 requires contacting other participants).
-  /// Copy-on-write: staging a WAL record shares the transaction's existing
-  /// list (one refcount bump) instead of deep-copying it per log entry —
-  /// the last per-transaction allocation on the commit hot path.
+  /// A CowVector: staging a WAL record copies a short list by value and
+  /// shares a long one's buffer, never deep-copying it per log entry.
   CowVector<NodeId> participants;
 
   friend bool operator==(const LogRecord&, const LogRecord&) = default;

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/sim_cluster.h"
+#include "common/cow_vector.h"
 #include "workload/ycsb.h"
 
 namespace {
@@ -113,24 +114,47 @@ TEST(AllocationTripwire, CounterSeesHeapAllocations) {
   EXPECT_EQ(Allocations(), before + 1);
 }
 
+TEST(AllocationTripwire, TwoIdListCopiesDoNotAllocate) {
+  // A participant list of two ids is copied by value (no heap buffer, so
+  // no reference count to bump); a third id moves it to a shared buffer,
+  // which copies share without allocating either.
+  CowVector<NodeId> pair;
+  pair.push_back(3);
+  pair.push_back(5);
+  CowVector<NodeId> triple = pair;
+  triple.push_back(9);
+  const uint64_t before = Allocations();
+  for (int i = 0; i < 1000; ++i) {
+    CowVector<NodeId> copy = pair;
+    CowVector<NodeId> assigned;
+    assigned = copy;
+    CowVector<NodeId> shared = triple;
+    if (assigned[1] != 5 || shared.size() != 3) std::abort();
+  }
+  EXPECT_EQ(Allocations(), before);
+  EXPECT_TRUE(pair.IsInline());
+  EXPECT_FALSE(triple.IsInline());
+}
+
 // Ceilings sit ~20% above the counts measured with libstdc++ 12, each test
-// in a process of its own (n=4: 568 setup allocations, 9.85 per commit;
-// n=16: 2,098 and 9.99). Loading a partition allocates only its tables'
-// catalog entries, and a YCSB transaction's partition list is inline. A
+// in a process of its own (n=4: 472 setup allocations, 5.83 per commit;
+// n=16: 1,714 and 5.91). Loading a partition allocates only its tables'
+// catalog entries, a YCSB transaction's partition list is inline, and so
+// is the two-id participant list its messages and WAL records carry. A
 // heap buffer per loaded row would put setup in the tens of thousands; one
 // per lock grant, undo record or applied decision, near 30 per commit.
 TEST(AllocationTripwire, EcFourNodes) {
   const AllocCounts c = Measure(4);
   ASSERT_GT(c.commits, 1000u);
-  EXPECT_LT(c.setup, 690u);
-  EXPECT_LT(static_cast<double>(c.window) / c.commits, 12.0);
+  EXPECT_LT(c.setup, 570u);
+  EXPECT_LT(static_cast<double>(c.window) / c.commits, 7.0);
 }
 
 TEST(AllocationTripwire, EcSixteenNodes) {
   const AllocCounts c = Measure(16);
   ASSERT_GT(c.commits, 4000u);
-  EXPECT_LT(c.setup, 2520u);
-  EXPECT_LT(static_cast<double>(c.window) / c.commits, 12.0);
+  EXPECT_LT(c.setup, 2060u);
+  EXPECT_LT(static_cast<double>(c.window) / c.commits, 7.1);
 }
 
 }  // namespace

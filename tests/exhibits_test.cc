@@ -187,9 +187,9 @@ Ablation A1: decision forwarding (EC insight ii). The coordinator crashes mid-br
 | EC | 3 | 2 | 0 | 0 | 0 |
 | EC | 4 | 3 | 0 | 0 | 0 |
 | EC | 5 | 4 | 0 | 0 | 0 |
-| EC-noforward | 3 | 2 | 1 | 0 | 0 |
-| EC-noforward | 4 | 3 | 1 | 0 | 0 |
-| EC-noforward | 5 | 4 | 1 | 0 | 0 |
+| EC-noforward | 3 | 2 | 2 | 0 | 0 |
+| EC-noforward | 4 | 3 | 3 | 0 | 0 |
+| EC-noforward | 5 | 4 | 4 | 0 | 0 |
 | 2PC | 3 | 2 | 0 | 2 | 0 |
 | 2PC | 4 | 3 | 0 | 3 | 0 |
 | 2PC | 5 | 4 | 0 | 4 | 0 |

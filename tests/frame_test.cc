@@ -29,8 +29,7 @@ Message MakeMessage(uint32_t i) {
     m.quorum_epoch = 91u * i;  // only quorum messages ship the epoch
   }
   if (i % 5 == 0) {
-    std::vector<NodeId>& parts = m.participants.Mutable();
-    for (uint32_t k = 0; k < i % 6; ++k) parts.push_back(k);
+    for (uint32_t k = 0; k < i % 6; ++k) m.participants.push_back(k);
   }
   return m;
 }
@@ -55,8 +54,7 @@ void ExpectFrameEq(const MessageFrame& want, const MessageFrame& got) {
     EXPECT_EQ(want.messages[i].txn, got.messages[i].txn);
     EXPECT_EQ(want.messages[i].trace_seq, got.messages[i].trace_seq);
     EXPECT_EQ(want.messages[i].quorum_epoch, got.messages[i].quorum_epoch);
-    EXPECT_EQ(want.messages[i].participants.vec(),
-              got.messages[i].participants.vec());
+    EXPECT_EQ(want.messages[i].participants, got.messages[i].participants);
   }
 }
 

@@ -213,7 +213,7 @@ TEST(NetworkMessageTest, ApproximateBytesGrowsWithPayload) {
   m.participants = {1, 2, 3, 4};
   EXPECT_GT(m.ApproximateBytes(), base);
   const size_t with_parts = m.ApproximateBytes();
-  m.ops.resize(10);
+  m.ops = std::vector<Operation>(10);
   EXPECT_GT(m.ApproximateBytes(), with_parts);
 }
 

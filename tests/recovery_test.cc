@@ -161,7 +161,7 @@ TEST(RecoveryScanTest, LastMilestoneSkipsSnapshots) {
   EXPECT_TRUE(t.has_milestone);
   EXPECT_EQ(t.action, RecoveryAction::kConsultPeers);
   EXPECT_EQ(t.resume_state, CohortState::kReady);
-  EXPECT_EQ(t.participants.vec(), (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(t.participants, (std::vector<NodeId>{0, 1, 2}));
   EXPECT_EQ(t.quorum_state, quorum);
   EXPECT_EQ(t.paxos_state, paxos);
 }
@@ -411,7 +411,7 @@ TEST(QuorumCodecTest, TruncatedPayloadsAreRejected) {
   bool flag = false;
   EXPECT_FALSE(UnpackQuorumState(CowVector<NodeId>{}, &le, &la, &flag));
   CowVector<NodeId> truncated = PackQuorumState(1, 1, false);
-  truncated.Mutable().pop_back();
+  truncated.pop_back();
   EXPECT_FALSE(UnpackQuorumState(truncated, &le, &la, &flag));
 
   QuorumEpoch promised = 0;
@@ -419,7 +419,7 @@ TEST(QuorumCodecTest, TruncatedPayloadsAreRejected) {
   EXPECT_FALSE(UnpackPaxosState(CowVector<NodeId>{}, &promised, &accepted));
   CowVector<NodeId> bad =
       PackPaxosState(1, {{2, 1, Decision::kCommit}});
-  bad.Mutable().pop_back();
+  bad.pop_back();
   EXPECT_FALSE(UnpackPaxosState(bad, &promised, &accepted));
 }
 

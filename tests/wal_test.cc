@@ -106,7 +106,7 @@ TEST(FileWalTest, WideRecordSurvivesReopen) {
   }
   auto wal = std::move(FileWal::Open(path)).value();
   ASSERT_EQ(wal->Size(), 2u);
-  EXPECT_EQ(wal->Scan()[0].participants.vec(), wide);
+  EXPECT_EQ(wal->Scan()[0].participants, wide);
   EXPECT_EQ(wal->Scan()[1].type, LogRecordType::kCommitReceived);
   // Appends after the reopen land behind the wide record, not over it.
   wal->Append({0, 6, LogRecordType::kReady, {}});

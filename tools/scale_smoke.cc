@@ -389,12 +389,8 @@ int main(int argc, char** argv) {
     const NodeId coord = base_id;
     const TxnId txn = MakeTxnId(coord, r + 1);
     CowVector<NodeId> members;
-    {
-      std::vector<NodeId>& m = members.Mutable();
-      m.reserve(participants);
-      for (uint32_t k = 0; k < participants; ++k) {
-        m.push_back(static_cast<NodeId>((base_id + k) % nodes));
-      }
+    for (uint32_t k = 0; k < participants; ++k) {
+      members.push_back(static_cast<NodeId>((base_id + k) % nodes));
     }
     for (uint32_t k = 1; k < participants; ++k) {
       const NodeId id = static_cast<NodeId>((base_id + k) % nodes);
